@@ -80,6 +80,21 @@ class FiniteCStarAlgebra:
         out[oi : oi + s.shape[0], oj : oj + s.shape[1]] = s
         return out
 
+    def block_norms(self, b) -> np.ndarray:
+        """The n_blocks × n_blocks table of block norms ∥p_i b p_j∥, from which
+        every block-support question about b is answered."""
+        a = as_matrix(b)
+        d = self.ambient_dim
+        if a.shape != (d, d):
+            raise ValueError(f"expected shape ({d},{d}), got {a.shape}")
+        # zero-padding each block to the largest size (index d: an appended zero
+        # row/column) keeps its singular values and allows one batched SVD
+        m = max(self.block_dims)
+        idx = np.array([list(range(o, o + n)) + [d] * (m - n)
+                        for o, n in zip(self.block_offsets, self.block_dims)])
+        blocks = np.pad(a, (0, 1))[idx[:, None, :, None], idx[None, :, None, :]]
+        return np.linalg.svd(blocks, compute_uv=False)[..., 0]
+
     def compress(self, b) -> np.ndarray:
         """Σ_i p_i b p_i — kill the off-diagonal blocks."""
         a = as_matrix(b)

@@ -25,9 +25,7 @@ from .cocycle import cocycle_identity_residual, twist_is_admissible
 from .dynamics import (
     a_dynamical_generation_check,
     check_unitary_normalizer_theorem,
-    covariance_group,
     covariance_group_from_frame,
-    make_spatial_automorphism,
 )
 from .embedding import (
     EmbeddingInvariant,
@@ -47,8 +45,9 @@ from .fellbundle import (
     diagonal_algebra,
     enveloping_algebra,
 )
-from .groupoid import Arrow, Bisection, cycle_bisection
-from .linalg import DEFAULT_EPS, haar_unitary
+from .groupoid import Bisection, cycle_bisection
+from .linalg import DEFAULT_EPS
+from .presets import flow_frame, random_symmetric_frame
 from .serialize import (
     ParseError,
     cocycle_to_json,
@@ -63,48 +62,6 @@ PRESETS = ("fourpoint", "diag-masa", "imprimitivity", "semidirect", "flow")
 
 class UsageError(Exception):
     pass
-
-
-def random_symmetric_frame(
-    n: int, dim: int, rng: np.random.Generator
-) -> dict[Arrow, np.ndarray]:
-    """A random unitary frame with u_(x,x) = I and u_(y,x) = u_(x,y)*."""
-    frame: dict[Arrow, np.ndarray] = {}
-    for x in range(n):
-        frame[(x, x)] = np.eye(dim, dtype=complex)
-    for x in range(n):
-        for y in range(x + 1, n):
-            u = haar_unitary(dim, rng)
-            frame[(x, y)] = u
-            frame[(y, x)] = u.conj().T
-    return frame
-
-
-def flow_frame(
-    n: int, dim: int, rng: np.random.Generator
-) -> tuple[dict[Arrow, np.ndarray], Bisection]:
-    """A frame generated by one n-cycle automorphism with trivial holonomy.
-
-    The closing edge is chosen so the product of the fibre maps around the
-    cycle is the identity; the full frame is then the orbit of the generator's
-    powers, which is adjoint-symmetric with identity diagonal.
-    """
-    g = cycle_bisection(n)
-    if n == 1:
-        maps = [np.eye(dim, dtype=complex)]
-    else:
-        maps = [haar_unitary(dim, rng) for _ in range(n - 1)]
-        closing = np.eye(dim, dtype=complex)
-        for w in maps:
-            closing = w @ closing
-        maps.append(closing.conj().T)
-    sigma = make_spatial_automorphism(g, maps, (dim,) * n)
-    Gs = covariance_group(sigma)
-    frame: dict[Arrow, np.ndarray] = {}
-    for m, element in enumerate(Gs.elements, start=1):
-        for y in range(n):
-            frame[(element.f0(y), y)] = element.fibre_maps[y]
-    return frame, g
 
 
 def build_preset(
@@ -186,8 +143,10 @@ def run_check(what: str, model, generator, eps: float, seed: int) -> dict:
             }
         g = _need_generator(generator)
         Gs = covariance_group_from_frame(g, model)
-        phi = phi_from_covariance_group(Gs, eps)
-        readoff = read_off_pair(phi, eps)
+        try:
+            readoff = read_off_pair(phi_from_covariance_group(Gs, eps), eps)
+        except ValueError as exc:
+            return {"check": "cocycle", "pass": False, "error": str(exc)}
         residual = cocycle_identity_residual(readoff.omega)
         return {
             "check": "cocycle",

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .groupoid import Arrow, PairGroupoid
-from .linalg import DEFAULT_EPS, as_matrix, operator_norm
+from .linalg import DEFAULT_EPS, adjoint, as_matrix, operator_norm
 
 
 class NotATwistError(ValueError):
@@ -148,13 +148,13 @@ def extract_cocycle(
         if operator_norm(as_matrix(assignment[(x, x)]) - eye) > eps:
             raise ValueError(f"unit arrow ({x},{x}) is not assigned the identity")
     for g, u in assignment.items():
-        if operator_norm(as_matrix(assignment[G.inverse(g)]) - adjoint_of(u)) > eps:
+        if operator_norm(as_matrix(assignment[G.inverse(g)]) - adjoint(u)) > eps:
             raise ValueError(f"assignment violates u_(g*) = u_g* at {g}")
 
     values: dict[tuple[Arrow, Arrow], np.ndarray] = {}
     for g, h in G.composable_pairs():
         gh = G.compose(g, h)
-        defect = as_matrix(assignment[g]) @ as_matrix(assignment[h]) @ adjoint_of(
+        defect = as_matrix(assignment[g]) @ as_matrix(assignment[h]) @ adjoint(
             assignment[gh]
         )
         off = defect - np.diag(np.diagonal(defect))
@@ -168,10 +168,6 @@ def extract_cocycle(
             raise NotATwistError(f"defect at ({g},{h}) has non-unit modulus")
         values[(g, h)] = defect
     return Cocycle2(n_points=n, fibre_dim=dim, values=values, frame=dict(assignment))
-
-
-def adjoint_of(u) -> np.ndarray:
-    return as_matrix(u).conj().T
 
 
 def cocycle_identity_residual(w: Cocycle2) -> float:

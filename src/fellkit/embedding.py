@@ -35,6 +35,7 @@ from .linalg import (
     is_partial_isometry,
     operator_norm,
     random_matrix,
+    rank,
 )
 from .subalgebra import PairCandidate, PairClassification, classify_pair
 
@@ -64,20 +65,8 @@ class EmbeddingInvariant:
         return self.algebra.block(self.phi, i, j)
 
     def block_support(self, eps: float = DEFAULT_EPS) -> set[tuple[int, int]]:
-        A = self.algebra
-        return {
-            (i, j)
-            for i in range(A.n_blocks)
-            for j in range(A.n_blocks)
-            if operator_norm(self.block(i, j)) > eps
-        }
-
-
-def _block_rank(m: np.ndarray, eps: float) -> int:
-    sv = np.linalg.svd(m, compute_uv=False) if m.size else np.zeros(0)
-    if sv.size == 0 or sv[0] <= eps:
-        return 0
-    return int(np.count_nonzero(sv > eps * sv[0]))
+        support = self.algebra.block_norms(self.phi) > eps
+        return {(int(i), int(j)) for i, j in np.argwhere(support)}
 
 
 def phi_from_block_units(
@@ -97,13 +86,11 @@ def phi_from_block_units(
     phi = np.zeros((A.ambient_dim, A.ambient_dim), dtype=complex)
     for (i, j), u in units.items():
         m = as_matrix(u)
-        for k in range(A.n_blocks):
-            for l in range(A.n_blocks):
-                blk = A.block(m, k, l)
-                if (k, l) != (i, j) and operator_norm(blk) > eps:
-                    raise ValueError(
-                        f"unit for ({i},{j}) has support on block ({k},{l})"
-                    )
+        stray = A.block_norms(m) > eps
+        stray[i, j] = False
+        if stray.any():
+            k, l = np.argwhere(stray)[0]
+            raise ValueError(f"unit for ({i},{j}) has support on block ({k},{l})")
         if not is_partial_isometry(A.block(m, i, j), eps):
             raise ValueError(f"block ({i},{j}) is not a partial isometry")
         if i in subset and j in subset:
@@ -137,12 +124,13 @@ def phi_from_covariance_group(
 def is_orientable(phi: EmbeddingInvariant, eps: float = DEFAULT_EPS) -> bool:
     """Every block has full rank min(nᵢ, nⱼ) — no vanishing section."""
     A = phi.algebra
-    for i in range(A.n_blocks):
-        for j in range(A.n_blocks):
-            want = min(A.block_dims[i], A.block_dims[j])
-            if _block_rank(phi.block(i, j), eps) != want:
-                return False
-    return True
+    if not np.all(A.block_norms(phi.phi) > eps):
+        return False
+    return all(
+        rank(phi.block(i, j), eps) == min(A.block_dims[i], A.block_dims[j])
+        for i in range(A.n_blocks)
+        for j in range(A.n_blocks)
+    )
 
 
 @dataclass

@@ -470,7 +470,3 @@ class ConditionalExpectation:
 def restriction_expectation(E: FellBundleModel) -> ConditionalExpectation:
     """P: C*(E) → C*(E⁰), restriction to the diagonal blocks."""
     return ConditionalExpectation(range_algebra=diagonal_algebra(E))
-
-
-def kernel_basis(P: ConditionalExpectation) -> list[np.ndarray]:
-    return P.kernel_basis()

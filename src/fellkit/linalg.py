@@ -82,18 +82,27 @@ def _stack(mats: Sequence[np.ndarray]) -> np.ndarray:
     return np.stack([r.reshape(-1) for r in rows])
 
 
-def span_dimension(mats: Sequence[np.ndarray], eps: float = DEFAULT_EPS) -> int:
-    """Rank of the vectorized family.
+def _numerical_rank(sv: np.ndarray, eps: float) -> int:
+    """The package's one rank rule, on singular values in descending order.
 
-    Singular values below eps times the largest are treated as zero, so the
-    result is invariant under rescaling any input by a nonzero scalar.
+    Values at or below eps times the largest count as zero, so a rank is
+    invariant under rescaling its input by a nonzero scalar.
     """
-    if len(mats) == 0:
-        return 0
-    sv = np.linalg.svd(_stack(mats), compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0
     return int(np.count_nonzero(sv > eps * sv[0]))
+
+
+def rank(m, eps: float = DEFAULT_EPS) -> int:
+    """Numerical rank of a matrix, under the rule of ``_numerical_rank``."""
+    return _numerical_rank(np.linalg.svd(as_matrix(m), compute_uv=False), eps)
+
+
+def span_dimension(mats: Sequence[np.ndarray], eps: float = DEFAULT_EPS) -> int:
+    """Rank of the vectorized family, under the rule of ``_numerical_rank``."""
+    if len(mats) == 0:
+        return 0
+    return rank(_stack(mats), eps)
 
 
 def is_in_span(m, mats: Sequence[np.ndarray], eps: float = DEFAULT_EPS) -> bool:
@@ -115,12 +124,8 @@ def orthonormal_span_basis(
     if len(mats) == 0:
         return []
     shape = as_matrix(mats[0]).shape
-    stacked = _stack(mats)
-    u, sv, vh = np.linalg.svd(stacked, full_matrices=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return []
-    keep = sv > eps * sv[0]
-    return [vh[i].reshape(shape) for i in range(len(sv)) if keep[i]]
+    _, sv, vh = np.linalg.svd(_stack(mats), full_matrices=False)
+    return [v.reshape(shape) for v in vh[: _numerical_rank(sv, eps)]]
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -10,7 +10,7 @@ import json
 import numpy as np
 
 from fellkit.algebra import make_algebra
-from fellkit.cli import flow_frame, main, random_symmetric_frame
+from fellkit.cli import main
 from fellkit.cocycle import Cocycle2, cocycle_identity_residual
 from fellkit.dynamics import (
     a_dynamical_generation_check,
@@ -42,6 +42,7 @@ from fellkit.groupoid import (
     self_adjoint_bisections,
 )
 from fellkit.linalg import operator_norm, span_dimension
+from fellkit.presets import flow_frame, random_symmetric_frame
 from fellkit.subalgebra import PairCandidate, classify_pair, slice_check
 from fellkit.dynamics import slice_from_bisection
 

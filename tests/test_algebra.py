@@ -58,6 +58,19 @@ def test_compress_is_the_block_diagonal_part():
     assert np.allclose(manual, c)
 
 
+@pytest.mark.parametrize("dims", [(2, 1, 3), (1, 2, 3, 4), (2, 2), (5,)])
+def test_block_norms_match_per_block_operator_norms(dims):
+    A = make_algebra(dims)
+    b = random_matrix((A.ambient_dim, A.ambient_dim), np.random.default_rng(2))
+    table = A.block_norms(b)
+    assert table.shape == (A.n_blocks, A.n_blocks)
+    for i in range(A.n_blocks):
+        for j in range(A.n_blocks):
+            assert abs(table[i, j] - operator_norm(A.block(b, i, j))) < 1e-12
+    with pytest.raises(ValueError):
+        A.block_norms(np.eye(A.ambient_dim + 1))
+
+
 def test_contains():
     A = make_algebra([2, 1])
     assert A.contains(A.unit())

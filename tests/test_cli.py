@@ -59,6 +59,21 @@ def test_report_byte_determinism(tmp_path):
     }
 
 
+def test_semidirect_report_survives_failed_cocycle_extraction(tmp_path):
+    # the random frame has holonomy round the generator's cycle, so no twist
+    # can be read off Φ: cocycle and the round trip fail, the rest still report
+    code, out = run(tmp_path, "report", "--preset", "semidirect")
+    assert code == 1
+    doc = json.loads(out.read_text())
+    verdicts = {c["check"]: c["pass"] for c in doc["checks"]}
+    assert verdicts == {
+        "axioms": True, "pair": True, "cocycle": False, "theorem-3.13": True,
+        "generation": True, "phi-roundtrip": False,
+    }
+    cocycle = next(c for c in doc["checks"] if c["check"] == "cocycle")
+    assert "error" in cocycle
+
+
 def test_fourpoint_phi_build_supports(tmp_path):
     code, out = run(tmp_path, "phi", "build", "--preset", "fourpoint")
     assert code == 0

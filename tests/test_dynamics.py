@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from fellkit.algebra import make_algebra
-from fellkit.cli import flow_frame, random_symmetric_frame
 from fellkit.dynamics import (
     CovarianceError,
     a_dynamical_generation_check,
@@ -26,6 +25,7 @@ from fellkit.fellbundle import (
 )
 from fellkit.groupoid import Bisection, cycle_bisection, identity_bisection
 from fellkit.linalg import is_unitary, operator_norm
+from fellkit.presets import flow_frame, random_symmetric_frame
 from fellkit.subalgebra import is_normalizer, normalizer_support, slice_check
 
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from fellkit.algebra import make_algebra
-from fellkit.cli import flow_frame
 from fellkit.dynamics import (
     covariance_group,
     covariance_group_from_frame,
@@ -26,6 +25,7 @@ from fellkit.fellbundle import (
 )
 from fellkit.groupoid import identity_bisection
 from fellkit.linalg import operator_norm
+from fellkit.presets import flow_frame
 from fellkit.subalgebra import is_normalizer
 
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from fellkit.cocycle import Cocycle2, twist_from_phases
-from fellkit.cli import random_symmetric_frame
 from fellkit.fellbundle import (
     CStarBundle,
     ConditionalExpectation,
@@ -19,6 +18,7 @@ from fellkit.fellbundle import (
     restriction_expectation,
 )
 from fellkit.linalg import operator_norm, span_dimension
+from fellkit.presets import random_symmetric_frame
 
 
 def rng_for(seed):

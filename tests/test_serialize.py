@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from fellkit.cli import flow_frame, random_symmetric_frame
 from fellkit.cocycle import twist_from_phases
 from fellkit.fellbundle import (
     CStarBundle,
@@ -9,6 +8,7 @@ from fellkit.fellbundle import (
     build_semidirect_bundle,
 )
 from fellkit.groupoid import cycle_bisection
+from fellkit.presets import flow_frame, random_symmetric_frame
 from fellkit.serialize import (
     ParseError,
     arrow_from_key,

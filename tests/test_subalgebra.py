@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from fellkit.algebra import make_algebra
+from fellkit.dynamics import random_spatial_automorphism
 from fellkit.fellbundle import (
     ConditionalExpectation,
     build_imprimitivity_bundle,
     restriction_expectation,
 )
-from fellkit.linalg import operator_norm, random_matrix, span_dimension
+from fellkit.groupoid import Bisection, identity_bisection
+from fellkit.linalg import haar_unitary, operator_norm, random_matrix, span_dimension
 from fellkit.subalgebra import (
     PairCandidate,
     Slice,
@@ -47,6 +49,78 @@ def test_normalizers_of_masa_exhaustive_01_oracle():
                     len(rows) == len(set(rows)) and len(cols) == len(set(cols))
                 )
                 assert is_normalizer(b, A) == partial_bijection, chosen
+
+
+def basis_loop_normalizer(b, A, eps=1e-9):
+    """The definition: b*ab and bab* lie in A for every matrix unit a of A."""
+    m = np.asarray(b, dtype=complex)
+    return all(
+        A.contains(m.conj().T @ a @ m, eps) and A.contains(m @ a @ m.conj().T, eps)
+        for a in A.basis()
+    )
+
+
+def random_block_support(n, rng, bijective):
+    """A block support on n indices: a random partial bijection, or two
+    blocks in one block row or in one block column."""
+    if bijective:
+        perm = rng.permutation(n)
+        return {(i, int(perm[i])) for i in range(n) if rng.random() < 0.7}
+    i, j = (int(x) for x in rng.choice(n, size=2, replace=False))
+    k = int(rng.integers(n))
+    return {(k, i), (k, j)} if rng.random() < 0.5 else {(i, k), (j, k)}
+
+
+@pytest.mark.parametrize("dims", [(1, 2, 3), (2, 2, 2)])
+def test_is_normalizer_matches_basis_loop_on_block_sparse(dims):
+    """Random block-sparse matrices, over unequal and equal blocks."""
+    rng = np.random.default_rng(11)
+    A = make_algebra(dims)
+    n = len(dims)
+    for trial in range(60):
+        bijective = trial % 2 == 0
+        b = np.zeros((A.ambient_dim, A.ambient_dim), dtype=complex)
+        for i, j in random_block_support(n, rng, bijective):
+            b += A.embed_block(i, j, random_matrix((dims[i], dims[j]), rng))
+        assert is_normalizer(b, A) == basis_loop_normalizer(b, A) == bijective
+
+
+@pytest.mark.parametrize("delta, normalizes", [(1e-12, True), (1e-6, False)])
+def test_is_normalizer_matches_basis_loop_off_threshold(delta, normalizes):
+    """A second block in one block row, far below and far above eps."""
+    A = make_algebra([1, 2, 3])
+    rng = np.random.default_rng(5)
+    b = A.embed_block(0, 1, random_matrix((1, 2), rng))
+    b = b + delta * A.embed_block(0, 2, random_matrix((1, 3), rng))
+    assert is_normalizer(b, A) == basis_loop_normalizer(b, A) == normalizes
+
+
+def test_is_normalizer_matches_basis_loop_on_spatial_automorphisms():
+    rng = np.random.default_rng(3)
+    for dims in ((2, 2, 2), (1, 1, 1, 1), (1, 2, 3)):
+        A = make_algebra(dims)
+        for _ in range(5):
+            if len(set(dims)) == 1:
+                f0 = Bisection(tuple(int(i) for i in rng.permutation(len(dims))))
+            else:
+                f0 = identity_bisection(len(dims))
+            u = random_spatial_automorphism(f0, dims, rng).U
+            assert is_normalizer(u, A) and basis_loop_normalizer(u, A)
+
+
+def test_is_normalizer_matches_basis_loop_on_two_block_mixers():
+    """The Haar unitaries mixing two blocks that the theorem-3.13 converse
+    must reject."""
+    rng = np.random.default_rng(4)
+    dim, n = 2, 3
+    A = make_algebra([dim] * n)
+    for _ in range(10):
+        i, j = rng.choice(n, size=2, replace=False)
+        u = A.unit()
+        oi, oj = A.block_offsets[i], A.block_offsets[j]
+        idx = list(range(oi, oi + dim)) + list(range(oj, oj + dim))
+        u[np.ix_(idx, idx)] = haar_unitary(2 * dim, rng)
+        assert not is_normalizer(u, A) and not basis_loop_normalizer(u, A)
 
 
 def test_normalizer_examples():
