@@ -8,16 +8,20 @@ Commands:
 * ``report`` — every applicable suite in one document.
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 usage or
-parse error.  Reports are canonical JSON (sorted keys), byte-identical for
-identical config and seed.  The tolerance comes from --eps, else the
-FELLKIT_EPS environment variable, else 1e-9.
+parse error.  A suite that raises on its model reports a failed check with
+the error, and the other suites of a report still run.  Reports are
+canonical JSON (sorted keys), byte-identical for identical config and seed.
+The tolerance comes from --eps, else the FELLKIT_EPS environment variable,
+else 1e-9.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +41,7 @@ from .embedding import (
     read_off_pair,
 )
 from .fellbundle import (
+    AxiomReport,
     CStarBundle,
     FellBundleModel,
     build_imprimitivity_bundle,
@@ -107,10 +112,41 @@ def _support_json(phi: EmbeddingInvariant, eps: float) -> list[list[int]]:
     return sorted([i + 1, j + 1] for (i, j) in phi.block_support(eps))
 
 
-def run_check(what: str, model, generator, eps: float, seed: int) -> dict:
-    rng = np.random.default_rng(seed)
+def isolated(prefix: str):
+    """Turn a contract a suite raises (ValueError, RuntimeError) into its
+    failed check, so that one failing suite does not take down a report."""
+
+    def decorate(run):
+        @functools.wraps(run)
+        def guarded(what: str, *args, **kwargs) -> dict:
+            try:
+                return run(what, *args, **kwargs)
+            except (ValueError, RuntimeError) as exc:
+                return {"check": prefix + what, "pass": False, "error": str(exc)}
+
+        return guarded
+
+    return decorate
+
+
+@dataclass
+class AxiomRun:
+    """One report's axiom suite: the pair stage reuses it and its rng."""
+
+    rng: np.random.Generator
+    report: AxiomReport | None = None
+
+
+@isolated("")
+def run_check(
+    what: str, model, generator, eps: float, seed: int,
+    axiom_run: AxiomRun | None = None,
+) -> dict:
+    rng = np.random.default_rng(seed) if axiom_run is None else axiom_run.rng
     if what == "axioms":
         report = check_fell_axioms(model, sample_count=200, eps=eps, rng=rng)
+        if axiom_run is not None:
+            axiom_run.report = report
         return {
             "check": "axioms",
             "pass": report.all_passed,
@@ -118,18 +154,14 @@ def run_check(what: str, model, generator, eps: float, seed: int) -> dict:
             "details": report.as_dict(),
         }
     if what == "pair":
-        try:
-            pair, classification, _ = cartan_from_fell_bundle(
-                model, eps=eps, rng=rng
-            )
-        except ValueError as exc:
-            return {"check": "pair", "pass": False, "error": str(exc)}
-        details = classification.as_dict()
+        _, classification, _ = cartan_from_fell_bundle(
+            model, eps=eps, rng=rng, axioms=axiom_run and axiom_run.report
+        )
         return {
             "check": "pair",
             "pass": classification.verdict in ("diagonal", "cartan"),
             "residual": 0.0,
-            "details": details,
+            "details": classification.as_dict(),
         }
     if what == "cocycle":
         if model.twist is not None:
@@ -143,10 +175,7 @@ def run_check(what: str, model, generator, eps: float, seed: int) -> dict:
             }
         g = _need_generator(generator)
         Gs = covariance_group_from_frame(g, model)
-        try:
-            readoff = read_off_pair(phi_from_covariance_group(Gs, eps), eps)
-        except ValueError as exc:
-            return {"check": "cocycle", "pass": False, "error": str(exc)}
+        readoff = read_off_pair(phi_from_covariance_group(Gs, eps), eps)
         residual = cocycle_identity_residual(readoff.omega)
         return {
             "check": "cocycle",
@@ -168,19 +197,17 @@ def run_check(what: str, model, generator, eps: float, seed: int) -> dict:
     if what == "generation":
         g = _need_generator(generator)
         Gs = covariance_group_from_frame(g, model)
-        ok = a_dynamical_generation_check(
-            Gs, diagonal_algebra(model), enveloping_algebra(model), eps
-        )
+        B = enveloping_algebra(model)
         return {
             "check": "generation",
-            "pass": ok,
+            "pass": a_dynamical_generation_check(Gs, diagonal_algebra(model), B, eps),
             "residual": 0.0,
-            "details": {"generator_order": Gs.flow.order,
-                        "target_dim": enveloping_algebra(model).dim()},
+            "details": {"generator_order": Gs.flow.order, "target_dim": B.dim()},
         }
     raise UsageError(f"unknown check {what!r}")
 
 
+@isolated("phi-")
 def run_phi(what: str, model, generator, eps: float, seed: int) -> dict:
     g = _need_generator(generator)
     Gs = covariance_group_from_frame(g, model)
@@ -226,10 +253,7 @@ def run_phi(what: str, model, generator, eps: float, seed: int) -> dict:
             "note": readoff.note,
         }
     if what == "roundtrip":
-        try:
-            report = bridge_round_trip(Gs, eps)
-        except RuntimeError as exc:
-            return {"check": "phi-roundtrip", "pass": False, "error": str(exc)}
+        report = bridge_round_trip(Gs, eps)
         return {
             "check": "phi-roundtrip",
             "pass": report["pass"],
@@ -244,8 +268,11 @@ def run_phi(what: str, model, generator, eps: float, seed: int) -> dict:
 
 
 def run_report(model, generator, eps: float, seed: int) -> dict:
-    checks = [run_check("axioms", model, generator, eps, seed)]
-    checks.append(run_check("pair", model, generator, eps, seed))
+    axiom_run = AxiomRun(rng=np.random.default_rng(seed))
+    checks = [
+        run_check("axioms", model, generator, eps, seed, axiom_run=axiom_run),
+        run_check("pair", model, generator, eps, seed, axiom_run=axiom_run),
+    ]
     if generator is not None:
         if model.twist is not None or model.frame is not None:
             checks.append(run_check("cocycle", model, generator, eps, seed))

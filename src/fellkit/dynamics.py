@@ -4,7 +4,9 @@ A spatial automorphism pairs a base permutation f0 with one unitary per point
 and assembles to a block-permutation unitary U whose nonzero blocks sit
 exactly on the graph of f0 (the covariance condition).  Iterating one such
 automorphism over a cyclic base flow gives a covariance group, the discrete
-stand-in for a 1-parameter group.
+stand-in for a 1-parameter group.  Whether A and the covariance group
+generate B (Arveson's A-dynamical systems) is decided by block-support
+reachability on the block-norm table of σ.
 """
 
 from __future__ import annotations
@@ -22,10 +24,9 @@ from .linalg import (
     haar_unitary,
     is_partial_isometry,
     is_unitary,
-    orthonormal_span_basis,
     rank,
 )
-from .subalgebra import Slice, is_normalizer, normalizer_support
+from .subalgebra import Slice, _columns_meet_one_block, is_normalizer, normalizer_support
 
 
 class CovarianceError(ValueError):
@@ -191,7 +192,6 @@ def check_unitary_normalizer_theorem(
     A = diagonal_algebra(E)
     n = E.n_points
     forward_ok = 0
-    forward_residual = 0.0
     for _ in range(samples):
         f0 = Bisection(tuple(int(i) for i in rng.permutation(n)))
         s = random_spatial_automorphism(f0, E.fibre_dims, rng)
@@ -234,28 +234,22 @@ def a_dynamical_generation_check(
 ) -> bool:
     """Whether products a₀ σ^{t₁} a₁ σ^{t₂} … generate all of B.
 
-    Computed as a span closure: starting from A, repeatedly adjoin s·σ·a for s
-    in the current span and a over basis(A) (σ-powers arise because the unit
-    lies in A).  Requires a minimal base flow; returns False otherwise, since
-    the orbit pairs then miss part of X×X and generation cannot happen.
+    Decided on block supports: A's blocks are full matrix algebras and
+    e_ab·w·e_cd = w_bc·e_ad, so M_{n_i}·w·M_{n_j} is the whole (i, j) block
+    for any nonzero w.  The rank on each block pair is thus 0 or full, and
+    products compose block supports: B is generated iff ⋃_{k≥0} S^k, with S
+    the block support of σ and S⁰ the identity, covers every block pair.  A
+    non-minimal base flow returns False: its orbit pairs miss part of X×X.
     """
     if A.ambient_dim != B.ambient_dim or B.n_blocks != 1:
         raise ValueError("expected A inside the single-block ambient algebra B")
     if not is_minimal_flow(Gs.flow.generator):
         return False
-    sigma = Gs.sigma.U
-    a_basis = A.basis()
-    target = B.dim()
-    span = orthonormal_span_basis(a_basis, eps)
-    for _ in range(Gs.flow.order + 1):
-        new = [s @ sigma @ a for s in span for a in a_basis]
-        grown = orthonormal_span_basis(span + new, eps)
-        if len(grown) == len(span):
-            break
-        span = grown
-        if len(span) >= target:
-            break
-    return len(span) == target
+    step = A.block_norms(Gs.sigma.U) > eps
+    reach = np.eye(A.n_blocks, dtype=bool)
+    for _ in range(A.n_blocks - 1):  # a path needs fewer than n_blocks steps
+        reach = reach | (reach @ step)
+    return bool(reach.all())
 
 
 def slice_from_bisection(
@@ -273,12 +267,13 @@ def partial_isometry_endomorphism_check(
 ) -> dict:
     """Report on a ↦ VaV* as a candidate bundle *-endomorphism.
 
-    Invertible partial isometries are unitaries, in which case the map is a
-    spatial automorphism rather than a mere endomorphism.
+    VAV* ⊆ A is the column half of the is_normalizer rule.  Invertible
+    partial isometries are unitaries, in which case the map is a spatial
+    automorphism rather than a mere endomorphism.
     """
     v = as_matrix(V)
     partial = is_partial_isometry(v, eps)
-    endo = all(A.contains(v @ a @ v.conj().T, eps) for a in A.basis())
+    endo = _columns_meet_one_block(A.block_norms(v), eps)
     invertible = v.shape[0] == v.shape[1] and rank(v, eps) == v.shape[0]
     return {
         "partial_isometry": partial,

@@ -191,20 +191,23 @@ def cartan_from_fell_bundle(
     eps: float = DEFAULT_EPS,
     samples: int = 200,
     rng: np.random.Generator | None = None,
+    axioms: AxiomReport | None = None,
 ) -> tuple[PairCandidate, PairClassification, AxiomReport]:
     """The pair (A, B, P) of a bundle with its classification evidence.
 
-    Raises if the bundle fails the axiom suite.
+    Raises if the bundle fails the axiom suite, which runs on rng unless its
+    report is passed as ``axioms``.
     """
-    report = check_fell_axioms(E, sample_count=samples, eps=eps, rng=rng)
-    if not report.all_passed:
-        raise ValueError(f"bundle fails axioms {report.failed_axioms()}")
+    if axioms is None:
+        axioms = check_fell_axioms(E, sample_count=samples, eps=eps, rng=rng)
+    if not axioms.all_passed:
+        raise ValueError(f"bundle fails axioms {axioms.failed_axioms()}")
     pair = PairCandidate(
         A=diagonal_algebra(E), B=enveloping_algebra(E), P=restriction_expectation(E)
     )
     sample = pair.P.kernel_basis()
     classification = classify_pair(pair, sample, eps, rng=rng)
-    return pair, classification, report
+    return pair, classification, axioms
 
 
 def bridge_round_trip(Gs: CovarianceGroup, eps: float = DEFAULT_EPS) -> dict:

@@ -181,6 +181,8 @@ def model_to_json(
 def model_from_json(
     doc: dict, eps: float = DEFAULT_EPS
 ) -> tuple[FellBundleModel, Bisection | None]:
+    """Parse a model document: ParseError if malformed; a frame or twist
+    that breaks the bundle contract raises the builder's FrameError."""
     if not isinstance(doc, dict):
         raise ParseError("model document must be a JSON object")
     try:
@@ -212,11 +214,8 @@ def model_from_json(
         values = {pair_from_key(k): twist_value_from_json(v)
                   for k, v in doc["twist"].items()}
         twist = make_twist(n, dim, values, eps=eps)
-    try:
-        model = build_semidirect_bundle(CStarBundle(dims), frame=frame,
-                                        twist=twist, eps=eps)
-    except ValueError as exc:
-        raise ParseError(f"model data rejected: {exc}") from exc
+    model = build_semidirect_bundle(CStarBundle(dims), frame=frame,
+                                    twist=twist, eps=eps)
     return model, generator
 
 

@@ -25,6 +25,13 @@ from .linalg import (
 )
 
 
+def _columns_meet_one_block(t: np.ndarray, eps: float) -> bool:
+    """In every column of the block-norm table t, the two largest entries
+    multiply to at most eps (a zero row gives each column a second entry)."""
+    cols = np.sort(np.pad(t, ((0, 1), (0, 0))), axis=0)
+    return bool(np.all(cols[-1] * cols[-2] <= eps))
+
+
 def is_normalizer(b, A: FiniteCStarAlgebra, eps: float = DEFAULT_EPS) -> bool:
     """b*Ab ⊆ A and bAb* ⊆ A, decided on the block-norm table of b.
 
@@ -36,14 +43,8 @@ def is_normalizer(b, A: FiniteCStarAlgebra, eps: float = DEFAULT_EPS) -> bool:
     column of the table, the two largest entries multiply to at most eps: the
     same absolute tolerance the definition applies to b*ab and bab*.
     """
-    # a zero row and column give every row and column a second entry
-    t = np.pad(A.block_norms(b), (0, 1))
-    rows = np.sort(t, axis=1)
-    cols = np.sort(t, axis=0)
-    return bool(
-        np.all(rows[:, -1] * rows[:, -2] <= eps)
-        and np.all(cols[-1] * cols[-2] <= eps)
-    )
+    t = A.block_norms(b)
+    return _columns_meet_one_block(t, eps) and _columns_meet_one_block(t.T, eps)
 
 
 def is_free_normalizer(b, A: FiniteCStarAlgebra, eps: float = DEFAULT_EPS) -> bool:

@@ -3,7 +3,10 @@ import os
 
 import pytest
 
+import fellkit.cli
+import fellkit.embedding
 from fellkit.cli import main
+from fellkit.fellbundle import check_fell_axioms
 from fellkit.serialize import model_from_json, loads
 
 
@@ -72,6 +75,52 @@ def test_semidirect_report_survives_failed_cocycle_extraction(tmp_path):
     }
     cocycle = next(c for c in doc["checks"] if c["check"] == "cocycle")
     assert "error" in cocycle
+
+
+def test_report_runs_the_axiom_suite_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return check_fell_axioms(*args, **kwargs)
+
+    for module in (fellkit.cli, fellkit.embedding):
+        monkeypatch.setattr(module, "check_fell_axioms", counted)
+    flow = ("--preset", "flow", "--points", "4", "--dim", "2")
+    code, report = run(tmp_path, "report", *flow)
+    assert code == 0
+    assert len(calls) == 1
+    # `check pair` on its own runs the suite first, and the pair stage of the
+    # report continues on the rng the axioms stage left: the checks agree
+    code, pair = run(tmp_path, "check", "pair", *flow, name="pair.json")
+    assert code == 0
+    assert len(calls) == 2
+    checks = json.loads(report.read_text())["checks"]
+    assert checks[1] == json.loads(pair.read_text())
+
+
+def test_phi_readoff_reports_a_failed_read_off(tmp_path):
+    code, out = run(tmp_path, "phi", "readoff", "--preset", "semidirect")
+    assert code == 1
+    doc = json.loads(out.read_text())
+    assert doc["check"] == "phi-readoff"
+    assert not doc["pass"]
+    assert "u_(g*) = u_g*" in doc["error"]
+
+
+def test_non_unitary_frame_exits_1_without_report(tmp_path):
+    code, model_file = run(
+        tmp_path, "generate", "--preset", "flow", "--points", "4", "--dim", "2",
+        name="model.json",
+    )
+    assert code == 0
+    doc = json.loads(model_file.read_text())
+    doc["frame"]["(1,2)"] = [[[2 * re, 2 * im] for re, im in row]
+                             for row in doc["frame"]["(1,2)"]]
+    model_file.write_text(json.dumps(doc))
+    code, out = run(tmp_path, "report", "--input", str(model_file))
+    assert code == 1
+    assert not out.exists()
 
 
 def test_fourpoint_phi_build_supports(tmp_path):

@@ -4,6 +4,7 @@ import pytest
 from fellkit.algebra import make_algebra
 from fellkit.dynamics import (
     CovarianceError,
+    SpatialAutomorphism,
     a_dynamical_generation_check,
     automorphism_power,
     check_unitary_normalizer_theorem,
@@ -24,7 +25,12 @@ from fellkit.fellbundle import (
     enveloping_algebra,
 )
 from fellkit.groupoid import Bisection, cycle_bisection, identity_bisection
-from fellkit.linalg import is_unitary, operator_norm
+from fellkit.linalg import (
+    is_unitary,
+    operator_norm,
+    orthonormal_span_basis,
+    random_matrix,
+)
 from fellkit.presets import flow_frame, random_symmetric_frame
 from fellkit.subalgebra import is_normalizer, normalizer_support, slice_check
 
@@ -153,6 +159,96 @@ def test_generation_with_nonscalar_fibres():
     assert a_dynamical_generation_check(
         Gs, diagonal_algebra(E), enveloping_algebra(E)
     )
+
+
+def span_closure_generates(Gs, A, eps=1e-9):
+    """The definition: close span(A) under s ↦ s·σ·a over a in basis(A) and
+    test whether the span is all of M_N.  Brute-force oracle for
+    a_dynamical_generation_check."""
+    sigma = Gs.sigma.U
+    a_basis = A.basis()
+    span = orthonormal_span_basis(a_basis, eps)
+    while True:
+        grown = orthonormal_span_basis(
+            span + [s @ sigma @ a for s in span for a in a_basis], eps
+        )
+        if len(grown) == len(span):
+            return len(span) == A.ambient_dim ** 2
+        span = grown
+
+
+def with_fibre_map(Gs, x, w):
+    """Gs with σ's fibre map at x replaced by w, bypassing validation."""
+    maps = list(Gs.sigma.fibre_maps)
+    maps[x] = np.asarray(w, dtype=complex)
+    return covariance_group(
+        SpatialAutomorphism(Gs.sigma.f0, tuple(maps), Gs.fibre_dims)
+    )
+
+
+def generation_cases():
+    """(covariance group, bundle, expected verdict), one pytest.param each."""
+    E = build_semidirect_bundle(CStarBundle((1, 1, 1, 1)))
+    for label, g, expected in [
+        ("cycle", cycle_bisection(4), True),
+        ("identity", identity_bisection(4), False),
+        ("transposition", Bisection((1, 0, 2, 3)), False),
+        ("double transposition", Bisection((1, 0, 3, 2)), False),
+    ]:
+        yield pytest.param(covariance_group_from_frame(g, E), E, expected, id=label)
+    for seed, (n, dim) in enumerate([(3, 2), (4, 2), (8, 1)]):
+        frame, g = flow_frame(n, dim, rng_for(seed))
+        F = build_semidirect_bundle(CStarBundle((dim,) * n), frame=frame)
+        Gs = covariance_group_from_frame(g, F)
+        yield pytest.param(Gs, F, True, id=f"flow {n}x{dim}")
+    for seed, (n, dim) in enumerate([(3, 2), (4, 1), (2, 3)], start=20):
+        frame = random_symmetric_frame(n, dim, rng_for(seed))
+        F = build_semidirect_bundle(CStarBundle((dim,) * n), frame=frame)
+        Gs = covariance_group_from_frame(cycle_bisection(n), F)
+        yield pytest.param(Gs, F, True, id=f"symmetric {n}x{dim}")
+    frame, g = flow_frame(4, 2, rng_for(30))
+    F = build_semidirect_bundle(CStarBundle((2,) * 4), frame=frame)
+    Gs = covariance_group_from_frame(g, F)
+    # a vanishing fibre map cuts the orbit: some block pair is never reached
+    yield pytest.param(with_fibre_map(Gs, 2, np.zeros((2, 2))), F, False,
+                       id="zero fibre map")
+    # a nonzero but rank-deficient block still fills its whole block pair
+    yield pytest.param(with_fibre_map(Gs, 1, np.diag([1.0, 0.0])), F, True,
+                       id="rank-deficient block")
+
+
+@pytest.mark.parametrize("Gs, E, expected", list(generation_cases()))
+def test_generation_matches_span_closure(Gs, E, expected):
+    A, B = diagonal_algebra(E), enveloping_algebra(E)
+    verdict = a_dynamical_generation_check(Gs, A, B)
+    assert verdict == span_closure_generates(Gs, A) == expected
+
+
+def basis_loop_endomorphism(v, A, eps=1e-9):
+    """The definition: vav* lies in A for every matrix unit a of A."""
+    return all(A.contains(v @ a @ v.conj().T, eps) for a in A.basis())
+
+
+@pytest.mark.parametrize("dims", [(1, 2, 3), (2, 2, 2)])
+def test_endomorphism_into_A_matches_basis_loop(dims):
+    """Random block-sparse v whose blocks have scale 1, 1e-6 or 1e-12, so a
+    block column's two largest norms multiply far above or far below eps."""
+    rng = rng_for(17)
+    A = make_algebra(dims)
+    n = len(dims)
+    verdicts = set()
+    for _ in range(80):
+        v = np.zeros((A.ambient_dim, A.ambient_dim), dtype=complex)
+        for i in range(n):
+            for j in range(n):
+                if rng.random() < 0.4:
+                    scale = rng.choice([1.0, 1e-6, 1e-12])
+                    block = random_matrix((dims[i], dims[j]), rng)
+                    v += scale * A.embed_block(i, j, block)
+        endo = partial_isometry_endomorphism_check(v, A)["endomorphism_into_A"]
+        assert endo == basis_loop_endomorphism(v, A)
+        verdicts.add(endo)
+    assert verdicts == {True, False}
 
 
 def test_slice_from_self_adjoint_bisection():

@@ -4,6 +4,7 @@ import pytest
 from fellkit.cocycle import twist_from_phases
 from fellkit.fellbundle import (
     CStarBundle,
+    FrameError,
     build_imprimitivity_bundle,
     build_semidirect_bundle,
 )
@@ -146,8 +147,9 @@ def test_model_parse_errors():
         model_from_json(
             {"points": 2, "fibre_dims": [1, 1], "generator": [1, 2, 3]}
         )
-    # a frame violating the builder contract is rejected at parse time
-    with pytest.raises(ParseError):
+    # a frame that parses but violates the builder contract raises the
+    # builder's error, not ParseError (the CLI exits 1 for it, not 2)
+    with pytest.raises(FrameError):
         model_from_json(
             {
                 "points": 1,
