@@ -261,6 +261,7 @@ def run_phi(what: str, model, generator, eps: float, seed: int) -> dict:
                 report["omega_residual"],
                 report["expectation_residual"],
                 report["sigma_residual"],
+                report["phi_residual"],
             ),
             "details": report,
         }

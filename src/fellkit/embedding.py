@@ -195,8 +195,9 @@ def cartan_from_fell_bundle(
 ) -> tuple[PairCandidate, PairClassification, AxiomReport]:
     """The pair (A, B, P) of a bundle with its classification evidence.
 
-    Raises if the bundle fails the axiom suite, which runs on rng unless its
-    report is passed as ``axioms``.
+    The normalizer sample is the bundle's fibre bases over the off-diagonal
+    arrows, embedded in B.  Raises if the bundle fails the axiom suite, which
+    runs on rng unless its report is passed as ``axioms``.
     """
     if axioms is None:
         axioms = check_fell_axioms(E, sample_count=samples, eps=eps, rng=rng)
@@ -205,7 +206,8 @@ def cartan_from_fell_bundle(
     pair = PairCandidate(
         A=diagonal_algebra(E), B=enveloping_algebra(E), P=restriction_expectation(E)
     )
-    sample = pair.P.kernel_basis()
+    sample = [E.embed(g, e) for g in E.groupoid.arrows() if g[0] != g[1]
+              for e in E.fibre_basis(g)]
     classification = classify_pair(pair, sample, eps, rng=rng)
     return pair, classification, axioms
 
@@ -213,8 +215,8 @@ def cartan_from_fell_bundle(
 def bridge_round_trip(Gs: CovarianceGroup, eps: float = DEFAULT_EPS) -> dict:
     """Covariance group → Φ → (A,B,P,ω) → bundle → covariance group, compared.
 
-    Verifies the recovered block dims, twist, expectation and generator
-    support against the originals; any stage error propagates with its label.
+    Verifies the recovered block dims, twist, expectation, generator and Φ
+    against the originals; any stage error propagates with its label.
     """
     report: dict = {"stages": []}
 
@@ -273,6 +275,7 @@ def bridge_round_trip(Gs: CovarianceGroup, eps: float = DEFAULT_EPS) -> dict:
                 and omega_residual <= eps
                 and p_residual <= eps
                 and sigma_residual <= eps
+                and phi_residual <= eps
             ),
         }
     )

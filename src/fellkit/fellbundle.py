@@ -29,7 +29,7 @@ from .linalg import (
     is_unitary,
     operator_norm,
     random_matrix,
-    span_dimension,
+    rank,
 )
 
 
@@ -272,9 +272,10 @@ def check_fell_axioms(
 ) -> AxiomReport:
     """Sampled verification of the ten bundle axioms.
 
-    Random fibre elements over random composable pairs and triples; the linear
-    axioms get complete coverage through linearity, the norm axioms
-    high-confidence coverage.  Failures are reported, never raised.
+    Random fibre elements over random composable pairs and triples.  Only
+    the sampled ones are checked, so a defect on one composable pair can be
+    missed (the `twisted-8` control of perfbench/README.md is one).
+    Failures are reported, never raised.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be ≥ 1")
@@ -364,18 +365,25 @@ def check_fell_axioms(
 
 
 def is_saturated(E: FellBundleModel, eps: float = DEFAULT_EPS) -> bool:
-    """E_{g₁g₂} = span(E_{g₁}·E_{g₂}) for every composable pair."""
+    """E_{g₁g₂} = span(E_{g₁}·E_{g₂}) for every composable pair.
+
+    The span dimension is read off the block structure: span{e_rs·X·e_tu} is
+    all matrices for X ≠ 0, and a zero fibre spans {0}.  In coefficient form
+    ω(g,h)·a·u_g·b·M, M = u_h u_gh*, spans ω(g,h)·M_n·M (dim rank ω · rank M)
+    if u_g ≠ 0; u_(x,y) = 0 fails anyway, as M = 0 at the pair ((x,x), (x,y)).
+    """
     G = E.groupoid
     for g, h in G.composable_pairs():
         gh = G.compose(g, h)
-        products = [
-            E.multiply(g, a, h, b)[1]
-            for a in E.fibre_basis(g)
-            for b in E.fibre_basis(h)
-        ]
-        expected = E.fibre_dim(gh)
-        got = span_dimension(products, eps) if products else 0
-        if got != expected:
+        if g in E.zero_fibres or h in E.zero_fibres:
+            got = 0
+        elif E.coefficient_form:
+            w = np.eye(E.fibre_dims[0]) if E.twist is None else E.twist.value(g, h)
+            m = E.frame[h] @ E.frame[gh].conj().T
+            got = rank(w, eps) * rank(m, eps)
+        else:
+            got = int(np.prod(E.fibre_shape(gh)))
+        if got != E.fibre_dim(gh):
             return False
     return True
 
@@ -405,21 +413,6 @@ class ConditionalExpectation:
 
     def __call__(self, b) -> np.ndarray:
         return self.range_algebra.compress(b)
-
-    def kernel_basis(self) -> list[np.ndarray]:
-        """All off-diagonal-block matrix units; dim = (Σn)² − Σn²."""
-        A = self.range_algebra
-        out = []
-        for i in range(A.n_blocks):
-            for j in range(A.n_blocks):
-                if i == j:
-                    continue
-                for r in range(A.block_dims[i]):
-                    for c in range(A.block_dims[j]):
-                        e = np.zeros((A.block_dims[i], A.block_dims[j]), dtype=complex)
-                        e[r, c] = 1.0
-                        out.append(A.embed_block(i, j, e))
-        return out
 
     def verify(
         self,

@@ -5,7 +5,9 @@ N(A) = {b : b*Ab ⊆ A, bAb* ⊆ A}; b is free when additionally b² = 0.
 For A = ⊕M_{n_i}, b ∈ N(A) exactly when its block support is a partial
 bijection, which is read off the table ``FiniteCStarAlgebra.block_norms(b)``.
 The classification of a candidate pair runs the unit/regularity/expectation
-checks and then compares ker P against the span of free normalizers.
+checks and then asks whether the free normalizers inside ker P span ker P,
+as in Kumjian's "On C*-diagonals" (1986) and Exel's "Noncommutative Cartan
+sub-algebras of C*-algebras" (2011).
 """
 
 from __future__ import annotations
@@ -101,20 +103,20 @@ def classify_pair(
 ) -> PairClassification:
     """Diagonal / Cartan / neither, with per-check evidence.
 
-    diagonal: unit in A, regular, P valid and faithful, and
-    span(ker P) = span(free normalizers found in the sample and block units);
-    cartan: all but the kernel identity; neither: anything earlier fails.
+    diagonal: unit in A, regular, P valid and faithful, and the sample's free
+    normalizers in ker P span ker P, of dimension dim B − dim A (Kumjian
+    1986; Exel 2011); cartan: all but the kernel identity; neither: anything
+    earlier fails.  Equal dimensions mean equal spans, as one contains the other.
     """
     unit_in_A = pair.A.contains(pair.B.unit(), eps)
     regular = is_regular(pair, normalizer_sample, eps)
     p_report = pair.P.verify(eps=eps, rng=rng)
     p_ok = all(v[0] for k, v in p_report.items() if isinstance(v, tuple))
 
-    kernel = pair.P.kernel_basis()
-    kernel_dim = span_dimension(kernel, eps) if kernel else 0
-    candidates = list(normalizer_sample) + kernel
-    free = [b for b in candidates if is_free_normalizer(b, pair.A, eps)]
-    free_dim = span_dimension(free, eps) if free else 0
+    kernel_dim = pair.B.dim() - pair.A.dim()
+    in_kernel = [b for b in normalizer_sample if operator_norm(pair.P(b)) <= eps]
+    free = [b for b in in_kernel if is_free_normalizer(b, pair.A, eps)]
+    free_dim = span_dimension(free, eps)
 
     evidence = {
         "unit_in_A": unit_in_A,

@@ -105,16 +105,20 @@ def test_criterion_02_saturation_implies_regularity():
 
 
 def test_criterion_03_diagonal_pair_kernel_identity():
-    P = restriction_expectation(build_imprimitivity_bundle((1, 1, 1, 1)))
-    pair = PairCandidate(A=make_algebra([1, 1, 1, 1]), B=make_algebra([4]), P=P)
-    result = classify_pair(pair, P.kernel_basis())
-    ok = (
-        result.verdict == "diagonal"
-        and result.evidence["kernel_dim"] == 12
-        and result.evidence["free_normalizer_span_dim"] == 12
-    )
-    P21 = restriction_expectation(build_imprimitivity_bundle((2, 1)))
-    ok = ok and span_dimension(P21.kernel_basis()) == 4
+    ok = True
+    for dims, want in (((1, 1, 1, 1), 12), ((2, 1), 4)):
+        P = restriction_expectation(build_imprimitivity_bundle(dims))
+        pair = PairCandidate(A=make_algebra(dims), B=make_algebra([sum(dims)]), P=P)
+        # the off-diagonal matrix units: a basis of ker P
+        kernel = [e for e in pair.B.basis() if not pair.A.contains(e)]
+        result = classify_pair(pair, kernel)
+        ok = (
+            ok
+            and span_dimension(kernel) == want
+            and result.verdict == "diagonal"
+            and result.evidence["kernel_dim"] == want
+            and result.evidence["free_normalizer_span_dim"] == want
+        )
     verdict(3, "diagonal-pair kernel identity (12 and 4)", ok)
 
 

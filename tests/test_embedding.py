@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import fellkit.embedding
+from fellkit.cli import run_phi
 from fellkit.algebra import make_algebra
 from fellkit.dynamics import (
     covariance_group,
@@ -192,6 +194,15 @@ def test_cartan_from_fell_bundle():
     )
     assert classification.verdict == "diagonal"
 
+    # the sample is the fibres b·u_g of a random frame: ker P has dim 36 - 12
+    frame, _ = flow_frame(3, 2, rng_for(4))
+    _, classification, _ = cartan_from_fell_bundle(
+        build_semidirect_bundle(CStarBundle((2, 2, 2)), frame=frame)
+    )
+    assert classification.verdict == "diagonal"
+    assert classification.evidence["kernel_dim"] == 24
+    assert classification.evidence["free_normalizer_span_dim"] == 24
+
     broken = FellBundleModel(
         fibre_dims=(1, 1), frame={g: np.array([[2.0]]) for g in
                                   [(0, 0), (0, 1), (1, 0), (1, 1)]}
@@ -212,6 +223,34 @@ def test_bridge_round_trip_small_instances():
         assert report["expectation_residual"] < 1e-9
         assert report["sigma_residual"] < 1e-9
         assert report["stages"][-1] == "read-off-recovered"
+
+
+def test_bridge_round_trip_gates_on_recovered_phi(monkeypatch):
+    """Conjugating the recovered Φ by a diagonal unitary of A keeps its
+    twist, expectation and generator, but not Φ: the round trip fails."""
+    recover = fellkit.embedding.phi_from_covariance_group
+    calls = []
+
+    def conjugated_second(Gs, eps):
+        phi = recover(Gs, eps)
+        calls.append(Gs)
+        if len(calls) == 2:
+            d = np.diag(np.exp(1j * np.arange(len(phi.phi))))
+            phi = EmbeddingInvariant(d @ phi.phi @ d.conj().T, phi.block_dims)
+        return phi
+
+    monkeypatch.setattr(fellkit.embedding, "phi_from_covariance_group",
+                        conjugated_second)
+    frame, g = flow_frame(4, 1, rng_for(0))
+    E = build_semidirect_bundle(CStarBundle((1,) * 4), frame=frame)
+    check = run_phi("roundtrip", E, g, 1e-9, 0)
+    report = check["details"]
+    assert len(calls) == 2
+    assert report["phi_residual"] > 0.1
+    for key in ("omega_residual", "expectation_residual", "sigma_residual"):
+        assert report[key] < 1e-9
+    assert not report["pass"] and not check["pass"]
+    assert check["residual"] == report["phi_residual"]
 
 
 def test_bridge_round_trip_rejects_identity_generator():

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import fellkit.linalg
+from fellkit.algebra import FiniteCStarAlgebra
 from fellkit.cocycle import Cocycle2, twist_from_phases
 from fellkit.fellbundle import (
     CStarBundle,
@@ -150,22 +152,120 @@ def test_saturation():
     assert not is_saturated(zeroed)
 
 
+def span_loop_saturated(E, eps=1e-9):
+    """The definition: over every composable pair, the products of the two
+    fibre bases span a space of the dimension of the fibre over gh."""
+    G = E.groupoid
+    for g, h in G.composable_pairs():
+        products = [E.multiply(g, a, h, b)[1]
+                    for a in E.fibre_basis(g) for b in E.fibre_basis(h)]
+        if span_dimension(products, eps) != E.fibre_dim(G.compose(g, h)):
+            return False
+    return True
+
+
+def twisted_semidirect(seed):
+    rng = rng_for(seed)
+    theta = rng.uniform(-2, 2, size=(3, 3))
+    return build_semidirect_bundle(
+        CStarBundle((2, 2, 2)), frame=random_symmetric_frame(3, 2, rng),
+        twist=twist_from_phases(theta - theta.T, fibre_dim=2),
+    )
+
+
+def frame_with(entry, value):
+    frame = random_symmetric_frame(3, 2, rng_for(21))
+    frame[entry] = value
+    return FellBundleModel(fibre_dims=(2, 2, 2), frame=frame)
+
+
+def twist_with(value):
+    twist = Cocycle2(3, 2, {((0, 1), (1, 2)): value})
+    return FellBundleModel(fibre_dims=(2, 2, 2), frame=identity_frame(3, 2),
+                           twist=twist)
+
+
+ALL_ARROWS_3 = frozenset((x, y) for x in range(3) for y in range(3))
+SATURATION_CASES = {
+    "imprimitivity-2,1,3": (build_imprimitivity_bundle((2, 1, 3)), True),
+    **{
+        f"semidirect-seed{seed}": (
+            build_semidirect_bundle(
+                CStarBundle((2,) * 3), frame=random_symmetric_frame(3, 2, rng_for(seed))
+            ),
+            True,
+        )
+        for seed in range(3)
+    },
+    **{f"twisted-seed{seed}": (twisted_semidirect(seed), True) for seed in range(3)},
+    # zero fibres as factors
+    "zero-g-or-h": (FellBundleModel((2, 1), zero_fibres=frozenset({(0, 1)})), False),
+    "zero-coefficient-fibre": (
+        FellBundleModel((2, 2, 2), frame=identity_frame(3, 2),
+                        zero_fibres=frozenset({(1, 2)})),
+        False,
+    ),
+    # (0,2) is also the product of the nonzero fibres (0,1) and (1,2)
+    "zero-gh": (FellBundleModel((2, 1, 3), zero_fibres=frozenset({(0, 2)})), False),
+    # every product space and every fibre is {0}
+    "all-zero": (FellBundleModel((2, 1, 3), zero_fibres=ALL_ARROWS_3), True),
+    "singular-frame-entry": (frame_with((0, 1), np.diag([1.0, 0.0])), False),
+    "zero-frame-entry": (frame_with((0, 1), np.zeros((2, 2))), False),
+    # the rank rule is relative: a rescaled frame entry still spans
+    "tiny-frame-entry": (frame_with((0, 1), 1e-12 * np.eye(2)), True),
+    "zero-twist-value": (twist_with(np.zeros((2, 2))), False),
+    "singular-twist-value": (twist_with(np.diag([1.0, 0.0])), False),
+}
+
+
+@pytest.mark.parametrize("name", SATURATION_CASES)
+def test_is_saturated_matches_span_loop(name):
+    E, expected = SATURATION_CASES[name]
+    assert span_loop_saturated(E) == expected
+    assert is_saturated(E) == expected
+
+
+def test_is_saturated_forms_no_products(monkeypatch):
+    calls = []
+
+    def counted(run):
+        def wrapper(*args, **kwargs):
+            calls.append(run.__name__)
+            return run(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(FellBundleModel, "multiply", counted(FellBundleModel.multiply))
+    # span_dimension stacks its family through _stack
+    monkeypatch.setattr(fellkit.linalg, "_stack", counted(fellkit.linalg._stack))
+    for E, expected in SATURATION_CASES.values():
+        assert is_saturated(E) == expected
+    assert calls == []
+    span_loop_saturated(build_imprimitivity_bundle((2, 1)))
+    assert {"multiply", "_stack"} <= set(calls)
+
+
 def test_algebra_extraction():
     E = build_imprimitivity_bundle((2, 1, 3))
     assert diagonal_algebra(E).block_dims == (2, 1, 3)
     assert enveloping_algebra(E).block_dims == (6,)
 
 
+def kernel_basis(A):
+    """The matrix units outside the blocks of A: a basis of ker P."""
+    B = FiniteCStarAlgebra((A.ambient_dim,))
+    return [e for e in B.basis() if not A.contains(e)]
+
+
 def test_expectation_kernel_dims():
     # masa in M_4: kernel dimension 16 - 4 = 12
     P = restriction_expectation(build_imprimitivity_bundle((1, 1, 1, 1)))
-    kernel = P.kernel_basis()
+    kernel = kernel_basis(P.range_algebra)
     assert len(kernel) == 12
     assert span_dimension(kernel) == 12
     assert all(operator_norm(P(k)) == 0.0 for k in kernel)
     # M_2 ⊕ M_1 inside M_3: kernel dimension 9 - 5 = 4
     P = restriction_expectation(build_imprimitivity_bundle((2, 1)))
-    assert len(P.kernel_basis()) == 4
+    assert len(kernel_basis(P.range_algebra)) == 4
 
 
 def test_expectation_contract():

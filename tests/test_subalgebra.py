@@ -26,6 +26,11 @@ from fellkit.subalgebra import (
 )
 
 
+def kernel_basis(A):
+    """The matrix units outside the blocks of A: a basis of ker P."""
+    return [e for e in make_algebra([A.ambient_dim]).basis() if not A.contains(e)]
+
+
 def unit_matrix(n, r, c):
     e = np.zeros((n, n), dtype=complex)
     e[r, c] = 1.0
@@ -156,7 +161,7 @@ def test_regularity_and_sample_contract():
         A=make_algebra([2, 1]), B=make_algebra([3]),
         P=restriction_expectation(E),
     )
-    kernel = pair.P.kernel_basis()
+    kernel = kernel_basis(pair.A)
     assert is_regular(pair, kernel)
     assert not is_regular(pair, [])
     with pytest.raises(ValueError):
@@ -169,7 +174,7 @@ def test_classify_masa_pair_is_diagonal():
         A=make_algebra([1, 1, 1, 1]), B=make_algebra([4]),
         P=restriction_expectation(E),
     )
-    result = classify_pair(pair, pair.P.kernel_basis())
+    result = classify_pair(pair, kernel_basis(pair.A))
     assert result.verdict == "diagonal"
     assert result.evidence["kernel_dim"] == 12
     assert result.evidence["free_normalizer_span_dim"] == 12
@@ -181,9 +186,43 @@ def test_classify_block_pair_is_diagonal():
         A=make_algebra([2, 1]), B=make_algebra([3]),
         P=ConditionalExpectation(make_algebra([2, 1])),
     )
-    result = classify_pair(pair, pair.P.kernel_basis())
+    result = classify_pair(pair, kernel_basis(pair.A))
     assert result.verdict == "diagonal"
     assert result.evidence["kernel_dim"] == 4
+
+
+@pytest.mark.parametrize("dims", [(1, 1, 1, 1), (2, 1), (2, 1, 3), (3, 3)])
+def test_kernel_dim_matches_rank_of_kernel_basis(dims):
+    """Oracle: the rank of the off-diagonal matrix units."""
+    A = make_algebra(dims)
+    pair = PairCandidate(
+        A=A, B=make_algebra([A.ambient_dim]), P=ConditionalExpectation(A)
+    )
+    result = classify_pair(pair, kernel_basis(A))
+    assert result.evidence["kernel_dim"] == span_dimension(kernel_basis(A))
+    assert result.evidence["free_normalizer_span_dim"] == result.evidence["kernel_dim"]
+
+
+def test_in_block_nilpotent_does_not_change_diagonal_verdict():
+    """A free normalizer outside ker P (e₁₂ of the first block, blocks 2,1,3)
+    is left out of the kernel identity."""
+    A = make_algebra([2, 1, 3])
+    pair = PairCandidate(A=A, B=make_algebra([6]), P=ConditionalExpectation(A))
+    e12 = A.embed_block(0, 0, unit_matrix(2, 0, 1))
+    assert is_free_normalizer(e12, A)
+    result = classify_pair(pair, kernel_basis(A) + [e12])
+    assert result.verdict == "diagonal"
+    assert result.evidence["kernel_dim"] == 22
+    assert result.evidence["free_normalizer_span_dim"] == 22
+
+
+def test_free_normalizer_span_counts_only_the_sample():
+    A = make_algebra([2, 1, 3])
+    pair = PairCandidate(A=A, B=make_algebra([6]), P=ConditionalExpectation(A))
+    result = classify_pair(pair, kernel_basis(A)[::2])
+    assert result.evidence["kernel_dim"] == 22
+    assert result.evidence["free_normalizer_span_dim"] == 11
+    assert result.verdict == "neither"  # half the kernel leaves the pair irregular
 
 
 def test_classify_neither_when_not_regular():
