@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_EPS, as_matrix, operator_norm
+from .linalg import DEFAULT_EPS, as_matrix, as_stack, operator_norm
 
 
 @dataclass(frozen=True)
@@ -96,11 +96,12 @@ class FiniteCStarAlgebra:
         return np.linalg.svd(blocks, compute_uv=False)[..., 0]
 
     def compress(self, b) -> np.ndarray:
-        """Σ_i p_i b p_i — kill the off-diagonal blocks."""
-        a = as_matrix(b)
+        """Σ_i p_i b p_i — kill the off-diagonal blocks (of each matrix of a
+        (k, N, N) stack)."""
+        a = as_stack(b) if np.ndim(b) == 3 else as_matrix(b)
         out = np.zeros_like(a)
         for o, n in zip(self.block_offsets, self.block_dims):
-            out[o : o + n, o : o + n] = a[o : o + n, o : o + n]
+            out[..., o : o + n, o : o + n] = a[..., o : o + n, o : o + n]
         return out
 
     def contains(self, b, eps: float = DEFAULT_EPS) -> bool:

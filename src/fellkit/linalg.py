@@ -7,6 +7,10 @@ algebraic identities become residual-norm bounds against a tolerance ``eps``
 (default 1e-9, absolute on residual norms).
 
 Matrices are plain numpy arrays of dtype complex128.  All functions are pure.
+A family of small matrices is normed in one call, ``operator_norms``: its
+members are grouped by shape and each group takes one stacked SVD, which
+LAPACK runs matrix by matrix, so every norm equals ``operator_norm`` bit for
+bit and comes back in input order.
 """
 
 from __future__ import annotations
@@ -20,9 +24,18 @@ DEFAULT_EPS = 1e-9
 
 def as_matrix(m) -> np.ndarray:
     """Coerce to a finite 2-d complex array, raising on NaN/Inf or bad rank."""
+    return _finite_array(m, 2, "matrix")
+
+
+def as_stack(m) -> np.ndarray:
+    """Coerce to a finite (k, rows, cols) stack of matrices, as ``as_matrix``."""
+    return _finite_array(m, 3, "stack")
+
+
+def _finite_array(m, ndim: int, kind: str) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got ndim={a.ndim}")
+    if a.ndim != ndim:
+        raise ValueError(f"expected a {ndim}-d {kind}, got ndim={a.ndim}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix contains non-finite entries")
     return a
@@ -35,10 +48,42 @@ def adjoint(m) -> np.ndarray:
 
 def operator_norm(m) -> float:
     """Largest singular value (the C*-norm of a matrix)."""
-    a = as_matrix(m)
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.svd(a, compute_uv=False)[0])
+    return float(_largest_singular_values(as_matrix(m)[None])[0])
+
+
+def operator_norms(mats) -> np.ndarray:
+    """``operator_norm`` of each member of a family, in input order.
+
+    ``mats`` is a (k, rows, cols) stack or a sequence of 2-d matrices of any
+    shapes; each shape takes one finiteness check and one stacked SVD.
+    """
+    return per_shape(_largest_singular_values, mats)
+
+
+def per_shape(rule, mats) -> np.ndarray:
+    """Apply a stacked rule, (k, rows, cols) → (k,), once per member shape.
+
+    The results come back in the order of ``mats`` (a stack or a sequence of
+    2-d matrices); a non-2-d or non-finite member raises as ``as_matrix``.
+    """
+    if isinstance(mats, np.ndarray) and mats.ndim == 3:
+        return rule(as_stack(mats))
+    mats = [np.asarray(m, dtype=complex) for m in mats]
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for k, m in enumerate(mats):
+        if m.ndim != 2:
+            raise ValueError(f"expected a 2-d matrix, got ndim={m.ndim}")
+        groups.setdefault(m.shape, []).append(k)
+    out = np.zeros(len(mats))
+    for idx in groups.values():
+        out[idx] = rule(as_stack([mats[k] for k in idx]))
+    return out
+
+
+def _largest_singular_values(stack: np.ndarray) -> np.ndarray:
+    if stack.size == 0:
+        return np.zeros(len(stack))
+    return np.linalg.svd(stack, compute_uv=False)[:, 0]
 
 
 def is_unitary(m, eps: float = DEFAULT_EPS) -> bool:

@@ -56,6 +56,11 @@ def test_compress_is_the_block_diagonal_part():
     assert np.allclose(A.compress(c), c)
     manual = sum(p @ b @ p for p in A.projections())
     assert np.allclose(manual, c)
+    # a (k, N, N) stack is compressed matrix by matrix
+    stack = np.stack([b, 2j * b, random_matrix((4, 4), rng)])
+    assert np.array_equal(A.compress(stack), np.stack([A.compress(m) for m in stack]))
+    with pytest.raises(ValueError):
+        A.compress(np.full((2, 4, 4), np.inf))
 
 
 @pytest.mark.parametrize("dims", [(2, 1, 3), (1, 2, 3, 4), (2, 2), (5,)])

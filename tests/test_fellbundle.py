@@ -1,14 +1,19 @@
+import tracemalloc
+from collections.abc import Callable
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 import fellkit.linalg
-from fellkit.algebra import FiniteCStarAlgebra
+from fellkit.algebra import FiniteCStarAlgebra, make_algebra
 from fellkit.cocycle import Cocycle2, twist_from_phases
 from fellkit.fellbundle import (
     CStarBundle,
     ConditionalExpectation,
     FellBundleModel,
     FrameError,
+    _CHUNK,
     LocalTrivialityError,
     build_imprimitivity_bundle,
     build_semidirect_bundle,
@@ -19,7 +24,13 @@ from fellkit.fellbundle import (
     is_saturated,
     restriction_expectation,
 )
-from fellkit.linalg import operator_norm, span_dimension
+from fellkit.linalg import (
+    haar_unitary,
+    is_positive_semidefinite,
+    operator_norm,
+    random_matrix,
+    span_dimension,
+)
 from fellkit.presets import random_symmetric_frame
 
 
@@ -90,13 +101,8 @@ def test_builder_rejections():
 
 def test_negative_control_broken_involution_frame():
     """A frame violating u_(y,x) = u_(x,y)* breaks axiom 8."""
-    rng = rng_for(3)
-    frame = random_symmetric_frame(3, 2, rng)
-    from fellkit.linalg import haar_unitary
-
-    frame[(1, 0)] = haar_unitary(2, rng)  # no longer the adjoint of u_(0,1)
-    E = FellBundleModel(fibre_dims=(2, 2, 2), frame=frame)
-    report = check_fell_axioms(E, sample_count=200, rng=rng_for(0))
+    report = check_fell_axioms(broken_involution_frame(), sample_count=200,
+                               rng=rng_for(0))
     assert not report.all_passed
     assert 8 in report.failed_axioms()
 
@@ -283,16 +289,247 @@ def test_expectation_contract():
         assert report[key][1] < 1e-9
 
 
-def test_expectation_faithfulness_fails_for_lossy_map():
-    """Compression onto a *proper* corner is not faithful on the full algebra.
-
-    Probed directly: a matrix supported outside the blocks compresses to 0.
-    """
+def test_expectation_is_faithful_on_off_block_elements():
+    """P(b*b) ≠ 0 for b ≠ 0 even when b lies in ker P: the matrix unit e_01
+    outside the blocks of M_1 ⊕ M_1 has P(b*b) = diag(0, 1)."""
     from fellkit.algebra import make_algebra
 
     A = make_algebra([1, 1])
     b = np.zeros((2, 2), dtype=complex)
     b[0, 1] = 1.0
+    assert operator_norm(A.compress(b)) == 0.0
     assert operator_norm(A.compress(b.conj().T @ b) - np.diag([0.0, 1.0])) < 1e-12
-    # P(b*b) != 0 even for kernel elements: P itself stays faithful
-    assert operator_norm(A.compress(b.conj().T @ b)) > 0.5
+
+
+# --- the two sampled suites against their per-sample loops ------------------
+
+
+def per_sample_fell_axioms(E, sample_count=200, eps=1e-9, rng=None):
+    """Oracle: the axiom suite one sample at a time, one operator_norm per
+    residual, as check_fell_axioms evaluated it before batching."""
+    if rng is None:
+        rng = np.random.default_rng(0)
+    G = E.groupoid
+    pairs = G.composable_pairs()
+    triples = G.composable_triples()
+    res = [0.0] * 10
+
+    def bump(i, value):
+        res[i] = max(res[i], float(value))
+
+    for _ in range(sample_count):
+        g, h = pairs[rng.integers(len(pairs))]
+        t1, t2, t3 = triples[rng.integers(len(triples))]
+        e1 = E.random_fibre_element(g, rng)
+        e2 = E.random_fibre_element(h, rng)
+        f1 = E.random_fibre_element(t1, rng)
+        f2 = E.random_fibre_element(t2, rng)
+        f3 = E.random_fibre_element(t3, rng)
+        lam, mu = random_matrix((1, 1), rng)[0, 0], random_matrix((1, 1), rng)[0, 0]
+
+        gh, prod = E.multiply(g, e1, h, e2)
+        ok = gh == G.compose(g, h) and prod.shape == E.fibre_shape(gh)
+        bump(0, 0.0 if ok else 1.0)
+
+        e1b = E.random_fibre_element(g, rng)
+        _, left = E.multiply(g, lam * e1 + mu * e1b, h, e2)
+        _, la = E.multiply(g, e1, h, e2)
+        _, lb = E.multiply(g, e1b, h, e2)
+        bump(1, operator_norm(left - (lam * la + mu * lb)))
+        e2b = E.random_fibre_element(h, rng)
+        _, right = E.multiply(g, e1, h, lam * e2 + mu * e2b)
+        _, ra = E.multiply(g, e1, h, e2)
+        _, rb = E.multiply(g, e1, h, e2b)
+        bump(1, operator_norm(right - (lam * ra + mu * rb)))
+
+        a12, p12 = E.multiply(t1, f1, t2, f2)
+        _, left = E.multiply(a12, p12, t3, f3)
+        a23, p23 = E.multiply(t2, f2, t3, f3)
+        _, right = E.multiply(t1, f1, a23, p23)
+        bump(2, operator_norm(left - right))
+
+        bump(3, max(0.0, operator_norm(prod) - operator_norm(e1) * operator_norm(e2)))
+
+        gi, e1s = E.involution(g, e1)
+        ok = gi == G.inverse(g) and e1s.shape == E.fibre_shape(gi)
+        bump(4, 0.0 if ok else 1.0)
+
+        _, sc = E.involution(g, lam * e1 + mu * e1b)
+        _, s1 = E.involution(g, e1)
+        _, s2 = E.involution(g, e1b)
+        bump(5, operator_norm(sc - (np.conj(lam) * s1 + np.conj(mu) * s2)))
+
+        _, back = E.involution(gi, e1s)
+        bump(6, operator_norm(back - e1))
+
+        _, lhs = E.involution(gh, prod)
+        hi, e2s = E.involution(h, e2)
+        _, rhs = E.multiply(hi, e2s, gi, e1s)
+        bump(7, operator_norm(lhs - rhs))
+
+        _, ee = E.multiply(gi, e1s, g, e1)
+        nrm = operator_norm(e1)
+        bump(8, abs(operator_norm(ee) - nrm * nrm) / (1.0 + nrm * nrm))
+
+        herm = operator_norm(ee - ee.conj().T)
+        if ee.shape[0] == ee.shape[1] and ee.size:
+            min_eig = float(np.min(np.linalg.eigvalsh((ee + ee.conj().T) / 2)))
+        else:
+            min_eig = 0.0
+        bump(9, max(herm, -min_eig, 0.0) / (1.0 + nrm * nrm))
+
+    return [res[i] <= eps for i in range(10)], res
+
+
+def per_sample_verify(P, samples=200, eps=1e-9, rng=None):
+    """Oracle: ConditionalExpectation.verify one sample at a time."""
+    if rng is None:
+        rng = np.random.default_rng(0)
+    A = P.range_algebra
+    d = A.ambient_dim
+    r_fix = r_bimod = r_pos = r_idem = r_contract = 0.0
+    faithful = True
+    min_faithful_ratio = float("inf")
+    for _ in range(samples):
+        b = random_matrix((d, d), rng)
+        a1 = A.compress(random_matrix((d, d), rng))
+        a2 = A.compress(random_matrix((d, d), rng))
+        r_fix = max(r_fix, operator_norm(P(a1) - a1))
+        r_bimod = max(r_bimod, operator_norm(P(a1 @ b @ a2) - a1 @ P(b) @ a2))
+        pos = P(b.conj().T @ b)
+        if not is_positive_semidefinite(pos, max(eps, 1e-8 * operator_norm(pos))):
+            r_pos = max(r_pos, 1.0)
+        r_idem = max(r_idem, operator_norm(P(P(b)) - P(b)))
+        r_contract = max(r_contract, max(0.0, operator_norm(P(b)) - operator_norm(b)))
+        nb = operator_norm(b)
+        if nb > 0:
+            ratio = operator_norm(pos) / (nb * nb)
+            min_faithful_ratio = min(min_faithful_ratio, ratio)
+            if ratio <= eps:
+                faithful = False
+    return {
+        "fixes_range": (r_fix <= eps, r_fix),
+        "bimodule": (r_bimod <= eps, r_bimod),
+        "positive": (r_pos <= eps, r_pos),
+        "idempotent": (r_idem <= eps, r_idem),
+        "contractive": (r_contract <= eps, r_contract),
+        "faithful": (faithful, min_faithful_ratio),
+        "uniqueness": "assumed",
+    }
+
+
+def broken_involution_frame():
+    rng = rng_for(3)
+    frame = random_symmetric_frame(3, 2, rng)
+    frame[(1, 0)] = haar_unitary(2, rng)  # no longer the adjoint of u_(0,1)
+    return FellBundleModel(fibre_dims=(2, 2, 2), frame=frame)
+
+
+SAMPLED_MODELS = {
+    "imprimitivity-2,1,3": build_imprimitivity_bundle((2, 1, 3)),
+    "imprimitivity-3,1,4,2": build_imprimitivity_bundle((3, 1, 4, 2)),
+    "semidirect-identity": build_semidirect_bundle(CStarBundle((2, 2, 2))),
+    "semidirect-random": build_semidirect_bundle(
+        CStarBundle((2,) * 4), frame=random_symmetric_frame(4, 2, rng_for(7))),
+    "semidirect-twisted": twisted_semidirect(9),
+    "zero-fibre": FellBundleModel((2, 1, 3), zero_fibres=frozenset({(0, 2)})),
+    "broken-involution": broken_involution_frame(),
+    "non-cocycle": FellBundleModel(
+        fibre_dims=(1, 1, 1), frame=identity_frame(3, 1),
+        twist=Cocycle2(3, 1, {((0, 1), (1, 2)): -np.eye(1),
+                              ((2, 1), (1, 0)): -np.eye(1)})),
+}
+SAMPLE_COUNTS = (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 200)
+
+
+@pytest.mark.parametrize("count", SAMPLE_COUNTS)
+@pytest.mark.parametrize("name", SAMPLED_MODELS)
+def test_fell_axioms_match_per_sample_loop(name, count):
+    E = SAMPLED_MODELS[name]
+    rng, oracle_rng = rng_for(count), rng_for(count)
+    report = check_fell_axioms(E, sample_count=count, rng=rng)
+    passed, residuals = per_sample_fell_axioms(E, count, rng=oracle_rng)
+    assert report.residuals == residuals
+    assert report.passed == passed
+    assert {type(r) for r in report.residuals} == {float}
+    assert {type(p) for p in report.passed} == {bool}
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+EXPECTATION_KEYS = ("fixes_range", "bimodule", "positive", "idempotent",
+                    "contractive", "faithful")
+
+
+@pytest.mark.parametrize("count", (0,) + SAMPLE_COUNTS)
+@pytest.mark.parametrize("dims", [(2, 1, 3), (3, 1, 4, 2), (2, 2, 2), (1,)])
+def test_expectation_verify_matches_per_sample_loop(dims, count):
+    P = restriction_expectation(build_imprimitivity_bundle(dims))
+    rng, oracle_rng = rng_for(count), rng_for(count)
+    report = P.verify(samples=count, rng=rng)
+    # equal reprs: the same floats bit for bit, and Python bools and floats
+    assert repr(report) == repr(per_sample_verify(P, count, rng=oracle_rng))
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    if count == 0:
+        assert all(report[k][0] for k in EXPECTATION_KEYS)
+        assert report["faithful"][1] == float("inf")
+
+
+@dataclass(frozen=True)
+class DefectiveExpectation(ConditionalExpectation):
+    """A map in place of the block compression, for negative controls."""
+
+    defect: Callable = None
+
+    def __call__(self, b):
+        return self.defect(self.range_algebra, b)
+
+
+MIXER = haar_unitary(6, rng_for(11))  # mixes every block of (2, 1, 3)
+EXPECTATION_DEFECTS = {
+    "doubled": (lambda A, b: 2 * A.compress(b),
+                {"fixes_range", "idempotent", "contractive"}),
+    "negated": (lambda A, b: -A.compress(b),
+                {"fixes_range", "idempotent", "positive"}),
+    "vanishing": (lambda A, b: 1e-12 * A.compress(b), {"fixes_range", "faithful"}),
+    # an expectation onto MIXER·A·MIXER*, not onto A
+    "block-mixed": (lambda A, b: MIXER @ A.compress(MIXER.conj().T @ b @ MIXER)
+                    @ MIXER.conj().T, {"fixes_range", "bimodule"}),
+}
+
+
+@pytest.mark.parametrize("name", EXPECTATION_DEFECTS)
+def test_expectation_verify_rejects_defective_maps(name):
+    defect, failing = EXPECTATION_DEFECTS[name]
+    P = DefectiveExpectation(make_algebra([2, 1, 3]), defect)
+    report = P.verify(rng=rng_for(0))
+    assert repr(report) == repr(per_sample_verify(P, rng=rng_for(0)))
+    assert {k for k in EXPECTATION_KEYS if not report[k][0]} == failing
+
+
+def traced_peak_bytes(run):
+    run()  # warm numpy's and the interpreter's caches outside the trace
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sampled_suites_hold_bounded_stacks():
+    """The suites evaluate _CHUNK samples at a time, so their peak does not
+    grow with the sample count.  Measured at 16-sample chunks: 0.16 MB on
+    imprimitivity (1,2,3,4), 0.89 MB for verify at N = 24; stacking all 200
+    samples at once takes 1.9 MB and 11 MB."""
+    E = build_imprimitivity_bundle((1, 2, 3, 4))
+
+    def both_suites():
+        rng = rng_for(0)
+        check_fell_axioms(E, sample_count=200, rng=rng)
+        restriction_expectation(E).verify(rng=rng)
+
+    def single_block():
+        ConditionalExpectation(make_algebra([24])).verify(rng=rng_for(0))
+
+    assert traced_peak_bytes(both_suites) < 1.2e6
+    assert traced_peak_bytes(single_block) < 1.2e6

@@ -19,6 +19,7 @@ from fellkit.linalg import (
     is_positive_semidefinite,
     is_unitary,
     operator_norm,
+    operator_norms,
     orthonormal_span_basis,
     random_matrix,
     span_dimension,
@@ -89,6 +90,40 @@ def test_as_matrix_rejects_bad_input():
         as_matrix([[np.nan, 0], [0, 0]])
     with pytest.raises(ValueError):
         as_matrix([[np.inf, 0], [0, 0]])
+
+
+def test_operator_norms_match_operator_norm_in_input_order():
+    rng = rng_for(5)
+    # interleaved shapes, so a result out of input order shows
+    shapes = [(2, 3), (1, 1), (3, 3), (2, 3), (4, 1), (3, 3), (1, 1), (2, 3)]
+    family = [random_matrix(s, rng) for s in shapes]
+    family += [np.zeros((2, 2)), 3.0 * np.eye(4), [[0, 2], [0, 0]]]
+    norms = operator_norms(family)
+    assert norms.tolist() == [operator_norm(m) for m in family]  # bit for bit
+    stack = np.stack([family[k] for k in (0, 3, 7)])  # the 2×3 members
+    assert operator_norms(stack).tolist() == norms[[0, 3, 7]].tolist()
+    assert operator_norms([]).shape == (0,)
+
+
+def test_operator_norms_of_empty_members_are_zero():
+    family = [np.zeros((0, 3)), random_matrix((2, 2), rng_for(0)), np.zeros((3, 0))]
+    norms = operator_norms(family)
+    assert norms[0] == 0.0 and norms[2] == 0.0
+    assert norms[1] == operator_norm(family[1])
+    assert operator_norms(np.zeros((4, 0, 2))).tolist() == [0.0] * 4
+
+
+def test_operator_norms_reject_bad_members_as_as_matrix_does():
+    good = np.eye(2)
+    for bad, message in ((np.ones(3), "2-d"), (np.ones((2, 2, 2)), "2-d"),
+                         ([[np.nan, 0], [0, 0]], "non-finite"),
+                         ([[np.inf, 0], [0, 0]], "non-finite")):
+        with pytest.raises(ValueError, match=message):
+            as_matrix(bad)
+        with pytest.raises(ValueError, match=message):
+            operator_norms([good, bad])
+    with pytest.raises(ValueError, match="non-finite"):
+        operator_norms(np.full((2, 2, 2), np.nan))
 
 
 @settings(max_examples=50, deadline=None)
