@@ -11,11 +11,9 @@ from .algebra import FiniteCStarAlgebra, make_algebra
 from .cocycle import (
     Cocycle2,
     NotATwistError,
-    cocycle_identity_check,
     cocycle_identity_residual,
     extract_cocycle,
     make_twist,
-    twist_from_phases,
     twist_is_admissible,
 )
 from .dynamics import (
@@ -23,15 +21,11 @@ from .dynamics import (
     CovarianceGroup,
     SpatialAutomorphism,
     a_dynamical_generation_check,
-    automorphism_power,
     check_unitary_normalizer_theorem,
     compose_automorphisms,
     covariance_group,
     covariance_group_from_frame,
-    identity_automorphism,
-    inverse_automorphism,
     make_spatial_automorphism,
-    partial_isometry_endomorphism_check,
     random_spatial_automorphism,
     slice_from_bisection,
 )
@@ -42,7 +36,6 @@ from .embedding import (
     bridge_round_trip,
     cartan_from_fell_bundle,
     is_orientable,
-    phi_from_block_units,
     phi_from_covariance_group,
     read_off_pair,
 )
@@ -81,12 +74,8 @@ from .linalg import (
     adjoint,
     as_matrix,
     haar_unitary,
-    is_in_span,
-    is_partial_isometry,
-    is_positive_semidefinite,
     is_unitary,
     operator_norm,
-    orthonormal_span_basis,
     random_matrix,
     span_dimension,
 )
@@ -96,8 +85,6 @@ from .subalgebra import (
     Slice,
     SupportReport,
     classify_pair,
-    extension_property_check,
-    extension_property_span,
     is_free_normalizer,
     is_normalizer,
     is_regular,

@@ -92,7 +92,9 @@ class FiniteCStarAlgebra:
         m = max(self.block_dims)
         idx = np.array([list(range(o, o + n)) + [d] * (m - n)
                         for o, n in zip(self.block_offsets, self.block_dims)])
-        blocks = np.pad(a, (0, 1))[idx[:, None, :, None], idx[None, :, None, :]]
+        padded = np.zeros((d + 1, d + 1), dtype=complex)
+        padded[:d, :d] = a
+        blocks = padded[idx[:, None, :, None], idx[None, :, None, :]]
         return np.linalg.svd(blocks, compute_uv=False)[..., 0]
 
     def compress(self, b) -> np.ndarray:

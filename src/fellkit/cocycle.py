@@ -80,25 +80,6 @@ def make_twist(
     return Cocycle2(n_points=n_points, fibre_dim=fibre_dim, values=out, frame=frame)
 
 
-def twist_from_phases(theta: np.ndarray, fibre_dim: int = 1) -> Cocycle2:
-    """The coboundary-form twist τ((x,y),(y,z)) = exp(i(θxy + θyz − θxz)).
-
-    θ must be a real antisymmetric matrix; antisymmetry makes the twist
-    admissible (unit-normalized with τ(g,g*) = 1).
-    """
-    theta = np.asarray(theta, dtype=float)
-    n = theta.shape[0]
-    if not np.allclose(theta, -theta.T):
-        raise ValueError("phase matrix must be antisymmetric")
-    values: dict[tuple[Arrow, Arrow], complex] = {}
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                phase = np.exp(1j * (theta[x, y] + theta[y, z] - theta[x, z]))
-                values[((x, y), (y, z))] = phase
-    return make_twist(n, fibre_dim, values)
-
-
 def twist_is_admissible(w: Cocycle2, eps: float = DEFAULT_EPS) -> bool:
     """Structural sanity a twisted bundle needs before the axiom suite.
 
@@ -191,6 +172,3 @@ def cocycle_identity_residual(w: Cocycle2) -> float:
         worst = max(worst, operator_norm(lhs - rhs))
     return worst
 
-
-def cocycle_identity_check(w: Cocycle2, eps: float = DEFAULT_EPS) -> bool:
-    return cocycle_identity_residual(w) <= eps

@@ -22,11 +22,9 @@ from .linalg import (
     DEFAULT_EPS,
     as_matrix,
     haar_unitary,
-    is_partial_isometry,
     is_unitary,
-    rank,
 )
-from .subalgebra import Slice, _columns_meet_one_block, is_normalizer, normalizer_support
+from .subalgebra import Slice, is_normalizer, normalizer_support
 
 
 class CovarianceError(ValueError):
@@ -80,15 +78,6 @@ def make_spatial_automorphism(
     return SpatialAutomorphism(f0=f0, fibre_maps=tuple(maps), fibre_dims=dims)
 
 
-def identity_automorphism(fibre_dims) -> SpatialAutomorphism:
-    dims = tuple(int(n) for n in fibre_dims)
-    return SpatialAutomorphism(
-        f0=Bisection(tuple(range(len(dims)))),
-        fibre_maps=tuple(np.eye(n, dtype=complex) for n in dims),
-        fibre_dims=dims,
-    )
-
-
 def compose_automorphisms(
     s: SpatialAutomorphism, t: SpatialAutomorphism
 ) -> SpatialAutomorphism:
@@ -100,21 +89,6 @@ def compose_automorphisms(
         s.fibre_maps[t.f0(x)] @ t.fibre_maps[x] for x in range(len(s.fibre_dims))
     )
     return SpatialAutomorphism(f0=f0, fibre_maps=maps, fibre_dims=s.fibre_dims)
-
-
-def automorphism_power(s: SpatialAutomorphism, m: int) -> SpatialAutomorphism:
-    if m < 1:
-        raise ValueError("power must be ≥ 1")
-    out = s
-    for _ in range(m - 1):
-        out = compose_automorphisms(out, s)
-    return out
-
-
-def inverse_automorphism(s: SpatialAutomorphism) -> SpatialAutomorphism:
-    f0i = s.f0.inverse()
-    maps = tuple(s.fibre_maps[f0i(x)].conj().T for x in range(len(s.fibre_dims)))
-    return SpatialAutomorphism(f0=f0i, fibre_maps=maps, fibre_dims=s.fibre_dims)
 
 
 def random_spatial_automorphism(
@@ -252,32 +226,8 @@ def a_dynamical_generation_check(
     return bool(reach.all())
 
 
-def slice_from_bisection(
-    A: FiniteCStarAlgebra, U: SpatialAutomorphism, eps: float = DEFAULT_EPS
-) -> Slice:
+def slice_from_bisection(A: FiniteCStarAlgebra, U: SpatialAutomorphism) -> Slice:
     """The slice A·U for a self-adjoint base bisection (f0² = id)."""
     if not U.f0.is_self_adjoint():
         raise ValueError("slice construction needs a self-adjoint base bisection")
-    u = U.U
-    return Slice(basis=tuple(a @ u for a in A.basis()))
-
-
-def partial_isometry_endomorphism_check(
-    V, A: FiniteCStarAlgebra, eps: float = DEFAULT_EPS
-) -> dict:
-    """Report on a ↦ VaV* as a candidate bundle *-endomorphism.
-
-    VAV* ⊆ A is the column half of the is_normalizer rule.  Invertible
-    partial isometries are unitaries, in which case the map is a spatial
-    automorphism rather than a mere endomorphism.
-    """
-    v = as_matrix(V)
-    partial = is_partial_isometry(v, eps)
-    endo = _columns_meet_one_block(A.block_norms(v), eps)
-    invertible = v.shape[0] == v.shape[1] and rank(v, eps) == v.shape[0]
-    return {
-        "partial_isometry": partial,
-        "endomorphism_into_A": endo,
-        "invertible": invertible,
-        "spatial_automorphism": partial and endo and invertible and is_unitary(v, eps),
-    }
+    return Slice(U.U)

@@ -1,11 +1,10 @@
 """The embedding invariant Φ and the round trips built on it.
 
 Φ is a single element of the ambient algebra whose blocks are partial
-isometries, one per pair of block indices.  It can be assembled directly from
-block units, or generated from a covariance group as the sum of partial
-products of the single generator; from an orientable Φ one reads off the
-diagonal algebra, the ambient algebra, the canonical expectation, a normalizer
-sample and the twist.
+isometries, one per pair of block indices.  It is generated from a covariance
+group as the sum of partial products of the single generator; from an
+orientable Φ one reads off the diagonal algebra, the ambient algebra, the
+canonical expectation, a normalizer sample and the twist.
 """
 
 from __future__ import annotations
@@ -31,8 +30,6 @@ from .fellbundle import (
 from .groupoid import Arrow, is_minimal_flow, orbit_pairs
 from .linalg import (
     DEFAULT_EPS,
-    as_matrix,
-    is_partial_isometry,
     operator_norm,
     random_matrix,
     rank,
@@ -67,35 +64,6 @@ class EmbeddingInvariant:
     def block_support(self, eps: float = DEFAULT_EPS) -> set[tuple[int, int]]:
         support = self.algebra.block_norms(self.phi) > eps
         return {(int(i), int(j)) for i, j in np.argwhere(support)}
-
-
-def phi_from_block_units(
-    units: dict[tuple[int, int], np.ndarray],
-    algebra: FiniteCStarAlgebra,
-    subset: set[int] | None = None,
-    eps: float = DEFAULT_EPS,
-) -> EmbeddingInvariant:
-    """Assemble Φ = Σ_{(i,j) ∈ Y×Y} u_(i,j) from ambient block units.
-
-    Each u_(i,j) must be supported exactly on block (i, j) and be a partial
-    isometry there; Y defaults to the full index set.
-    """
-    A = algebra
-    if subset is None:
-        subset = set(range(A.n_blocks))
-    phi = np.zeros((A.ambient_dim, A.ambient_dim), dtype=complex)
-    for (i, j), u in units.items():
-        m = as_matrix(u)
-        stray = A.block_norms(m) > eps
-        stray[i, j] = False
-        if stray.any():
-            k, l = np.argwhere(stray)[0]
-            raise ValueError(f"unit for ({i},{j}) has support on block ({k},{l})")
-        if not is_partial_isometry(A.block(m, i, j), eps):
-            raise ValueError(f"block ({i},{j}) is not a partial isometry")
-        if i in subset and j in subset:
-            phi += m
-    return EmbeddingInvariant(phi=phi, block_dims=A.block_dims)
 
 
 def phi_from_covariance_group(

@@ -82,10 +82,6 @@ class FellBundleModel:
         return len(self.fibre_dims)
 
     @property
-    def unit_bundle(self) -> CStarBundle:
-        return CStarBundle(self.fibre_dims)
-
-    @property
     def coefficient_form(self) -> bool:
         """Whether fibre elements are frame coefficients (semidirect regime)."""
         return self.frame is not None
@@ -512,7 +508,7 @@ def _expectation_residuals(
     pb = P(b)
     pos = P(_adjoints(b) @ b)
     n_pos = operator_norms(pos)
-    # is_positive_semidefinite(pos, tol), per matrix of the stack
+    # Hermitian with spectrum ≥ -tol, per matrix of the stack
     tol = np.maximum(eps, 1e-8 * n_pos)
     hermitian = operator_norms(pos - _adjoints(pos)) <= tol
     positive = np.all(hermitian & (_smallest_eigenvalues(pos) >= -tol))

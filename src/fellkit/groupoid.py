@@ -33,9 +33,6 @@ class PairGroupoid:
     def units(self) -> list[Arrow]:
         return [(x, x) for x in range(self.n_points)]
 
-    def unit(self, x: int) -> Arrow:
-        return (x, x)
-
     @staticmethod
     def domain(g: Arrow) -> int:
         return g[1]

@@ -2,9 +2,9 @@
 
 Everything downstream (algebras, bundles, automorphisms) reduces to a small
 set of numerical questions about dense complex matrices: adjoints, operator
-norms, unitarity, partial isometries, positivity and span ranks.  All exact
-algebraic identities become residual-norm bounds against a tolerance ``eps``
-(default 1e-9, absolute on residual norms).
+norms, unitarity and span ranks.  All exact algebraic identities become
+residual-norm bounds against a tolerance ``eps`` (default 1e-9, absolute on
+residual norms).
 
 Matrices are plain numpy arrays of dtype complex128.  All functions are pure.
 A family of small matrices is normed in one call, ``operator_norms``: its
@@ -96,26 +96,6 @@ def is_unitary(m, eps: float = DEFAULT_EPS) -> bool:
         operator_norm(a.conj().T @ a - eye) <= eps
         and operator_norm(a @ a.conj().T - eye) <= eps
     )
-
-
-def is_partial_isometry(m, eps: float = DEFAULT_EPS) -> bool:
-    """True iff mm*m ≈ m within eps."""
-    a = as_matrix(m)
-    return operator_norm(a @ a.conj().T @ a - a) <= eps
-
-
-def is_positive_semidefinite(m, eps: float = DEFAULT_EPS) -> bool:
-    """True iff m is (numerically) Hermitian with spectrum ≥ -eps.
-
-    Raises ValueError for non-square input.
-    """
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"positivity needs a square matrix, got shape {a.shape}")
-    if operator_norm(a - a.conj().T) > eps:
-        return False
-    herm = (a + a.conj().T) / 2
-    return bool(np.min(np.linalg.eigvalsh(herm)) >= -eps)
 
 
 def _stack(mats: Sequence[np.ndarray]) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""JSON (de)serialization for models, assignments, cocycles and reports.
+"""JSON (de)serialization for models and reports.
 
 Conventions, shared by every artifact:
 
@@ -134,30 +134,6 @@ def cocycle_to_json(w: Cocycle2) -> dict:
         "pairs": {pair_key(g, h): twist_value_to_json(v)
                   for (g, h), v in w.values.items()},
     }
-
-
-def cocycle_from_json(doc: dict, eps: float = DEFAULT_EPS) -> Cocycle2:
-    try:
-        n = int(doc["points"])
-        dim = int(doc["fibre_dim"])
-        pairs = doc.get("pairs", {})
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad cocycle document: {exc}") from exc
-    values = {pair_from_key(k): twist_value_from_json(v) for k, v in pairs.items()}
-    return make_twist(n, dim, values, eps=eps)
-
-
-def assignment_to_json(assignment: dict[Arrow, np.ndarray]) -> dict:
-    return {"arrows": {arrow_key(g): matrix_to_json(u)
-                       for g, u in assignment.items()}}
-
-
-def assignment_from_json(doc: dict) -> dict[Arrow, np.ndarray]:
-    try:
-        arrows = doc["arrows"]
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"bad assignment document: {exc}") from exc
-    return {arrow_from_key(k): matrix_from_json(v) for k, v in arrows.items()}
 
 
 def model_to_json(

@@ -21,7 +21,7 @@ from .fellbundle import ConditionalExpectation
 from .linalg import (
     DEFAULT_EPS,
     as_matrix,
-    is_in_span,
+    is_unitary,
     operator_norm,
     span_dimension,
 )
@@ -29,8 +29,10 @@ from .linalg import (
 
 def _columns_meet_one_block(t: np.ndarray, eps: float) -> bool:
     """In every column of the block-norm table t, the two largest entries
-    multiply to at most eps (a zero row gives each column a second entry)."""
-    cols = np.sort(np.pad(t, ((0, 1), (0, 0))), axis=0)
+    multiply to at most eps (a one-row table has no second entry)."""
+    if len(t) == 1:
+        return True
+    cols = np.sort(t, axis=0)
     return bool(np.all(cols[-1] * cols[-2] <= eps))
 
 
@@ -135,57 +137,30 @@ def classify_pair(
     return PairClassification("cartan", evidence)
 
 
-def extension_property_span(
-    basis_A: list[np.ndarray],
-    basis_B: list[np.ndarray],
-    eps: float = DEFAULT_EPS,
-) -> bool:
-    """B = A + span[B, A], stated on explicit bases."""
-    commutators = [b @ a - a @ b for b in basis_B for a in basis_A]
-    target = span_dimension(basis_B, eps)
-    return span_dimension(list(basis_A) + commutators, eps) == target
-
-
-def extension_property_check(pair: PairCandidate, eps: float = DEFAULT_EPS) -> bool:
-    """B = A + span[B, A] for a candidate pair."""
-    return extension_property_span(pair.A.basis(), pair.B.basis(), eps)
-
-
 @dataclass(frozen=True)
 class Slice:
-    """A linear subspace of normalizers, given by a spanning family in B."""
+    """The slice A·u of B, given by its unitary generator u."""
 
-    basis: tuple[np.ndarray, ...]
+    u: np.ndarray
 
 
 def slice_check(
     M: Slice, A: FiniteCStarAlgebra, eps: float = DEFAULT_EPS
 ) -> dict:
-    """Bimodule and Hilbert-bimodule verdicts for a slice.
+    """Bimodule and Hilbert-bimodule verdicts for a slice M = A·u.
 
-    bimodule: A·M ⊆ M and M·A ⊆ M on basis pairs;
-    hilbert: M*M and MM* both span exactly A inside A.
+    bimodule: A·M ⊆ M and M·A ⊆ M; hilbert: M*M and MM* both equal A.
+    For unitary u, A·M = A·u = M and MM* = A·uu*·A = A always hold, while
+    M·A = A·(uAu*)·u lies in M iff uAu* ⊆ A, and M*M = u*Au equals A iff
+    u*Au = A.  Conjugation by u preserves dimension, so either inclusion is
+    an equality and both verdicts are "u normalizes A" (Exel 2011).
+
+    Raises ValueError for a non-unitary generator.
     """
-    mats = [as_matrix(m) for m in M.basis]
-    a_basis = A.basis()
-    bimodule = True
-    for a in a_basis:
-        for m in mats:
-            if not is_in_span(a @ m, mats, eps) or not is_in_span(m @ a, mats, eps):
-                bimodule = False
-                break
-        if not bimodule:
-            break
-
-    star_left = [m1.conj().T @ m2 for m1 in mats for m2 in mats]
-    star_right = [m1 @ m2.conj().T for m1 in mats for m2 in mats]
-    in_A = all(A.contains(p, eps) for p in star_left + star_right)
-    hilbert = (
-        in_A
-        and span_dimension(star_left, eps) == A.dim()
-        and span_dimension(star_right, eps) == A.dim()
-    )
-    return {"bimodule": bimodule, "hilbert": hilbert}
+    if not is_unitary(M.u, eps):
+        raise ValueError("slice generator is not unitary")
+    normalizes = is_normalizer(M.u, A, eps)
+    return {"bimodule": normalizes, "hilbert": normalizes}
 
 
 @dataclass

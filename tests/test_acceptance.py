@@ -41,9 +41,9 @@ from fellkit.groupoid import (
     identity_bisection,
     self_adjoint_bisections,
 )
-from fellkit.linalg import operator_norm, span_dimension
+from fellkit.linalg import haar_unitary, operator_norm, span_dimension
 from fellkit.presets import flow_frame, random_symmetric_frame
-from fellkit.subalgebra import PairCandidate, classify_pair, slice_check
+from fellkit.subalgebra import PairCandidate, Slice, classify_pair, slice_check
 from fellkit.dynamics import slice_from_bisection
 
 
@@ -67,8 +67,6 @@ def test_criterion_01_fell_axiom_suite():
     # negative control: broken involution frame fails axiom 8
     rng = np.random.default_rng(1)
     frame = random_symmetric_frame(3, 2, rng)
-    from fellkit.linalg import haar_unitary
-
     frame[(1, 0)] = haar_unitary(2, rng)
     broken = FellBundleModel(fibre_dims=(2, 2, 2), frame=frame)
     rep = check_fell_axioms(broken, sample_count=200,
@@ -188,7 +186,14 @@ def test_criterion_08_slices_are_hilbert_bimodules():
         s = make_spatial_automorphism(f0, [np.eye(1)] * 4, (1, 1, 1, 1))
         report = slice_check(slice_from_bisection(A, s), A)
         ok = ok and report["bimodule"] and report["hilbert"]
-    verdict(8, "all 10 self-adjoint bisections give Hilbert bimodules", ok)
+
+    # negative control: a unitary mixing blocks 0 and 1 spans no slice
+    mixer = A.unit()
+    mixer[:2, :2] = haar_unitary(2, np.random.default_rng(8))
+    report = slice_check(Slice(mixer), A)
+    ok = ok and not report["bimodule"] and not report["hilbert"]
+    verdict(8, "all 10 self-adjoint bisections give Hilbert bimodules, "
+               "a two-block mixer does not", ok)
 
 
 def test_criterion_09_a_dynamical_generation():

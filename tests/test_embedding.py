@@ -15,7 +15,6 @@ from fellkit.embedding import (
     bridge_round_trip,
     cartan_from_fell_bundle,
     is_orientable,
-    phi_from_block_units,
     phi_from_covariance_group,
     read_off_pair,
 )
@@ -35,60 +34,15 @@ def rng_for(seed):
     return np.random.default_rng(seed)
 
 
-def scalar_units(n):
-    A = make_algebra([1] * n)
-    units = {}
-    for i in range(n):
-        for j in range(n):
-            units[(i, j)] = A.embed_block(i, j, np.eye(1))
-    return A, units
-
-
-def test_phi_from_block_units_all_ones():
-    A, units = scalar_units(4)
-    phi = phi_from_block_units(units, A)
-    assert np.array_equal(phi.phi, np.ones((4, 4)))
-    # rank 1 as a matrix, yet full block support
-    assert np.linalg.matrix_rank(phi.phi) == 1
-    assert len(phi.block_support()) == 16
-    assert is_orientable(phi)
-
-
-def test_phi_subset_restriction():
-    A, units = scalar_units(4)
-    phi = phi_from_block_units(units, A, subset={0, 1})
-    expected = np.zeros((4, 4))
-    expected[:2, :2] = 1.0
-    assert np.array_equal(phi.phi, expected)
-    # the restricted invariant vanishes on blocks outside Y×Y
-    assert not is_orientable(phi)
-
-
-def test_phi_from_block_units_validation():
-    A, units = scalar_units(3)
-    # support violation: a unit leaking into another block
-    bad = dict(units)
-    bad[(0, 1)] = units[(0, 1)] + units[(0, 2)]
-    with pytest.raises(ValueError):
-        phi_from_block_units(bad, A)
-    # non-partial-isometry block
-    bad = dict(units)
-    bad[(0, 1)] = 2.0 * units[(0, 1)]
-    with pytest.raises(ValueError):
-        phi_from_block_units(bad, A)
-
-
 def test_phi_with_varying_dims_partial_isometries():
     A = make_algebra([2, 1])
     v = np.zeros((2, 1), dtype=complex)
     v[0, 0] = 1.0
-    units = {
-        (0, 0): A.embed_block(0, 0, np.eye(2)),
-        (1, 1): A.embed_block(1, 1, np.eye(1)),
-        (0, 1): A.embed_block(0, 1, v),
-        (1, 0): A.embed_block(1, 0, v.conj().T),
-    }
-    phi = phi_from_block_units(units, A)
+    phi = EmbeddingInvariant(
+        A.embed_block(0, 0, np.eye(2)) + A.embed_block(1, 1, np.eye(1))
+        + A.embed_block(0, 1, v) + A.embed_block(1, 0, v.conj().T),
+        A.block_dims,
+    )
     assert is_orientable(phi)
     readoff = read_off_pair(phi)
     assert readoff.omega is None
@@ -96,23 +50,6 @@ def test_phi_with_varying_dims_partial_isometries():
     assert readoff.A.block_dims == (2, 1)
     for b in readoff.normalizer_sample:
         assert is_normalizer(b, readoff.A)
-
-
-def test_presentation_equivalence_bit_for_bit():
-    """The partition form Σ σ^m equals the block-unit sum of its own blocks."""
-    for seed, n, dim in [(0, 4, 1), (1, 3, 2), (2, 2, 2)]:
-        frame, g = flow_frame(n, dim, rng_for(seed))
-        E = build_semidirect_bundle(CStarBundle((dim,) * n), frame=frame)
-        Gs = covariance_group_from_frame(g, E)
-        phi = phi_from_covariance_group(Gs)
-        A = make_algebra([dim] * n)
-        units = {
-            (i, j): A.embed_block(i, j, phi.block(i, j))
-            for i in range(n)
-            for j in range(n)
-        }
-        phi2 = phi_from_block_units(units, A)
-        assert np.array_equal(phi.phi, phi2.phi)
 
 
 def test_partition_form_matches_expanded_double_loop():
@@ -153,8 +90,11 @@ def test_phi_single_point():
 
 
 def test_orientability_detects_vanishing_blocks():
-    A, units = scalar_units(3)
-    phi = phi_from_block_units(units, A)
+    phi = EmbeddingInvariant(np.ones((3, 3), dtype=complex), (1, 1, 1))
+    # rank 1 as a matrix, yet full block support
+    assert np.linalg.matrix_rank(phi.phi) == 1
+    assert len(phi.block_support()) == 9
+    assert is_orientable(phi)
     killed = phi.phi.copy()
     killed[0, 2] = 0.0
     assert not is_orientable(EmbeddingInvariant(killed, phi.block_dims))

@@ -7,7 +7,7 @@ import pytest
 
 import fellkit.linalg
 from fellkit.algebra import FiniteCStarAlgebra, make_algebra
-from fellkit.cocycle import Cocycle2, twist_from_phases
+from fellkit.cocycle import Cocycle2
 from fellkit.fellbundle import (
     CStarBundle,
     ConditionalExpectation,
@@ -25,13 +25,15 @@ from fellkit.fellbundle import (
     restriction_expectation,
 )
 from fellkit.linalg import (
+    as_matrix,
     haar_unitary,
-    is_positive_semidefinite,
     operator_norm,
     random_matrix,
     span_dimension,
 )
 from fellkit.presets import random_symmetric_frame
+
+from helpers import twist_from_phases
 
 
 def rng_for(seed):
@@ -379,6 +381,31 @@ def per_sample_fell_axioms(E, sample_count=200, eps=1e-9, rng=None):
         bump(9, max(herm, -min_eig, 0.0) / (1.0 + nrm * nrm))
 
     return [res[i] <= eps for i in range(10)], res
+
+
+def is_positive_semidefinite(m, eps=1e-9):
+    """True iff m is (numerically) Hermitian with spectrum ≥ -eps.
+
+    Raises ValueError for non-square input.
+    """
+    a = as_matrix(m)
+    if a.shape[0] != a.shape[1]:
+        raise ValueError(f"positivity needs a square matrix, got shape {a.shape}")
+    if operator_norm(a - a.conj().T) > eps:
+        return False
+    herm = (a + a.conj().T) / 2
+    return bool(np.min(np.linalg.eigvalsh(herm)) >= -eps)
+
+
+def test_positivity():
+    assert is_positive_semidefinite(np.eye(3))
+    assert is_positive_semidefinite(np.zeros((2, 2)))
+    assert not is_positive_semidefinite(-np.eye(2))
+    assert not is_positive_semidefinite([[0, 1], [0, 0]])  # not Hermitian
+    m = random_matrix((3, 3), rng_for(3))
+    assert is_positive_semidefinite(m.conj().T @ m, 1e-8)
+    with pytest.raises(ValueError):
+        is_positive_semidefinite(np.ones((2, 3)))
 
 
 def per_sample_verify(P, samples=200, eps=1e-9, rng=None):

@@ -15,8 +15,6 @@ from fellkit.linalg import (
     as_matrix,
     haar_unitary,
     is_in_span,
-    is_partial_isometry,
-    is_positive_semidefinite,
     is_unitary,
     operator_norm,
     operator_norms,
@@ -157,7 +155,6 @@ def test_cstar_identity_for_the_norm(seed, r, c):
 def test_haar_unitary_is_unitary(seed, n):
     u = haar_unitary(n, rng_for(seed))
     assert is_unitary(u)
-    assert is_partial_isometry(u)
     assert operator_norm(u) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -165,28 +162,6 @@ def test_is_unitary_rejects():
     assert not is_unitary(np.zeros((2, 2)))
     assert not is_unitary(np.ones((2, 3)))
     assert not is_unitary(2 * np.eye(2))
-
-
-def test_partial_isometry_examples():
-    # orthonormal rows scaled wrongly: not a partial isometry
-    assert not is_partial_isometry([[1, 1], [0, 0]])
-    # the normalized version is one (a single unit row)
-    assert is_partial_isometry(np.array([[1, 1], [0, 0]]) / np.sqrt(2))
-    v = np.zeros((3, 2))
-    v[0, 0] = 1.0
-    assert is_partial_isometry(v)
-    assert is_partial_isometry(np.zeros((2, 2)))
-
-
-def test_positivity():
-    assert is_positive_semidefinite(np.eye(3))
-    assert is_positive_semidefinite(np.zeros((2, 2)))
-    assert not is_positive_semidefinite(-np.eye(2))
-    assert not is_positive_semidefinite([[0, 1], [0, 0]])  # not Hermitian
-    m = random_matrix((3, 3), rng_for(3))
-    assert is_positive_semidefinite(m.conj().T @ m, 1e-8)
-    with pytest.raises(ValueError):
-        is_positive_semidefinite(np.ones((2, 3)))
 
 
 def test_span_dimension_matrix_units():

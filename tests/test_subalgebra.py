@@ -4,20 +4,24 @@ import numpy as np
 import pytest
 
 from fellkit.algebra import make_algebra
-from fellkit.dynamics import random_spatial_automorphism
+from fellkit.dynamics import random_spatial_automorphism, slice_from_bisection
 from fellkit.fellbundle import (
     ConditionalExpectation,
     build_imprimitivity_bundle,
     restriction_expectation,
 )
-from fellkit.groupoid import Bisection, identity_bisection
-from fellkit.linalg import haar_unitary, operator_norm, random_matrix, span_dimension
+from fellkit.groupoid import Bisection, identity_bisection, self_adjoint_bisections
+from fellkit.linalg import (
+    haar_unitary,
+    is_in_span,
+    operator_norm,
+    random_matrix,
+    span_dimension,
+)
 from fellkit.subalgebra import (
     PairCandidate,
     Slice,
     classify_pair,
-    extension_property_check,
-    extension_property_span,
     is_free_normalizer,
     is_normalizer,
     is_regular,
@@ -280,33 +284,80 @@ def test_scalar_subalgebra_of_m2_oracle():
     traceless = [m - (np.trace(m) / 2.0) * eye for m in basis_B]
     assert span_dimension(traceless) == 3
 
-    # and the extension property fails: commutators with scalars vanish
-    assert not extension_property_span([eye], basis_B)
-
-
-def test_extension_property_for_block_pairs():
-    pair = PairCandidate(
-        A=make_algebra([2, 1]), B=make_algebra([3]),
-        P=ConditionalExpectation(make_algebra([2, 1])),
-    )
-    assert extension_property_check(pair)
-    pair4 = PairCandidate(
-        A=make_algebra([1, 1, 1, 1]), B=make_algebra([4]),
-        P=ConditionalExpectation(make_algebra([1, 1, 1, 1])),
-    )
-    assert extension_property_check(pair4)
-
 
 def test_slice_checks():
     A = make_algebra([1, 1])
     swap = unit_matrix(2, 0, 1) + unit_matrix(2, 1, 0)
-    M = Slice(basis=tuple(a @ swap for a in A.basis()))
-    report = slice_check(M, A)
+    report = slice_check(Slice(swap), A)
     assert report["bimodule"] and report["hilbert"]
-    # a single off-diagonal unit is a bimodule but not a Hilbert bimodule
-    M2 = Slice(basis=(unit_matrix(2, 0, 1),))
-    report2 = slice_check(M2, A)
-    assert report2["bimodule"] and not report2["hilbert"]
+    # a non-unitary generator does not make A·u a slice
+    with pytest.raises(ValueError):
+        slice_check(Slice(unit_matrix(2, 0, 1)), A)
+
+
+def basis_loop_slice_check(basis, A, eps=1e-9):
+    """Oracle: slice verdicts for the span M of a family, from the definition.
+
+    bimodule: A·M ⊆ M and M·A ⊆ M on basis pairs;
+    hilbert: M*M and MM* both span exactly A inside A.
+    """
+    mats = [np.asarray(m, dtype=complex) for m in basis]
+    bimodule = all(
+        is_in_span(a @ m, mats, eps) and is_in_span(m @ a, mats, eps)
+        for a in A.basis()
+        for m in mats
+    )
+    star_left = [m1.conj().T @ m2 for m1 in mats for m2 in mats]
+    star_right = [m1 @ m2.conj().T for m1 in mats for m2 in mats]
+    in_A = all(A.contains(p, eps) for p in star_left + star_right)
+    hilbert = (
+        in_A
+        and span_dimension(star_left, eps) == A.dim()
+        and span_dimension(star_right, eps) == A.dim()
+    )
+    return {"bimodule": bimodule, "hilbert": hilbert}
+
+
+def two_block_mixer(A, i, j, rng):
+    """The identity with a Haar unitary on the indices of blocks i and j."""
+    u = A.unit()
+    idx = [k for b in (i, j)
+           for k in range(A.block_offsets[b], A.block_offsets[b] + A.block_dims[b])]
+    u[np.ix_(idx, idx)] = haar_unitary(len(idx), rng)
+    return u
+
+
+def slice_cases():
+    """(A, generator u, expected verdict), one pytest.param each."""
+    rng = np.random.default_rng(12)
+    A = make_algebra([1, 1, 1, 1])
+    for f0 in self_adjoint_bisections(4):
+        s = random_spatial_automorphism(f0, A.block_dims, rng)
+        yield pytest.param(A, slice_from_bisection(A, s).u, True,
+                           id=f"bisection {f0.perm}")
+    for dims in ((2, 2), (2, 1, 2), (2, 2, 2)):
+        A = make_algebra(dims)
+        for perm in itertools.permutations(range(len(dims))):
+            if all(dims[p] == n for p, n in zip(perm, dims)):
+                s = random_spatial_automorphism(Bisection(perm), dims, rng)
+                yield pytest.param(A, s.U, True, id=f"{dims} permutation {perm}")
+    for dims in ((1, 1, 1, 1), (2, 2), (2, 1, 2), (2, 2, 2)):
+        A = make_algebra(dims)
+        yield pytest.param(A, haar_unitary(A.ambient_dim, rng), False,
+                           id=f"{dims} haar")
+        for i, j in sorted({(0, 1), (0, len(dims) - 1)}):
+            yield pytest.param(A, two_block_mixer(A, i, j, rng), False,
+                               id=f"{dims} mixer {i},{j}")
+    # one block: every unitary normalizes A = M_3
+    yield pytest.param(make_algebra([3]), haar_unitary(3, rng), True,
+                       id="(3,) haar")
+
+
+@pytest.mark.parametrize("A, u, expected", list(slice_cases()))
+def test_slice_check_matches_basis_loop(A, u, expected):
+    want = {"bimodule": expected, "hilbert": expected}
+    oracle = basis_loop_slice_check([a @ u for a in A.basis()], A)
+    assert slice_check(Slice(u), A) == oracle == want
 
 
 def test_normalizer_support():
