@@ -24,7 +24,7 @@ from fellkit.fellbundle import (
     build_imprimitivity_bundle,
     build_semidirect_bundle,
 )
-from fellkit.groupoid import identity_bisection
+from fellkit.groupoid import cycle_bisection, identity_bisection
 from fellkit.linalg import operator_norm
 from fellkit.presets import flow_frame
 from fellkit.subalgebra import is_normalizer
@@ -87,6 +87,19 @@ def test_phi_single_point():
     readoff = read_off_pair(phi)
     assert readoff.A.block_dims == (2,)
     assert readoff.omega is not None and readoff.omega.is_trivial()
+
+
+def test_phi_from_block_units_all_ones():
+    # scalar block units e_ij on 4 points, summed over the orbits of a 4-cycle
+    sigma = make_spatial_automorphism(
+        cycle_bisection(4), [np.eye(1)] * 4, (1, 1, 1, 1)
+    )
+    phi = phi_from_covariance_group(covariance_group(sigma))
+    assert np.array_equal(phi.phi, np.ones((4, 4)))
+    # rank 1 as a matrix, yet full block support
+    assert np.linalg.matrix_rank(phi.phi) == 1
+    assert len(phi.block_support()) == 16
+    assert is_orientable(phi)
 
 
 def test_orientability_detects_vanishing_blocks():
