@@ -71,7 +71,7 @@ from .groupoid import (
 )
 from .linalg import (
     DEFAULT_EPS,
-    adjoint,
+    adjoints,
     as_matrix,
     haar_unitary,
     is_unitary,

@@ -2,17 +2,19 @@
 
 A twist assigns to each composable pair of arrows a unit-modulus scalar, or a
 diagonal unitary of the fibre dimension, measuring the defect of an assignment
-g ↦ u_g from being a representation: u_g u_h = ω(g,h) u_{gh}.
+g ↦ u_g from being a representation: u_g u_h = ω(g,h) u_{gh}.  On the pair
+groupoid a twist is an (n, n, n, d, d) array and a frame an (n, n, d, d) one,
+so each identity below is a stacked product over them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .groupoid import Arrow, PairGroupoid
-from .linalg import DEFAULT_EPS, adjoint, as_matrix, operator_norm
+from .groupoid import Arrow
+from .linalg import DEFAULT_EPS, adjoints, as_matrix, operator_norms
 
 
 class NotATwistError(ValueError):
@@ -21,63 +23,91 @@ class NotATwistError(ValueError):
 
 @dataclass(frozen=True)
 class Cocycle2:
-    """A twist on the pair groupoid over n_points with fibre dimension fibre_dim.
+    """A twist on the pair groupoid: values[x, y, z] = ω((x,y),(y,z)).
 
-    Values are stored as fibre_dim × fibre_dim diagonal unitary matrices
-    (1×1 for scalar twists).  Missing pairs default to the identity.
-    A frame (arrow ↦ unitary) may be attached; it supplies the conjugation
-    twist in the cocycle identity when values are non-scalar diagonals.
+    Values are fibre_dim × fibre_dim matrices, diagonal unitaries within eps
+    (1×1 for scalar twists), kept whole so an extracted twist keeps its
+    off-diagonal residue.  A frame (n, n, d, d) may be attached; it supplies
+    the conjugation twist in the cocycle identity when values are non-scalar.
     """
 
-    n_points: int
-    fibre_dim: int
-    values: dict[tuple[Arrow, Arrow], np.ndarray] = field(default_factory=dict)
-    frame: dict[Arrow, np.ndarray] | None = None
+    values: np.ndarray
+    frame: np.ndarray | None = None
+
+    @property
+    def n_points(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def fibre_dim(self) -> int:
+        return self.values.shape[-1]
 
     def value(self, g: Arrow, h: Arrow) -> np.ndarray:
-        v = self.values.get((g, h))
-        if v is None:
-            return np.eye(self.fibre_dim, dtype=complex)
-        return v
+        """ω(g, h) for a composable pair (g, h)."""
+        return self.values[g[0], g[1], h[1]]
 
-    def scale(self, g: Arrow, h: Arrow, product: np.ndarray) -> np.ndarray:
-        """Apply the twist to a fibre product: left-multiply by ω(g,h)."""
-        return self.value(g, h) @ product
 
-    def is_trivial(self, eps: float = DEFAULT_EPS) -> bool:
-        eye = np.eye(self.fibre_dim)
-        return all(operator_norm(v - eye) <= eps for v in self.values.values())
+def first_offender(bad: np.ndarray) -> tuple[int, ...] | None:
+    """The row-major index, in Python ints, of the first True entry of bad."""
+    hits = np.flatnonzero(bad)
+    if hits.size == 0:
+        return None
+    return tuple(int(i) for i in np.unravel_index(hits[0], bad.shape))
 
-    def groupoid(self) -> PairGroupoid:
-        return PairGroupoid(self.n_points)
+
+def frame_offenders(frame: np.ndarray, eps: float) -> tuple[int | None, Arrow | None]:
+    """For an (n, n, d, d) frame: the first point x with ‖u_(x,x) − I‖ > eps
+    and the first arrow g, row-major, with ‖u_(g*) − u_g*‖ > eps, or None."""
+    n, d = frame.shape[0], frame.shape[-1]
+    units = frame[range(n), range(n)] - np.eye(d)
+    involution = (frame.swapaxes(0, 1) - adjoints(frame)).reshape(-1, d, d)
+    bad = operator_norms(np.concatenate([units, involution])) > eps
+    x = first_offender(bad[:n])
+    return None if x is None else x[0], first_offender(bad[n:].reshape(n, n))
+
+
+def first_non_twist_value(
+    values: np.ndarray, eps: float
+) -> tuple[tuple[int, ...], float] | None:
+    """The index of the first matrix, row-major, of a (..., d, d) array that
+    is not diagonal with unit-modulus entries within eps, and its
+    off-diagonal norm (at most eps if only the modulus fails)."""
+    d = values.shape[-1]
+    off = values * (1 - np.eye(d))
+    off_norms = operator_norms(off.reshape(-1, d, d)).reshape(values.shape[:-2])
+    modulus = np.abs(np.abs(np.diagonal(values, axis1=-2, axis2=-1)) - 1).max(axis=-1)
+    k = first_offender((off_norms > eps) | (modulus > eps))
+    return None if k is None else (k, float(off_norms[k]))
 
 
 def make_twist(
     n_points: int,
     fibre_dim: int,
     values: dict[tuple[Arrow, Arrow], complex | np.ndarray],
-    frame: dict[Arrow, np.ndarray] | None = None,
     eps: float = DEFAULT_EPS,
 ) -> Cocycle2:
-    """Build a Cocycle2, normalizing scalar values to diagonal matrices."""
-    out: dict[tuple[Arrow, Arrow], np.ndarray] = {}
+    """Build a Cocycle2 from its values on some composable pairs; the other
+    pairs take the identity, and a scalar value v becomes v·I."""
+    out = np.tile(np.eye(fibre_dim, dtype=complex), (n_points,) * 3 + (1, 1))
     for pair, v in values.items():
+        (x, y), (y2, z) = pair
+        if y != y2 or min(x, y, z) < 0 or max(x, y, z) >= n_points:
+            raise ValueError(f"{pair} is not a composable pair on {n_points} points")
         if np.isscalar(v):
-            mat = complex(v) * np.eye(fibre_dim, dtype=complex)
-        else:
-            mat = as_matrix(v)
-            if mat.shape != (fibre_dim, fibre_dim):
-                raise ValueError(
-                    f"twist value for {pair} has shape {mat.shape}, "
-                    f"expected ({fibre_dim},{fibre_dim})"
-                )
-        off = mat - np.diag(np.diagonal(mat))
-        if operator_norm(off) > eps:
+            v = complex(v) * np.eye(fibre_dim, dtype=complex)
+        mat = as_matrix(v)
+        if mat.shape != (fibre_dim, fibre_dim):
+            raise ValueError(f"twist value for {pair} has shape {mat.shape}, "
+                             f"expected ({fibre_dim},{fibre_dim})")
+        out[x, y, z] = mat
+    bad = first_non_twist_value(out, eps)
+    if bad is not None:
+        (x, y, z), off = bad
+        pair = ((x, y), (y, z))
+        if off > eps:
             raise NotATwistError(f"twist value for {pair} is not diagonal")
-        if np.max(np.abs(np.abs(np.diagonal(mat)) - 1.0)) > eps:
-            raise NotATwistError(f"twist value for {pair} has non-unit modulus")
-        out[pair] = mat
-    return Cocycle2(n_points=n_points, fibre_dim=fibre_dim, values=out, frame=frame)
+        raise NotATwistError(f"twist value for {pair} has non-unit modulus")
+    return Cocycle2(values=out)
 
 
 def twist_is_admissible(w: Cocycle2, eps: float = DEFAULT_EPS) -> bool:
@@ -87,88 +117,68 @@ def twist_is_admissible(w: Cocycle2, eps: float = DEFAULT_EPS) -> bool:
     compatibility ω(g,h)·ω(h*,g*) = 1 forced by Fell axiom 8 (equivalently
     ω(h*,g*) = conj(ω(g,h))), and ω(g,g*) = 1 forced by positivity (axiom 10).
     """
-    G = w.groupoid()
-    eye = np.eye(w.fibre_dim)
-    for g in G.arrows():
-        r, d = G.range(g), G.domain(g)
-        if operator_norm(w.value((r, r), g) - eye) > eps:
-            return False
-        if operator_norm(w.value(g, (d, d)) - eye) > eps:
-            return False
-        if operator_norm(w.value(g, G.inverse(g)) - eye) > eps:
-            return False
-    for g, h in G.composable_pairs():
-        gi, hi = G.inverse(g), G.inverse(h)
-        if operator_norm(w.value(g, h) @ w.value(hi, gi) - eye) > eps:
-            return False
-    return True
+    V, n, d = w.values, w.n_points, w.fibre_dim
+    p = range(n)
+    must_be_one = (
+        V[p, p],  # ω((x,x), (x,y))
+        V[:, p, p],  # ω((x,y), (y,y))
+        V[p, :, p],  # ω((x,y), (y,x))
+        V @ V.transpose(2, 1, 0, 3, 4),  # ω((x,y),(y,z))·ω((z,y),(y,x))
+    )
+    stack = np.concatenate([m.reshape(-1, d, d) for m in must_be_one])
+    return bool(np.all(operator_norms(stack - np.eye(d)) <= eps))
 
 
-def extract_cocycle(
-    assignment: dict[Arrow, np.ndarray], eps: float = DEFAULT_EPS
-) -> Cocycle2:
-    """Read the twist off an assignment of unitaries over a full pair groupoid.
+def extract_cocycle(assignment: np.ndarray, eps: float = DEFAULT_EPS) -> Cocycle2:
+    """Read the twist off an (n, n, d, d) assignment of unitaries u_(x,y).
 
-    The assignment must cover every arrow with u_{(x,x)} = I and
-    u_{g*} = u_g*.  For each composable pair the defect u_g u_h (u_{gh})* is
-    required to be a diagonal unitary within eps; anything else means the
-    assignment is inconsistent with the ⊕𝕋 codomain and raises NotATwistError.
+    The assignment must have u_{(x,x)} = I and u_{g*} = u_g*.  For each
+    composable pair the defect u_g u_h (u_{gh})* is required to be a diagonal
+    unitary within eps; anything else means the assignment is inconsistent
+    with the ⊕𝕋 codomain and raises NotATwistError.
     """
-    points = {x for g in assignment for x in g}
-    n = max(points) + 1
-    G = PairGroupoid(n)
-    missing = [g for g in G.arrows() if g not in assignment]
-    if missing:
-        raise ValueError(f"assignment missing arrows: {missing}")
-    dims = {as_matrix(u).shape for u in assignment.values()}
-    if len(dims) != 1 or len(next(iter(dims))) != 2:
-        raise ValueError("assignment unitaries must share a square shape")
-    dim = next(iter(dims))[0]
-    eye = np.eye(dim)
-    for x in range(n):
-        if operator_norm(as_matrix(assignment[(x, x)]) - eye) > eps:
-            raise ValueError(f"unit arrow ({x},{x}) is not assigned the identity")
-    for g, u in assignment.items():
-        if operator_norm(as_matrix(assignment[G.inverse(g)]) - adjoint(u)) > eps:
-            raise ValueError(f"assignment violates u_(g*) = u_g* at {g}")
+    u = np.asarray(assignment, dtype=complex)
+    if u.ndim != 4 or u.shape[0] != u.shape[1] or u.shape[2] != u.shape[3]:
+        raise ValueError("assignment must be an (n, n, d, d) array of unitaries")
+    x, g = frame_offenders(u, eps)
+    if x is not None:
+        raise ValueError(f"unit arrow ({x},{x}) is not assigned the identity")
+    if g is not None:
+        raise ValueError(f"assignment violates u_(g*) = u_g* at {g}")
 
-    values: dict[tuple[Arrow, Arrow], np.ndarray] = {}
-    for g, h in G.composable_pairs():
-        gh = G.compose(g, h)
-        defect = as_matrix(assignment[g]) @ as_matrix(assignment[h]) @ adjoint(
-            assignment[gh]
-        )
-        off = defect - np.diag(np.diagonal(defect))
-        if operator_norm(off) > eps:
+    # defects[x, y, z] = u_(x,y) u_(y,z) u_(x,z)*
+    defects = (u[:, :, None] @ u[None, :, :]) @ adjoints(u)[:, None, :]
+    bad = first_non_twist_value(defects, eps)
+    if bad is not None:
+        (x, y, z), off = bad
+        g, h = (x, y), (y, z)
+        if off > eps:
             raise NotATwistError(
                 f"defect at ({g},{h}) is not diagonal "
-                f"(off-diagonal norm {operator_norm(off):.3e}); "
+                f"(off-diagonal norm {off:.3e}); "
                 "assignment has no ⊕𝕋-valued twist"
             )
-        if np.max(np.abs(np.abs(np.diagonal(defect)) - 1.0)) > eps:
-            raise NotATwistError(f"defect at ({g},{h}) has non-unit modulus")
-        values[(g, h)] = defect
-    return Cocycle2(n_points=n, fibre_dim=dim, values=values, frame=dict(assignment))
+        raise NotATwistError(f"defect at ({g},{h}) has non-unit modulus")
+    return Cocycle2(values=defects, frame=u)
 
 
 def cocycle_identity_residual(w: Cocycle2) -> float:
     """Max residual of the (possibly conjugation-twisted) cocycle identity.
 
-    Over all composable triples (g,h,k):
+    Over all composable triples (g,h,k) = ((x,y),(y,z),(z,t)):
         ω(g,h)·ω(gh,k)  vs  α_g(ω(h,k))·ω(g,hk)
     with α_g conjugation by u_g when a frame is attached, trivial otherwise.
+    The n³ triples of one x are formed at a time, which bounds memory.
     """
-    G = w.groupoid()
+    V, d = w.values, w.fibre_dim
+    conjugate = w.frame is not None and d > 1
     worst = 0.0
-    for g, h, k in G.composable_triples():
-        gh = G.compose(g, h)
-        hk = G.compose(h, k)
-        lhs = w.value(g, h) @ w.value(gh, k)
-        whk = w.value(h, k)
-        if w.frame is not None and w.fibre_dim > 1:
-            ug = as_matrix(w.frame[g])
-            whk = ug @ whk @ ug.conj().T
-        rhs = whk @ w.value(g, hk)
-        worst = max(worst, operator_norm(lhs - rhs))
+    for x in range(w.n_points):
+        lhs = V[x][:, :, None] @ V[x][None, :, :]
+        whk = V
+        if conjugate:
+            ug = w.frame[x][:, None, None]
+            whk = (ug @ whk) @ adjoints(ug)
+        rhs = whk @ V[x][:, None, :]
+        worst = max(worst, float(operator_norms((lhs - rhs).reshape(-1, d, d)).max()))
     return worst
-

@@ -136,10 +136,8 @@ def covariance_group_from_frame(
 ) -> CovarianceGroup:
     """Build σ from a bundle's frame along the generator's graph."""
     dims = E.fibre_dims
-    if E.frame is not None:
-        maps = [E.frame[(generator(x), x)] for x in range(len(dims))]
-    else:
-        maps = [np.eye(dims[x], dtype=complex) for x in range(len(dims))]
+    maps = ([np.eye(d, dtype=complex) for d in dims] if E.frame is None
+            else E.frame[generator.perm, range(len(dims))])
     sigma = make_spatial_automorphism(generator, maps, dims)
     return covariance_group(sigma)
 
@@ -226,7 +224,7 @@ def a_dynamical_generation_check(
     return bool(reach.all())
 
 
-def slice_from_bisection(A: FiniteCStarAlgebra, U: SpatialAutomorphism) -> Slice:
+def slice_from_bisection(U: SpatialAutomorphism) -> Slice:
     """The slice A·U for a self-adjoint base bisection (f0² = id)."""
     if not U.f0.is_self_adjoint():
         raise ValueError("slice construction needs a self-adjoint base bisection")

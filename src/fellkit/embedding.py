@@ -31,6 +31,7 @@ from .groupoid import Arrow, is_minimal_flow, orbit_pairs
 from .linalg import (
     DEFAULT_EPS,
     operator_norm,
+    operator_norms,
     random_matrix,
     rank,
 )
@@ -109,7 +110,7 @@ class ReadOff:
     B: FiniteCStarAlgebra
     P: ConditionalExpectation
     normalizer_sample: list[np.ndarray]
-    assignment: dict[Arrow, np.ndarray] | None
+    assignment: np.ndarray | None  # (n, n, d, d), as FellBundleModel.frame
     omega: Cocycle2 | None
     note: str = ""
 
@@ -134,14 +135,11 @@ def read_off_pair(phi: EmbeddingInvariant, eps: float = DEFAULT_EPS) -> ReadOff:
     omega = None
     note = ""
     if len(set(A.block_dims)) == 1:
-        assignment = {}
-        dim = A.block_dims[0]
-        for i in range(A.n_blocks):
-            for j in range(A.n_blocks):
-                if i == j:
-                    assignment[(i, j)] = np.eye(dim, dtype=complex)
-                else:
-                    assignment[(i, j)] = phi.block(i, j)
+        n, dim = A.n_blocks, A.block_dims[0]
+        # assignment[i, j] is the (i, j) block of Φ, the identity on the diagonal
+        blocks = phi.phi.reshape(n, dim, n, dim).transpose(0, 2, 1, 3)
+        assignment = blocks.astype(complex, order="C")
+        assignment[range(n), range(n)] = np.eye(dim)
         omega = extract_cocycle(assignment, eps)
     else:
         note = (
@@ -217,11 +215,9 @@ def bridge_round_trip(Gs: CovarianceGroup, eps: float = DEFAULT_EPS) -> dict:
     dims_match = readoff2.A.block_dims == Gs.fibre_dims
     omega_residual = 0.0
     if readoff.omega is not None and readoff2.omega is not None:
-        for pair_key, v in readoff.omega.values.items():
-            omega_residual = max(
-                omega_residual,
-                operator_norm(v - readoff2.omega.value(*pair_key)),
-            )
+        dim = readoff.omega.fibre_dim
+        delta = readoff.omega.values - readoff2.omega.values
+        omega_residual = float(operator_norms(delta.reshape(-1, dim, dim)).max())
     rng = np.random.default_rng(0)
     d = readoff.A.ambient_dim
     p_residual = 0.0

@@ -20,13 +20,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import FiniteCStarAlgebra
-from .cocycle import Cocycle2, twist_is_admissible
+from .cocycle import Cocycle2, first_offender, frame_offenders, twist_is_admissible
 from .groupoid import Arrow, PairGroupoid
 from .linalg import (
     DEFAULT_EPS,
+    adjoints,
     as_matrix,
-    is_unitary,
-    operator_norm,
     operator_norms,
     per_shape,
     random_matrix,
@@ -69,7 +68,7 @@ class FellBundleModel:
     """
 
     fibre_dims: tuple[int, ...]
-    frame: dict[Arrow, np.ndarray] | None = None
+    frame: np.ndarray | None = None  # frame[x, y] = u_(x,y), shape (n, n, d, d)
     twist: Cocycle2 | None = None
     zero_fibres: frozenset[Arrow] = field(default_factory=frozenset)
 
@@ -127,7 +126,7 @@ class FellBundleModel:
         ug, uh, ugh = self.frame[g], self.frame[h], self.frame[gh]
         c = a @ ug @ b @ uh @ ugh.conj().T
         if self.twist is not None:
-            c = self.twist.scale(g, h, c)
+            c = self.twist.value(g, h) @ c
         return gh, c
 
     def involution(self, g: Arrow, e: np.ndarray) -> tuple[Arrow, np.ndarray]:
@@ -156,11 +155,8 @@ class FellBundleModel:
         return blk
 
 
-def identity_frame(n_points: int, fibre_dim: int) -> dict[Arrow, np.ndarray]:
-    eye = np.eye(fibre_dim, dtype=complex)
-    return {
-        (x, y): eye.copy() for x in range(n_points) for y in range(n_points)
-    }
+def identity_frame(n_points: int, fibre_dim: int) -> np.ndarray:
+    return np.tile(np.eye(fibre_dim, dtype=complex), (n_points, n_points, 1, 1))
 
 
 def build_imprimitivity_bundle(dims) -> FellBundleModel:
@@ -175,38 +171,38 @@ def build_imprimitivity_bundle(dims) -> FellBundleModel:
 
 def build_semidirect_bundle(
     E0: CStarBundle,
-    frame: dict[Arrow, np.ndarray] | None = None,
+    frame: np.ndarray | None = None,
     twist: Cocycle2 | None = None,
     eps: float = DEFAULT_EPS,
 ) -> FellBundleModel:
     """Locally trivial bundle with multiplication through a unitary frame.
 
-    The frame must satisfy u_(x,x) = I and u_(y,x) = u_(x,y)*; every entry
-    must be unitary.  A twist, when present, must be diagonal-unitary valued
-    and structurally admissible (see cocycle.twist_is_admissible).
+    The frame, an (n, n, d, d) array, must satisfy u_(x,x) = I and
+    u_(y,x) = u_(x,y)*; every entry must be unitary.  A twist, when present,
+    must be diagonal-unitary valued and structurally admissible (see
+    cocycle.twist_is_admissible).
     """
     if not E0.is_locally_trivial():
         raise LocalTrivialityError(
             f"semidirect model needs constant fibre dimension, got {E0.fibre_dims}"
         )
     n, dim = E0.n_points, E0.fibre_dims[0]
-    G = PairGroupoid(n)
     if frame is None:
         frame = identity_frame(n, dim)
-    frame = {g: as_matrix(u) for g, u in frame.items()}
-    for g in G.arrows():
-        if g not in frame:
-            raise FrameError(f"frame missing arrow {g}")
-        u = frame[g]
-        if u.shape != (dim, dim) or not is_unitary(u, eps):
-            raise FrameError(f"frame entry at {g} is not a {dim}×{dim} unitary")
-    eye = np.eye(dim)
-    for x in range(n):
-        if operator_norm(frame[(x, x)] - eye) > eps:
-            raise FrameError(f"frame unit at ({x},{x}) is not the identity")
-    for g in G.arrows():
-        if operator_norm(frame[G.inverse(g)] - frame[g].conj().T) > eps:
-            raise FrameError(f"frame violates u_(y,x) = u_(x,y)* at {g}")
+    frame = np.asarray(frame, dtype=complex)
+    if frame.shape != (n, n, dim, dim):
+        raise FrameError(f"frame has shape {frame.shape}, expected {(n, n, dim, dim)}")
+    flat = frame.reshape(-1, dim, dim)
+    products = np.concatenate([adjoints(flat) @ flat, flat @ adjoints(flat)])
+    defect = operator_norms(products - np.eye(dim)).reshape(2, n, n).max(axis=0)
+    g = first_offender(defect > eps)
+    if g is not None:
+        raise FrameError(f"frame entry at {g} is not a {dim}×{dim} unitary")
+    x, g = frame_offenders(frame, eps)
+    if x is not None:
+        raise FrameError(f"frame unit at ({x},{x}) is not the identity")
+    if g is not None:
+        raise FrameError(f"frame violates u_(y,x) = u_(x,y)* at {g}")
     if twist is not None:
         if twist.fibre_dim != dim or twist.n_points != n:
             raise LocalTrivialityError(
@@ -399,7 +395,7 @@ def _smallest_eigenvalues(stack: np.ndarray) -> np.ndarray:
     stack of square matrices (0 if they are empty)."""
     if stack.size == 0:
         return np.zeros(len(stack))
-    return np.linalg.eigvalsh((stack + _adjoints(stack)) / 2).min(axis=1)
+    return np.linalg.eigvalsh((stack + adjoints(stack)) / 2).min(axis=1)
 
 
 def is_saturated(E: FellBundleModel, eps: float = DEFAULT_EPS) -> bool:
@@ -506,11 +502,11 @@ def _expectation_residuals(
     bimod = operator_norms(bimod).max()
     del a1, a2  # lowers the peak: the rest needs only b
     pb = P(b)
-    pos = P(_adjoints(b) @ b)
+    pos = P(adjoints(b) @ b)
     n_pos = operator_norms(pos)
     # Hermitian with spectrum ≥ -tol, per matrix of the stack
     tol = np.maximum(eps, 1e-8 * n_pos)
-    hermitian = operator_norms(pos - _adjoints(pos)) <= tol
+    hermitian = operator_norms(pos - adjoints(pos)) <= tol
     positive = np.all(hermitian & (_smallest_eigenvalues(pos) >= -tol))
     idem = operator_norms(P(pb) - pb).max()
     nb = operator_norms(b)
@@ -518,10 +514,6 @@ def _expectation_residuals(
     nonzero = nb > 0
     ratios = n_pos[nonzero] / (nb[nonzero] * nb[nonzero])
     return np.array([fix, bimod, 0.0 if positive else 1.0, idem, contract]), ratios
-
-
-def _adjoints(stack: np.ndarray) -> np.ndarray:
-    return stack.conj().transpose(0, 2, 1)
 
 
 def restriction_expectation(E: FellBundleModel) -> ConditionalExpectation:

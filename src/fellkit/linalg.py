@@ -41,9 +41,9 @@ def _finite_array(m, ndim: int, kind: str) -> np.ndarray:
     return a
 
 
-def adjoint(m) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(m).conj().T
+def adjoints(stack: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return stack.conj().swapaxes(-1, -2)
 
 
 def operator_norm(m) -> float:

@@ -6,28 +6,27 @@ from __future__ import annotations
 import numpy as np
 
 from .dynamics import covariance_group, make_spatial_automorphism
-from .groupoid import Arrow, Bisection, cycle_bisection
-from .linalg import haar_unitary
+from .fellbundle import identity_frame
+from .groupoid import Bisection, cycle_bisection
+from .linalg import adjoints, haar_unitary
 
 
 def random_symmetric_frame(
     n: int, dim: int, rng: np.random.Generator
-) -> dict[Arrow, np.ndarray]:
-    """A random unitary frame with u_(x,x) = I and u_(y,x) = u_(x,y)*."""
-    frame: dict[Arrow, np.ndarray] = {}
-    for x in range(n):
-        frame[(x, x)] = np.eye(dim, dtype=complex)
-    for x in range(n):
-        for y in range(x + 1, n):
-            u = haar_unitary(dim, rng)
-            frame[(x, y)] = u
-            frame[(y, x)] = u.conj().T
+) -> np.ndarray:
+    """A random (n, n, dim, dim) unitary frame with u_(x,x) = I and
+    u_(y,x) = u_(x,y)*."""
+    frame = identity_frame(n, dim)
+    upper = np.triu_indices(n, 1)  # row-major: the order u_(x,y) are drawn in
+    u = np.array([haar_unitary(dim, rng) for _ in upper[0]]).reshape(-1, dim, dim)
+    frame[upper] = u
+    frame[upper[::-1]] = adjoints(u)
     return frame
 
 
 def flow_frame(
     n: int, dim: int, rng: np.random.Generator
-) -> tuple[dict[Arrow, np.ndarray], Bisection]:
+) -> tuple[np.ndarray, Bisection]:
     """A frame generated by one n-cycle automorphism with trivial holonomy.
 
     The closing edge is chosen so the product of the fibre maps around the
@@ -45,8 +44,7 @@ def flow_frame(
         maps.append(closing.conj().T)
     sigma = make_spatial_automorphism(g, maps, (dim,) * n)
     Gs = covariance_group(sigma)
-    frame: dict[Arrow, np.ndarray] = {}
+    frame = np.empty((n, n, dim, dim), dtype=complex)
     for element in Gs.elements:
-        for y in range(n):
-            frame[(element.f0(y), y)] = element.fibre_maps[y]
+        frame[element.f0.perm, range(n)] = element.fibre_maps
     return frame, g

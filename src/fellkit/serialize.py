@@ -16,7 +16,10 @@ Model documents look like
      "generator": [..]}                        # optional base flow generator
 
 A document with a frame or twist parses to the coefficient (semidirect)
-model; without either it parses to the imprimitivity model.
+model; without either it parses to the imprimitivity model.  In memory the
+frame is an (n, n, d, d) array and the twist an (n, n, n, d, d) one.  A twist
+pair left out is the identity: ``model_to_json`` writes the pairs whose value
+is not exactly the identity, ``cocycle_to_json`` every pair.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .cocycle import Cocycle2, make_twist
 from .fellbundle import (
     CStarBundle,
     FellBundleModel,
+    FrameError,
     build_imprimitivity_bundle,
     build_semidirect_bundle,
 )
@@ -87,17 +91,18 @@ def arrow_from_key(key: str) -> Arrow:
 def pair_key(g: Arrow, h: Arrow) -> str:
     return f"({arrow_key(g)},{arrow_key(h)})"
 
-_PAIR_RE = re.compile(r"^\(\((\d+),(\d+)\),\((\d+),(\d+)\)\)$")
+_PAIR_RE = re.compile(r"^\(\((\d+),(\d+)\),\(\2,(\d+)\)\)$")
 
 
 def pair_from_key(key: str) -> tuple[Arrow, Arrow]:
+    """The composable pair ((x,y),(y,z)) of a key; ParseError for any other."""
     m = _PAIR_RE.match(key)
     if not m:
         raise ParseError(f"bad pair key {key!r}, expected '((x,y),(y,z))'")
-    nums = [int(m.group(i)) for i in range(1, 5)]
-    if min(nums) < 1:
+    x, y, z = (int(m.group(i)) - 1 for i in range(1, 4))
+    if min(x, y, z) < 0:
         raise ParseError(f"pair key {key!r} must be 1-indexed")
-    return (nums[0] - 1, nums[1] - 1), (nums[2] - 1, nums[3] - 1)
+    return (x, y), (y, z)
 
 
 def permutation_to_json(g: Bisection) -> list[int]:
@@ -128,11 +133,12 @@ def twist_value_from_json(v):
 
 
 def cocycle_to_json(w: Cocycle2) -> dict:
+    n = w.n_points
     return {
-        "points": w.n_points,
+        "points": n,
         "fibre_dim": w.fibre_dim,
-        "pairs": {pair_key(g, h): twist_value_to_json(v)
-                  for (g, h), v in w.values.items()},
+        "pairs": {pair_key((x, y), (y, z)): twist_value_to_json(w.values[x, y, z])
+                  for x, y, z in np.ndindex(n, n, n)},
     }
 
 
@@ -143,12 +149,15 @@ def model_to_json(
         "points": model.n_points,
         "fibre_dims": list(model.fibre_dims),
     }
+    n = model.n_points
     if model.frame is not None:
-        doc["frame"] = {arrow_key(g): matrix_to_json(u)
-                        for g, u in model.frame.items()}
+        doc["frame"] = {arrow_key(g): matrix_to_json(model.frame[g])
+                        for g in np.ndindex(n, n)}
     if model.twist is not None:
-        doc["twist"] = {pair_key(g, h): twist_value_to_json(v)
-                        for (g, h), v in model.twist.values.items()}
+        values, eye = model.twist.values, np.eye(model.twist.fibre_dim)
+        doc["twist"] = {pair_key((x, y), (y, z)): twist_value_to_json(values[x, y, z])
+                        for x, y, z in np.ndindex(n, n, n)
+                        if not np.array_equal(values[x, y, z], eye)}
     if generator is not None:
         doc["generator"] = permutation_to_json(generator)
     return doc
@@ -157,8 +166,9 @@ def model_to_json(
 def model_from_json(
     doc: dict, eps: float = DEFAULT_EPS
 ) -> tuple[FellBundleModel, Bisection | None]:
-    """Parse a model document: ParseError if malformed; a frame or twist
-    that breaks the bundle contract raises the builder's FrameError."""
+    """Parse a model document: ParseError if malformed (a key outside the
+    points included); a frame or twist that breaks the bundle contract
+    raises the builder's FrameError."""
     if not isinstance(doc, dict):
         raise ParseError("model document must be a JSON object")
     try:
@@ -183,12 +193,22 @@ def model_from_json(
     dim = dims[0]
     frame = None
     if "frame" in doc:
-        frame = {arrow_from_key(k): matrix_from_json(v)
-                 for k, v in doc["frame"].items()}
+        given = {arrow_from_key(k): matrix_from_json(v) for k, v in doc["frame"].items()}
+        if any(max(g) >= n for g in given):
+            raise ParseError(f"frame names an arrow outside the {n} points")
+        frame = np.empty((n, n, dim, dim), dtype=complex)
+        for g in np.ndindex(n, n):  # the first offending arrow, row-major
+            if g not in given:
+                raise FrameError(f"frame missing arrow {g}")
+            if given[g].shape != (dim, dim):
+                raise FrameError(f"frame entry at {g} is not a {dim}×{dim} unitary")
+            frame[g] = given[g]
     twist = None
     if "twist" in doc:
         values = {pair_from_key(k): twist_value_from_json(v)
                   for k, v in doc["twist"].items()}
+        if any(max(*g, *h) >= n for g, h in values):
+            raise ParseError(f"twist names a pair outside the {n} points")
         twist = make_twist(n, dim, values, eps=eps)
     model = build_semidirect_bundle(CStarBundle(dims), frame=frame,
                                     twist=twist, eps=eps)

@@ -3,6 +3,7 @@
 import numpy as np
 
 from fellkit.cocycle import Cocycle2, make_twist
+from fellkit.linalg import operator_norms
 
 
 def twist_from_phases(theta: np.ndarray, fibre_dim: int = 1) -> Cocycle2:
@@ -22,3 +23,24 @@ def twist_from_phases(theta: np.ndarray, fibre_dim: int = 1) -> Cocycle2:
                 phase = np.exp(1j * (theta[x, y] + theta[y, z] - theta[x, z]))
                 values[((x, y), (y, z))] = phase
     return make_twist(n, fibre_dim, values)
+
+
+def frame_array(frame: dict, n: int) -> np.ndarray:
+    """The (n, n, d, d) array of a frame or assignment given per arrow."""
+    return np.array([[frame[(x, y)] for y in range(n)] for x in range(n)],
+                    dtype=complex)
+
+
+def unchecked_cocycle(n: int, fibre_dim: int, values: dict) -> Cocycle2:
+    """A Cocycle2 with the given values, identity elsewhere, not validated:
+    a negative control whose values need not be twist values at all."""
+    out = np.tile(np.eye(fibre_dim, dtype=complex), (n, n, n, 1, 1))
+    for (g, h), v in values.items():
+        out[g[0], g[1], h[1]] = v
+    return Cocycle2(values=out)
+
+
+def distance_from_trivial(w: Cocycle2) -> float:
+    """max over composable pairs of ‖ω(g,h) − I‖."""
+    d = w.fibre_dim
+    return float(operator_norms((w.values - np.eye(d)).reshape(-1, d, d)).max())

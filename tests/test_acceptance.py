@@ -11,7 +11,7 @@ import numpy as np
 
 from fellkit.algebra import make_algebra
 from fellkit.cli import main
-from fellkit.cocycle import Cocycle2, cocycle_identity_residual
+from fellkit.cocycle import cocycle_identity_residual, make_twist
 from fellkit.dynamics import (
     a_dynamical_generation_check,
     check_unitary_normalizer_theorem,
@@ -74,8 +74,7 @@ def test_criterion_01_fell_axiom_suite():
     ok = ok and 8 in rep.failed_axioms()
 
     # negative control: non-cocycle twist fails axiom 3
-    twist = Cocycle2(3, 1, {((0, 1), (1, 2)): -np.eye(1),
-                            ((2, 1), (1, 0)): -np.eye(1)})
+    twist = make_twist(3, 1, {((0, 1), (1, 2)): -1, ((2, 1), (1, 0)): -1})
     broken = FellBundleModel(fibre_dims=(1, 1, 1),
                              frame=identity_frame(3, 1), twist=twist)
     rep = check_fell_axioms(broken, sample_count=200,
@@ -184,7 +183,7 @@ def test_criterion_08_slices_are_hilbert_bimodules():
     A = make_algebra([1, 1, 1, 1])
     for f0 in involutions:
         s = make_spatial_automorphism(f0, [np.eye(1)] * 4, (1, 1, 1, 1))
-        report = slice_check(slice_from_bisection(A, s), A)
+        report = slice_check(slice_from_bisection(s), A)
         ok = ok and report["bimodule"] and report["hilbert"]
 
     # negative control: a unitary mixing blocks 0 and 1 spans no slice

@@ -9,10 +9,14 @@ from fellkit.cocycle import (
     make_twist,
     twist_is_admissible,
 )
-from fellkit.groupoid import PairGroupoid
-from fellkit.linalg import haar_unitary
+from fellkit.dynamics import covariance_group_from_frame
+from fellkit.embedding import phi_from_covariance_group, read_off_pair
+from fellkit.fellbundle import CStarBundle, build_semidirect_bundle
+from fellkit.groupoid import PairGroupoid, cycle_bisection
+from fellkit.linalg import as_matrix, haar_unitary, operator_norm
+from fellkit.presets import flow_frame, random_symmetric_frame
 
-from helpers import twist_from_phases
+from helpers import distance_from_trivial, frame_array, twist_from_phases
 
 
 def phase_assignment(n, rng):
@@ -26,21 +30,220 @@ def phase_assignment(n, rng):
     }
 
 
+# --- the per-pair and per-triple loops the stacked code replaced: oracles ---
+
+
+def loop_extract_cocycle(assignment, eps=1e-9):
+    """ω as a dict over composable pairs, read off a per-arrow assignment one
+    pair at a time; raises what extract_cocycle raises, with the same text."""
+    points = {x for g in assignment for x in g}
+    n = max(points) + 1
+    G = PairGroupoid(n)
+    dim = as_matrix(next(iter(assignment.values()))).shape[0]
+    eye = np.eye(dim)
+    for x in range(n):
+        if operator_norm(as_matrix(assignment[(x, x)]) - eye) > eps:
+            raise ValueError(f"unit arrow ({x},{x}) is not assigned the identity")
+    for g in G.arrows():
+        u = assignment[g]
+        if operator_norm(as_matrix(assignment[G.inverse(g)]) - u.conj().T) > eps:
+            raise ValueError(f"assignment violates u_(g*) = u_g* at {g}")
+    values = {}
+    for g, h in G.composable_pairs():
+        gh = G.compose(g, h)
+        defect = as_matrix(assignment[g]) @ as_matrix(assignment[h]) @ as_matrix(
+            assignment[gh]).conj().T
+        off = defect - np.diag(np.diagonal(defect))
+        if operator_norm(off) > eps:
+            raise NotATwistError(
+                f"defect at ({g},{h}) is not diagonal "
+                f"(off-diagonal norm {operator_norm(off):.3e}); "
+                "assignment has no ⊕𝕋-valued twist"
+            )
+        if np.max(np.abs(np.abs(np.diagonal(defect)) - 1.0)) > eps:
+            raise NotATwistError(f"defect at ({g},{h}) has non-unit modulus")
+        values[(g, h)] = defect
+    return values
+
+
+def loop_identity_residual(values, frame, n, dim):
+    """The cocycle-identity residual, one composable triple at a time; a pair
+    missing from values takes the identity."""
+    G = PairGroupoid(n)
+    eye = np.eye(dim, dtype=complex)
+
+    def value(g, h):
+        return values.get((g, h), eye)
+
+    worst = 0.0
+    for g, h, k in G.composable_triples():
+        gh = G.compose(g, h)
+        hk = G.compose(h, k)
+        lhs = value(g, h) @ value(gh, k)
+        whk = value(h, k)
+        if frame is not None and dim > 1:
+            ug = as_matrix(frame[g])
+            whk = ug @ whk @ ug.conj().T
+        rhs = whk @ value(g, hk)
+        worst = max(worst, operator_norm(lhs - rhs))
+    return worst
+
+
+def loop_is_admissible(values, n, dim, eps=1e-9):
+    G = PairGroupoid(n)
+    eye = np.eye(dim, dtype=complex)
+
+    def value(g, h):
+        return values.get((g, h), eye)
+
+    for g in G.arrows():
+        r, d = g
+        for v in (value((r, r), g), value(g, (d, d)), value(g, G.inverse(g))):
+            if operator_norm(v - eye) > eps:
+                return False
+    for g, h in G.composable_pairs():
+        gi, hi = G.inverse(g), G.inverse(h)
+        if operator_norm(value(g, h) @ value(hi, gi) - eye) > eps:
+            return False
+    return True
+
+
+def flow_read_off(n, dim, seed):
+    """The read-off of a flow preset's Φ, and its assignment per arrow as
+    the blocks of Φ, the identity on the diagonal."""
+    frame, g = flow_frame(n, dim, np.random.default_rng(seed))
+    E = build_semidirect_bundle(CStarBundle((dim,) * n), frame=frame)
+    phi = phi_from_covariance_group(covariance_group_from_frame(g, E))
+    per_arrow = {(i, j): np.eye(dim, dtype=complex) if i == j else phi.block(i, j)
+                 for i in range(n) for j in range(n)}
+    return phi, per_arrow
+
+
+@pytest.mark.parametrize("n, dim", [(3, 2), (4, 2), (8, 1), (6, 4)])
+def test_stacked_extraction_matches_pair_loop(n, dim):
+    phi, per_arrow = flow_read_off(n, dim, seed=n * 10 + dim)
+    readoff = read_off_pair(phi)
+    assert np.array_equal(readoff.assignment, frame_array(per_arrow, n))
+    w = readoff.omega
+    oracle = loop_extract_cocycle(per_arrow)
+    assert len(oracle) == n ** 3
+    for (g, h), v in oracle.items():
+        assert np.array_equal(w.value(g, h), v), (g, h)
+    assert cocycle_identity_residual(w) == loop_identity_residual(
+        oracle, per_arrow, n, dim)
+    assert twist_is_admissible(w) == loop_is_admissible(oracle, n, dim)
+
+
+def twisted_cases():
+    """(name, n, dim, values, frame): twists with and without a frame, and
+    twists that break the cocycle identity or admissibility."""
+    rng = np.random.default_rng(17)
+    theta = rng.uniform(-1, 1, size=(4, 4))
+    phases = twist_from_phases(theta - theta.T)
+    yield "phases-4x1", 4, 1, {((x, y), (y, z)): phases.value((x, y), (y, z))
+                               for x in range(4) for y in range(4)
+                               for z in range(4)}, None
+    # a diagonal coboundary per entry, twisted by a random frame: the
+    # conjugation makes the identity fail, so product order shows
+    t1, t2 = (rng.uniform(-1, 1, size=(3, 3)) for _ in range(2))
+    t1, t2 = t1 - t1.T, t2 - t2.T
+    values = {
+        ((x, y), (y, z)): np.diag(np.exp(1j * np.array([
+            t[x, y] + t[y, z] - t[x, z] for t in (t1, t2)])))
+        for x in range(3) for y in range(3) for z in range(3)
+    }
+    yield "diagonal-3x2-framed", 3, 2, values, random_symmetric_frame(3, 2, rng)
+    yield "non-cocycle", 3, 1, {((0, 1), (1, 2)): -1.0, ((2, 1), (1, 0)): -1.0}, None
+    yield "twisted-8", 8, 1, {((0, 1), (1, 4)): np.exp(0.9j),
+                              ((4, 1), (1, 0)): np.exp(-0.9j)}, None
+    yield "inadmissible", 2, 1, {((0, 1), (1, 0)): -1.0}, None
+
+
+TWISTED_CASES = {name: case for name, *case in twisted_cases()}
+
+
+@pytest.mark.parametrize("name", TWISTED_CASES)
+def test_stacked_twist_checks_match_triple_loop(name):
+    n, dim, values, frame = TWISTED_CASES[name]
+    twist = make_twist(n, dim, values)
+    if frame is not None:
+        twist = Cocycle2(values=twist.values, frame=frame)
+    as_matrices = {pair: twist.value(*pair) for pair in values}
+    residual = cocycle_identity_residual(twist)
+    assert residual == loop_identity_residual(as_matrices, frame, n, dim)
+    admissible = twist_is_admissible(twist)
+    assert admissible == loop_is_admissible(as_matrices, n, dim)
+    assert admissible == (name != "inadmissible")
+    if name == "phases-4x1":
+        assert residual < 1e-12
+    else:
+        assert residual > 0.1
+
+
+def error_text(run):
+    with pytest.raises(ValueError) as excinfo:
+        run()
+    return type(excinfo.value), str(excinfo.value)
+
+
+def broken_assignments():
+    """(name, per-arrow assignment) that extract_cocycle must reject."""
+    rng = np.random.default_rng(3)
+    generic = random_symmetric_frame(3, 2, rng)
+    yield "non-diagonal", {g: generic[g] for g in np.ndindex(3, 3)}
+    broken = random_symmetric_frame(3, 2, rng)
+    broken[(1, 0)] = haar_unitary(2, rng)
+    yield "broken-involution", {g: broken[g] for g in np.ndindex(3, 3)}
+    phases = phase_assignment(3, rng)
+    yield "non-unit-arrow", {**phases, (2, 2): np.array([[1j]])}
+    yield "non-unit-modulus", {**phases, (0, 1): 2 * phases[(0, 1)],
+                               (1, 0): 2 * phases[(1, 0)]}
+
+
+BROKEN_ASSIGNMENTS = dict(broken_assignments())
+
+
+@pytest.mark.parametrize("name", BROKEN_ASSIGNMENTS)
+def test_extraction_errors_match_pair_loop(name):
+    assignment = BROKEN_ASSIGNMENTS[name]
+    n = max(g[0] for g in assignment) + 1
+    stacked = error_text(lambda: extract_cocycle(frame_array(assignment, n)))
+    assert stacked == error_text(lambda: loop_extract_cocycle(assignment))
+
+
+def test_semidirect_control_error_matches_pair_loop():
+    # a random frame has holonomy round the 4-cycle: the read-off assignment
+    # breaks u_(g*) = u_g*, and both forms name the same arrow
+    frame = random_symmetric_frame(4, 2, np.random.default_rng(0))
+    E = build_semidirect_bundle(CStarBundle((2,) * 4), frame=frame)
+    phi = phi_from_covariance_group(covariance_group_from_frame(cycle_bisection(4), E))
+    per_arrow = {(i, j): np.eye(2, dtype=complex) if i == j else phi.block(i, j)
+                 for i in range(4) for j in range(4)}
+    stacked = error_text(lambda: read_off_pair(phi))
+    assert stacked == error_text(lambda: loop_extract_cocycle(per_arrow))
+    assert stacked[1] == "assignment violates u_(g*) = u_g* at (0, 1)"
+
+
 def test_trivial_twist_defaults():
-    w = Cocycle2(n_points=3, fibre_dim=1)
+    w = make_twist(3, 1, {})
     assert np.allclose(w.value((0, 1), (1, 2)), [[1.0]])
-    assert w.is_trivial()
+    assert distance_from_trivial(w) <= 1e-9
     assert cocycle_identity_residual(w) <= 1e-9
     assert twist_is_admissible(w)
 
 
 def test_make_twist_validation():
-    with pytest.raises(NotATwistError):
+    with pytest.raises(NotATwistError, match="non-unit modulus"):
         make_twist(2, 1, {((0, 1), (1, 0)): 2.0})
-    with pytest.raises(NotATwistError):
+    with pytest.raises(NotATwistError, match=r"\(\(0, 1\), \(1, 0\)\) is not diagonal"):
         make_twist(2, 2, {((0, 1), (1, 0)): np.array([[0, 1], [1, 0]])})
     with pytest.raises(ValueError):
         make_twist(2, 2, {((0, 1), (1, 0)): np.eye(3)})
+    # a pair that does not compose, or leaves the points, has no slot
+    with pytest.raises(ValueError, match="not a composable pair"):
+        make_twist(2, 1, {((0, 1), (0, 1)): 1.0})
+    with pytest.raises(ValueError, match="not a composable pair"):
+        make_twist(2, 1, {((0, 2), (2, 1)): 1.0})
     w = make_twist(2, 2, {((0, 1), (1, 0)): np.diag([1.0, -1.0]).astype(complex)})
     assert np.allclose(w.value((0, 1), (1, 0)), np.diag([1, -1]))
 
@@ -52,7 +255,7 @@ def test_twist_from_phases_is_admissible_cocycle():
     w = twist_from_phases(theta)
     assert twist_is_admissible(w)
     assert cocycle_identity_residual(w) < 1e-12
-    assert not w.is_trivial()
+    assert distance_from_trivial(w) > 1e-9
     with pytest.raises(ValueError):
         twist_from_phases(np.ones((3, 3)))
 
@@ -80,7 +283,7 @@ def test_extract_from_phase_assignment():
     rng = np.random.default_rng(5)
     n = 4
     assignment = phase_assignment(n, rng)
-    w = extract_cocycle(assignment)
+    w = extract_cocycle(frame_array(assignment, n))
     assert w.n_points == n and w.fibre_dim == 1
     assert twist_is_admissible(w)
     assert cocycle_identity_residual(w) < 1e-12
@@ -97,7 +300,7 @@ def test_extracted_cocycle_involution_relation():
     # ω(h*,g*) = conj(ω(g,h)) for any honest unitary assignment
     rng = np.random.default_rng(11)
     assignment = phase_assignment(5, rng)
-    w = extract_cocycle(assignment)
+    w = extract_cocycle(frame_array(assignment, 5))
     G = PairGroupoid(5)
     for g, h in G.composable_pairs():
         v = w.value(g, h)
@@ -118,23 +321,21 @@ def test_extract_rejects_non_diagonal_defects():
             assignment[(x, y)] = u
             assignment[(y, x)] = u.conj().T
     with pytest.raises(NotATwistError):
-        extract_cocycle(assignment)
+        extract_cocycle(frame_array(assignment, n))
 
 
 def test_extract_precondition_errors():
     rng = np.random.default_rng(4)
-    assignment = phase_assignment(3, rng)
-    broken = dict(assignment)
-    del broken[(0, 1)]
-    with pytest.raises(ValueError):
-        extract_cocycle(broken)
-    broken = dict(assignment)
+    assignment = frame_array(phase_assignment(3, rng), 3)
+    with pytest.raises(ValueError, match=r"\(n, n, d, d\)"):
+        extract_cocycle(assignment[:, :2])
+    broken = assignment.copy()
     broken[(0, 0)] = np.array([[1j]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"unit arrow \(0,0\)"):
         extract_cocycle(broken)
-    broken = dict(assignment)
+    broken = assignment.copy()
     broken[(1, 0)] = np.array([[1.0]])  # breaks u_(g*) = u_g*
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"u_g\* at \(0, 1\)"):
         extract_cocycle(broken)
 
 
@@ -157,7 +358,7 @@ def test_conjugation_twisted_identity_with_frame():
             s = base[(x, y)] if x < y else np.conj(base[(y, x)])
             assignment[(x, y)] = phases[(x, y)][0, 0] * s * np.eye(2, dtype=complex)
     # scalar multiples of the identity: defects diagonal, extraction works
-    w = extract_cocycle(assignment)
+    w = extract_cocycle(frame_array(assignment, n))
     assert w.fibre_dim == 2
     assert w.frame is not None
     assert cocycle_identity_residual(w) < 1e-12

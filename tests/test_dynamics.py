@@ -256,12 +256,12 @@ def test_slice_from_self_adjoint_bisection():
     s = make_spatial_automorphism(
         swap, [np.eye(1)] * 4, (1, 1, 1, 1)
     )
-    M = slice_from_bisection(A, s)
+    M = slice_from_bisection(s)
     report = slice_check(M, A)
     assert report["bimodule"] and report["hilbert"]
     with pytest.raises(ValueError):
         slice_from_bisection(
-            A, make_spatial_automorphism(
+            make_spatial_automorphism(
                 cycle_bisection(4), [np.eye(1)] * 4, (1, 1, 1, 1)
             )
         )

@@ -29,6 +29,8 @@ from fellkit.linalg import operator_norm
 from fellkit.presets import flow_frame
 from fellkit.subalgebra import is_normalizer
 
+from helpers import distance_from_trivial
+
 
 def rng_for(seed):
     return np.random.default_rng(seed)
@@ -86,7 +88,7 @@ def test_phi_single_point():
     assert np.array_equal(phi.phi, np.eye(2))
     readoff = read_off_pair(phi)
     assert readoff.A.block_dims == (2,)
-    assert readoff.omega is not None and readoff.omega.is_trivial()
+    assert readoff.omega is not None and distance_from_trivial(readoff.omega) <= 1e-9
 
 
 def test_phi_from_block_units_all_ones():
@@ -156,10 +158,7 @@ def test_cartan_from_fell_bundle():
     assert classification.evidence["kernel_dim"] == 24
     assert classification.evidence["free_normalizer_span_dim"] == 24
 
-    broken = FellBundleModel(
-        fibre_dims=(1, 1), frame={g: np.array([[2.0]]) for g in
-                                  [(0, 0), (0, 1), (1, 0), (1, 1)]}
-    )
+    broken = FellBundleModel(fibre_dims=(1, 1), frame=np.full((2, 2, 1, 1), 2.0))
     with pytest.raises(ValueError):
         cartan_from_fell_bundle(broken)
 

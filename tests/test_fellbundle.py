@@ -7,7 +7,7 @@ import pytest
 
 import fellkit.linalg
 from fellkit.algebra import FiniteCStarAlgebra, make_algebra
-from fellkit.cocycle import Cocycle2
+from fellkit.cocycle import make_twist
 from fellkit.fellbundle import (
     CStarBundle,
     ConditionalExpectation,
@@ -24,16 +24,18 @@ from fellkit.fellbundle import (
     is_saturated,
     restriction_expectation,
 )
+from fellkit.groupoid import PairGroupoid
 from fellkit.linalg import (
     as_matrix,
     haar_unitary,
+    is_unitary,
     operator_norm,
     random_matrix,
     span_dimension,
 )
-from fellkit.presets import random_symmetric_frame
+from fellkit.presets import flow_frame, random_symmetric_frame
 
-from helpers import twist_from_phases
+from helpers import twist_from_phases, unchecked_cocycle
 
 
 def rng_for(seed):
@@ -84,10 +86,6 @@ def test_builder_rejections():
     with pytest.raises(LocalTrivialityError):
         build_semidirect_bundle(CStarBundle((2, 1)))
     frame = identity_frame(2, 2)
-    del frame[(0, 1)]
-    with pytest.raises(FrameError):
-        build_semidirect_bundle(CStarBundle((2, 2)), frame=frame)
-    frame = identity_frame(2, 2)
     frame[(0, 0)] = np.diag([1.0, -1.0]).astype(complex)
     with pytest.raises(FrameError):
         build_semidirect_bundle(CStarBundle((2, 2)), frame=frame)
@@ -96,9 +94,64 @@ def test_builder_rejections():
     with pytest.raises(FrameError):
         build_semidirect_bundle(CStarBundle((2, 2)), frame=frame)
     # inadmissible twist: w(g,g*) = -1
-    bad = Cocycle2(2, 1, {((0, 1), (1, 0)): -np.eye(1)})
+    bad = make_twist(2, 1, {((0, 1), (1, 0)): -1})
     with pytest.raises(FrameError):
         build_semidirect_bundle(CStarBundle((1, 1)), twist=bad)
+
+
+def loop_frame_error(frame, n, dim, eps=1e-9):
+    """The FrameError text of the per-arrow frame checks that the stacked
+    ones replaced, or None for a valid frame."""
+    G = PairGroupoid(n)
+    for g in G.arrows():
+        u = frame[g]
+        if u.shape != (dim, dim) or not is_unitary(u, eps):
+            return f"frame entry at {g} is not a {dim}×{dim} unitary"
+    eye = np.eye(dim)
+    for x in range(n):
+        if operator_norm(frame[(x, x)] - eye) > eps:
+            return f"frame unit at ({x},{x}) is not the identity"
+    for g in G.arrows():
+        if operator_norm(frame[G.inverse(g)] - frame[g].conj().T) > eps:
+            return f"frame violates u_(y,x) = u_(x,y)* at {g}"
+    return None
+
+
+def frame_cases():
+    """(name, frame): valid frames and frames broken in one or more ways."""
+    yield "random-3x2", random_symmetric_frame(3, 2, rng_for(2))
+    yield "flow-4x2", flow_frame(4, 2, rng_for(3))[0]
+    broken = random_symmetric_frame(3, 2, rng_for(4))
+    broken[(1, 1)] = np.diag([1.0, -1.0])  # unitary and self-adjoint
+    yield "non-identity-unit", broken
+    rng = rng_for(7)
+    broken = random_symmetric_frame(3, 2, rng)
+    broken[(1, 0)] = haar_unitary(2, rng)  # no longer the adjoint of u_(0,1)
+    yield "broken-involution", broken
+    broken = random_symmetric_frame(3, 1, rng_for(5))
+    broken[(2, 0)] = -broken[(2, 0)]
+    yield "broken-involution-at-0-2", broken
+    broken = random_symmetric_frame(4, 2, rng_for(6))
+    broken[(3, 3)] = -np.eye(2)
+    broken[(2, 1)] = 2.0 * broken[(2, 1)]
+    yield "non-unitary-before-unit", broken
+
+
+FRAME_CASES = dict(frame_cases())
+
+
+@pytest.mark.parametrize("name", FRAME_CASES)
+def test_frame_checks_match_arrow_loop(name):
+    frame = FRAME_CASES[name]
+    n, dim = frame.shape[0], frame.shape[-1]
+    want = loop_frame_error({g: frame[g] for g in np.ndindex(n, n)}, n, dim)
+    assert (want is None) == name.startswith(("random", "flow"))
+    if want is None:
+        build_semidirect_bundle(CStarBundle((dim,) * n), frame=frame)
+        return
+    with pytest.raises(FrameError) as excinfo:
+        build_semidirect_bundle(CStarBundle((dim,) * n), frame=frame)
+    assert str(excinfo.value) == want
 
 
 def test_negative_control_broken_involution_frame():
@@ -112,10 +165,10 @@ def test_negative_control_broken_involution_frame():
 def test_negative_control_non_cocycle_twist():
     """A twist failing the cocycle identity breaks associativity (axiom 3)."""
     values = {
-        ((0, 1), (1, 2)): -np.eye(1),
-        ((2, 1), (1, 0)): -np.eye(1),  # keeps the involution relation intact
+        ((0, 1), (1, 2)): -1,
+        ((2, 1), (1, 0)): -1,  # keeps the involution relation intact
     }
-    twist = Cocycle2(3, 1, values)
+    twist = make_twist(3, 1, values)
     E = FellBundleModel(fibre_dims=(1, 1, 1), frame=identity_frame(3, 1),
                         twist=twist)
     report = check_fell_axioms(E, sample_count=200, rng=rng_for(0))
@@ -188,7 +241,7 @@ def frame_with(entry, value):
 
 
 def twist_with(value):
-    twist = Cocycle2(3, 2, {((0, 1), (1, 2)): value})
+    twist = unchecked_cocycle(3, 2, {((0, 1), (1, 2)): value})
     return FellBundleModel(fibre_dims=(2, 2, 2), frame=identity_frame(3, 2),
                            twist=twist)
 
@@ -463,8 +516,7 @@ SAMPLED_MODELS = {
     "broken-involution": broken_involution_frame(),
     "non-cocycle": FellBundleModel(
         fibre_dims=(1, 1, 1), frame=identity_frame(3, 1),
-        twist=Cocycle2(3, 1, {((0, 1), (1, 2)): -np.eye(1),
-                              ((2, 1), (1, 0)): -np.eye(1)})),
+        twist=make_twist(3, 1, {((0, 1), (1, 2)): -1, ((2, 1), (1, 0)): -1})),
 }
 SAMPLE_COUNTS = (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 200)
 

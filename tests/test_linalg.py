@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fellkit.linalg import (
-    adjoint,
+    adjoints,
     as_matrix,
     haar_unitary,
     is_in_span,
@@ -128,8 +128,8 @@ def test_operator_norms_reject_bad_members_as_as_matrix_does():
 @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 5))
 def test_adjoint_is_involutive_and_isometric(seed, r, c):
     m = random_matrix((r, c), rng_for(seed))
-    assert np.allclose(adjoint(adjoint(m)), m)
-    assert operator_norm(adjoint(m)) == pytest.approx(operator_norm(m), abs=1e-12)
+    assert np.allclose(adjoints(adjoints(m)), m)
+    assert operator_norm(adjoints(m)) == pytest.approx(operator_norm(m), abs=1e-12)
 
 
 @settings(max_examples=50, deadline=None)
@@ -139,7 +139,7 @@ def test_adjoint_antimultiplicative(seed, r, k, c):
     rng = rng_for(seed)
     a = random_matrix((r, k), rng)
     b = random_matrix((k, c), rng)
-    assert np.allclose(adjoint(a @ b), adjoint(b) @ adjoint(a))
+    assert np.allclose(adjoints(a @ b), adjoints(b) @ adjoints(a))
 
 
 @settings(max_examples=50, deadline=None)
@@ -147,7 +147,7 @@ def test_adjoint_antimultiplicative(seed, r, k, c):
 def test_cstar_identity_for_the_norm(seed, r, c):
     m = random_matrix((r, c), rng_for(seed))
     n = operator_norm(m)
-    assert operator_norm(adjoint(m) @ m) == pytest.approx(n * n, rel=1e-9)
+    assert operator_norm(adjoints(m) @ m) == pytest.approx(n * n, rel=1e-9)
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,6 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
+from fellkit.cli import main
+from fellkit.cocycle import make_twist
 from fellkit.fellbundle import (
     CStarBundle,
     FrameError,
@@ -37,22 +41,11 @@ def models_equal(m1, m2):
         return False
     if (m1.frame is None) != (m2.frame is None):
         return False
-    if m1.frame is not None:
-        if set(m1.frame) != set(m2.frame):
-            return False
-        if not all(np.array_equal(m1.frame[g], m2.frame[g]) for g in m1.frame):
-            return False
+    if m1.frame is not None and not np.array_equal(m1.frame, m2.frame):
+        return False
     if (m1.twist is None) != (m2.twist is None):
         return False
-    if m1.twist is not None:
-        if set(m1.twist.values) != set(m2.twist.values):
-            return False
-        if not all(
-            np.array_equal(m1.twist.values[k], m2.twist.values[k])
-            for k in m1.twist.values
-        ):
-            return False
-    return True
+    return m1.twist is None or np.array_equal(m1.twist.values, m2.twist.values)
 
 
 def test_complex_and_matrix_round_trip():
@@ -119,9 +112,28 @@ def test_scalar_twist_round_trip():
     assert doc["points"] == 2 and doc["fibre_dim"] == 1
     values = {pair_from_key(k): twist_value_from_json(v)
               for k, v in doc["pairs"].items()}
-    assert set(values) == set(w.values)
-    for k, v in w.values.items():
-        assert np.allclose(values[k], v[0, 0], atol=1e-15)
+    # every composable pair is written, the identities included
+    assert set(values) == {((x, y), (y, z)) for x, y, z in np.ndindex(2, 2, 2)}
+    for (g, h), v in values.items():
+        assert np.allclose(v, w.value(g, h)[0, 0], atol=1e-15)
+
+
+def test_model_writes_the_non_identity_twist_pairs():
+    # one pair and its mirror: the rest of the twist is the identity
+    twist = make_twist(3, 2, {((0, 1), (1, 2)): np.diag([1j, -1.0]),
+                              ((2, 1), (1, 0)): np.diag([-1j, -1.0])})
+    m = build_semidirect_bundle(CStarBundle((2, 2, 2)), twist=twist)
+    doc = loads(dumps_canonical(model_to_json(m)))
+    assert set(doc["twist"]) == {"((1,2),(2,3))", "((3,2),(2,1))"}
+    assert len(doc["frame"]) == 9
+    m2, _ = model_from_json(doc)
+    assert models_equal(m, m2)
+    # a twist that is the identity everywhere still reloads as a twist
+    trivial = build_semidirect_bundle(CStarBundle((1, 1)), twist=make_twist(2, 1, {}))
+    doc = model_to_json(trivial)
+    assert doc["twist"] == {}
+    m2, _ = model_from_json(doc)
+    assert models_equal(trivial, m2)
 
 
 def test_model_parse_errors():
@@ -149,8 +161,33 @@ def test_model_parse_errors():
                 "frame": {"(1,1)": [[[2.0, 0.0]]]},
             }
         )
+    # a frame arrow missing from the document is the builder's FrameError too
+    frame = {f"({x},{y})": [[[1.0, 0.0]]] for x in (1, 2) for y in (1, 2)}
+    del frame["(1,2)"]
+    with pytest.raises(FrameError, match=r"frame missing arrow \(0, 1\)"):
+        model_from_json({"points": 2, "fibre_dims": [1, 1], "frame": frame})
     with pytest.raises(ParseError):
         loads("{not json")
+
+
+IDENTITY_FRAME_2 = {f"({x},{y})": [[[1.0, 0.0]]] for x in (1, 2) for y in (1, 2)}
+OUT_OF_PLACE = {
+    # keys the (n, n, d, d) frame and the (n, n, n, d, d) twist have no slot for
+    "frame-arrow-outside": {"frame": {**IDENTITY_FRAME_2, "(3,1)": [[[1.0, 0.0]]]}},
+    "twist-pair-outside": {"twist": {"((1,3),(3,1))": [1.0, 0.0]}},
+    "twist-pair-not-composable": {"twist": {"((1,2),(1,2))": [-1.0, 0.0]}},
+}
+
+
+@pytest.mark.parametrize("name", OUT_OF_PLACE)
+def test_keys_outside_the_model_are_parse_errors(name, tmp_path, capsys):
+    doc = {"points": 2, "fibre_dims": [1, 1], **OUT_OF_PLACE[name]}
+    with pytest.raises(ParseError):
+        model_from_json(doc)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert main(["report", "--input", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_dumps_canonical_is_stable():

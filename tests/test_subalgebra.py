@@ -333,7 +333,7 @@ def slice_cases():
     A = make_algebra([1, 1, 1, 1])
     for f0 in self_adjoint_bisections(4):
         s = random_spatial_automorphism(f0, A.block_dims, rng)
-        yield pytest.param(A, slice_from_bisection(A, s).u, True,
+        yield pytest.param(A, slice_from_bisection(s).u, True,
                            id=f"bisection {f0.perm}")
     for dims in ((2, 2), (2, 1, 2), (2, 2, 2)):
         A = make_algebra(dims)
