@@ -90,9 +90,7 @@ def make_twist(
     pairs take the identity, and a scalar value v becomes v·I."""
     out = np.tile(np.eye(fibre_dim, dtype=complex), (n_points,) * 3 + (1, 1))
     for pair, v in values.items():
-        (x, y), (y2, z) = pair
-        if y != y2 or min(x, y, z) < 0 or max(x, y, z) >= n_points:
-            raise ValueError(f"{pair} is not a composable pair on {n_points} points")
+        (x, y), (_, z) = pair
         if np.isscalar(v):
             v = complex(v) * np.eye(fibre_dim, dtype=complex)
         mat = as_matrix(v)

@@ -30,9 +30,16 @@ class PairGroupoid:
         n = self.n_points
         return [(x, y) for x in range(n) for y in range(n)]
 
+    def units(self) -> list[Arrow]:
+        return [(x, x) for x in range(self.n_points)]
+
     @staticmethod
     def inverse(g: Arrow) -> Arrow:
         return (g[1], g[0])
+
+    @staticmethod
+    def composable(g: Arrow, h: Arrow) -> bool:
+        return g[1] == h[0]
 
     def compose(self, g: Arrow, h: Arrow) -> Arrow:
         """(x,y)·(y,z) = (x,z); raises if d(g) ≠ r(h)."""

@@ -38,7 +38,7 @@ from .fellbundle import (
     build_semidirect_bundle,
 )
 from .groupoid import Arrow, Bisection
-from .linalg import DEFAULT_EPS, as_matrix
+from .linalg import DEFAULT_EPS, as_matrix, is_unitary
 
 
 class ParseError(ValueError):
@@ -200,7 +200,7 @@ def model_from_json(
         for g in np.ndindex(n, n):  # the first offending arrow, row-major
             if g not in given:
                 raise FrameError(f"frame missing arrow {g}")
-            if given[g].shape != (dim, dim):
+            if given[g].shape != (dim, dim) or not is_unitary(given[g], eps):
                 raise FrameError(f"frame entry at {g} is not a {dim}×{dim} unitary")
             frame[g] = given[g]
     twist = None

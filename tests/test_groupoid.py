@@ -20,6 +20,7 @@ from fellkit.groupoid import (
 def test_pair_groupoid_structure():
     G = PairGroupoid(3)
     assert len(G.arrows()) == 9
+    assert G.units() == [(0, 0), (1, 1), (2, 2)]
     assert G.compose((0, 1), (1, 2)) == (0, 2)
     assert G.inverse((0, 2)) == (2, 0)
     with pytest.raises(ValueError):
@@ -35,7 +36,7 @@ def test_composable_enumeration_counts():
     assert len(G.composable_pairs()) == 27
     assert len(G.composable_triples()) == 81
     for g, h in G.composable_pairs():
-        assert g[1] == h[0]
+        assert G.composable(g, h)
 
 
 def test_groupoid_inverse_laws():

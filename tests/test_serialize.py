@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fellkit.cli import main
-from fellkit.cocycle import make_twist
+from fellkit.cocycle import NotATwistError, make_twist
 from fellkit.fellbundle import (
     CStarBundle,
     FrameError,
@@ -188,6 +188,18 @@ def test_keys_outside_the_model_are_parse_errors(name, tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["report", "--input", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_first_fault_is_named_in_row_major_order():
+    # a non-unitary (1,1) comes before the missing (2,2), as arrow by arrow
+    frame = {**IDENTITY_FRAME_2, "(1,1)": [[[2.0, 0.0]]]}
+    del frame["(2,2)"]
+    with pytest.raises(FrameError, match=r"^frame entry at \(0, 0\) is not a 1×1 unitary$"):
+        model_from_json({"points": 2, "fibre_dims": [1, 1], "frame": frame})
+    # twist values are checked in (x, y, z) order, not in document order
+    twist = {"((2,1),(1,2))": [2.0, 0.0], "((1,1),(1,2))": [3.0, 0.0]}
+    with pytest.raises(NotATwistError, match=r"\(\(0, 0\), \(0, 1\)\) has non-unit"):
+        model_from_json({"points": 2, "fibre_dims": [1, 1], "twist": twist})
 
 
 def test_dumps_canonical_is_stable():
