@@ -26,7 +26,6 @@ from .dynamics import (
     covariance_group,
     covariance_group_from_frame,
     make_spatial_automorphism,
-    random_spatial_automorphism,
     slice_from_bisection,
 )
 from .embedding import (
@@ -83,12 +82,10 @@ from .subalgebra import (
     PairCandidate,
     PairClassification,
     Slice,
-    SupportReport,
     classify_pair,
     is_free_normalizer,
     is_normalizer,
     is_regular,
-    normalizer_support,
     slice_check,
 )
 

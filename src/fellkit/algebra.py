@@ -82,19 +82,23 @@ class FiniteCStarAlgebra:
 
     def block_norms(self, b) -> np.ndarray:
         """The n_blocks × n_blocks table of block norms ∥p_i b p_j∥, from which
-        every block-support question about b is answered."""
-        a = as_matrix(b)
+        every block-support question about b is answered (for a (k, N, N)
+        stack, the (k, n_blocks, n_blocks) stack of its tables)."""
+        a = as_stack(b) if np.ndim(b) == 3 else as_matrix(b)
         d = self.ambient_dim
-        if a.shape != (d, d):
+        if a.shape[-2:] != (d, d):
             raise ValueError(f"expected shape ({d},{d}), got {a.shape}")
         # zero-padding each block to the largest size (index d: an appended zero
-        # row/column) keeps its singular values and allows one batched SVD
+        # row/column, needed only when block sizes differ) keeps its singular
+        # values and allows one batched SVD
         m = max(self.block_dims)
         idx = np.array([list(range(o, o + n)) + [d] * (m - n)
                         for o, n in zip(self.block_offsets, self.block_dims)])
-        padded = np.zeros((d + 1, d + 1), dtype=complex)
-        padded[:d, :d] = a
-        blocks = padded[idx[:, None, :, None], idx[None, :, None, :]]
+        if m * self.n_blocks > d:
+            padded = np.zeros(a.shape[:-2] + (d + 1, d + 1), dtype=complex)
+            padded[..., :d, :d] = a
+            a = padded
+        blocks = a[..., idx[:, None, :, None], idx[None, :, None, :]]
         return np.linalg.svd(blocks, compute_uv=False)[..., 0]
 
     def compress(self, b) -> np.ndarray:

@@ -21,7 +21,7 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -165,7 +165,9 @@ def run_check(
         }
     if what == "cocycle":
         if model.twist is not None:
-            residual = cocycle_identity_residual(model.twist)
+            # the model frame supplies the conjugation of non-scalar values
+            twist = replace(model.twist, frame=model.frame)
+            residual = cocycle_identity_residual(twist)
             admissible = twist_is_admissible(model.twist, eps)
             return {
                 "check": "cocycle",

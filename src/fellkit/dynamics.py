@@ -16,15 +16,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import FiniteCStarAlgebra
+from .cocycle import first_offender
 from .fellbundle import FellBundleModel, diagonal_algebra, is_saturated
 from .groupoid import Bisection, CyclicFlow, cyclic_flow, is_minimal_flow
 from .linalg import (
     DEFAULT_EPS,
     as_matrix,
+    haar_unitaries,
     haar_unitary,
     is_unitary,
+    unitarity_defects,
 )
-from .subalgebra import Slice, is_normalizer, normalizer_support
+from .subalgebra import Slice, is_partial_bijection, normalizes_by_table
 
 
 class CovarianceError(ValueError):
@@ -91,14 +94,6 @@ def compose_automorphisms(
     return SpatialAutomorphism(f0=f0, fibre_maps=maps, fibre_dims=s.fibre_dims)
 
 
-def random_spatial_automorphism(
-    f0: Bisection, fibre_dims, rng: np.random.Generator
-) -> SpatialAutomorphism:
-    dims = tuple(int(n) for n in fibre_dims)
-    maps = [haar_unitary(dims[x], rng) for x in range(len(dims))]
-    return make_spatial_automorphism(f0, maps, dims)
-
-
 @dataclass(frozen=True)
 class CovarianceGroup:
     """The cyclic group generated by one spatial automorphism σ.
@@ -154,6 +149,15 @@ def check_unitary_normalizer_theorem(
     the diagonal algebra with support exactly a bisection graph.  Converse:
     unitaries mixing two diagonal blocks (not supported on any bisection) fail
     to normalize.
+
+    Each sample draws from rng in turn, as it would one at a time (forward: a
+    base permutation, then one Haar unitary per point; converse: two blocks,
+    then one Haar unitary on both).  The samples of each direction then form
+    one (samples, N, N) stack, and each predicate is one stacked call: the
+    unitarity residuals take one stacked SVD per shape, and the normalizer
+    rule and the block support are read from one stack of block-norm tables.
+    A fibre map that is not unitary raises CovarianceError, naming the first
+    in draw order.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -162,34 +166,42 @@ def check_unitary_normalizer_theorem(
     if not is_saturated(E, eps):
         raise ValueError("theorem check needs a saturated bundle")
     A = diagonal_algebra(E)
-    n = E.n_points
-    forward_ok = 0
-    for _ in range(samples):
-        f0 = Bisection(tuple(int(i) for i in rng.permutation(n)))
-        s = random_spatial_automorphism(f0, E.fibre_dims, rng)
-        u = s.U
-        good = (
-            is_unitary(u, eps)
-            and is_normalizer(u, A, eps)
-            and set(normalizer_support(u, A, eps).pairs) == f0.graph()
-        )
-        forward_ok += int(good)
+    n, d, N = E.n_points, E.fibre_dims[0], A.ambient_dim
+    k = np.arange(samples)[:, None]
 
-    converse_ok = 0
-    for _ in range(samples):
+    perms = np.empty((samples, n), dtype=int)
+    maps = np.empty((samples, n, d, d), dtype=complex)
+    for s in range(samples):
+        perms[s] = rng.permutation(n)
+        maps[s] = haar_unitaries(n, d, rng)
+    bad = first_offender(unitarity_defects(maps) > eps)
+    if bad is not None:
+        raise CovarianceError(
+            f"fibre map at {bad[1]} is not a unitary of the right shape")
+    # block (f0(x), x) of sample s is its fibre map at x
+    U = np.zeros((samples, n, d, n, d), dtype=complex)
+    U[k, perms, :, np.arange(n), :] = maps
+    U = U.reshape(samples, N, N)
+    t = A.block_norms(U)
+    graph = np.zeros((samples, n, n), dtype=bool)
+    graph[k, perms, np.arange(n)] = True
+    forward = ((unitarity_defects(U) <= eps) & normalizes_by_table(t, eps)
+               & ((t > eps) == graph).all(axis=(1, 2)))
+
+    U = np.tile(A.unit(), (samples, 1, 1))
+    for s in range(samples):
         if n >= 2:
             i, j = rng.choice(n, size=2, replace=False)
-            dim = E.fibre_dims[0]
-            mix = haar_unitary(2 * dim, rng)
-            u = A.unit()
-            oi, oj = A.block_offsets[i], A.block_offsets[j]
-            idx = list(range(oi, oi + dim)) + list(range(oj, oj + dim))
-            u[np.ix_(idx, idx)] = mix
+            idx = np.r_[i * d:(i + 1) * d, j * d:(j + 1) * d]
+            U[s][np.ix_(idx, idx)] = haar_unitary(2 * d, rng)
         else:
-            u = haar_unitary(A.ambient_dim, rng)
-        support = normalizer_support(u, A, eps)
-        on_bisection = support.is_partial_bijection and len(support.pairs) == n
-        converse_ok += int(on_bisection or not is_normalizer(u, A, eps))
+            U[s] = haar_unitary(N, rng)
+    t = A.block_norms(U)
+    support = t > eps
+    on_bisection = is_partial_bijection(support) & (support.sum(axis=(1, 2)) == n)
+    converse = on_bisection | ~normalizes_by_table(t, eps)
+
+    forward_ok, converse_ok = int(forward.sum()), int(converse.sum())
     return {
         "samples": samples,
         "forward_pass": forward_ok,

@@ -29,7 +29,8 @@ from .linalg import (
     operator_norms,
     per_shape,
     random_matrix,
-    rank,
+    ranks,
+    unitarity_defects,
 )
 
 
@@ -192,10 +193,7 @@ def build_semidirect_bundle(
     frame = np.asarray(frame, dtype=complex)
     if frame.shape != (n, n, dim, dim):
         raise FrameError(f"frame has shape {frame.shape}, expected {(n, n, dim, dim)}")
-    flat = frame.reshape(-1, dim, dim)
-    products = np.concatenate([adjoints(flat) @ flat, flat @ adjoints(flat)])
-    defect = operator_norms(products - np.eye(dim)).reshape(2, n, n).max(axis=0)
-    g = first_offender(defect > eps)
+    g = first_offender(unitarity_defects(frame) > eps)
     if g is not None:
         raise FrameError(f"frame entry at {g} is not a {dim}×{dim} unitary")
     x, g = frame_offenders(frame, eps)
@@ -283,31 +281,28 @@ def check_fell_axioms(
         raise ValueError("sample_count must be ≥ 1")
     if rng is None:
         rng = np.random.default_rng(0)
-    G = E.groupoid
-    pairs = G.composable_pairs()
-    triples = G.composable_triples()
     res = np.zeros(10)
     for start in range(0, sample_count, _CHUNK):
         count = min(_CHUNK, sample_count - start)
-        res = np.maximum(res, _axiom_residuals(E, pairs, triples, count, rng))
+        res = np.maximum(res, _axiom_residuals(E, count, rng))
     return AxiomReport(passed=[bool(r <= eps) for r in res],
                        residuals=[float(r) for r in res])
 
 
 def _axiom_residuals(
-    E: FellBundleModel, pairs, triples, count: int, rng: np.random.Generator
+    E: FellBundleModel, count: int, rng: np.random.Generator
 ) -> np.ndarray:
     """The worst residual of each axiom over `count` samples drawn from rng.
 
     Products are formed per sample, as arrows and shapes vary from sample to
     sample; the residual matrices are then normed together.
     """
-    G = E.groupoid
+    G, n = E.groupoid, E.n_points
     shapes_ok = []  # axioms 1 and 5
     normed = []  # per sample, the 11 matrices unpacked below
     for _ in range(count):
-        g, h = pairs[rng.integers(len(pairs))]
-        t1, t2, t3 = triples[rng.integers(len(triples))]
+        g, h = _path(rng.integers(n**3), n, 3)
+        t1, t2, t3 = _path(rng.integers(n**4), n, 4)
         e1 = E.random_fibre_element(g, rng)
         e2 = E.random_fibre_element(h, rng)
         f1 = E.random_fibre_element(t1, rng)
@@ -390,6 +385,14 @@ def _axiom_residuals(
     ])
 
 
+def _path(index: int, n: int, length: int) -> tuple[Arrow, ...]:
+    """The composable arrows through `length` of the n points at row-major
+    position index: item index of PairGroupoid.composable_pairs() (length 3)
+    or .composable_triples() (length 4), without building the list."""
+    points = [int(p) for p in np.unravel_index(index, (n,) * length)]
+    return tuple(zip(points, points[1:]))
+
+
 def _smallest_eigenvalues(stack: np.ndarray) -> np.ndarray:
     """Least eigenvalue of the Hermitian part (s + s*)/2 of each matrix s of a
     stack of square matrices (0 if they are empty)."""
@@ -405,21 +408,24 @@ def is_saturated(E: FellBundleModel, eps: float = DEFAULT_EPS) -> bool:
     all matrices for X ≠ 0, and a zero fibre spans {0}.  In coefficient form
     ω(g,h)·a·u_g·b·M, M = u_h u_gh*, spans ω(g,h)·M_n·M (dim rank ω · rank M)
     if u_g ≠ 0; u_(x,y) = 0 fails anyway, as M = 0 at the pair ((x,x), (x,y)).
+    Over the n³ pairs ((x,y),(y,z)) this takes one stacked rank of the
+    products M and one of the twist values.
     """
-    G = E.groupoid
-    for g, h in G.composable_pairs():
-        gh = G.compose(g, h)
-        if g in E.zero_fibres or h in E.zero_fibres:
-            got = 0
-        elif E.coefficient_form:
-            w = np.eye(E.fibre_dims[0]) if E.twist is None else E.twist.value(g, h)
-            m = E.frame[h] @ E.frame[gh].conj().T
-            got = rank(w, eps) * rank(m, eps)
-        else:
-            got = int(np.prod(E.fibre_shape(gh)))
-        if got != E.fibre_dim(gh):
-            return False
-    return True
+    n = E.n_points
+    zero = np.zeros((n, n), dtype=bool)
+    for g in E.zero_fibres:
+        zero[g] = True
+    dims = np.array(E.fibre_dims)
+    full = dims[:, None] * dims  # dim E_(x,z) unless it is a zero fibre
+    got = full[:, None, :]  # [x, y, z], for the pair ((x,y),(y,z))
+    if E.coefficient_form:
+        d, frame = dims[0], E.frame
+        # u_(y,z) u_(x,z)* at [x, y, z]
+        m = ranks((frame[None] @ adjoints(frame)[:, None]).reshape(-1, d, d), eps)
+        w = d if E.twist is None else ranks(E.twist.values.reshape(-1, d, d), eps)
+        got = (w * m).reshape(n, n, n)
+    got = np.where(zero[:, :, None] | zero[None], 0, got)
+    return bool((got == np.where(zero, 0, full)[:, None, :]).all())
 
 
 def enveloping_algebra(E: FellBundleModel) -> FiniteCStarAlgebra:

@@ -36,7 +36,7 @@ def _finite_array(m, ndim: int, kind: str) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != ndim:
         raise ValueError(f"expected a {ndim}-d {kind}, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix contains non-finite entries")
     return a
 
@@ -91,11 +91,18 @@ def is_unitary(m, eps: float = DEFAULT_EPS) -> bool:
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         return False
-    eye = np.eye(a.shape[0])
-    return (
-        operator_norm(a.conj().T @ a - eye) <= eps
-        and operator_norm(a @ a.conj().T - eye) <= eps
-    )
+    return bool(unitarity_defects(a) <= eps)
+
+
+def unitarity_defects(stack) -> np.ndarray:
+    """max(∥u*u − I∥, ∥uu* − I∥) for each u of a (..., m, m) array of square
+    matrices, from one stacked SVD."""
+    a = np.asarray(stack, dtype=complex)
+    m = a.shape[-1]
+    flat = a.reshape(-1, m, m)
+    products = np.concatenate([adjoints(flat) @ flat, flat @ adjoints(flat)])
+    defects = operator_norms(products - np.eye(m)).reshape((2, *a.shape[:-2]))
+    return defects.max(axis=0)
 
 
 def _stack(mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -107,20 +114,32 @@ def _stack(mats: Sequence[np.ndarray]) -> np.ndarray:
     return np.stack([r.reshape(-1) for r in rows])
 
 
-def _numerical_rank(sv: np.ndarray, eps: float) -> int:
-    """The package's one rank rule, on singular values in descending order.
+def _numerical_rank(sv: np.ndarray, eps: float) -> np.ndarray:
+    """The package's one rank rule, on singular values in descending order
+    along the last axis (of one matrix, or of each matrix of a stack).
 
     Values at or below eps times the largest count as zero, so a rank is
-    invariant under rescaling its input by a nonzero scalar.
+    invariant under rescaling its input by a nonzero scalar; a zero matrix,
+    or one with no entries, has rank 0.
     """
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(sv > eps * sv[0]))
+    if sv.shape[-1] == 0:
+        return np.zeros(sv.shape[:-1], dtype=int)
+    top = sv[..., :1]
+    return np.count_nonzero((sv > eps * top) & (top > 0), axis=-1)
 
 
 def rank(m, eps: float = DEFAULT_EPS) -> int:
     """Numerical rank of a matrix, under the rule of ``_numerical_rank``."""
-    return _numerical_rank(np.linalg.svd(as_matrix(m), compute_uv=False), eps)
+    return int(_numerical_rank(np.linalg.svd(as_matrix(m), compute_uv=False), eps))
+
+
+def ranks(stack, eps: float = DEFAULT_EPS) -> np.ndarray:
+    """``rank`` of each matrix of a (k, rows, cols) stack, from one stacked
+    SVD (LAPACK runs it matrix by matrix, so each equals ``rank``)."""
+    a = as_stack(stack)
+    if a.size == 0:
+        return np.zeros(len(a), dtype=int)
+    return _numerical_rank(np.linalg.svd(a, compute_uv=False), eps)
 
 
 def span_dimension(mats: Sequence[np.ndarray], eps: float = DEFAULT_EPS) -> int:
@@ -155,10 +174,17 @@ def orthonormal_span_basis(
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """A Haar-distributed n×n unitary (QR of a Ginibre matrix, phases fixed)."""
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return haar_unitaries(1, n, rng)[0]
+
+
+def haar_unitaries(k: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """A (k, n, n) stack of k ``haar_unitary(n, rng)`` draws, equal to them
+    bit for bit: one Gaussian draw fills the k real and imaginary parts in
+    the order of the k calls, and one stacked QR factors them."""
+    z = rng.standard_normal((k, 2, n, n))
+    q, r = np.linalg.qr(z[:, 0] + 1j * z[:, 1])
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[:, None, :]
 
 
 def random_matrix(shape: tuple[int, int], rng: np.random.Generator) -> np.ndarray:

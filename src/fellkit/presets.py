@@ -8,7 +8,7 @@ import numpy as np
 from .dynamics import covariance_group, make_spatial_automorphism
 from .fellbundle import identity_frame
 from .groupoid import Bisection, cycle_bisection
-from .linalg import adjoints, haar_unitary
+from .linalg import adjoints, haar_unitaries
 
 
 def random_symmetric_frame(
@@ -18,7 +18,7 @@ def random_symmetric_frame(
     u_(y,x) = u_(x,y)*."""
     frame = identity_frame(n, dim)
     upper = np.triu_indices(n, 1)  # row-major: the order u_(x,y) are drawn in
-    u = np.array([haar_unitary(dim, rng) for _ in upper[0]]).reshape(-1, dim, dim)
+    u = haar_unitaries(len(upper[0]), dim, rng)
     frame[upper] = u
     frame[upper[::-1]] = adjoints(u)
     return frame
@@ -37,7 +37,7 @@ def flow_frame(
     if n == 1:
         maps = [np.eye(dim, dtype=complex)]
     else:
-        maps = [haar_unitary(dim, rng) for _ in range(n - 1)]
+        maps = list(haar_unitaries(n - 1, dim, rng))
         closing = np.eye(dim, dtype=complex)
         for w in maps:
             closing = w @ closing

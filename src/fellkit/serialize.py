@@ -190,6 +190,10 @@ def model_from_json(
 
     if len(set(dims)) != 1:
         raise ParseError("frame/twist data requires constant fibre dimension")
+    for key in ("frame", "twist"):
+        if not isinstance(doc.get(key, {}), dict):
+            raise ParseError(f'"{key}" must be a JSON object, '
+                             f"got {type(doc[key]).__name__}")
     dim = dims[0]
     frame = None
     if "frame" in doc:

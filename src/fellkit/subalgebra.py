@@ -27,13 +27,28 @@ from .linalg import (
 )
 
 
-def _columns_meet_one_block(t: np.ndarray, eps: float) -> bool:
-    """In every column of the block-norm table t, the two largest entries
-    multiply to at most eps (a one-row table has no second entry)."""
-    if len(t) == 1:
-        return True
-    cols = np.sort(t, axis=0)
-    return bool(np.all(cols[-1] * cols[-2] <= eps))
+def _columns_meet_one_block(t: np.ndarray, eps: float) -> np.ndarray:
+    """In every column of the block-norm table t (of each table of a
+    (k, n, n) stack), the two largest entries multiply to at most eps (a
+    one-row table has no second entry)."""
+    if t.shape[-2] == 1:
+        return np.ones(t.shape[:-2], dtype=bool)
+    cols = np.sort(t, axis=-2)
+    return np.all(cols[..., -1, :] * cols[..., -2, :] <= eps, axis=-1)
+
+
+def normalizes_by_table(t: np.ndarray, eps: float) -> np.ndarray:
+    """The rule of ``is_normalizer`` on a block-norm table, or on each table
+    of a (k, n, n) stack: its rows and its columns meet one block each."""
+    return (_columns_meet_one_block(t, eps)
+            & _columns_meet_one_block(np.swapaxes(t, -1, -2), eps))
+
+
+def is_partial_bijection(support: np.ndarray) -> np.ndarray:
+    """Whether a boolean block support, or each of a (k, n, n) stack, has at
+    most one entry in every row and every column."""
+    return ((support.sum(axis=-2).max(axis=-1) <= 1)
+            & (support.sum(axis=-1).max(axis=-1) <= 1))
 
 
 def is_normalizer(b, A: FiniteCStarAlgebra, eps: float = DEFAULT_EPS) -> bool:
@@ -47,8 +62,7 @@ def is_normalizer(b, A: FiniteCStarAlgebra, eps: float = DEFAULT_EPS) -> bool:
     column of the table, the two largest entries multiply to at most eps: the
     same absolute tolerance the definition applies to b*ab and bab*.
     """
-    t = A.block_norms(b)
-    return _columns_meet_one_block(t, eps) and _columns_meet_one_block(t.T, eps)
+    return bool(normalizes_by_table(A.block_norms(b), eps))
 
 
 def is_free_normalizer(b, A: FiniteCStarAlgebra, eps: float = DEFAULT_EPS) -> bool:
@@ -179,5 +193,5 @@ def normalizer_support(
     """
     support = A.block_norms(b) > eps
     pairs = [(int(i), int(j)) for i, j in np.argwhere(support)]
-    ok = support.sum(axis=0).max() <= 1 and support.sum(axis=1).max() <= 1
-    return SupportReport(pairs=pairs, is_partial_bijection=bool(ok))
+    return SupportReport(pairs=pairs,
+                         is_partial_bijection=bool(is_partial_bijection(support)))

@@ -3,7 +3,9 @@
 import numpy as np
 
 from fellkit.cocycle import Cocycle2, make_twist
-from fellkit.linalg import operator_norms
+from fellkit.dynamics import SpatialAutomorphism, make_spatial_automorphism
+from fellkit.groupoid import Bisection
+from fellkit.linalg import haar_unitary, operator_norms
 
 
 def twist_from_phases(theta: np.ndarray, fibre_dim: int = 1) -> Cocycle2:
@@ -44,3 +46,12 @@ def distance_from_trivial(w: Cocycle2) -> float:
     """max over composable pairs of ‖ω(g,h) − I‖."""
     d = w.fibre_dim
     return float(operator_norms((w.values - np.eye(d)).reshape(-1, d, d)).max())
+
+
+def random_spatial_automorphism(
+    f0: Bisection, fibre_dims, rng: np.random.Generator
+) -> SpatialAutomorphism:
+    """f0 with one Haar unitary fibre map per point, drawn in point order."""
+    dims = tuple(int(n) for n in fibre_dims)
+    maps = [haar_unitary(dims[x], rng) for x in range(len(dims))]
+    return make_spatial_automorphism(f0, maps, dims)

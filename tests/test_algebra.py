@@ -72,8 +72,14 @@ def test_block_norms_match_per_block_operator_norms(dims):
     for i in range(A.n_blocks):
         for j in range(A.n_blocks):
             assert abs(table[i, j] - operator_norm(A.block(b, i, j))) < 1e-12
+    # a stack takes one table per member, each equal to its own call
+    stack = np.stack([b, np.zeros_like(b), 1e-12 * b.conj().T])
+    assert np.array_equal(A.block_norms(stack),
+                          np.stack([A.block_norms(m) for m in stack]))
     with pytest.raises(ValueError):
         A.block_norms(np.eye(A.ambient_dim + 1))
+    with pytest.raises(ValueError):
+        A.block_norms(np.zeros((2, A.ambient_dim + 1, A.ambient_dim + 1)))
 
 
 def test_contains():

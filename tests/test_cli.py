@@ -1,13 +1,17 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 import fellkit.cli
 import fellkit.embedding
 from fellkit.cli import main
-from fellkit.fellbundle import check_fell_axioms
-from fellkit.serialize import model_from_json, loads
+from fellkit.cocycle import make_twist
+from fellkit.fellbundle import CStarBundle, build_semidirect_bundle, check_fell_axioms
+from fellkit.groupoid import cycle_bisection
+from fellkit.presets import random_symmetric_frame
+from fellkit.serialize import model_from_json, model_to_json, loads
 
 
 def run(tmp_path, *argv, name="out.json"):
@@ -75,6 +79,33 @@ def test_semidirect_report_survives_failed_cocycle_extraction(tmp_path):
     }
     cocycle = next(c for c in doc["checks"] if c["check"] == "cocycle")
     assert "error" in cocycle
+
+
+def test_cocycle_check_conjugates_by_the_model_frame(tmp_path):
+    """A non-scalar diagonal coboundary twist is a plain cocycle, but under a
+    random frame α_g = Ad u_g moves its values off the diagonal: the twisted
+    identity fails, as axioms 3 and 8 do."""
+    rng = np.random.default_rng(3)
+    t1, t2 = (rng.uniform(-1, 1, size=(3, 3)) for _ in range(2))
+    t1, t2 = t1 - t1.T, t2 - t2.T
+    values = {
+        ((x, y), (y, z)): np.diag(np.exp(1j * np.array([
+            t[x, y] + t[y, z] - t[x, z] for t in (t1, t2)])))
+        for x in range(3) for y in range(3) for z in range(3)
+    }
+    model = build_semidirect_bundle(
+        CStarBundle((2, 2, 2)), frame=random_symmetric_frame(3, 2, rng),
+        twist=make_twist(3, 2, values))
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model_to_json(model, cycle_bisection(3))))
+    code, out = run(tmp_path, "check", "cocycle", "--input", str(path))
+    doc = json.loads(out.read_text())
+    assert code == 1
+    assert doc["details"]["admissible"] and doc["residual"] > 0.1
+    code, out = run(tmp_path, "check", "axioms", "--input", str(path))
+    failed = [a["index"] for a in json.loads(out.read_text())["details"]["axioms"]
+              if not a["pass"]]
+    assert code == 1 and failed == [3, 8]
 
 
 def test_report_runs_the_axiom_suite_once(tmp_path, monkeypatch):

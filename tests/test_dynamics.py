@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import fellkit.dynamics
 from fellkit.algebra import make_algebra
 from fellkit.dynamics import (
     CovarianceError,
@@ -11,17 +12,19 @@ from fellkit.dynamics import (
     covariance_group,
     covariance_group_from_frame,
     make_spatial_automorphism,
-    random_spatial_automorphism,
     slice_from_bisection,
 )
 from fellkit.fellbundle import (
     CStarBundle,
+    FellBundleModel,
     build_semidirect_bundle,
     diagonal_algebra,
     enveloping_algebra,
+    identity_frame,
 )
 from fellkit.groupoid import Bisection, cycle_bisection, identity_bisection
 from fellkit.linalg import (
+    haar_unitary,
     is_unitary,
     operator_norm,
     orthonormal_span_basis,
@@ -34,6 +37,8 @@ from fellkit.subalgebra import (
     normalizer_support,
     slice_check,
 )
+
+from helpers import random_spatial_automorphism
 
 
 def rng_for(seed):
@@ -133,6 +138,136 @@ def test_unitary_normalizer_theorem_sample_scale():
     E2 = build_semidirect_bundle(CStarBundle((2, 2, 2)), frame=frame)
     result2 = check_unitary_normalizer_theorem(E2, samples=50, rng=rng_for(1))
     assert result2["pass"]
+
+
+def per_sample_theorem(E, samples=100, eps=1e-9, rng=None):
+    """Oracle: check_unitary_normalizer_theorem one sample at a time, one
+    assembled automorphism or mixer and one set of predicates per sample."""
+    if rng is None:
+        rng = np.random.default_rng(0)
+    if len(set(E.fibre_dims)) != 1:
+        raise ValueError("theorem check needs constant fibre dimension")
+    A = diagonal_algebra(E)
+    n = E.n_points
+    forward_ok = 0
+    for _ in range(samples):
+        f0 = Bisection(tuple(int(i) for i in rng.permutation(n)))
+        s = random_spatial_automorphism(f0, E.fibre_dims, rng)
+        u = s.U
+        good = (
+            is_unitary(u, eps)
+            and is_normalizer(u, A, eps)
+            and set(normalizer_support(u, A, eps).pairs) == f0.graph()
+        )
+        forward_ok += int(good)
+
+    converse_ok = 0
+    for _ in range(samples):
+        if n >= 2:
+            i, j = rng.choice(n, size=2, replace=False)
+            dim = E.fibre_dims[0]
+            mix = haar_unitary(2 * dim, rng)
+            u = A.unit()
+            oi, oj = A.block_offsets[i], A.block_offsets[j]
+            idx = list(range(oi, oi + dim)) + list(range(oj, oj + dim))
+            u[np.ix_(idx, idx)] = mix
+        else:
+            u = haar_unitary(A.ambient_dim, rng)
+        support = normalizer_support(u, A, eps)
+        on_bisection = support.is_partial_bijection and len(support.pairs) == n
+        converse_ok += int(on_bisection or not is_normalizer(u, A, eps))
+    return {
+        "samples": samples,
+        "forward_pass": forward_ok,
+        "converse_pass": converse_ok,
+        "pass": forward_ok == samples and converse_ok == samples,
+    }
+
+
+def theorem_models():
+    """(name, saturated bundle of constant fibre dimension)."""
+    yield "fourpoint", build_semidirect_bundle(CStarBundle((1,) * 4))
+    for n, dim in [(4, 2), (8, 1)]:
+        frame, _ = flow_frame(n, dim, rng_for(4))
+        yield f"flow {n}x{dim}", build_semidirect_bundle(
+            CStarBundle((dim,) * n), frame=frame)
+    yield "semidirect 3x2", build_semidirect_bundle(
+        CStarBundle((2,) * 3), frame=random_symmetric_frame(3, 2, rng_for(0)))
+    yield "one point 1x3", build_semidirect_bundle(CStarBundle((3,)))
+
+
+THEOREM_MODELS = dict(theorem_models())
+
+
+@pytest.mark.parametrize("name", THEOREM_MODELS)
+@pytest.mark.parametrize("seed, samples, eps", [
+    (0, 100, 1e-9), (1, 17, 1e-9), (2, 40, 1e-9),
+    # under these eps some two-block mixers normalize and some do not; at
+    # 0.8 a block row of a mixer can also meet no block above eps
+    (3, 60, 0.6), (4, 60, 0.8),
+])
+def test_theorem_matches_per_sample_loop(name, seed, samples, eps):
+    E = THEOREM_MODELS[name]
+    rng, oracle_rng = rng_for(seed), rng_for(seed)
+    result = check_unitary_normalizer_theorem(E, samples=samples, eps=eps, rng=rng)
+    assert result == per_sample_theorem(E, samples, eps, rng=oracle_rng)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("seed, eps", [(3, 0.6), (4, 0.8)])
+@pytest.mark.parametrize("name", ["fourpoint", "flow 4x2", "flow 8x1",
+                                  "semidirect 3x2"])
+def test_theorem_converse_count_is_not_all_or_nothing(name, seed, eps):
+    """The last two oracle comparisons above compare a count, not a verdict:
+    some of their mixers pass the converse and some fail."""
+    result = check_unitary_normalizer_theorem(
+        THEOREM_MODELS[name], samples=60, eps=eps, rng=rng_for(seed))
+    assert 0 < result["converse_pass"] < 60
+
+
+def test_theorem_needs_a_saturated_bundle():
+    # a singular frame entry leaves the product fibres short of full rank
+    frame = identity_frame(3, 2)
+    frame[0, 1] = frame[1, 0] = np.diag([1.0, 0.0])
+    E = FellBundleModel(fibre_dims=(2, 2, 2), frame=frame)
+    with pytest.raises(ValueError, match="saturated"):
+        check_unitary_normalizer_theorem(E, samples=5)
+
+
+def test_theorem_rejects_a_non_unitary_fibre_map(monkeypatch):
+    draws = fellkit.dynamics.haar_unitaries
+    calls = []
+
+    def stretched(k, n, rng):
+        """The Haar draws, with the map at point 2 of the fourth sample doubled."""
+        maps = draws(k, n, rng)
+        calls.append(None)
+        if len(calls) == 4:
+            maps[2] *= 2
+        return maps
+
+    monkeypatch.setattr(fellkit.dynamics, "haar_unitaries", stretched)
+    E = THEOREM_MODELS["flow 4x2"]
+    with pytest.raises(CovarianceError, match="fibre map at 2 is not a unitary"):
+        check_unitary_normalizer_theorem(E, samples=10)
+
+
+def test_theorem_svd_count_does_not_grow_with_samples(monkeypatch):
+    svd = np.linalg.svd
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    E = THEOREM_MODELS["flow 4x2"]
+    counts = []
+    for samples in (10, 100):
+        calls.clear()
+        check_unitary_normalizer_theorem(E, samples=samples, rng=rng_for(0))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_generation_needs_minimal_flow():

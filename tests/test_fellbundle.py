@@ -270,6 +270,10 @@ SATURATION_CASES = {
     "zero-gh": (FellBundleModel((2, 1, 3), zero_fibres=frozenset({(0, 2)})), False),
     # every product space and every fibre is {0}
     "all-zero": (FellBundleModel((2, 1, 3), zero_fibres=ALL_ARROWS_3), True),
+    # every arrow out of point 0 is zero: a zero first factor always meets a
+    # zero product fibre, but E_(1,0)·E_(0,2) = 0 misses E_(1,2)
+    "zero-row": (FellBundleModel((2, 1, 3), zero_fibres=frozenset(
+        (0, y) for y in range(3))), False),
     "singular-frame-entry": (frame_with((0, 1), np.diag([1.0, 0.0])), False),
     "zero-frame-entry": (frame_with((0, 1), np.zeros((2, 2))), False),
     # the rank rule is relative: a rescaled frame entry still spans
@@ -533,6 +537,21 @@ def test_fell_axioms_match_per_sample_loop(name, count):
     assert {type(r) for r in report.residuals} == {float}
     assert {type(p) for p in report.passed} == {bool}
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def test_fell_axioms_build_no_index_lists(monkeypatch):
+    """The sampled pair and triple are unravelled from the drawn index, so
+    the suite never lists the n³ composable pairs or the n⁴ triples."""
+    E = SAMPLED_MODELS["non-cocycle"]
+    passed, residuals = per_sample_fell_axioms(E, rng=rng_for(2))
+
+    def refuse(self):
+        raise AssertionError("an index list was built")
+
+    monkeypatch.setattr(PairGroupoid, "composable_pairs", refuse)
+    monkeypatch.setattr(PairGroupoid, "composable_triples", refuse)
+    report = check_fell_axioms(E, rng=rng_for(2))
+    assert (report.passed, report.residuals) == (passed, residuals)
 
 
 EXPECTATION_KEYS = ("fixes_range", "bimodule", "positive", "idempotent",

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from fellkit.linalg import (
     adjoints,
     as_matrix,
+    haar_unitaries,
     haar_unitary,
     is_in_span,
     is_unitary,
@@ -20,7 +21,10 @@ from fellkit.linalg import (
     operator_norms,
     orthonormal_span_basis,
     random_matrix,
+    rank,
+    ranks,
     span_dimension,
+    unitarity_defects,
 )
 
 
@@ -156,6 +160,54 @@ def test_haar_unitary_is_unitary(seed, n):
     u = haar_unitary(n, rng_for(seed))
     assert is_unitary(u)
     assert operator_norm(u) == pytest.approx(1.0, abs=1e-10)
+
+
+def ginibre_haar(n, rng):
+    """Oracle: one Haar draw, its real and imaginary parts drawn in turn."""
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+@pytest.mark.parametrize("k, n", [(1, 1), (1, 4), (5, 2), (7, 3)])
+def test_haar_unitaries_equal_separate_draws(k, n):
+    rng, oracle_rng = rng_for(k * n), rng_for(k * n)
+    stack = haar_unitaries(k, n, rng)
+    assert stack.shape == (k, n, n)
+    for u in stack:
+        assert np.array_equal(u, ginibre_haar(n, oracle_rng))
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    assert np.array_equal(haar_unitary(n, rng), ginibre_haar(n, oracle_rng))
+
+
+def test_unitarity_defects_match_the_two_norms():
+    rng = rng_for(9)
+    stack = np.stack([haar_unitary(3, rng), 2 * np.eye(3), random_matrix((3, 3), rng)])
+    eye = np.eye(3)
+    want = [max(operator_norm(adjoints(u) @ u - eye),
+                operator_norm(u @ adjoints(u) - eye)) for u in stack]
+    assert np.allclose(unitarity_defects(stack), want, rtol=1e-12, atol=1e-15)
+    assert unitarity_defects(stack.reshape(3, 1, 3, 3)).shape == (3, 1)
+
+
+def test_ranks_match_rank_member_by_member():
+    rng = rng_for(4)
+    low = random_matrix((4, 2), rng) @ random_matrix((2, 4), rng)
+    stack = np.stack([
+        np.zeros((4, 4)),
+        low,
+        1e12 * low,  # the rule is relative to each member's largest value
+        1e-12 * random_matrix((4, 4), rng),
+        np.diag([1.0, 1e-6, 1e-12, 0.0]),  # 1e-12 is at or below eps·σ_max
+        np.eye(4),
+    ])
+    got = ranks(stack)
+    assert [int(r) for r in got] == [rank(m) for m in stack] == [0, 2, 2, 4, 2, 4]
+    assert ranks(np.zeros((0, 3, 3))).shape == (0,)
+    assert list(ranks(np.zeros((2, 0, 3)))) == [0, 0] == [rank(np.zeros((0, 3)))] * 2
+    with pytest.raises(ValueError):
+        ranks(np.full((1, 2, 2), np.nan))
 
 
 def test_is_unitary_rejects():

@@ -211,3 +211,18 @@ def test_dumps_canonical_is_stable():
     out = dumps_canonical(doc)
     assert out == dumps_canonical(doc)
     assert '"b": true' in out
+
+
+@pytest.mark.parametrize("key, value", [
+    ("frame", [[[1.0, 0.0]]]),
+    ("twist", [[1.0, 0.0]]),
+    ("frame", "(1,1)"),
+])
+def test_frame_and_twist_must_be_objects(key, value, tmp_path, capsys):
+    doc = {"points": 2, "fibre_dims": [1, 1], key: value}
+    with pytest.raises(ParseError, match=f'"{key}" must be a JSON object'):
+        model_from_json(doc)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert main(["report", "--input", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f'error: "{key}" must be a JSON object')

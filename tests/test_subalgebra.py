@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fellkit.algebra import make_algebra
-from fellkit.dynamics import random_spatial_automorphism, slice_from_bisection
+from fellkit.dynamics import slice_from_bisection
 from fellkit.fellbundle import (
     ConditionalExpectation,
     build_imprimitivity_bundle,
@@ -28,6 +28,8 @@ from fellkit.subalgebra import (
     normalizer_support,
     slice_check,
 )
+
+from helpers import random_spatial_automorphism
 
 
 def kernel_basis(A):
