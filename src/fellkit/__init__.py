@@ -83,7 +83,6 @@ from .subalgebra import (
     PairClassification,
     Slice,
     classify_pair,
-    is_free_normalizer,
     is_normalizer,
     is_regular,
     slice_check,

@@ -55,15 +55,23 @@ def first_offender(bad: np.ndarray) -> tuple[int, ...] | None:
     return tuple(int(i) for i in np.unravel_index(hits[0], bad.shape))
 
 
-def frame_offenders(frame: np.ndarray, eps: float) -> tuple[int | None, Arrow | None]:
-    """For an (n, n, d, d) frame: the first point x with ‖u_(x,x) − I‖ > eps
-    and the first arrow g, row-major, with ‖u_(g*) − u_g*‖ > eps, or None."""
+def frame_defects(frame: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For an (n, n, d, d) frame: ‖u_(x,x) − I‖ per point x and
+    ‖u_(g*) − u_g*‖ per arrow g, an (n,) and an (n, n) array, from one
+    stacked SVD."""
     n, d = frame.shape[0], frame.shape[-1]
     units = frame[range(n), range(n)] - np.eye(d)
     involution = (frame.swapaxes(0, 1) - adjoints(frame)).reshape(-1, d, d)
-    bad = operator_norms(np.concatenate([units, involution])) > eps
-    x = first_offender(bad[:n])
-    return None if x is None else x[0], first_offender(bad[n:].reshape(n, n))
+    norms = operator_norms(np.concatenate([units, involution]))
+    return norms[:n], norms[n:].reshape(n, n)
+
+
+def frame_offenders(frame: np.ndarray, eps: float) -> tuple[int | None, Arrow | None]:
+    """For an (n, n, d, d) frame: the first point x with ‖u_(x,x) − I‖ > eps
+    and the first arrow g, row-major, with ‖u_(g*) − u_g*‖ > eps, or None."""
+    units, involution = frame_defects(frame)
+    x = first_offender(units > eps)
+    return None if x is None else x[0], first_offender(involution > eps)
 
 
 def first_non_twist_value(

@@ -22,8 +22,7 @@ from .groupoid import Bisection, CyclicFlow, cyclic_flow, is_minimal_flow
 from .linalg import (
     DEFAULT_EPS,
     as_matrix,
-    haar_unitaries,
-    haar_unitary,
+    haar_from_normals,
     is_unitary,
     unitarity_defects,
 )
@@ -151,9 +150,10 @@ def check_unitary_normalizer_theorem(
     to normalize.
 
     Each sample draws from rng in turn, as it would one at a time (forward: a
-    base permutation, then one Haar unitary per point; converse: two blocks,
-    then one Haar unitary on both).  The samples of each direction then form
-    one (samples, N, N) stack, and each predicate is one stacked call: the
+    base permutation, then the Gaussians of one Haar unitary per point;
+    converse: two blocks, then those of one Haar unitary on both).  Each
+    direction then factors its draws with one stacked QR and forms one
+    (samples, N, N) stack, and each predicate is one stacked call: the
     unitarity residuals take one stacked SVD per shape, and the normalizer
     rule and the block support are read from one stack of block-norm tables.
     A fibre map that is not unitary raises CovarianceError, naming the first
@@ -170,10 +170,11 @@ def check_unitary_normalizer_theorem(
     k = np.arange(samples)[:, None]
 
     perms = np.empty((samples, n), dtype=int)
-    maps = np.empty((samples, n, d, d), dtype=complex)
+    normals = np.empty((samples, n, 2, d, d))
     for s in range(samples):
         perms[s] = rng.permutation(n)
-        maps[s] = haar_unitaries(n, d, rng)
+        normals[s] = rng.standard_normal((n, 2, d, d))
+    maps = haar_from_normals(normals)
     bad = first_offender(unitarity_defects(maps) > eps)
     if bad is not None:
         raise CovarianceError(
@@ -188,14 +189,21 @@ def check_unitary_normalizer_theorem(
     forward = ((unitarity_defects(U) <= eps) & normalizes_by_table(t, eps)
                & ((t > eps) == graph).all(axis=(1, 2)))
 
-    U = np.tile(A.unit(), (samples, 1, 1))
+    m = 2 * d if n >= 2 else N
+    pairs = np.empty((samples, 2), dtype=int)
+    normals = np.empty((samples, 2, m, m))
     for s in range(samples):
         if n >= 2:
-            i, j = rng.choice(n, size=2, replace=False)
-            idx = np.r_[i * d:(i + 1) * d, j * d:(j + 1) * d]
-            U[s][np.ix_(idx, idx)] = haar_unitary(2 * d, rng)
-        else:
-            U[s] = haar_unitary(N, rng)
+            pairs[s] = rng.choice(n, size=2, replace=False)
+        normals[s] = rng.standard_normal((2, m, m))
+    mixers = haar_from_normals(normals)
+    if n >= 2:
+        # rows and columns of blocks i and j, in that order
+        idx = (pairs[:, :, None] * d + np.arange(d)).reshape(samples, m)
+        U = np.tile(A.unit(), (samples, 1, 1))
+        U[k[:, :, None], idx[:, :, None], idx[:, None, :]] = mixers
+    else:
+        U = mixers
     t = A.block_norms(U)
     support = t > eps
     on_bisection = is_partial_bijection(support) & (support.sum(axis=(1, 2)) == n)

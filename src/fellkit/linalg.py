@@ -181,10 +181,17 @@ def haar_unitaries(k: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """A (k, n, n) stack of k ``haar_unitary(n, rng)`` draws, equal to them
     bit for bit: one Gaussian draw fills the k real and imaginary parts in
     the order of the k calls, and one stacked QR factors them."""
-    z = rng.standard_normal((k, 2, n, n))
-    q, r = np.linalg.qr(z[:, 0] + 1j * z[:, 1])
+    return haar_from_normals(rng.standard_normal((k, 2, n, n)))
+
+
+def haar_from_normals(z: np.ndarray) -> np.ndarray:
+    """The Haar unitaries of a (..., 2, n, n) array of standard normal draws,
+    z[..., 0, :, :] + i·z[..., 1, :, :] each, from one stacked QR with the
+    phases fixed.  LAPACK factors the stack matrix by matrix, so draws made
+    one at a time and factored together equal ``haar_unitary`` bit for bit."""
+    q, r = np.linalg.qr(z[..., 0, :, :] + 1j * z[..., 1, :, :])
     d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[:, None, :]
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def random_matrix(shape: tuple[int, int], rng: np.random.Generator) -> np.ndarray:

@@ -20,9 +20,9 @@ from .algebra import FiniteCStarAlgebra
 from .fellbundle import ConditionalExpectation
 from .linalg import (
     DEFAULT_EPS,
-    as_matrix,
+    as_stack,
     is_unitary,
-    operator_norm,
+    operator_norms,
     span_dimension,
 )
 
@@ -51,8 +51,11 @@ def is_partial_bijection(support: np.ndarray) -> np.ndarray:
             & (support.sum(axis=-1).max(axis=-1) <= 1))
 
 
-def is_normalizer(b, A: FiniteCStarAlgebra, eps: float = DEFAULT_EPS) -> bool:
-    """b*Ab ⊆ A and bAb* ⊆ A, decided on the block-norm table of b.
+def is_normalizer(
+    b, A: FiniteCStarAlgebra, eps: float = DEFAULT_EPS
+) -> bool | np.ndarray:
+    """b*Ab ⊆ A and bAb* ⊆ A, decided on the block-norm table of b (for a
+    (k, N, N) stack, a (k,) boolean array from one stack of tables).
 
     For A = ⊕M_{n_k}, b normalizes A exactly when its block support is a
     partial bijection: each block row and each block column of b meets at
@@ -62,13 +65,8 @@ def is_normalizer(b, A: FiniteCStarAlgebra, eps: float = DEFAULT_EPS) -> bool:
     column of the table, the two largest entries multiply to at most eps: the
     same absolute tolerance the definition applies to b*ab and bab*.
     """
-    return bool(normalizes_by_table(A.block_norms(b), eps))
-
-
-def is_free_normalizer(b, A: FiniteCStarAlgebra, eps: float = DEFAULT_EPS) -> bool:
-    """A normalizer with b² = 0."""
-    m = as_matrix(b)
-    return operator_norm(m @ m) <= eps and is_normalizer(m, A, eps)
+    ok = normalizes_by_table(A.block_norms(b), eps)
+    return ok if ok.ndim else bool(ok)
 
 
 @dataclass(frozen=True)
@@ -93,11 +91,13 @@ def is_regular(
 ) -> bool:
     """ls N(A) = B at sample scale: the sample plus basis(A) spans B.
 
-    Raises if the sample contains a non-normalizer (contract violation).
+    Raises if the sample contains a non-normalizer (contract violation),
+    naming the first; the whole sample takes one stack of block-norm tables.
     """
-    for i, b in enumerate(normalizer_sample):
-        if not is_normalizer(b, pair.A, eps):
-            raise ValueError(f"sample element {i} is not a normalizer of A")
+    if len(normalizer_sample):
+        bad = np.flatnonzero(~is_normalizer(as_stack(normalizer_sample), pair.A, eps))
+        if bad.size:
+            raise ValueError(f"sample element {bad[0]} is not a normalizer of A")
     family = list(normalizer_sample) + pair.A.basis()
     return span_dimension(family, eps) == pair.B.dim()
 
@@ -130,9 +130,13 @@ def classify_pair(
     p_ok = all(v[0] for k, v in p_report.items() if isinstance(v, tuple))
 
     kernel_dim = pair.B.dim() - pair.A.dim()
-    in_kernel = [b for b in normalizer_sample if operator_norm(pair.P(b)) <= eps]
-    free = [b for b in in_kernel if is_free_normalizer(b, pair.A, eps)]
-    free_dim = span_dimension(free, eps)
+    # every sample element normalizes A (is_regular raises otherwise), so
+    # the free normalizers in ker P are those with P(b) = 0 and b² = 0
+    N = pair.B.ambient_dim
+    stack = np.asarray(normalizer_sample, dtype=complex).reshape(-1, N, N)
+    free = ((operator_norms(pair.P(stack)) <= eps)
+            & (operator_norms(stack @ stack) <= eps))
+    free_dim = span_dimension(stack[free], eps)
 
     evidence = {
         "unit_in_A": unit_in_A,

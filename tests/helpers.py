@@ -1,5 +1,7 @@
 """Model builders shared by several test modules."""
 
+import math
+
 import numpy as np
 
 from fellkit.cocycle import Cocycle2, make_twist
@@ -55,3 +57,16 @@ def random_spatial_automorphism(
     dims = tuple(int(n) for n in fibre_dims)
     maps = [haar_unitary(dims[x], rng) for x in range(len(dims))]
     return make_spatial_automorphism(f0, maps, dims)
+
+
+# a 5-point scalar twist on one pair and its mirror, admissible but not a
+# cocycle: the bundle is not associative
+TWISTED_5 = {
+    "points": 5,
+    "fibre_dims": [1] * 5,
+    "twist": {
+        "((1,2),(2,3))": [math.cos(0.7), math.sin(0.7)],
+        "((3,2),(2,1))": [math.cos(0.7), -math.sin(0.7)],
+    },
+    "generator": [2, 3, 4, 5, 1],
+}

@@ -235,39 +235,46 @@ def test_theorem_needs_a_saturated_bundle():
 
 
 def test_theorem_rejects_a_non_unitary_fibre_map(monkeypatch):
-    draws = fellkit.dynamics.haar_unitaries
+    factor = fellkit.dynamics.haar_from_normals
     calls = []
 
-    def stretched(k, n, rng):
-        """The Haar draws, with the map at point 2 of the fourth sample doubled."""
-        maps = draws(k, n, rng)
+    def stretched(normals):
+        """The forward Haar maps, with the map at point 2 of the fourth
+        sample doubled."""
+        maps = factor(normals)
         calls.append(None)
-        if len(calls) == 4:
-            maps[2] *= 2
+        if len(calls) == 1:
+            maps[3, 2] *= 2
         return maps
 
-    monkeypatch.setattr(fellkit.dynamics, "haar_unitaries", stretched)
+    monkeypatch.setattr(fellkit.dynamics, "haar_from_normals", stretched)
     E = THEOREM_MODELS["flow 4x2"]
     with pytest.raises(CovarianceError, match="fibre map at 2 is not a unitary"):
         check_unitary_normalizer_theorem(E, samples=10)
 
 
 def test_theorem_svd_count_does_not_grow_with_samples(monkeypatch):
-    svd = np.linalg.svd
+    """Neither the SVDs nor the QRs grow with the sample count: each
+    direction factors all its Haar draws with one stacked QR."""
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return svd(*args, **kwargs)
+    def counted(run):
+        def wrapper(*args, **kwargs):
+            calls.append(run.__name__)
+            return run(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(np.linalg, "svd", counted)
-    E = THEOREM_MODELS["flow 4x2"]
-    counts = []
-    for samples in (10, 100):
-        calls.clear()
-        check_unitary_normalizer_theorem(E, samples=samples, rng=rng_for(0))
-        counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
+    monkeypatch.setattr(np.linalg, "svd", counted(np.linalg.svd))
+    monkeypatch.setattr(np.linalg, "qr", counted(np.linalg.qr))
+    for name in ("flow 4x2", "one point 1x3"):
+        counts = []
+        for samples in (10, 100):
+            calls.clear()
+            check_unitary_normalizer_theorem(THEOREM_MODELS[name], samples=samples,
+                                             rng=rng_for(0))
+            counts.append((calls.count("svd"), calls.count("qr")))
+        assert counts[0] == counts[1]
+        assert counts[0][0] > 0 and counts[0][1] == 2
 
 
 def test_generation_needs_minimal_flow():

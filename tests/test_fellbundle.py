@@ -1,3 +1,5 @@
+import math
+import random
 import tracemalloc
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -7,7 +9,7 @@ import pytest
 
 import fellkit.linalg
 from fellkit.algebra import FiniteCStarAlgebra, make_algebra
-from fellkit.cocycle import make_twist
+from fellkit.cocycle import Cocycle2, make_twist
 from fellkit.fellbundle import (
     CStarBundle,
     ConditionalExpectation,
@@ -34,8 +36,9 @@ from fellkit.linalg import (
     span_dimension,
 )
 from fellkit.presets import flow_frame, random_symmetric_frame
+from fellkit.serialize import model_from_json
 
-from helpers import twist_from_phases, unchecked_cocycle
+from helpers import TWISTED_5, twist_from_phases, unchecked_cocycle
 
 
 def rng_for(seed):
@@ -97,6 +100,20 @@ def test_builder_rejections():
     bad = make_twist(2, 1, {((0, 1), (1, 0)): -1})
     with pytest.raises(FrameError):
         build_semidirect_bundle(CStarBundle((1, 1)), twist=bad)
+
+
+def test_inadmissible_twist_error_names_the_checked_rule():
+    """ω = i on ((0,1),(1,2)) and on its mirror keeps ω(g,h)·conj(ω(h*,g*))
+    = 1, but breaks the rule the builder checks, ω(g,h)·ω(h*,g*) = 1."""
+    g, h = (0, 1), (1, 2)
+    twist = make_twist(3, 1, {(g, h): 1j, ((2, 1), (1, 0)): 1j})
+    w, mirror = twist.value(g, h)[0, 0], twist.value((2, 1), (1, 0))[0, 0]
+    assert w * np.conj(mirror) == 1 and w * mirror == -1
+    with pytest.raises(FrameError) as excinfo:
+        build_semidirect_bundle(CStarBundle((1, 1, 1)), twist=twist)
+    assert str(excinfo.value) == (
+        "twist is not admissible: needs unit-normalized values with "
+        "ω(g,h)·ω(h*,g*) = 1 and ω(g,g*) = 1")
 
 
 def loop_frame_error(frame, n, dim, eps=1e-9):
@@ -360,12 +377,17 @@ def test_expectation_is_faithful_on_off_block_elements():
     assert operator_norm(A.compress(b.conj().T @ b) - np.diag([0.0, 1.0])) < 1e-12
 
 
-# --- the two sampled suites against their per-sample loops ------------------
+# --- the axiom suite and verify against their per-sample loops --------------
 
 
-def per_sample_fell_axioms(E, sample_count=200, eps=1e-9, rng=None):
-    """Oracle: the axiom suite one sample at a time, one operator_norm per
-    residual, as check_fell_axioms evaluated it before batching."""
+def per_sample_fell_axioms(E, sample_count=200, eps=1e-9, rng=None,
+                           exhaustive=False):
+    """Oracle: the ten axioms on random fibre elements, one sample at a time,
+    one operator_norm per residual.  A sample is a composable pair and a
+    composable triple, drawn from rng; with exhaustive=True the samples are
+    instead every triple (t1, t2, t3) with the pair (t1, t2), so every pair
+    and every triple is visited.  A product or an involution must land in
+    its fibre, which holds only 0 if the fibre is zero."""
     if rng is None:
         rng = np.random.default_rng(0)
     G = E.groupoid
@@ -376,9 +398,20 @@ def per_sample_fell_axioms(E, sample_count=200, eps=1e-9, rng=None):
     def bump(i, value):
         res[i] = max(res[i], float(value))
 
-    for _ in range(sample_count):
-        g, h = pairs[rng.integers(len(pairs))]
-        t1, t2, t3 = triples[rng.integers(len(triples))]
+    def in_fibre(g, e):
+        return e.shape == E.fibre_shape(g) and (
+            E.fibre_dim(g) > 0 or operator_norm(e) <= eps)
+
+    def samples():
+        if exhaustive:
+            for t in triples:
+                yield t[:2], t
+            return
+        for _ in range(sample_count):
+            pair = pairs[rng.integers(len(pairs))]
+            yield pair, triples[rng.integers(len(triples))]
+
+    for (g, h), (t1, t2, t3) in samples():
         e1 = E.random_fibre_element(g, rng)
         e2 = E.random_fibre_element(h, rng)
         f1 = E.random_fibre_element(t1, rng)
@@ -387,7 +420,7 @@ def per_sample_fell_axioms(E, sample_count=200, eps=1e-9, rng=None):
         lam, mu = random_matrix((1, 1), rng)[0, 0], random_matrix((1, 1), rng)[0, 0]
 
         gh, prod = E.multiply(g, e1, h, e2)
-        ok = gh == G.compose(g, h) and prod.shape == E.fibre_shape(gh)
+        ok = gh == G.compose(g, h) and in_fibre(gh, prod)
         bump(0, 0.0 if ok else 1.0)
 
         e1b = E.random_fibre_element(g, rng)
@@ -410,7 +443,7 @@ def per_sample_fell_axioms(E, sample_count=200, eps=1e-9, rng=None):
         bump(3, max(0.0, operator_norm(prod) - operator_norm(e1) * operator_norm(e2)))
 
         gi, e1s = E.involution(g, e1)
-        ok = gi == G.inverse(g) and e1s.shape == E.fibre_shape(gi)
+        ok = gi == G.inverse(g) and in_fibre(gi, e1s)
         bump(4, 0.0 if ok else 1.0)
 
         _, sc = E.involution(g, lam * e1 + mu * e1b)
@@ -525,33 +558,191 @@ SAMPLED_MODELS = {
 SAMPLE_COUNTS = (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 200)
 
 
+def failed(passed):
+    return {i + 1 for i, ok in enumerate(passed) if not ok}
+
+
+def twisted_8(seed):
+    """The benchmark's twisted control: on 8 points, a phase drawn from the
+    seed on the pair ((1,2),(2,5)) (1-indexed) and its conjugate on the
+    mirror pair.  Admissible, but not a cocycle."""
+    theta = random.Random(seed).uniform(0.5, 2.5)
+    doc = {
+        "points": 8,
+        "fibre_dims": [1] * 8,
+        "twist": {"((1,2),(2,5))": [math.cos(theta), math.sin(theta)],
+                  "((5,2),(2,1))": [math.cos(theta), -math.sin(theta)]},
+    }
+    return model_from_json(doc)[0]
+
+
+EXHAUSTIVE_MODELS = {
+    **SAMPLED_MODELS,
+    "twisted-5": model_from_json(TWISTED_5)[0],
+    # admissible, but a non-scalar twist value does not commute with the
+    # coefficients it multiplies: associativity and (ab)* = b*a* fail
+    "diagonal-twist": build_semidirect_bundle(
+        CStarBundle((2, 2, 2)), frame=random_symmetric_frame(3, 2, rng_for(5)),
+        twist=make_twist(3, 2, {((0, 1), (1, 2)): np.diag([1, 1j]),
+                                ((2, 1), (1, 0)): np.diag([1, -1j])})),
+}
+
+
+@pytest.mark.parametrize("name", EXHAUSTIVE_MODELS)
+def test_fell_axioms_match_exhaustive_loop(name):
+    """The decided axioms fail exactly where the loop over every composable
+    pair and triple fails them."""
+    E = EXHAUSTIVE_MODELS[name]
+    assert E.n_points <= 5
+    report = check_fell_axioms(E, rng=rng_for(0))
+    passed, _ = per_sample_fell_axioms(E, rng=rng_for(0), exhaustive=True)
+    assert set(report.failed_axioms()) == failed(passed)
+
+
+EXPECTED_FAILURES = {
+    "zero-fibre": {1, 5},  # E_(0,1)·E_(1,2) and E_(2,0)* land in E_(0,2) = 0
+    "broken-involution": {7, 8, 10},
+    "non-cocycle": {3},
+    "twisted-5": {3},
+    "diagonal-twist": {3, 8},
+}
+
+
+@pytest.mark.parametrize("name", EXHAUSTIVE_MODELS)
+def test_fell_axioms_failures_by_model(name):
+    report = check_fell_axioms(EXHAUSTIVE_MODELS[name], rng=rng_for(0))
+    assert set(report.failed_axioms()) == EXPECTED_FAILURES.get(name, set())
+    assert {type(r) for r in report.residuals} == {float}
+    assert {type(p) for p in report.passed} == {bool}
+    for i in (2, 6):  # bilinearity and conjugate linearity hold identically
+        assert report.residuals[i - 1] == 0.0
+
+
+def basis_map_residuals(E):
+    """Oracle for a bundle with the identity frame: the largest operator
+    norm of the matrix of a ↦ (a·1)·1 − a·(1·1) over every composable
+    triple, and of X ↦ (X*·1)* − 1*·X over every composable pair, each built
+    column by column from multiply and involution on the fibre basis."""
+    G, one = E.groupoid, np.eye(E.fibre_dims[0])
+    basis = E.fibre_basis((0, 0))
+    assoc = antimultiplicative = 0.0
+    for t1, t2, t3 in G.composable_triples():
+        cols = []
+        for a in basis:
+            _, left = E.multiply(*E.multiply(t1, a, t2, one), t3, one)
+            _, right = E.multiply(t1, a, *E.multiply(t2, one, t3, one))
+            cols.append((left - right).reshape(-1))
+        assoc = max(assoc, operator_norm(np.array(cols).T))
+    for g, h in G.composable_pairs():
+        cols = []
+        for x in basis:
+            _, lhs = E.involution(*E.multiply(g, x.conj().T, h, one))
+            _, rhs = E.multiply(*E.involution(h, one), *E.involution(g, x.conj().T))
+            cols.append((lhs - rhs).reshape(-1))
+        antimultiplicative = max(antimultiplicative, operator_norm(np.array(cols).T))
+    return assoc, antimultiplicative
+
+
+def identity_frame_twisted(values, dim):
+    return FellBundleModel(fibre_dims=(dim,) * 3, frame=identity_frame(3, dim),
+                           twist=unchecked_cocycle(3, dim, values))
+
+
+TWISTED_IDENTITY_FRAMES = {
+    "non-cocycle": SAMPLED_MODELS["non-cocycle"],
+    "twisted-5": EXHAUSTIVE_MODELS["twisted-5"],
+    "diagonal": identity_frame_twisted(
+        {((0, 1), (1, 2)): np.diag([1, 1j]), ((2, 1), (1, 0)): np.diag([1, -1j])}, 2),
+    # not a twist at all: a Gaussian 3×3 matrix on every pair.  Only such
+    # values tell W from Wᵀ by norm: for unitary values the norm depends on
+    # spectra alone, and a 2×2 matrix is unitarily similar to its transpose.
+    "gaussian-values": FellBundleModel(
+        fibre_dims=(3, 3, 3), frame=identity_frame(3, 3),
+        twist=Cocycle2(random_matrix((81, 3), rng_for(12)).reshape(3, 3, 3, 3, 3))),
+}
+
+
+@pytest.mark.parametrize("name", TWISTED_IDENTITY_FRAMES)
+def test_coefficient_residuals_match_basis_maps(name):
+    """The Kronecker residuals of axioms 3 and 8 are the operator norms of
+    the maps they stand for."""
+    E = TWISTED_IDENTITY_FRAMES[name]
+    report = check_fell_axioms(E, rng=rng_for(0))
+    assoc, antimultiplicative = basis_map_residuals(E)
+    assert assoc > 1e-9
+    assert report.residuals[2] == pytest.approx(assoc, rel=1e-12)
+    assert report.residuals[7] == pytest.approx(antimultiplicative, rel=1e-12,
+                                                abs=1e-15)
+
+
 @pytest.mark.parametrize("count", SAMPLE_COUNTS)
 @pytest.mark.parametrize("name", SAMPLED_MODELS)
 def test_fell_axioms_match_per_sample_loop(name, count):
+    """Every axiom the per-sample loop fails on `count` draws, the suite
+    fails too; and the decided axioms do not depend on the sample count."""
     E = SAMPLED_MODELS[name]
-    rng, oracle_rng = rng_for(count), rng_for(count)
-    report = check_fell_axioms(E, sample_count=count, rng=rng)
-    passed, residuals = per_sample_fell_axioms(E, count, rng=oracle_rng)
-    assert report.residuals == residuals
-    assert report.passed == passed
-    assert {type(r) for r in report.residuals} == {float}
-    assert {type(p) for p in report.passed} == {bool}
-    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    report = check_fell_axioms(E, sample_count=count, rng=rng_for(count))
+    passed, _ = per_sample_fell_axioms(E, count, rng=rng_for(count))
+    assert failed(passed) <= set(report.failed_axioms())
+    decided = [i for i in range(10) if i + 1 not in (4, 9, 10)]
+    full = check_fell_axioms(E, rng=rng_for(0))
+    assert ([report.residuals[i] for i in decided]
+            == [full.residuals[i] for i in decided])
+
+
+@pytest.mark.parametrize("name", SAMPLED_MODELS)
+def test_fell_axioms_contain_sampled_failures(name):
+    E = SAMPLED_MODELS[name]
+    report = check_fell_axioms(E, rng=rng_for(0))
+    for seed in range(6):
+        passed, _ = per_sample_fell_axioms(E, 200, rng=rng_for(seed))
+        assert failed(passed) <= set(report.failed_axioms()), seed
+
+
+def test_twisted_8_fails_associativity_for_every_seed():
+    """A phase on one of the 512 composable pairs (and on its mirror) fails
+    axiom 3 whatever the seed; the twist is admissible, so axiom 8 holds."""
+    for seed in range(1, 11):
+        report = check_fell_axioms(twisted_8(seed), rng=rng_for(seed))
+        assert report.failed_axioms() == [3], seed
 
 
 def test_fell_axioms_build_no_index_lists(monkeypatch):
-    """The sampled pair and triple are unravelled from the drawn index, so
-    the suite never lists the n³ composable pairs or the n⁴ triples."""
-    E = SAMPLED_MODELS["non-cocycle"]
-    passed, residuals = per_sample_fell_axioms(E, rng=rng_for(2))
+    """The decided axioms are read off the zero-fibre set and the frame and
+    twist arrays: the suite lists no composable pairs or triples and forms
+    no product or involution one element at a time."""
+    want = {name: check_fell_axioms(E, rng=rng_for(2))
+            for name, E in EXHAUSTIVE_MODELS.items()}
 
-    def refuse(self):
-        raise AssertionError("an index list was built")
+    def refuse(*args):
+        raise AssertionError("an index list or a single product was built")
 
     monkeypatch.setattr(PairGroupoid, "composable_pairs", refuse)
     monkeypatch.setattr(PairGroupoid, "composable_triples", refuse)
-    report = check_fell_axioms(E, rng=rng_for(2))
-    assert (report.passed, report.residuals) == (passed, residuals)
+    monkeypatch.setattr(FellBundleModel, "multiply", refuse)
+    monkeypatch.setattr(FellBundleModel, "involution", refuse)
+    for name, E in EXHAUSTIVE_MODELS.items():
+        report = check_fell_axioms(E, rng=rng_for(2))
+        assert (report.passed, report.residuals) == (want[name].passed,
+                                                     want[name].residuals)
+
+
+def test_fell_axioms_svd_count_does_not_grow_with_samples(monkeypatch):
+    svd = np.linalg.svd
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    for E in EXHAUSTIVE_MODELS.values():
+        counts = []
+        for count in (16, 200):
+            calls.clear()
+            check_fell_axioms(E, sample_count=count, rng=rng_for(0))
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
 
 
 EXPECTATION_KEYS = ("fixes_range", "bimodule", "positive", "idempotent",

@@ -1,50 +1,44 @@
 """Report bytes are pinned: a refactor must not move a single bit.
 
 Each case runs the command line in-process and compares the sha256 of the
-document it writes with a digest recorded from the implementation that
-stored the frame and the twist as per-arrow and per-pair dicts, under numpy
-2.4.6.  The reports print residuals and the extracted twist to the last bit,
-so a changed product order or summation order shows here.  A numpy or BLAS
+document it writes with a digest recorded under numpy 2.4.6.  The `phi`
+digest dates from the implementation that stored the frame and the twist as
+per-arrow and per-pair dicts; the `report` digests were recorded when the
+axiom suite began to decide axioms 1–3 and 5–8 exactly, which changed the
+axioms entry and, through the rng the pair stage inherits, the expectation
+residuals of the pair entry, and nothing else.  The reports print residuals
+and the extracted twist to the last bit, so a changed product order or
+summation order shows here.  A numpy or BLAS
 build that rounds differently can move these digests without any change to
 fellkit; re-record them then, from a commit whose reports are trusted.
 """
 
 import hashlib
 import json
-import math
 
 import pytest
 
 from fellkit.cli import main
 
-# a 5-point scalar twist on one pair and its mirror, admissible but not a
-# cocycle: axioms, pair and cocycle fail, the rest pass
-TWISTED_5 = {
-    "points": 5,
-    "fibre_dims": [1] * 5,
-    "twist": {
-        "((1,2),(2,3))": [math.cos(0.7), math.sin(0.7)],
-        "((3,2),(2,1))": [math.cos(0.7), -math.sin(0.7)],
-    },
-    "generator": [2, 3, 4, 5, 1],
-}
+# its report fails axioms, pair and cocycle; the rest pass
+from helpers import TWISTED_5
 
 CASES = {
     "report-fourpoint": (
         ["report", "--preset", "fourpoint"], 0,
-        "0ee1d9d8d73a73bfce59e1fc3f70d8f7ae211f1cb3f17fc16839a308eb13109d"),
+        "f984fec7c5cc8fa3efcc92a115245cffcde1a89edd0db987ca7a74627fa12c55"),
     "report-flow-4x2": (
         ["report", "--preset", "flow", "--points", "4", "--dim", "2"], 0,
-        "999bcc5f4be36baeedf457eec9610b20e129a2e2e94e0088e970bafdfbcbe9b5"),
+        "9719272ca2d7c4c058ab4576ed5a161e06d11f43e5a074db4dcc2f2128555bc7"),
     "report-semidirect": (
         ["report", "--preset", "semidirect"], 1,
-        "8a73aa4ed906c6c50b18ed858a1128332f28bf511b25dc1a75c42bbef2c02b1a"),
+        "943985d1119dc3fee5806b349466169428f9d7e3169f0232272954a1d91b4d55"),
     "report-imprimitivity-3,1,4,2": (
         ["report", "--preset", "imprimitivity", "--dims", "3,1,4,2"], 0,
-        "66ad861cbc961207e2706c1dbe8904ffe503542e016fbc3ea2fb5d27064e76f0"),
+        "a28cd740f52e05f1693658309157a6a07a89f847925d2a02c9eeb5de6794212f"),
     "report-twisted-5": (
         ["report", "--input", "TWISTED_5"], 1,
-        "3d2917677b52fd26f0068e57035783a91b4454d4b4182f60bace999d81fa502e"),
+        "6520d84ab107f7f4823d94aba32a0706ac7714f6a4a8a20018a3139ec196a507"),
     # the read-off fails: the random frame has holonomy round the 4-cycle
     "phi-readoff-semidirect": (
         ["phi", "readoff", "--preset", "semidirect"], 1,

@@ -22,7 +22,6 @@ from fellkit.subalgebra import (
     PairCandidate,
     Slice,
     classify_pair,
-    is_free_normalizer,
     is_normalizer,
     is_regular,
     normalizer_support,
@@ -41,6 +40,12 @@ def unit_matrix(n, r, c):
     e = np.zeros((n, n), dtype=complex)
     e[r, c] = 1.0
     return e
+
+
+def is_free_normalizer(b, A, eps=1e-9):
+    """A normalizer with b² = 0, one matrix at a time."""
+    m = np.asarray(b, dtype=complex)
+    return operator_norm(m @ m) <= eps and is_normalizer(m, A, eps)
 
 
 def test_normalizers_of_masa_exhaustive_01_oracle():
@@ -229,6 +234,60 @@ def test_free_normalizer_span_counts_only_the_sample():
     assert result.evidence["kernel_dim"] == 22
     assert result.evidence["free_normalizer_span_dim"] == 11
     assert result.verdict == "neither"  # half the kernel leaves the pair irregular
+
+
+def per_element_pair_evidence(pair, sample, eps=1e-9):
+    """Oracle: the regularity verdict and the free-normalizer span dimension
+    of classify_pair, with one normalizer test, one norm of P(b) and one of
+    b² per sample element."""
+    for i, b in enumerate(sample):
+        if not is_normalizer(b, pair.A, eps):
+            raise ValueError(f"sample element {i} is not a normalizer of A")
+    regular = span_dimension(list(sample) + pair.A.basis(), eps) == pair.B.dim()
+    in_kernel = [b for b in sample if operator_norm(pair.P(b)) <= eps]
+    free = [b for b in in_kernel if is_free_normalizer(b, pair.A, eps)]
+    return regular, span_dimension(free, eps)
+
+
+def normalizer_samples(dims, rng):
+    """Samples mixing free kernel normalizers, kernel normalizers with
+    b² ≠ 0 (swaps), in-block nilpotents, diagonal unitaries and elements
+    below and above eps."""
+    A = make_algebra(dims)
+    n = len(dims)
+    sample = []
+    for trial in range(40):
+        b = np.zeros((A.ambient_dim, A.ambient_dim), dtype=complex)
+        for i, j in random_block_support(n, rng, bijective=True):
+            b += A.embed_block(i, j, random_matrix((dims[i], dims[j]), rng))
+        sample.append(b * (1e-12 if trial % 7 == 3 else 1.0))
+    sample += kernel_basis(A)[::3]
+    sample.append(A.embed_block(n - 1, n - 1, unit_matrix(dims[-1], 0, dims[-1] - 1)))
+    sample.append(haar_unitary(1, rng)[0, 0] * np.eye(A.ambient_dim))
+    order = rng.permutation(len(sample))
+    return A, [sample[k] for k in order]
+
+
+@pytest.mark.parametrize("dims", [(1, 1, 1, 1), (2, 1, 3), (2, 2)])
+def test_classify_pair_matches_per_element_loop(dims):
+    A, sample = normalizer_samples(dims, np.random.default_rng(len(dims)))
+    pair = PairCandidate(A=A, B=make_algebra([A.ambient_dim]),
+                         P=ConditionalExpectation(A))
+    result = classify_pair(pair, sample)
+    regular, free_dim = per_element_pair_evidence(pair, sample)
+    assert (result.evidence["regular"], result.evidence["free_normalizer_span_dim"]) \
+        == (regular, free_dim)
+    assert 0 < free_dim <= result.evidence["kernel_dim"]
+
+    # a non-normalizer: the same first offender, named in the same words
+    clash = A.embed_block(0, 0, np.ones((dims[0], dims[0]))) + A.embed_block(
+        0, 1, np.ones((dims[0], dims[1])))
+    for bad in (sample[:5] + [clash] + sample[5:] + [clash], [clash]):
+        with pytest.raises(ValueError) as want:
+            per_element_pair_evidence(pair, bad)
+        with pytest.raises(ValueError) as got:
+            classify_pair(pair, bad)
+        assert str(got.value) == str(want.value)
 
 
 def test_classify_neither_when_not_regular():
