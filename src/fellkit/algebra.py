@@ -80,17 +80,17 @@ class FiniteCStarAlgebra:
         out[oi : oi + s.shape[0], oj : oj + s.shape[1]] = s
         return out
 
-    def block_norms(self, b) -> np.ndarray:
-        """The n_blocks × n_blocks table of block norms ∥p_i b p_j∥, from which
-        every block-support question about b is answered (for a (k, N, N)
-        stack, the (k, n_blocks, n_blocks) stack of its tables)."""
+    def blocks(self, b) -> np.ndarray:
+        """The (n_blocks, n_blocks, m, m) array of the blocks p_i b p_j of b,
+        each zero-padded to m = max(block_dims) (for a (k, N, N) stack, the
+        (k, n_blocks, n_blocks, m, m) stack of its arrays).  Padding adds only
+        zero singular values, so every block norm and rank is read off it."""
         a = as_stack(b) if np.ndim(b) == 3 else as_matrix(b)
         d = self.ambient_dim
         if a.shape[-2:] != (d, d):
             raise ValueError(f"expected shape ({d},{d}), got {a.shape}")
-        # zero-padding each block to the largest size (index d: an appended zero
-        # row/column, needed only when block sizes differ) keeps its singular
-        # values and allows one batched SVD
+        # index d is an appended zero row/column, needed only when block
+        # sizes differ
         m = max(self.block_dims)
         idx = np.array([list(range(o, o + n)) + [d] * (m - n)
                         for o, n in zip(self.block_offsets, self.block_dims)])
@@ -98,8 +98,13 @@ class FiniteCStarAlgebra:
             padded = np.zeros(a.shape[:-2] + (d + 1, d + 1), dtype=complex)
             padded[..., :d, :d] = a
             a = padded
-        blocks = a[..., idx[:, None, :, None], idx[None, :, None, :]]
-        return np.linalg.svd(blocks, compute_uv=False)[..., 0]
+        return a[..., idx[:, None, :, None], idx[None, :, None, :]]
+
+    def block_norms(self, b) -> np.ndarray:
+        """The n_blocks × n_blocks table of block norms ∥p_i b p_j∥, from which
+        every block-support question about b is answered (for a (k, N, N)
+        stack, the (k, n_blocks, n_blocks) stack of its tables)."""
+        return np.linalg.svd(self.blocks(b), compute_uv=False)[..., 0]
 
     def compress(self, b) -> np.ndarray:
         """Σ_i p_i b p_i — kill the off-diagonal blocks (of each matrix of a
@@ -119,15 +124,15 @@ class FiniteCStarAlgebra:
         return operator_norm(a - self.compress(a)) <= eps
 
     def basis(self) -> list[np.ndarray]:
-        """All block matrix units, embedded in the ambient representation."""
-        out = []
-        for k, n in enumerate(self.block_dims):
-            for r in range(n):
-                for c in range(n):
-                    e = np.zeros((n, n), dtype=complex)
-                    e[r, c] = 1.0
-                    out.append(self.embed_block(k, k, e))
-        return out
+        """All block matrix units, embedded in the ambient representation:
+        blocks in order, row-major within each block (the row-major order of
+        the block-diagonal entries)."""
+        d = self.ambient_dim
+        label = np.repeat(np.arange(self.n_blocks), self.block_dims)
+        entries = np.flatnonzero(label[:, None] == label[None, :])
+        units = np.zeros((len(entries), d * d), dtype=complex)
+        units[np.arange(len(entries)), entries] = 1.0
+        return list(units.reshape(-1, d, d))
 
     def dim(self) -> int:
         """Linear dimension Σ n_i² of the algebra itself."""

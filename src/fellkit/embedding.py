@@ -33,7 +33,7 @@ from .linalg import (
     operator_norm,
     operator_norms,
     random_matrix,
-    rank,
+    ranks,
 )
 from .subalgebra import PairCandidate, PairClassification, classify_pair
 
@@ -95,11 +95,9 @@ def is_orientable(phi: EmbeddingInvariant, eps: float = DEFAULT_EPS) -> bool:
     A = phi.algebra
     if not np.all(A.block_norms(phi.phi) > eps):
         return False
-    return all(
-        rank(phi.block(i, j), eps) == min(A.block_dims[i], A.block_dims[j])
-        for i in range(A.n_blocks)
-        for j in range(A.n_blocks)
-    )
+    m = max(A.block_dims)
+    full = np.minimum.outer(A.block_dims, A.block_dims).ravel()
+    return bool(np.all(ranks(A.blocks(phi.phi).reshape(-1, m, m), eps) == full))
 
 
 @dataclass
@@ -137,8 +135,7 @@ def read_off_pair(phi: EmbeddingInvariant, eps: float = DEFAULT_EPS) -> ReadOff:
     if len(set(A.block_dims)) == 1:
         n, dim = A.n_blocks, A.block_dims[0]
         # assignment[i, j] is the (i, j) block of Φ, the identity on the diagonal
-        blocks = phi.phi.reshape(n, dim, n, dim).transpose(0, 2, 1, 3)
-        assignment = blocks.astype(complex, order="C")
+        assignment = A.blocks(phi.phi)
         assignment[range(n), range(n)] = np.eye(dim)
         omega = extract_cocycle(assignment, eps)
     else:

@@ -511,9 +511,12 @@ def _expectation_residuals(
     ∥P(b*b)∥ / ∥b∥² of each sample b ≠ 0."""
     A = P.range_algebra
     d = A.ambient_dim
-    b, a1, a2 = (np.empty((count, d, d), complex) for _ in range(3))
-    for k in range(count):
-        b[k], a1[k], a2[k] = (random_matrix((d, d), rng) for _ in range(3))
+    z = rng.standard_normal((count, 3, 2, d, d))  # per sample: b, a1, a2
+    # z[:, i, 0] + 1j·z[:, i, 1], bit for bit, without a complex temporary
+    b, a1, a2 = (1j * z[:, i, 1] for i in range(3))
+    for i, part in enumerate((b, a1, a2)):
+        part += z[:, i, 0]
+    del z
     a1 = A.compress(a1)
     a2 = A.compress(a2)
     fix = operator_norms(P(a1) - a1).max()

@@ -30,16 +30,9 @@ class PairGroupoid:
         n = self.n_points
         return [(x, y) for x in range(n) for y in range(n)]
 
-    def units(self) -> list[Arrow]:
-        return [(x, x) for x in range(self.n_points)]
-
     @staticmethod
     def inverse(g: Arrow) -> Arrow:
         return (g[1], g[0])
-
-    @staticmethod
-    def composable(g: Arrow, h: Arrow) -> bool:
-        return g[1] == h[0]
 
     def compose(self, g: Arrow, h: Arrow) -> Arrow:
         """(x,y)·(y,z) = (x,z); raises if d(g) ≠ r(h)."""
@@ -97,25 +90,12 @@ class Bisection:
             raise ValueError("bisections over different point sets")
         return Bisection(tuple(self.perm[other.perm[x]] for x in range(self.n_points)))
 
-    def inverse(self) -> "Bisection":
-        inv = [0] * self.n_points
-        for x, y in enumerate(self.perm):
-            inv[y] = x
-        return Bisection(tuple(inv))
-
     def is_identity(self) -> bool:
         return all(self.perm[x] == x for x in range(self.n_points))
 
     def is_self_adjoint(self) -> bool:
         """g = g*, i.e. the permutation is an involution."""
         return all(self.perm[self.perm[x]] == x for x in range(self.n_points))
-
-    def order(self) -> int:
-        k, g = 1, self
-        while not g.is_identity():
-            g = g.compose(self)
-            k += 1
-        return k
 
     def graph(self) -> set[Arrow]:
         """Arrow support {(g(x), x)} of the bisection."""
@@ -131,18 +111,18 @@ def cycle_bisection(n: int) -> Bisection:
     return Bisection(tuple((x + 1) % n for x in range(n)))
 
 
-def all_bisections(n: int, cap: int = ENUMERATION_CAP) -> list[Bisection]:
-    if n > cap:
+def all_bisections(n: int) -> list[Bisection]:
+    if n > ENUMERATION_CAP:
         raise ValueError(
-            f"refusing to enumerate {n}! bisections (cap {cap}); "
+            f"refusing to enumerate {n}! bisections (cap {ENUMERATION_CAP}); "
             "use predicates on individual bisections instead"
         )
     return [Bisection(p) for p in itertools.permutations(range(n))]
 
 
-def self_adjoint_bisections(n: int, cap: int = ENUMERATION_CAP) -> list[Bisection]:
-    """All involutive permutations g = g* on n points (n ≤ cap)."""
-    return [g for g in all_bisections(n, cap) if g.is_self_adjoint()]
+def self_adjoint_bisections(n: int) -> list[Bisection]:
+    """All involutive permutations g = g* on n points (n ≤ ENUMERATION_CAP)."""
+    return [g for g in all_bisections(n) if g.is_self_adjoint()]
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,9 @@ residual-norm bounds against a tolerance ``eps`` (default 1e-9, absolute on
 residual norms).
 
 Matrices are plain numpy arrays of dtype complex128.  All functions are pure.
-A family of small matrices is normed in one call, ``operator_norms``: its
-members are grouped by shape and each group takes one stacked SVD, which
-LAPACK runs matrix by matrix, so every norm equals ``operator_norm`` bit for
-bit and comes back in input order.
+A family of matrices travels as one (k, rows, cols) stack.  It is normed in
+one call, ``operator_norms``: one stacked SVD, which LAPACK runs matrix by
+matrix, so every norm equals ``operator_norm`` bit for bit.
 """
 
 from __future__ import annotations
@@ -51,33 +50,10 @@ def operator_norm(m) -> float:
     return float(_largest_singular_values(as_matrix(m)[None])[0])
 
 
-def operator_norms(mats) -> np.ndarray:
-    """``operator_norm`` of each member of a family, in input order.
-
-    ``mats`` is a (k, rows, cols) stack or a sequence of 2-d matrices of any
-    shapes; each shape takes one finiteness check and one stacked SVD.
-    """
-    return per_shape(_largest_singular_values, mats)
-
-
-def per_shape(rule, mats) -> np.ndarray:
-    """Apply a stacked rule, (k, rows, cols) → (k,), once per member shape.
-
-    The results come back in the order of ``mats`` (a stack or a sequence of
-    2-d matrices); a non-2-d or non-finite member raises as ``as_matrix``.
-    """
-    if isinstance(mats, np.ndarray) and mats.ndim == 3:
-        return rule(as_stack(mats))
-    mats = [np.asarray(m, dtype=complex) for m in mats]
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for k, m in enumerate(mats):
-        if m.ndim != 2:
-            raise ValueError(f"expected a 2-d matrix, got ndim={m.ndim}")
-        groups.setdefault(m.shape, []).append(k)
-    out = np.zeros(len(mats))
-    for idx in groups.values():
-        out[idx] = rule(as_stack([mats[k] for k in idx]))
-    return out
+def operator_norms(stack) -> np.ndarray:
+    """``operator_norm`` of each matrix of a (k, rows, cols) stack, from one
+    finiteness check and one stacked SVD."""
+    return _largest_singular_values(as_stack(stack))
 
 
 def _largest_singular_values(stack: np.ndarray) -> np.ndarray:
@@ -103,15 +79,6 @@ def unitarity_defects(stack) -> np.ndarray:
     products = np.concatenate([adjoints(flat) @ flat, flat @ adjoints(flat)])
     defects = operator_norms(products - np.eye(m)).reshape((2, *a.shape[:-2]))
     return defects.max(axis=0)
-
-
-def _stack(mats: Sequence[np.ndarray]) -> np.ndarray:
-    rows = [as_matrix(m) for m in mats]
-    shape = rows[0].shape
-    for r in rows[1:]:
-        if r.shape != shape:
-            raise ValueError(f"shape mismatch in family: {r.shape} vs {shape}")
-    return np.stack([r.reshape(-1) for r in rows])
 
 
 def _numerical_rank(sv: np.ndarray, eps: float) -> np.ndarray:
@@ -146,7 +113,7 @@ def span_dimension(mats: Sequence[np.ndarray], eps: float = DEFAULT_EPS) -> int:
     """Rank of the vectorized family, under the rule of ``_numerical_rank``."""
     if len(mats) == 0:
         return 0
-    return rank(_stack(mats), eps)
+    return rank(as_stack(mats).reshape(len(mats), -1), eps)
 
 
 def is_in_span(m, mats: Sequence[np.ndarray], eps: float = DEFAULT_EPS) -> bool:
@@ -154,7 +121,7 @@ def is_in_span(m, mats: Sequence[np.ndarray], eps: float = DEFAULT_EPS) -> bool:
     a = as_matrix(m)
     if len(mats) == 0:
         return operator_norm(a) <= eps
-    basis = _stack(mats)
+    basis = as_stack(mats).reshape(len(mats), -1)
     v = a.reshape(-1)
     coeffs, *_ = np.linalg.lstsq(basis.T, v, rcond=None)
     residual = float(np.linalg.norm(basis.T @ coeffs - v))
@@ -167,9 +134,9 @@ def orthonormal_span_basis(
     """An orthonormal (Hilbert-Schmidt) basis of the span of the family."""
     if len(mats) == 0:
         return []
-    shape = as_matrix(mats[0]).shape
-    _, sv, vh = np.linalg.svd(_stack(mats), full_matrices=False)
-    return [v.reshape(shape) for v in vh[: _numerical_rank(sv, eps)]]
+    stack = as_stack(mats)
+    _, sv, vh = np.linalg.svd(stack.reshape(len(stack), -1), full_matrices=False)
+    return [v.reshape(stack.shape[1:]) for v in vh[: _numerical_rank(sv, eps)]]
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

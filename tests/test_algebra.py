@@ -82,6 +82,45 @@ def test_block_norms_match_per_block_operator_norms(dims):
         A.block_norms(np.zeros((2, A.ambient_dim + 1, A.ambient_dim + 1)))
 
 
+def test_blocks_match_block_on_ragged_dims():
+    A = make_algebra([1, 2, 3])
+    rng = np.random.default_rng(4)
+    b = random_matrix((6, 6), rng)
+    stack = np.stack([b, random_matrix((6, 6), rng), np.zeros((6, 6))])
+    for m, blocks in [(b, A.blocks(b)), *zip(stack, A.blocks(stack))]:
+        assert blocks.shape == (3, 3, 3, 3)
+        for i, ni in enumerate(A.block_dims):
+            for j, nj in enumerate(A.block_dims):
+                assert np.array_equal(blocks[i, j, :ni, :nj], A.block(m, i, j))
+                # the padding is zero
+                assert not blocks[i, j, ni:].any() and not blocks[i, j, :, nj:].any()
+    with pytest.raises(ValueError):
+        A.blocks(np.eye(5))
+
+
+def basis_loop(A):
+    """The block matrix units, one embed_block per unit: blocks in order,
+    row-major within each block."""
+    out = []
+    for k, n in enumerate(A.block_dims):
+        for r in range(n):
+            for c in range(n):
+                e = np.zeros((n, n), dtype=complex)
+                e[r, c] = 1.0
+                out.append(A.embed_block(k, k, e))
+    return out
+
+
+@pytest.mark.parametrize("dims", [(2, 1, 3), (1,), (3, 3), (1, 1, 1, 1)])
+def test_basis_matches_embed_block_loop(dims):
+    A = make_algebra(dims)
+    basis = A.basis()
+    oracle = basis_loop(A)
+    assert len(basis) == len(oracle) == A.dim()
+    for e, f in zip(basis, oracle):
+        assert e.dtype == f.dtype and np.array_equal(e, f)
+
+
 def test_contains():
     A = make_algebra([2, 1])
     assert A.contains(A.unit())

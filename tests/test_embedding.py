@@ -25,7 +25,7 @@ from fellkit.fellbundle import (
     build_semidirect_bundle,
 )
 from fellkit.groupoid import cycle_bisection, identity_bisection
-from fellkit.linalg import operator_norm
+from fellkit.linalg import operator_norm, random_matrix, rank
 from fellkit.presets import flow_frame
 from fellkit.subalgebra import is_normalizer
 
@@ -115,6 +115,47 @@ def test_orientability_detects_vanishing_blocks():
     assert not is_orientable(EmbeddingInvariant(killed, phi.block_dims))
     with pytest.raises(ValueError):
         read_off_pair(EmbeddingInvariant(killed, phi.block_dims))
+
+
+def per_block_orientable(phi, eps=1e-9):
+    """Orientability one block at a time: every block is nonzero and has
+    full rank min(nᵢ, nⱼ)."""
+    A = phi.algebra
+    return all(
+        operator_norm(phi.block(i, j)) > eps
+        and rank(phi.block(i, j), eps) == min(A.block_dims[i], A.block_dims[j])
+        for i in range(A.n_blocks)
+        for j in range(A.n_blocks)
+    )
+
+
+def orientability_cases():
+    rng = rng_for(6)
+    ragged = EmbeddingInvariant(random_matrix((6, 6), rng), (1, 2, 3))
+    deficient = ragged.phi.copy()
+    deficient[3:, 3:] = np.outer(random_matrix((3, 1), rng), random_matrix((1, 3), rng))
+    vanishing = ragged.phi.copy()
+    vanishing[1:3, 3:] = 0.0
+    tiny = ragged.phi.copy()
+    tiny[0, 1:3] *= 1e-12  # full rank, yet within eps of zero
+    frame, _ = flow_frame(3, 2, rng)
+    return {
+        "ragged": (ragged, True),
+        "rank-deficient": (EmbeddingInvariant(deficient, (1, 2, 3)), False),
+        "vanishing": (EmbeddingInvariant(vanishing, (1, 2, 3)), False),
+        "tiny": (EmbeddingInvariant(tiny, (1, 2, 3)), False),
+        "ones": (EmbeddingInvariant(np.ones((3, 3), dtype=complex), (1, 1, 1)), True),
+        "zero": (EmbeddingInvariant(np.zeros((4, 4), dtype=complex), (2, 2)), False),
+        "flow": (EmbeddingInvariant(
+            frame.transpose(0, 2, 1, 3).reshape(6, 6), (2, 2, 2)), True),
+    }
+
+
+@pytest.mark.parametrize("name", list(orientability_cases()))
+def test_is_orientable_matches_per_block_ranks(name):
+    phi, expected = orientability_cases()[name]
+    assert per_block_orientable(phi) == expected
+    assert is_orientable(phi) == expected
 
 
 def test_read_off_masa_pair():

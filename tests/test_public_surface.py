@@ -1,15 +1,19 @@
 """Every name ``fellkit/__init__.py`` re-exports is reached from the CLI or
-from an acceptance criterion.
+from an acceptance criterion, and every top-level definition in ``src/`` is
+reached from those or from a function the benchmark traces.
 
 The scan reads ``src/fellkit`` with ``ast`` and follows module-level
 references: a top-level function, class or assignment reaches every top-level
 name its body mentions, in its own module or through a relative import.  The
 roots are ``fellkit.cli.main`` (the console script) and every ``fellkit``
-name that ``tests/test_acceptance.py`` imports.
+name that ``tests/test_acceptance.py`` imports; the definitions scan adds the
+``TRACED`` names of ``perfbench/tracing.py`` (a method roots its class).
 """
 
 import ast
 from pathlib import Path
+
+from test_perfbench_tracing import load_tracing
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fellkit"
@@ -42,14 +46,17 @@ def top_level_definitions(tree):
     return defs
 
 
-def reference_graph():
+def package_sources():
+    """Module name → source, for every module of the package but ``__init__``."""
+    return {path.stem: path.read_text() for path in PACKAGE.glob("*.py")
+            if path.stem != "__init__"}
+
+
+def reference_graph(sources):
     """(module, name) → the (module, name) nodes it references."""
     graph = {}
-    for path in PACKAGE.glob("*.py"):
-        module = path.stem
-        if module == "__init__":
-            continue
-        tree = ast.parse(path.read_text())
+    for module, source in sources.items():
+        tree = ast.parse(source)
         imports = relative_imports(tree)
         defs = top_level_definitions(tree)
         for name, target in imports.items():
@@ -74,10 +81,15 @@ def acceptance_roots():
     }
 
 
-def reached():
-    graph = reference_graph()
+def traced_roots():
+    return {(module, qualname.split(".")[0])
+            for module, qualname in load_tracing().TRACED}
+
+
+def reached(sources, extra_roots=()):
+    graph = reference_graph(sources)
     seen = set()
-    todo = [("cli", "main"), *acceptance_roots()]
+    todo = [("cli", "main"), *acceptance_roots(), *extra_roots]
     while todo:
         node = todo.pop()
         if node not in seen:
@@ -94,8 +106,17 @@ def unreached_exports(init_source):
     for name in top_level_definitions(tree):
         if not name.startswith("__"):
             exports[name] = ("__init__", name)
-    reach = reached()
+    reach = reached(package_sources())
     return {name for name, target in exports.items() if target not in reach}
+
+
+def unreached_definitions(sources):
+    """(module, name) of each top-level definition in ``sources`` that no
+    root, the traced names included, reaches."""
+    reach = reached(sources, traced_roots())
+    return {(module, name) for module, source in sources.items()
+            for name in top_level_definitions(ast.parse(source))
+            if (module, name) not in reach}
 
 
 def test_every_export_is_reached_from_cli_or_acceptance():
@@ -106,3 +127,13 @@ def test_a_re_exported_dead_helper_is_caught():
     source = (PACKAGE / "__init__.py").read_text()
     source += "from .linalg import orthonormal_span_basis\nHELPER = 1\n"
     assert unreached_exports(source) == {"orthonormal_span_basis", "HELPER"}
+
+
+def test_every_definition_is_reached_from_cli_acceptance_or_tracing():
+    assert unreached_definitions(package_sources()) == set()
+
+
+def test_a_dead_top_level_helper_is_caught():
+    sources = package_sources()
+    sources["linalg"] += "\n\ndef _dead(m):\n    return as_matrix(m)\n"
+    assert unreached_definitions(sources) == {("linalg", "_dead")}
