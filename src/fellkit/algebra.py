@@ -9,10 +9,12 @@ diagonal algebra of a bundle and (with a single block) the ambient algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .linalg import DEFAULT_EPS, as_matrix, as_stack, operator_norm
+from .linalg import _largest_singular_values  # the norm kernel
 
 
 @dataclass(frozen=True)
@@ -39,12 +41,17 @@ class FiniteCStarAlgebra:
     def ambient_dim(self) -> int:
         return sum(self.block_dims)
 
-    @property
+    @cached_property
     def block_offsets(self) -> tuple[int, ...]:
-        offs = [0]
-        for n in self.block_dims[:-1]:
-            offs.append(offs[-1] + n)
-        return tuple(offs)
+        return tuple(sum(self.block_dims[:i]) for i in range(self.n_blocks))
+
+    @cached_property
+    def _block_index(self) -> np.ndarray:
+        """Each block's ambient indices, padded to max(block_dims) with the
+        index N of an appended zero row or column."""
+        m, d = max(self.block_dims), self.ambient_dim
+        return np.array([list(range(o, o + n)) + [d] * (m - n)
+                         for o, n in zip(self.block_offsets, self.block_dims)])
 
     def projection(self, i: int) -> np.ndarray:
         """Orthogonal projection onto the i-th block (rank block_dims[i])."""
@@ -86,25 +93,29 @@ class FiniteCStarAlgebra:
         (k, n_blocks, n_blocks, m, m) stack of its arrays).  Padding adds only
         zero singular values, so every block norm and rank is read off it."""
         a = as_stack(b) if np.ndim(b) == 3 else as_matrix(b)
-        d = self.ambient_dim
+        d, idx = self.ambient_dim, self._block_index
         if a.shape[-2:] != (d, d):
             raise ValueError(f"expected shape ({d},{d}), got {a.shape}")
-        # index d is an appended zero row/column, needed only when block
-        # sizes differ
-        m = max(self.block_dims)
-        idx = np.array([list(range(o, o + n)) + [d] * (m - n)
-                        for o, n in zip(self.block_offsets, self.block_dims)])
-        if m * self.n_blocks > d:
+        # the appended zero row/column is needed only when block sizes differ
+        if idx.size > d:
             padded = np.zeros(a.shape[:-2] + (d + 1, d + 1), dtype=complex)
             padded[..., :d, :d] = a
             a = padded
         return a[..., idx[:, None, :, None], idx[None, :, None, :]]
 
+    def embed_blocks(self, i, j, small) -> np.ndarray:
+        """The (k, N, N) stack that holds small[t], padded as ``blocks`` pads,
+        at block (i[t], j[t]) of matrix t, from one indexed assignment."""
+        d, idx, k = self.ambient_dim, self._block_index, len(small)
+        out = np.zeros((k, d + 1, d + 1), dtype=complex)
+        out[np.arange(k)[:, None, None], idx[i][:, :, None], idx[j][:, None, :]] = small
+        return np.ascontiguousarray(out[:, :d, :d])
+
     def block_norms(self, b) -> np.ndarray:
         """The n_blocks × n_blocks table of block norms ∥p_i b p_j∥, from which
         every block-support question about b is answered (for a (k, N, N)
         stack, the (k, n_blocks, n_blocks) stack of its tables)."""
-        return np.linalg.svd(self.blocks(b), compute_uv=False)[..., 0]
+        return _largest_singular_values(self.blocks(b))
 
     def compress(self, b) -> np.ndarray:
         """Σ_i p_i b p_i — kill the off-diagonal blocks (of each matrix of a

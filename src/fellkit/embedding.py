@@ -32,7 +32,6 @@ from .linalg import (
     DEFAULT_EPS,
     operator_norm,
     operator_norms,
-    random_matrix,
     ranks,
 )
 from .subalgebra import PairCandidate, PairClassification, classify_pair
@@ -107,7 +106,7 @@ class ReadOff:
     A: FiniteCStarAlgebra
     B: FiniteCStarAlgebra
     P: ConditionalExpectation
-    normalizer_sample: list[np.ndarray]
+    normalizer_sample: np.ndarray  # (n², N, N)
     assignment: np.ndarray | None  # (n, n, d, d), as FellBundleModel.frame
     omega: Cocycle2 | None
     note: str = ""
@@ -124,19 +123,16 @@ def read_off_pair(phi: EmbeddingInvariant, eps: float = DEFAULT_EPS) -> ReadOff:
     A = phi.algebra
     B = FiniteCStarAlgebra((A.ambient_dim,))
     P = ConditionalExpectation(range_algebra=A)
-    sample = [
-        A.embed_block(i, j, phi.block(i, j))
-        for i in range(A.n_blocks)
-        for j in range(A.n_blocks)
-    ]
+    n, m = A.n_blocks, max(A.block_dims)
+    blocks = A.blocks(phi.phi)
+    sample = A.embed_blocks(*np.divmod(np.arange(n * n), n), blocks.reshape(-1, m, m))
     assignment = None
     omega = None
     note = ""
     if len(set(A.block_dims)) == 1:
-        n, dim = A.n_blocks, A.block_dims[0]
         # assignment[i, j] is the (i, j) block of Φ, the identity on the diagonal
-        assignment = A.blocks(phi.phi)
-        assignment[range(n), range(n)] = np.eye(dim)
+        assignment = blocks
+        assignment[range(n), range(n)] = np.eye(m)
         omega = extract_cocycle(assignment, eps)
     else:
         note = (
@@ -166,12 +162,17 @@ def cartan_from_fell_bundle(
         axioms = check_fell_axioms(E, sample_count=samples, eps=eps, rng=rng)
     if not axioms.all_passed:
         raise ValueError(f"bundle fails axioms {axioms.failed_axioms()}")
-    pair = PairCandidate(
-        A=diagonal_algebra(E), B=enveloping_algebra(E), P=restriction_expectation(E)
-    )
-    sample = [E.embed(g, e) for g in E.groupoid.arrows() if g[0] != g[1]
-              for e in E.fibre_basis(g)]
-    classification = classify_pair(pair, sample, eps, rng=rng)
+    A = diagonal_algebra(E)
+    pair = PairCandidate(A=A, B=enveloping_algebra(E), P=restriction_expectation(E))
+    # the fibre bases over the off-diagonal arrows: a unit per grid entry (x, y, r, c)
+    grid = A.blocks(np.ones((A.ambient_dim,) * 2)).real > 0
+    for g in [(x, x) for x in range(A.n_blocks)] + list(E.zero_fibres):
+        grid[g] = False
+    x, y, r, c = np.nonzero(grid)
+    m = grid.shape[-1]
+    units = np.eye(m * m, dtype=complex)[r * m + c].reshape(-1, m, m)
+    units = units @ E.frame[x, y] if E.coefficient_form else units
+    classification = classify_pair(pair, A.embed_blocks(x, y, units), eps, rng=rng)
     return pair, classification, axioms
 
 
@@ -217,10 +218,9 @@ def bridge_round_trip(Gs: CovarianceGroup, eps: float = DEFAULT_EPS) -> dict:
         omega_residual = float(operator_norms(delta.reshape(-1, dim, dim)).max())
     rng = np.random.default_rng(0)
     d = readoff.A.ambient_dim
-    p_residual = 0.0
-    for _ in range(20):
-        b = random_matrix((d, d), rng)
-        p_residual = max(p_residual, operator_norm(readoff.P(b) - readoff2.P(b)))
+    z = rng.standard_normal((20, 2, d, d))  # the draws of 20 random_matrix calls
+    b = z[:, 0] + 1j * z[:, 1]
+    p_residual = float(operator_norms(readoff.P(b) - readoff2.P(b)).max())
     sigma_residual = operator_norm(recovered.sigma.U - Gs.sigma.U)
     phi_residual = operator_norm(phi2.phi - phi.phi)
 

@@ -8,8 +8,9 @@ residual norms).
 
 Matrices are plain numpy arrays of dtype complex128.  All functions are pure.
 A family of matrices travels as one (k, rows, cols) stack.  It is normed in
-one call, ``operator_norms``: one stacked SVD, which LAPACK runs matrix by
-matrix, so every norm equals ``operator_norm`` bit for bit.
+one call, ``operator_norms``, by the norm kernel: zero and 1×1 matrices are
+normed without LAPACK, the rest by one stacked SVD, and every norm equals
+LAPACK's and ``operator_norm`` bit for bit.
 """
 
 from __future__ import annotations
@@ -51,15 +52,29 @@ def operator_norm(m) -> float:
 
 
 def operator_norms(stack) -> np.ndarray:
-    """``operator_norm`` of each matrix of a (k, rows, cols) stack, from one
-    finiteness check and one stacked SVD."""
+    """``operator_norm`` of each matrix of a (k, rows, cols) stack: zero and
+    1×1 matrices are normed without LAPACK, the rest by one stacked SVD."""
     return _largest_singular_values(as_stack(stack))
 
 
 def _largest_singular_values(stack: np.ndarray) -> np.ndarray:
-    if stack.size == 0:
-        return np.zeros(len(stack))
-    return np.linalg.svd(stack, compute_uv=False)[:, 0]
+    """The norm kernel: the largest singular value of each matrix of a
+    (..., rows, cols) stack, LAPACK's bit for bit.  A zero matrix gets 0.0,
+    and a 1×1 matrix z with w = max(|Re z|, |Im z|) in [1e-100, 1e100] gets
+    w·sqrt((Re z/w)² + (Im z/w)²), zgesdd's dlapy3, without a LAPACK call."""
+    top = np.zeros(stack.shape[:-2])
+    known = ~stack.any(axis=(-2, -1))
+    if stack.shape[-2:] == (1, 1):
+        re, im = np.abs(stack[..., 0, 0].real), np.abs(stack[..., 0, 0].imag)
+        w = np.maximum(re, im)
+        inside = (w >= 1e-100) & (w <= 1e100)  # LAPACK rescales far outside
+        re, im, w = re[inside], im[inside], w[inside]
+        top[inside] = w * np.sqrt((re / w) ** 2 + (im / w) ** 2)
+        known |= inside
+    if not known.all():
+        todo = ... if not known.any() else ~known  # ... passes the stack uncopied
+        top[todo] = np.linalg.svd(stack[todo], compute_uv=False)[..., 0]
+    return top
 
 
 def is_unitary(m, eps: float = DEFAULT_EPS) -> bool:
@@ -102,10 +117,10 @@ def rank(m, eps: float = DEFAULT_EPS) -> int:
 
 def ranks(stack, eps: float = DEFAULT_EPS) -> np.ndarray:
     """``rank`` of each matrix of a (k, rows, cols) stack, from one stacked
-    SVD (LAPACK runs it matrix by matrix, so each equals ``rank``)."""
+    SVD, or the norm kernel's σ if 1×1: both equal LAPACK's, matrix by matrix."""
     a = as_stack(stack)
-    if a.size == 0:
-        return np.zeros(len(a), dtype=int)
+    if a.shape[1:] == (1, 1):
+        return _numerical_rank(_largest_singular_values(a)[:, None], eps)
     return _numerical_rank(np.linalg.svd(a, compute_uv=False), eps)
 
 

@@ -17,6 +17,7 @@ def test_shape_bookkeeping():
     assert A.n_blocks == 3
     assert A.ambient_dim == 6
     assert A.block_offsets == (0, 2, 3)
+    assert A.block_offsets is A.block_offsets  # computed once
     assert A.dim() == 4 + 1 + 9
 
 
@@ -96,6 +97,29 @@ def test_blocks_match_block_on_ragged_dims():
                 assert not blocks[i, j, ni:].any() and not blocks[i, j, :, nj:].any()
     with pytest.raises(ValueError):
         A.blocks(np.eye(5))
+
+
+@pytest.mark.parametrize("dims", [(1, 2, 3), (3, 1, 2), (2, 2), (1,)])
+def test_embed_blocks_places_each_block_as_embed_block_does(dims):
+    A = make_algebra(dims)
+    n, m = A.n_blocks, max(dims)
+    rng = np.random.default_rng(len(dims))
+    i, j = rng.integers(n, size=7), rng.integers(n, size=7)
+    small = np.zeros((7, m, m), dtype=complex)
+    for t in range(7):
+        small[t, :dims[i[t]], :dims[j[t]]] = random_matrix((dims[i[t]], dims[j[t]]), rng)
+    small[0, 0, 0] = complex(-0.0, -0.0)
+    stack = A.embed_blocks(i, j, small)
+    assert stack.shape == (7, A.ambient_dim, A.ambient_dim)
+    assert stack.flags.c_contiguous
+    for t in range(7):
+        want = A.embed_block(i[t], j[t], small[t, :dims[i[t]], :dims[j[t]]])
+        assert np.array_equal(stack[t].view(np.int64), want.view(np.int64))
+    # the inverse of blocks: each matrix has its one block, padded as given
+    grids = A.blocks(stack)
+    assert np.array_equal(grids[np.arange(7), i, j], small)
+    assert A.embed_blocks([], [], np.zeros((0, m, m))).shape == (0, A.ambient_dim,
+                                                                 A.ambient_dim)
 
 
 def basis_loop(A):

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fellkit.linalg
+from fellkit.algebra import make_algebra
 from fellkit.linalg import (
     adjoints,
     as_matrix,
@@ -204,6 +206,110 @@ def test_ranks_match_rank_member_by_member():
     assert list(ranks(np.zeros((2, 0, 3)))) == [0, 0] == [rank(np.zeros((0, 3)))] * 2
     with pytest.raises(ValueError):
         ranks(np.full((1, 2, 2), np.nan))
+
+
+def bits(a):
+    """The IEEE bit patterns of a float or complex array: -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def lapack_tops(stack):
+    """LAPACK's largest singular value of each matrix of a (..., r, c) stack,
+    0.0 for a matrix with no entries (the oracle of the norm kernel)."""
+    flat = stack.reshape(-1, *stack.shape[-2:])
+    tops = [np.linalg.svd(m, compute_uv=False)[0] if m.size else 0.0 for m in flat]
+    return np.array(tops).reshape(stack.shape[:-2])
+
+
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """The stacks that the norm kernel hands to LAPACK, in call order."""
+    svd, calls = np.linalg.svd, []
+
+    def recorded(a, *args, **kwargs):
+        calls.append(a)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    return calls
+
+
+def random_scalars(rng, count, lo=-120, hi=120):
+    """Complex scalars whose parts have random signs and log-uniform
+    magnitudes in [10^lo, 10^hi], some of them exactly zero."""
+    re, im = (rng.choice([-1.0, 1.0], count) * 10.0 ** rng.uniform(lo, hi, count)
+              for _ in range(2))
+    re[rng.random(count) < 0.05] = 0.0
+    im[rng.random(count) < 0.05] = -0.0
+    return (re + 1j * im).reshape(-1, 1, 1)
+
+
+def test_norm_kernel_skips_lapack_on_zero_stacks(lapack_calls):
+    negative_zero = np.full((3, 4, 7), complex(-0.0, -0.0))
+    negative_zero[1] = complex(0.0, -0.0)
+    A = make_algebra([1, 2, 3])
+    block_diagonal = A.compress(np.ones((6, 6)))
+    stacks = [np.zeros((4, 2, 2), dtype=complex), np.zeros((2, 4, 7), dtype=complex),
+              np.zeros((2, 7, 4), dtype=complex), np.zeros((1, 8, 8), dtype=complex),
+              np.zeros((5, 1, 1), dtype=complex), negative_zero,
+              np.full((3, 1, 1), complex(-0.0, 0.0)),
+              # the six off-diagonal blocks, 1×2 up to 3×2, zero-padded to 3×3
+              A.blocks(block_diagonal)[~np.eye(3, dtype=bool)]]
+    for stack in stacks:
+        got = fellkit.linalg._largest_singular_values(stack)
+        assert got.shape == stack.shape[:-2]
+        assert np.array_equal(bits(got), bits(np.zeros(stack.shape[:-2])))
+    assert lapack_calls == []
+    for stack in stacks:  # and LAPACK agrees, -0.0 entries included
+        assert np.array_equal(bits(lapack_tops(stack)), bits(np.zeros(len(stack))))
+
+
+def test_norm_kernel_equals_lapack_on_random_scalars(lapack_calls):
+    rng = rng_for(11)
+    # beyond the window [1e-100, 1e100] the kernel falls back on LAPACK
+    stack = np.concatenate([random_scalars(rng, 20000),
+                            random_scalars(rng, 200, -300, -100.01),
+                            random_scalars(rng, 200, 100.01, 300),
+                            [[[5e-324]], [[1.7e308 - 1e308j]], [[1e100 + 1e101j]]]])
+    stack = stack[rng.permutation(len(stack))]
+    got = operator_norms(stack)
+    w = np.maximum(np.abs(stack.real), np.abs(stack.imag)).ravel()
+    outside = (w > 0) & ((w < 1e-100) | (w > 1e100))
+    assert np.count_nonzero(outside) > 400
+    assert [len(c) for c in lapack_calls] == [np.count_nonzero(outside)]
+    assert np.array_equal(bits(got), bits(lapack_tops(stack)))
+    assert np.array_equal(bits(got), bits([operator_norm(m) for m in stack]))
+
+
+def test_norm_kernel_on_mixed_zero_and_nonzero_stacks(lapack_calls):
+    rng = rng_for(12)
+    for shape, calls in [((3, 3), [8]), ((2, 5), [8]), ((1, 1), [])]:
+        stack = np.stack([random_matrix(shape, rng) for _ in range(12)])
+        stack[[0, 3, 4, 9]] = 0.0
+        stack[5, 0, 0] = complex(-0.0, 0.0)
+        lapack_calls.clear()
+        got = operator_norms(stack)
+        # LAPACK sees the nonzero matrices only, and no scalar at all
+        assert [len(c) for c in lapack_calls] == calls
+        assert np.array_equal(bits(got), bits(lapack_tops(stack)))
+        assert got[[0, 3, 4, 9]].tolist() == [0.0] * 4
+    # with nothing to skip, LAPACK gets the stack itself, not a copy
+    stack = np.stack([random_matrix((3, 3), rng) for _ in range(4)])
+    lapack_calls.clear()
+    operator_norms(stack)
+    assert len(lapack_calls) == 1 and np.shares_memory(lapack_calls[0], stack)
+
+
+@pytest.mark.parametrize("eps", [1e-9, 0.5, 1.0, 2.0])
+def test_ranks_of_scalars_follow_the_rank_rule_on_kernel_norms(eps):
+    rng = rng_for(13)
+    stack = np.concatenate([random_scalars(rng, 500), random_scalars(rng, 20, -300, -110),
+                            np.zeros((3, 1, 1)), [[[1e-12]], [[2.0 - 3.0j]]]])
+    got = ranks(stack, eps)
+    assert [int(r) for r in got] == [rank(m, eps) for m in stack]
+    # rank 1 for every nonzero scalar below eps = 1, and rank 0 from eps = 1 on
+    want = (stack.ravel() != 0) if eps < 1 else np.zeros(len(stack), dtype=bool)
+    assert got.tolist() == want.astype(int).tolist()
 
 
 def test_is_unitary_rejects():

@@ -6,7 +6,9 @@ digest dates from the implementation that stored the frame and the twist as
 per-arrow and per-pair dicts; the `report` digests were recorded when the
 axiom suite began to decide axioms 1–3 and 5–8 exactly, which changed the
 axioms entry and, through the rng the pair stage inherits, the expectation
-residuals of the pair entry, and nothing else.  The reports print residuals
+residuals of the pair entry, and nothing else.  The two scalar-fibre cases
+(flow 8×1 and diag-masa 8, where the norm kernel skips LAPACK on zero and 1×1
+blocks) were recorded before that skip existed.  The reports print residuals
 and the extracted twist to the last bit, so a changed product order or
 summation order shows here.  A numpy or BLAS
 build that rounds differently can move these digests without any change to
@@ -39,6 +41,12 @@ CASES = {
     "report-twisted-5": (
         ["report", "--input", "TWISTED_5"], 1,
         "6520d84ab107f7f4823d94aba32a0706ac7714f6a4a8a20018a3139ec196a507"),
+    "report-flow-8x1": (
+        ["report", "--preset", "flow", "--points", "8", "--dim", "1"], 0,
+        "db2ab2b53a10f19f1cc952543ded0bfbcf9510a06752248a9ffa82fd895965f5"),
+    "report-diag-masa-8": (
+        ["report", "--preset", "diag-masa", "--n", "8"], 0,
+        "e727b8ffd61d37f2cbb461aa754b8edd97db8382a0bafe155c9c373342af2455"),
     # the read-off fails: the random frame has holonomy round the 4-cycle
     "phi-readoff-semidirect": (
         ["phi", "readoff", "--preset", "semidirect"], 1,
