@@ -53,6 +53,12 @@ class FiniteCStarAlgebra:
         return np.array([list(range(o, o + n)) + [d] * (m - n)
                          for o, n in zip(self.block_offsets, self.block_dims)])
 
+    @cached_property
+    def _block_mask(self) -> np.ndarray:
+        """The N × N boolean array, True on the diagonal blocks."""
+        label = np.repeat(np.arange(self.n_blocks), self.block_dims)
+        return label[:, None] == label
+
     def projection(self, i: int) -> np.ndarray:
         """Orthogonal projection onto the i-th block (rank block_dims[i])."""
         p = np.zeros((self.ambient_dim, self.ambient_dim), dtype=complex)
@@ -121,10 +127,7 @@ class FiniteCStarAlgebra:
         """Σ_i p_i b p_i — kill the off-diagonal blocks (of each matrix of a
         (k, N, N) stack)."""
         a = as_stack(b) if np.ndim(b) == 3 else as_matrix(b)
-        out = np.zeros_like(a)
-        for o, n in zip(self.block_offsets, self.block_dims):
-            out[..., o : o + n, o : o + n] = a[..., o : o + n, o : o + n]
-        return out
+        return np.where(self._block_mask, a, 0)
 
     def contains(self, b, eps: float = DEFAULT_EPS) -> bool:
         """True iff b is block-diagonal for this algebra within eps."""
@@ -139,8 +142,7 @@ class FiniteCStarAlgebra:
         blocks in order, row-major within each block (the row-major order of
         the block-diagonal entries)."""
         d = self.ambient_dim
-        label = np.repeat(np.arange(self.n_blocks), self.block_dims)
-        entries = np.flatnonzero(label[:, None] == label[None, :])
+        entries = np.flatnonzero(self._block_mask)
         units = np.zeros((len(entries), d * d), dtype=complex)
         units[np.arange(len(entries)), entries] = 1.0
         return list(units.reshape(-1, d, d))

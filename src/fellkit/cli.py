@@ -131,9 +131,8 @@ def isolated(prefix: str):
 
 @dataclass
 class AxiomRun:
-    """One report's axiom suite: the pair stage reuses it and its rng."""
+    """One report's axiom suite, which the pair stage reuses."""
 
-    rng: np.random.Generator
     report: AxiomReport | None = None
 
 
@@ -142,7 +141,7 @@ def run_check(
     what: str, model, generator, eps: float, seed: int,
     axiom_run: AxiomRun | None = None,
 ) -> dict:
-    rng = np.random.default_rng(seed) if axiom_run is None else axiom_run.rng
+    rng = np.random.default_rng(seed)
     if what == "axioms":
         report = check_fell_axioms(model, sample_count=200, eps=eps, rng=rng)
         if axiom_run is not None:
@@ -271,7 +270,7 @@ def run_phi(what: str, model, generator, eps: float, seed: int) -> dict:
 
 
 def run_report(model, generator, eps: float, seed: int) -> dict:
-    axiom_run = AxiomRun(rng=np.random.default_rng(seed))
+    axiom_run = AxiomRun()
     checks = [
         run_check("axioms", model, generator, eps, seed, axiom_run=axiom_run),
         run_check("pair", model, generator, eps, seed, axiom_run=axiom_run),

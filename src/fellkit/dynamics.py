@@ -12,6 +12,7 @@ reachability on the block-norm table of σ.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,12 +46,13 @@ class SpatialAutomorphism:
     fibre_maps: tuple[np.ndarray, ...]
     fibre_dims: tuple[int, ...]
 
-    @property
+    @cached_property
     def U(self) -> np.ndarray:
         A = FiniteCStarAlgebra(self.fibre_dims)
         out = np.zeros((A.ambient_dim, A.ambient_dim), dtype=complex)
         for x, w in enumerate(self.fibre_maps):
             out += A.embed_block(self.f0(x), x, w)
+        out.flags.writeable = False
         return out
 
 

@@ -172,7 +172,7 @@ def cartan_from_fell_bundle(
     m = grid.shape[-1]
     units = np.eye(m * m, dtype=complex)[r * m + c].reshape(-1, m, m)
     units = units @ E.frame[x, y] if E.coefficient_form else units
-    classification = classify_pair(pair, A.embed_blocks(x, y, units), eps, rng=rng)
+    classification = classify_pair(pair, A.embed_blocks(x, y, units), eps)
     return pair, classification, axioms
 
 

@@ -115,7 +115,6 @@ def classify_pair(
     pair: PairCandidate,
     normalizer_sample: list[np.ndarray],
     eps: float = DEFAULT_EPS,
-    rng: np.random.Generator | None = None,
 ) -> PairClassification:
     """Diagonal / Cartan / neither, with per-check evidence.
 
@@ -126,7 +125,7 @@ def classify_pair(
     """
     unit_in_A = pair.A.contains(pair.B.unit(), eps)
     regular = is_regular(pair, normalizer_sample, eps)
-    p_report = pair.P.verify(eps=eps, rng=rng)
+    p_report = pair.P.verify(eps=eps)
     p_ok = all(v[0] for k, v in p_report.items() if isinstance(v, tuple))
 
     kernel_dim = pair.B.dim() - pair.A.dim()

@@ -121,13 +121,31 @@ def test_report_runs_the_axiom_suite_once(tmp_path, monkeypatch):
     code, report = run(tmp_path, "report", *flow)
     assert code == 0
     assert len(calls) == 1
-    # `check pair` on its own runs the suite first, and the pair stage of the
-    # report continues on the rng the axioms stage left: the checks agree
+    # `check pair` on its own runs the suite first; the pair stage itself
+    # reads no rng, so the checks agree
     code, pair = run(tmp_path, "check", "pair", *flow, name="pair.json")
     assert code == 0
     assert len(calls) == 2
     checks = json.loads(report.read_text())["checks"]
     assert checks[1] == json.loads(pair.read_text())
+
+
+@pytest.mark.parametrize("model", [
+    ("--preset", "flow", "--points", "4", "--dim", "2"),
+    ("--preset", "flow", "--points", "8", "--dim", "1"),
+    ("--preset", "imprimitivity", "--dims", "3,1,4,2"),
+], ids=["flow-4x2", "flow-8x1", "imprimitivity-3,1,4,2"])
+def test_report_pair_entry_does_not_depend_on_the_seed(tmp_path, model):
+    """The expectation contract is decided, not sampled: the pair entry is
+    the same for every seed, although the flow frames differ by seed."""
+    entries = set()
+    for seed in range(10):
+        code, out = run(tmp_path, "report", *model, "--seed", str(seed))
+        assert code == 0
+        (pair,) = [c for c in json.loads(out.read_text())["checks"]
+                   if c["check"] == "pair"]
+        entries.add(json.dumps(pair))
+    assert len(entries) == 1
 
 
 def test_phi_readoff_reports_a_failed_read_off(tmp_path):

@@ -56,6 +56,22 @@ def test_assembled_unitary_and_covariance_support():
     assert is_normalizer(U, A)
 
 
+def test_assembled_unitary_is_built_once_and_read_only(monkeypatch):
+    s = random_spatial_automorphism(Bisection((1, 2, 0)), (2, 2, 2), rng_for(0))
+    want = np.zeros((6, 6), dtype=complex)
+    for x, w in enumerate(s.fibre_maps):
+        want[2 * s.f0(x):2 * s.f0(x) + 2, 2 * x:2 * x + 2] = w
+    assert np.array_equal(s.U, want)
+
+    def refuse(*args):
+        raise AssertionError("U was assembled again")
+
+    monkeypatch.setattr(fellkit.dynamics.FiniteCStarAlgebra, "embed_block", refuse)
+    assert s.U is s.U
+    with pytest.raises(ValueError):
+        s.U[0, 0] = 1.0
+
+
 def test_dimension_obstruction():
     swap = Bisection((1, 0))
     with pytest.raises(CovarianceError):

@@ -210,7 +210,7 @@ def test_cartan_sample_matches_per_element_embed(name, monkeypatch):
     E = cartan_sample_models()[name]
     seen = []
     monkeypatch.setattr(fellkit.embedding, "classify_pair",
-                        lambda pair, sample, eps, rng: seen.append(sample))
+                        lambda pair, sample, eps: seen.append(sample))
     # the axiom suite is not under test: the sample is built either way
     cartan_from_fell_bundle(E, axioms=AxiomReport([True], [0.0]))
     oracle = [E.embed(g, e) for g in E.groupoid.arrows() if g[0] != g[1]

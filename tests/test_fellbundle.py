@@ -16,7 +16,6 @@ from fellkit.fellbundle import (
     ConditionalExpectation,
     FellBundleModel,
     FrameError,
-    _CHUNK,
     LocalTrivialityError,
     build_imprimitivity_bundle,
     build_semidirect_bundle,
@@ -359,7 +358,7 @@ def test_expectation_contract():
     from fellkit.algebra import make_algebra
 
     P = ConditionalExpectation(make_algebra([2, 1, 3]))
-    report = P.verify(samples=500, rng=rng_for(0))
+    report = P.verify()
     for key in ("fixes_range", "bimodule", "positive", "idempotent",
                 "contractive", "faithful"):
         ok, residual = report[key]
@@ -504,7 +503,9 @@ def test_positivity():
 
 
 def per_sample_verify(P, samples=200, eps=1e-9, rng=None):
-    """Oracle: ConditionalExpectation.verify one sample at a time."""
+    """Oracle: the expectation contract on `samples` random draws, one at a
+    time.  Sampling can miss a failure but never invents one, so every
+    property it fails, the decided ``verify`` must fail too."""
     if rng is None:
         rng = np.random.default_rng(0)
     A = P.range_algebra
@@ -560,7 +561,7 @@ SAMPLED_MODELS = {
         fibre_dims=(1, 1, 1), frame=identity_frame(3, 1),
         twist=make_twist(3, 1, {((0, 1), (1, 2)): -1, ((2, 1), (1, 0)): -1})),
 }
-SAMPLE_COUNTS = (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 200)
+SAMPLE_COUNTS = (1, 15, 16, 17, 200)
 
 
 def failed(passed):
@@ -581,6 +582,15 @@ def twisted_8(seed):
     return model_from_json(doc)[0]
 
 
+def phase_on_one_pair(zero_fibres):
+    """Two points of dimension 2, the identity frame and the phase i on the
+    pair ((0,1),(1,1)) alone: neither a cocycle nor admissible."""
+    return FellBundleModel(
+        fibre_dims=(2, 2), frame=identity_frame(2, 2),
+        twist=make_twist(2, 2, {((0, 1), (1, 1)): 1j * np.eye(2)}),
+        zero_fibres=frozenset(zero_fibres))
+
+
 EXHAUSTIVE_MODELS = {
     **SAMPLED_MODELS,
     "twisted-5": model_from_json(TWISTED_5)[0],
@@ -590,6 +600,11 @@ EXHAUSTIVE_MODELS = {
         CStarBundle((2, 2, 2)), frame=random_symmetric_frame(3, 2, rng_for(5)),
         twist=make_twist(3, 2, {((0, 1), (1, 2)): np.diag([1, 1j]),
                                 ((2, 1), (1, 0)): np.diag([1, -1j])})),
+    # the phase sits on a pair through the zero fibre (0,1), whose elements
+    # are all 0, so every axiom holds: M_2 ⊕ M_2 as a bundle
+    "phase-through-zero-fibre": phase_on_one_pair({(0, 1), (1, 0)}),
+    # the control: with (0,1) nonzero the same phase breaks 3 and 8
+    "phase-on-live-pair": phase_on_one_pair(set()),
 }
 
 
@@ -610,6 +625,7 @@ EXPECTED_FAILURES = {
     "non-cocycle": {3},
     "twisted-5": {3},
     "diagonal-twist": {3, 8},
+    "phase-on-live-pair": {3, 8},
 }
 
 
@@ -757,18 +773,24 @@ EXPECTATION_KEYS = ("fixes_range", "bimodule", "positive", "idempotent",
                     "contractive", "faithful")
 
 
+def expectation_failures(report):
+    return {k for k in EXPECTATION_KEYS if not report[k][0]}
+
+
+def sampled_failures(P, count, seed):
+    return expectation_failures(per_sample_verify(P, count, rng=rng_for(seed)))
+
+
 @pytest.mark.parametrize("count", (0,) + SAMPLE_COUNTS)
 @pytest.mark.parametrize("dims", [(2, 1, 3), (3, 1, 4, 2), (2, 2, 2), (1,)])
 def test_expectation_verify_matches_per_sample_loop(dims, count):
+    """Every property the sampled loop fails on `count` draws, the decided
+    contract fails too; for a block compression that is none."""
     P = restriction_expectation(build_imprimitivity_bundle(dims))
-    rng, oracle_rng = rng_for(count), rng_for(count)
-    report = P.verify(samples=count, rng=rng)
-    # equal reprs: the same floats bit for bit, and Python bools and floats
-    assert repr(report) == repr(per_sample_verify(P, count, rng=oracle_rng))
-    assert rng.bit_generator.state == oracle_rng.bit_generator.state
-    if count == 0:
-        assert all(report[k][0] for k in EXPECTATION_KEYS)
-        assert report["faithful"][1] == float("inf")
+    report = P.verify()
+    assert sampled_failures(P, count, count) <= expectation_failures(report) == set()
+    assert report["faithful"] == (True, 1.0)
+    assert {type(v) for k in EXPECTATION_KEYS for v in report[k]} == {bool, float}
 
 
 @dataclass(frozen=True)
@@ -792,15 +814,60 @@ EXPECTATION_DEFECTS = {
     "block-mixed": (lambda A, b: MIXER @ A.compress(MIXER.conj().T @ b @ MIXER)
                     @ MIXER.conj().T, {"fixes_range", "bimodule"}),
 }
+# maps the sampled loop passes on properties the decided contract fails
+ADVERSARIAL_MAPS = {
+    # positive, but its Choi matrix is the swap on each block: not completely
+    # positive, so contractive and faithful fail closed
+    "transposed": (lambda A, b: A.compress(b.swapaxes(-1, -2)),
+                   {"fixes_range", "bimodule", "idempotent", "positive",
+                    "contractive", "faithful"}),
+    # a contraction, and faithful, but neither P nor −P is completely positive
+    "rotated": (lambda A, b: 1j * A.compress(b),
+                {"fixes_range", "idempotent", "positive", "contractive",
+                 "faithful"}),
+}
 
 
 @pytest.mark.parametrize("name", EXPECTATION_DEFECTS)
 def test_expectation_verify_rejects_defective_maps(name):
+    """The controls fail exactly what they failed when verify sampled, and
+    contain every failure of the sampled loop."""
     defect, failing = EXPECTATION_DEFECTS[name]
     P = DefectiveExpectation(make_algebra([2, 1, 3]), defect)
-    report = P.verify(rng=rng_for(0))
-    assert repr(report) == repr(per_sample_verify(P, rng=rng_for(0)))
-    assert {k for k in EXPECTATION_KEYS if not report[k][0]} == failing
+    report = P.verify()
+    assert expectation_failures(report) == failing
+    for seed in range(3):
+        assert sampled_failures(P, 200, seed) <= failing, seed
+
+
+@pytest.mark.parametrize("name", ADVERSARIAL_MAPS)
+def test_expectation_verify_decides_complete_positivity(name):
+    defect, failing = ADVERSARIAL_MAPS[name]
+    P = DefectiveExpectation(make_algebra([2, 1, 3]), defect)
+    report = P.verify()
+    assert expectation_failures(report) == failing
+    assert sampled_failures(P, 200, 0) < failing
+    # failed closed: no verdict rests on Russo–Dye or P*(1), and the
+    # residuals stay finite for JSON
+    assert report["contractive"][1] == report["positive"][1] >= 1.0
+    assert report["faithful"] == (False, 0.0)
+
+
+def test_expectation_verify_draws_nothing_and_calls_no_svd(monkeypatch):
+    """On a block compression every residual matrix is exactly zero, so the
+    norm kernel skips LAPACK; the Choi spectrum and the spectra of P(1) and
+    P*(1) come from eigvalsh, and no random numbers are drawn."""
+    want = {dims: ConditionalExpectation(make_algebra(dims)).verify()
+            for dims in [(2, 1, 3), (8,) * 6, (1,) * 24]}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify called an SVD or drew a random number")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    monkeypatch.setattr(np.random, "standard_normal", refuse)
+    for dims, report in want.items():
+        assert ConditionalExpectation(make_algebra(dims)).verify() == report
 
 
 def traced_peak_bytes(run):
@@ -814,19 +881,26 @@ def traced_peak_bytes(run):
 
 
 def test_sampled_suites_hold_bounded_stacks():
-    """verify evaluates _CHUNK samples at a time, so its peak does not grow
-    with the sample count: 1.04 MB at N = 24 in 16-sample chunks, against
-    12.9 MB for all 200 samples at once.  The axiom suite holds one stack of
-    its 200 samples; both suites on imprimitivity (1,2,3,4) peak at 0.62 MB."""
+    """verify holds the images of one row of matrix units at a time, about
+    three (N, N, N) stacks: 0.72 MB at N = 24.  The axiom suite holds one
+    stack of its 200 samples: 0.81 MB on imprimitivity (1,2,3,4), where
+    verify peaks at 0.06 MB."""
     E = build_imprimitivity_bundle((1, 2, 3, 4))
 
     def both_suites():
-        rng = rng_for(0)
-        check_fell_axioms(E, sample_count=200, rng=rng)
-        restriction_expectation(E).verify(rng=rng)
+        check_fell_axioms(E, sample_count=200, rng=rng_for(0))
+        restriction_expectation(E).verify()
 
     def single_block():
-        ConditionalExpectation(make_algebra([24])).verify(rng=rng_for(0))
+        ConditionalExpectation(make_algebra([24])).verify()
 
     assert traced_peak_bytes(both_suites) < 1.2e6
     assert traced_peak_bytes(single_block) < 1.2e6
+
+
+@pytest.mark.parametrize("dims", [(8,) * 6, (1,) * 48])
+def test_expectation_verify_peak_at_n_48(dims):
+    """N² = 2304 unit images of 2304 entries each (85 MB in all) pass
+    through verify seven at a time: it peaks at about 1.0 MB."""
+    P = ConditionalExpectation(make_algebra(dims))
+    assert traced_peak_bytes(P.verify) <= 4.1e6
