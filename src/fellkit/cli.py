@@ -21,7 +21,7 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -69,9 +69,8 @@ class UsageError(Exception):
     pass
 
 
-def build_preset(
-    name: str, args, rng: np.random.Generator, eps: float
-) -> tuple[FellBundleModel, Bisection | None]:
+def build_preset(name: str, args, eps: float) -> tuple[FellBundleModel, Bisection | None]:
+    """The preset model; only the random frames draw, from --seed."""
     if name == "fourpoint":
         model = build_semidirect_bundle(CStarBundle((1, 1, 1, 1)), eps=eps)
         return model, cycle_bisection(4)
@@ -84,20 +83,20 @@ def build_preset(
         return build_imprimitivity_bundle(dims), None
     if name == "semidirect":
         n, dim = args.points, args.dim
-        frame = random_symmetric_frame(n, dim, rng)
+        frame = random_symmetric_frame(n, dim, np.random.default_rng(args.seed))
         model = build_semidirect_bundle(CStarBundle((dim,) * n), frame=frame, eps=eps)
         return model, cycle_bisection(n)
     if name == "flow":
         n, dim = args.points, args.dim
-        frame, g = flow_frame(n, dim, rng)
+        frame, g = flow_frame(n, dim, np.random.default_rng(args.seed))
         model = build_semidirect_bundle(CStarBundle((dim,) * n), frame=frame, eps=eps)
         return model, g
     raise UsageError(f"unknown preset {name!r}")
 
 
-def load_model(args, rng, eps) -> tuple[FellBundleModel, Bisection | None]:
+def load_model(args, eps) -> tuple[FellBundleModel, Bisection | None]:
     if args.preset is not None:
-        return build_preset(args.preset, args, rng, eps)
+        return build_preset(args.preset, args, eps)
     with open(args.input, encoding="utf-8") as f:
         return model_from_json(loads(f.read()), eps=eps)
 
@@ -129,23 +128,14 @@ def isolated(prefix: str):
     return decorate
 
 
-@dataclass
-class AxiomRun:
-    """One report's axiom suite, which the pair stage reuses."""
-
-    report: AxiomReport | None = None
-
-
 @isolated("")
 def run_check(
-    what: str, model, generator, eps: float, seed: int,
-    axiom_run: AxiomRun | None = None,
+    what: str, model, generator, eps: float, seed: int, axioms: dict | None = None
 ) -> dict:
-    rng = np.random.default_rng(seed)
+    """One suite's entry; the pair stage reuses the axioms entry ``axioms``
+    when given one, and only theorem-3.13 draws, from ``seed``."""
     if what == "axioms":
-        report = check_fell_axioms(model, sample_count=200, eps=eps, rng=rng)
-        if axiom_run is not None:
-            axiom_run.report = report
+        report = check_fell_axioms(model, eps=eps)
         return {
             "check": "axioms",
             "pass": report.all_passed,
@@ -153,9 +143,11 @@ def run_check(
             "details": report.as_dict(),
         }
     if what == "pair":
-        _, classification, _ = cartan_from_fell_bundle(
-            model, eps=eps, rng=rng, axioms=axiom_run and axiom_run.report
-        )
+        report = None  # the suite runs here if its entry is missing or raised
+        if axioms is not None and "details" in axioms:
+            rows = axioms["details"]["axioms"]
+            report = AxiomReport([r["pass"] for r in rows], [r["residual"] for r in rows])
+        _, classification, _ = cartan_from_fell_bundle(model, eps=eps, axioms=report)
         return {
             "check": "pair",
             "pass": classification.verdict in ("diagonal", "cartan"),
@@ -188,7 +180,8 @@ def run_check(
             },
         }
     if what == "theorem-3.13":
-        result = check_unitary_normalizer_theorem(model, samples=100, eps=eps, rng=rng)
+        result = check_unitary_normalizer_theorem(
+            model, samples=100, eps=eps, rng=np.random.default_rng(seed))
         return {
             "check": "theorem-3.13",
             "pass": result["pass"],
@@ -270,11 +263,8 @@ def run_phi(what: str, model, generator, eps: float, seed: int) -> dict:
 
 
 def run_report(model, generator, eps: float, seed: int) -> dict:
-    axiom_run = AxiomRun()
-    checks = [
-        run_check("axioms", model, generator, eps, seed, axiom_run=axiom_run),
-        run_check("pair", model, generator, eps, seed, axiom_run=axiom_run),
-    ]
+    axioms = run_check("axioms", model, generator, eps, seed)
+    checks = [axioms, run_check("pair", model, generator, eps, seed, axioms=axioms)]
     if generator is not None:
         if model.twist is not None or model.frame is not None:
             checks.append(run_check("cocycle", model, generator, eps, seed))
@@ -394,8 +384,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         eps = resolve_eps(args)
-        rng = np.random.default_rng(args.seed)
-        model, generator = load_model(args, rng, eps)
+        model, generator = load_model(args, eps)
 
         if args.command == "generate":
             emit(model_to_json(model, generator), args)

@@ -18,13 +18,14 @@ import numpy as np
 
 from .algebra import FiniteCStarAlgebra
 from .cocycle import first_offender
-from .fellbundle import FellBundleModel, diagonal_algebra, is_saturated
+from .fellbundle import FellBundleModel, is_saturated
 from .groupoid import Bisection, CyclicFlow, cyclic_flow, is_minimal_flow
 from .linalg import (
     DEFAULT_EPS,
     as_matrix,
     haar_from_normals,
     is_unitary,
+    operator_norms,
     unitarity_defects,
 )
 from .subalgebra import Slice, is_partial_bijection, normalizes_by_table
@@ -154,12 +155,14 @@ def check_unitary_normalizer_theorem(
     Each sample draws from rng in turn, as it would one at a time (forward: a
     base permutation, then the Gaussians of one Haar unitary per point;
     converse: two blocks, then those of one Haar unitary on both).  Each
-    direction then factors its draws with one stacked QR and forms one
-    (samples, N, N) stack, and each predicate is one stacked call: the
-    unitarity residuals take one stacked SVD per shape, and the normalizer
-    rule and the block support are read from one stack of block-norm tables.
-    A fibre map that is not unitary raises CovarianceError, naming the first
-    in draw order.
+    direction factors its draws with one stacked QR.  Every predicate is
+    read off the fibre blocks, never the N×N matrices.  U's block
+    (f0(x), x) is w_x and the rest are zero, so its block-norm table is the
+    norms of the w_x on the graph of f0, and ‖U*U − I‖, ‖UU* − I‖ are the
+    largest unitarity defect of the w_x: a fibre map that is not unitary
+    raises CovarianceError, naming the first in draw order.  A mixer on
+    blocks i and j leaves the other diagonal blocks I_d, of norm exactly
+    1.0, and its table holds the norms of its four d×d quadrants.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -167,9 +170,8 @@ def check_unitary_normalizer_theorem(
         raise ValueError("theorem check needs constant fibre dimension")
     if not is_saturated(E, eps):
         raise ValueError("theorem check needs a saturated bundle")
-    A = diagonal_algebra(E)
-    n, d, N = E.n_points, E.fibre_dims[0], A.ambient_dim
-    k = np.arange(samples)[:, None]
+    n, d = E.n_points, E.fibre_dims[0]
+    k, points = np.arange(samples)[:, None], np.arange(n)
 
     perms = np.empty((samples, n), dtype=int)
     normals = np.empty((samples, n, 2, d, d))
@@ -181,17 +183,13 @@ def check_unitary_normalizer_theorem(
     if bad is not None:
         raise CovarianceError(
             f"fibre map at {bad[1]} is not a unitary of the right shape")
-    # block (f0(x), x) of sample s is its fibre map at x
-    U = np.zeros((samples, n, d, n, d), dtype=complex)
-    U[k, perms, :, np.arange(n), :] = maps
-    U = U.reshape(samples, N, N)
-    t = A.block_norms(U)
+    t = np.zeros((samples, n, n))
+    t[k, perms, points] = operator_norms(maps.reshape(-1, d, d)).reshape(samples, n)
     graph = np.zeros((samples, n, n), dtype=bool)
-    graph[k, perms, np.arange(n)] = True
-    forward = ((unitarity_defects(U) <= eps) & normalizes_by_table(t, eps)
-               & ((t > eps) == graph).all(axis=(1, 2)))
+    graph[k, perms, points] = True
+    forward = normalizes_by_table(t, eps) & ((t > eps) == graph).all(axis=(1, 2))
 
-    m = 2 * d if n >= 2 else N
+    m = 2 * d if n >= 2 else d
     pairs = np.empty((samples, 2), dtype=int)
     normals = np.empty((samples, 2, m, m))
     for s in range(samples):
@@ -200,13 +198,13 @@ def check_unitary_normalizer_theorem(
         normals[s] = rng.standard_normal((2, m, m))
     mixers = haar_from_normals(normals)
     if n >= 2:
-        # rows and columns of blocks i and j, in that order
-        idx = (pairs[:, :, None] * d + np.arange(d)).reshape(samples, m)
-        U = np.tile(A.unit(), (samples, 1, 1))
-        U[k[:, :, None], idx[:, :, None], idx[:, None, :]] = mixers
+        t = np.zeros((samples, n, n))
+        t[:, points, points] = 1.0
+        quadrants = mixers.reshape(samples, 2, d, 2, d).swapaxes(2, 3)
+        t[k[:, :, None], pairs[:, :, None], pairs[:, None, :]] = operator_norms(
+            quadrants.reshape(-1, d, d)).reshape(samples, 2, 2)
     else:
-        U = mixers
-    t = A.block_norms(U)
+        t = operator_norms(mixers)[:, None, None]
     support = t > eps
     on_bisection = is_partial_bijection(support) & (support.sum(axis=(1, 2)) == n)
     converse = on_bisection | ~normalizes_by_table(t, eps)

@@ -148,18 +148,16 @@ def read_off_pair(phi: EmbeddingInvariant, eps: float = DEFAULT_EPS) -> ReadOff:
 def cartan_from_fell_bundle(
     E: FellBundleModel,
     eps: float = DEFAULT_EPS,
-    samples: int = 200,
-    rng: np.random.Generator | None = None,
     axioms: AxiomReport | None = None,
 ) -> tuple[PairCandidate, PairClassification, AxiomReport]:
     """The pair (A, B, P) of a bundle with its classification evidence.
 
     The normalizer sample is the bundle's fibre bases over the off-diagonal
     arrows, embedded in B.  Raises if the bundle fails the axiom suite, which
-    runs on rng unless its report is passed as ``axioms``.
+    runs unless its report is passed as ``axioms``.
     """
     if axioms is None:
-        axioms = check_fell_axioms(E, sample_count=samples, eps=eps, rng=rng)
+        axioms = check_fell_axioms(E, eps=eps)
     if not axioms.all_passed:
         raise ValueError(f"bundle fails axioms {axioms.failed_axioms()}")
     A = diagonal_algebra(E)

@@ -60,8 +60,7 @@ def semidirect_preset():
 def test_criterion_01_fell_axiom_suite():
     ok = True
     for E in (build_imprimitivity_bundle((2, 1, 3)), semidirect_preset()):
-        report = check_fell_axioms(E, sample_count=200,
-                                   rng=np.random.default_rng(0))
+        report = check_fell_axioms(E)
         ok = ok and report.all_passed and max(report.residuals) < 1e-9
 
     # negative control: broken involution frame fails axiom 8
@@ -69,16 +68,14 @@ def test_criterion_01_fell_axiom_suite():
     frame = random_symmetric_frame(3, 2, rng)
     frame[(1, 0)] = haar_unitary(2, rng)
     broken = FellBundleModel(fibre_dims=(2, 2, 2), frame=frame)
-    rep = check_fell_axioms(broken, sample_count=200,
-                            rng=np.random.default_rng(0))
+    rep = check_fell_axioms(broken)
     ok = ok and 8 in rep.failed_axioms()
 
     # negative control: non-cocycle twist fails axiom 3
     twist = make_twist(3, 1, {((0, 1), (1, 2)): -1, ((2, 1), (1, 0)): -1})
     broken = FellBundleModel(fibre_dims=(1, 1, 1),
                              frame=identity_frame(3, 1), twist=twist)
-    rep = check_fell_axioms(broken, sample_count=200,
-                            rng=np.random.default_rng(0))
+    rep = check_fell_axioms(broken)
     ok = ok and 3 in rep.failed_axioms()
     verdict(1, "Fell axiom suite with negative controls", ok)
 

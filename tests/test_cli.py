@@ -1,9 +1,13 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fellkit
 import fellkit.cli
 import fellkit.embedding
 from fellkit.cli import main
@@ -136,16 +140,39 @@ def test_report_runs_the_axiom_suite_once(tmp_path, monkeypatch):
     ("--preset", "imprimitivity", "--dims", "3,1,4,2"),
 ], ids=["flow-4x2", "flow-8x1", "imprimitivity-3,1,4,2"])
 def test_report_pair_entry_does_not_depend_on_the_seed(tmp_path, model):
-    """The expectation contract is decided, not sampled: the pair entry is
-    the same for every seed, although the flow frames differ by seed."""
-    entries = set()
+    """The expectation contract and the axioms are decided, not sampled.  The
+    pair entry is the same for every seed, although the flow frames differ
+    by seed; on one model file, so is the axioms entry, to the last bit."""
+    code, path = run(tmp_path, "generate", *model, name="model.json")
+    assert code == 0
+    entries = {"pair": set(), "axioms": set()}
     for seed in range(10):
-        code, out = run(tmp_path, "report", *model, "--seed", str(seed))
-        assert code == 0
-        (pair,) = [c for c in json.loads(out.read_text())["checks"]
-                   if c["check"] == "pair"]
-        entries.add(json.dumps(pair))
-    assert len(entries) == 1
+        for argv, check in ((model, "pair"), (("--input", str(path)), "axioms")):
+            code, out = run(tmp_path, "report", *argv, "--seed", str(seed))
+            assert code == 0
+            (entry,) = [c for c in json.loads(out.read_text())["checks"]
+                        if c["check"] == check]
+            entries[check].add(json.dumps(entry))
+    assert [len(e) for e in entries.values()] == [1, 1]
+
+
+def test_report_on_a_model_file_without_generator_draws_nothing(tmp_path):
+    """Only the random presets and theorem-3.13 draw: a report on an
+    imprimitivity model file never imports numpy.random."""
+    code, path = run(tmp_path, "generate", "--preset", "imprimitivity",
+                     "--dims", "3,1,4,2", name="model.json")
+    assert code == 0
+    script = ("import sys\n"
+              "from fellkit.cli import main\n"
+              f"code = main(['report', '--input', {str(path)!r}, "
+              f"'--out', {str(tmp_path / 'report.json')!r}])\n"
+              "print(code, 'numpy.random' in sys.modules)\n")
+    src = str(Path(fellkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["0", "False"]
 
 
 def test_phi_readoff_reports_a_failed_read_off(tmp_path):

@@ -24,17 +24,21 @@ from fellkit.fellbundle import (
 )
 from fellkit.groupoid import Bisection, cycle_bisection, identity_bisection
 from fellkit.linalg import (
+    haar_from_normals,
     haar_unitary,
     is_unitary,
     operator_norm,
     orthonormal_span_basis,
     random_matrix,
+    unitarity_defects,
 )
 from fellkit.presets import flow_frame, random_symmetric_frame
 from fellkit.subalgebra import (
     _columns_meet_one_block,
     is_normalizer,
+    is_partial_bijection,
     normalizer_support,
+    normalizes_by_table,
     slice_check,
 )
 
@@ -198,6 +202,79 @@ def per_sample_theorem(E, samples=100, eps=1e-9, rng=None):
         "converse_pass": converse_ok,
         "pass": forward_ok == samples and converse_ok == samples,
     }
+
+
+def dense_theorem(E, samples=100, eps=1e-9, rng=None):
+    """Oracle: the same draws as check_unitary_normalizer_theorem, with each
+    direction assembled into one (samples, N, N) stack and every predicate
+    read off the dense matrices (unitarity from U*U and UU*, tables from
+    block_norms)."""
+    A = diagonal_algebra(E)
+    n, d, N = E.n_points, E.fibre_dims[0], A.ambient_dim
+    k = np.arange(samples)[:, None]
+    perms = np.empty((samples, n), dtype=int)
+    normals = np.empty((samples, n, 2, d, d))
+    for s in range(samples):
+        perms[s] = rng.permutation(n)
+        normals[s] = rng.standard_normal((n, 2, d, d))
+    maps = haar_from_normals(normals)
+    U = np.zeros((samples, n, d, n, d), dtype=complex)
+    U[k, perms, :, np.arange(n), :] = maps
+    U = U.reshape(samples, N, N)
+    t = A.block_norms(U)
+    graph = np.zeros((samples, n, n), dtype=bool)
+    graph[k, perms, np.arange(n)] = True
+    forward = ((unitarity_defects(U) <= eps) & normalizes_by_table(t, eps)
+               & ((t > eps) == graph).all(axis=(1, 2)))
+
+    m = 2 * d if n >= 2 else N
+    pairs = np.empty((samples, 2), dtype=int)
+    normals = np.empty((samples, 2, m, m))
+    for s in range(samples):
+        if n >= 2:
+            pairs[s] = rng.choice(n, size=2, replace=False)
+        normals[s] = rng.standard_normal((2, m, m))
+    mixers = haar_from_normals(normals)
+    if n >= 2:
+        idx = (pairs[:, :, None] * d + np.arange(d)).reshape(samples, m)
+        U = np.tile(A.unit(), (samples, 1, 1))
+        U[k[:, :, None], idx[:, :, None], idx[:, None, :]] = mixers
+    else:
+        U = mixers
+    t = A.block_norms(U)
+    support = t > eps
+    on_bisection = is_partial_bijection(support) & (support.sum(axis=(1, 2)) == n)
+    converse = on_bisection | ~normalizes_by_table(t, eps)
+    forward_ok, converse_ok = int(forward.sum()), int(converse.sum())
+    return {
+        "samples": samples,
+        "forward_pass": forward_ok,
+        "converse_pass": converse_ok,
+        "pass": forward_ok == samples and converse_ok == samples,
+    }
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("model", [
+    ("flow", 4, 2), ("flow", 8, 1), ("flow", 3, 3), ("flow", 6, 4),
+    ("flow", 2, 2), ("flow", 1, 3), ("semidirect", 3, 2),
+], ids=lambda m: f"{m[0]} {m[1]}x{m[2]}")
+def test_theorem_from_fibre_blocks_matches_dense_oracle(model, seed):
+    """The fibre-block tables and defects give the verdicts of the dense
+    (samples, N, N) stacks, bit for bit in the result dict."""
+    kind, n, dim = model
+    frame = (flow_frame(n, dim, rng_for(seed))[0] if kind == "flow"
+             else random_symmetric_frame(n, dim, rng_for(seed)))
+    E = build_semidirect_bundle(CStarBundle((dim,) * n), frame=frame)
+    got = check_unitary_normalizer_theorem(E, samples=100, rng=rng_for(seed))
+    assert got == dense_theorem(E, samples=100, rng=rng_for(seed))
+
+
+def test_identity_block_norm_is_exactly_one():
+    """The converse writes 1.0 for each untouched diagonal block I_d."""
+    for d in range(1, 9):
+        assert diagonal_algebra(FellBundleModel((d, d))).block_norms(
+            np.eye(2 * d))[0, 0] == 1.0
 
 
 def theorem_models():
