@@ -21,12 +21,14 @@ import argparse
 import functools
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import replace
 
 import numpy as np
 
 from .cocycle import cocycle_identity_residual, twist_is_admissible
 from .dynamics import (
+    CovarianceGroup,
     a_dynamical_generation_check,
     check_unitary_normalizer_theorem,
     covariance_group_from_frame,
@@ -63,6 +65,8 @@ from .serialize import (
 )
 
 PRESETS = ("fourpoint", "diag-masa", "imprimitivity", "semidirect", "flow")
+# the covariance group that the stages of one report share
+SharedGroup = Callable[[], CovarianceGroup]
 
 
 class UsageError(Exception):
@@ -128,12 +132,22 @@ def isolated(prefix: str):
     return decorate
 
 
+def _covariance_group(model, generator, group: SharedGroup | None) -> CovarianceGroup:
+    """The report's shared ``group()`` if given, else the group of the model
+    frame along the generator."""
+    if group is not None:
+        return group()
+    return covariance_group_from_frame(_need_generator(generator), model)
+
+
 @isolated("")
 def run_check(
-    what: str, model, generator, eps: float, seed: int, axioms: dict | None = None
+    what: str, model, generator, eps: float, axioms: dict | None = None,
+    group: SharedGroup | None = None,
 ) -> dict:
     """One suite's entry; the pair stage reuses the axioms entry ``axioms``
-    when given one, and only theorem-3.13 draws, from ``seed``."""
+    and the cocycle and generation stages the covariance group ``group``
+    when given them.  No suite draws."""
     if what == "axioms":
         report = check_fell_axioms(model, eps=eps)
         return {
@@ -166,8 +180,7 @@ def run_check(
                 "residual": residual,
                 "details": {"source": "model twist", "admissible": admissible},
             }
-        g = _need_generator(generator)
-        Gs = covariance_group_from_frame(g, model)
+        Gs = _covariance_group(model, generator, group)
         readoff = read_off_pair(phi_from_covariance_group(Gs, eps), eps)
         residual = cocycle_identity_residual(readoff.omega)
         return {
@@ -180,8 +193,7 @@ def run_check(
             },
         }
     if what == "theorem-3.13":
-        result = check_unitary_normalizer_theorem(
-            model, samples=100, eps=eps, rng=np.random.default_rng(seed))
+        result = check_unitary_normalizer_theorem(model, eps=eps)
         return {
             "check": "theorem-3.13",
             "pass": result["pass"],
@@ -189,8 +201,7 @@ def run_check(
             "details": result,
         }
     if what == "generation":
-        g = _need_generator(generator)
-        Gs = covariance_group_from_frame(g, model)
+        Gs = _covariance_group(model, generator, group)
         B = enveloping_algebra(model)
         return {
             "check": "generation",
@@ -202,9 +213,9 @@ def run_check(
 
 
 @isolated("phi-")
-def run_phi(what: str, model, generator, eps: float, seed: int) -> dict:
-    g = _need_generator(generator)
-    Gs = covariance_group_from_frame(g, model)
+def run_phi(what: str, model, generator, eps: float,
+            group: SharedGroup | None = None) -> dict:
+    Gs = _covariance_group(model, generator, group)
     try:
         phi = phi_from_covariance_group(Gs, eps)
     except IncompleteSupportError as exc:
@@ -262,17 +273,20 @@ def run_phi(what: str, model, generator, eps: float, seed: int) -> dict:
     raise UsageError(f"unknown phi subcommand {what!r}")
 
 
-def run_report(model, generator, eps: float, seed: int) -> dict:
-    axioms = run_check("axioms", model, generator, eps, seed)
-    checks = [axioms, run_check("pair", model, generator, eps, seed, axioms=axioms)]
+def run_report(model, generator, eps: float) -> dict:
+    axioms = run_check("axioms", model, generator, eps)
+    checks = [axioms, run_check("pair", model, generator, eps, axioms=axioms)]
     if generator is not None:
+        # built by the first stage that needs it; a build that raises is not
+        # cached, so it raises again into each stage's own entry
+        group = functools.cache(lambda: covariance_group_from_frame(generator, model))
         if model.twist is not None or model.frame is not None:
-            checks.append(run_check("cocycle", model, generator, eps, seed))
+            checks.append(run_check("cocycle", model, generator, eps, group=group))
         if len(set(model.fibre_dims)) == 1:
-            checks.append(run_check("theorem-3.13", model, generator, eps, seed))
-        checks.append(run_check("generation", model, generator, eps, seed))
+            checks.append(run_check("theorem-3.13", model, generator, eps))
+        checks.append(run_check("generation", model, generator, eps, group=group))
         if model.frame is not None:
-            checks.append(run_phi("roundtrip", model, generator, eps, seed))
+            checks.append(run_phi("roundtrip", model, generator, eps, group=group))
     return {
         "check": "report",
         "checks": checks,
@@ -342,12 +356,15 @@ def add_model_args(p: argparse.ArgumentParser) -> None:
 def add_common_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eps", type=float, default=None,
                    help="tolerance (overrides FELLKIT_EPS)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the semidirect and flow preset frames")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--format", choices=("text", "json"), default="json")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="fellkit",
         description="Block-matrix Fell bundles over finite pair groupoids: "
@@ -390,11 +407,11 @@ def main(argv=None) -> int:
             emit(model_to_json(model, generator), args)
             return 0
         if args.command == "check":
-            doc = run_check(args.what, model, generator, eps, args.seed)
+            doc = run_check(args.what, model, generator, eps)
         elif args.command == "phi":
-            doc = run_phi(args.what, model, generator, eps, args.seed)
+            doc = run_phi(args.what, model, generator, eps)
         else:
-            doc = run_report(model, generator, eps, args.seed)
+            doc = run_report(model, generator, eps)
         emit(doc, args)
         return 0 if doc["pass"] else 1
     except (UsageError, ParseError, OSError) as exc:

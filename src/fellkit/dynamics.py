@@ -18,12 +18,11 @@ import numpy as np
 
 from .algebra import FiniteCStarAlgebra
 from .cocycle import first_offender
-from .fellbundle import FellBundleModel, is_saturated
+from .fellbundle import FellBundleModel, identity_frame, is_saturated
 from .groupoid import Bisection, CyclicFlow, cyclic_flow, is_minimal_flow
 from .linalg import (
     DEFAULT_EPS,
     as_matrix,
-    haar_from_normals,
     is_unitary,
     operator_norms,
     unitarity_defects,
@@ -140,81 +139,64 @@ def covariance_group_from_frame(
 
 
 def check_unitary_normalizer_theorem(
-    E: FellBundleModel,
-    samples: int = 100,
-    eps: float = DEFAULT_EPS,
-    rng: np.random.Generator | None = None,
+    E: FellBundleModel, eps: float = DEFAULT_EPS
 ) -> dict:
-    """Sample-scale check that spatial automorphisms = unitary normalizers.
+    """Decide from the fibre blocks that spatial automorphisms = unitary
+    normalizers of the diagonal algebra.
 
-    Forward: every assembled spatial automorphism U is a unitary normalizer of
-    the diagonal algebra with support exactly a bisection graph.  Converse:
-    unitaries mixing two diagonal blocks (not supported on any bisection) fail
-    to normalize.
+    Forward: the n powers c^k of the cycle c(x) = x + 1, with fibre maps
+    w_x = u_(c^k x, x) of the model frame (I_d for a plain product), cover
+    every arrow once.  U's block (c^k x, x) is w_x and the rest are zero, so
+    table k is the norms of the w_x on the graph of c^k, and ‖U*U − I‖,
+    ‖UU* − I‖ are the largest unitarity defect of the w_x: a fibre map that
+    is not unitary raises CovarianceError, naming the first offending arrow
+    in row-major order.  Each table has one entry per row and per column, and
+    the normalizer rule reads each column on its own, so the verdict covers
+    every base permutation f0.
 
-    Each sample draws from rng in turn, as it would one at a time (forward: a
-    base permutation, then the Gaussians of one Haar unitary per point;
-    converse: two blocks, then those of one Haar unitary on both).  Each
-    direction factors its draws with one stacked QR.  Every predicate is
-    read off the fibre blocks, never the N×N matrices.  U's block
-    (f0(x), x) is w_x and the rest are zero, so its block-norm table is the
-    norms of the w_x on the graph of f0, and ‖U*U − I‖, ‖UU* − I‖ are the
-    largest unitarity defect of the w_x: a fibre map that is not unitary
-    raises CovarianceError, naming the first in draw order.  A mixer on
-    blocks i and j leaves the other diagonal blocks I_d, of norm exactly
-    1.0, and its table holds the norms of its four d×d quadrants.
+    Converse: pair k of the m = n(n−1)/2 block pairs (row-major) gets the
+    mixer R(θ_k)⊗I_d, θ_k = kπ/(2(m+1)), which lies on no bisection and must
+    fail to normalize.  Its table holds the norms of its four d×d quadrants,
+    cos θ_k and sin θ_k, and 1.0 on the untouched diagonal blocks.  No
+    verdict reads an rng.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     if len(set(E.fibre_dims)) != 1:
         raise ValueError("theorem check needs constant fibre dimension")
     if not is_saturated(E, eps):
         raise ValueError("theorem check needs a saturated bundle")
     n, d = E.n_points, E.fibre_dims[0]
-    k, points = np.arange(samples)[:, None], np.arange(n)
-
-    perms = np.empty((samples, n), dtype=int)
-    normals = np.empty((samples, n, 2, d, d))
-    for s in range(samples):
-        perms[s] = rng.permutation(n)
-        normals[s] = rng.standard_normal((n, 2, d, d))
-    maps = haar_from_normals(normals)
-    bad = first_offender(unitarity_defects(maps) > eps)
+    frame = identity_frame(n, d) if E.frame is None else E.frame
+    bad = first_offender(unitarity_defects(frame) > eps)
     if bad is not None:
-        raise CovarianceError(
-            f"fibre map at {bad[1]} is not a unitary of the right shape")
-    t = np.zeros((samples, n, n))
-    t[k, perms, points] = operator_norms(maps.reshape(-1, d, d)).reshape(samples, n)
-    graph = np.zeros((samples, n, n), dtype=bool)
-    graph[k, perms, points] = True
+        raise CovarianceError(f"fibre map at {bad} is not a unitary of the right shape")
+    k, x = np.divmod(np.arange(n * n), n)  # table k, column x
+    y = (x + k) % n
+    t = np.zeros((n, n, n))
+    t[k, y, x] = operator_norms(frame.reshape(-1, d, d)).reshape(n, n)[y, x]
+    graph = np.zeros((n, n, n), dtype=bool)
+    graph[k, y, x] = True
     forward = normalizes_by_table(t, eps) & ((t > eps) == graph).all(axis=(1, 2))
 
-    m = 2 * d if n >= 2 else d
-    pairs = np.empty((samples, 2), dtype=int)
-    normals = np.empty((samples, 2, m, m))
-    for s in range(samples):
-        if n >= 2:
-            pairs[s] = rng.choice(n, size=2, replace=False)
-        normals[s] = rng.standard_normal((2, m, m))
-    mixers = haar_from_normals(normals)
-    if n >= 2:
-        t = np.zeros((samples, n, n))
-        t[:, points, points] = 1.0
-        quadrants = mixers.reshape(samples, 2, d, 2, d).swapaxes(2, 3)
-        t[k[:, :, None], pairs[:, :, None], pairs[:, None, :]] = operator_norms(
-            quadrants.reshape(-1, d, d)).reshape(samples, 2, 2)
-    else:
-        t = operator_norms(mixers)[:, None, None]
+    pairs = np.stack(np.triu_indices(n, 1), axis=1)  # (m, 2)
+    m = len(pairs)
+    theta = np.arange(1, m + 1) * np.pi / (2 * (m + 1))
+    c, s = np.cos(theta), np.sin(theta)
+    rotations = np.stack([c, -s, s, c], axis=1).reshape(m, 2, 2, 1, 1)
+    t = np.zeros((m, n, n))
+    t[:, range(n), range(n)] = 1.0
+    t[np.arange(m)[:, None, None], pairs[:, :, None], pairs[:, None, :]] = (
+        operator_norms((rotations * np.eye(d)).reshape(-1, d, d)).reshape(m, 2, 2))
     support = t > eps
     on_bisection = is_partial_bijection(support) & (support.sum(axis=(1, 2)) == n)
     converse = on_bisection | ~normalizes_by_table(t, eps)
 
     forward_ok, converse_ok = int(forward.sum()), int(converse.sum())
     return {
-        "samples": samples,
+        "automorphisms": n,
         "forward_pass": forward_ok,
+        "mixers": m,
         "converse_pass": converse_ok,
-        "pass": forward_ok == samples and converse_ok == samples,
+        "pass": forward_ok == n and converse_ok == m,
     }
 
 

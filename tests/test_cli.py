@@ -9,6 +9,7 @@ import pytest
 
 import fellkit
 import fellkit.cli
+import fellkit.dynamics
 import fellkit.embedding
 from fellkit.cli import main
 from fellkit.cocycle import make_twist
@@ -156,23 +157,89 @@ def test_report_pair_entry_does_not_depend_on_the_seed(tmp_path, model):
     assert [len(e) for e in entries.values()] == [1, 1]
 
 
-def test_report_on_a_model_file_without_generator_draws_nothing(tmp_path):
-    """Only the random presets and theorem-3.13 draw: a report on an
-    imprimitivity model file never imports numpy.random."""
-    code, path = run(tmp_path, "generate", "--preset", "imprimitivity",
-                     "--dims", "3,1,4,2", name="model.json")
-    assert code == 0
-    script = ("import sys\n"
-              "from fellkit.cli import main\n"
-              f"code = main(['report', '--input', {str(path)!r}, "
-              f"'--out', {str(tmp_path / 'report.json')!r}])\n"
-              "print(code, 'numpy.random' in sys.modules)\n")
+def fresh_python(script: str) -> list[str]:
+    """The words ``script`` prints in a fresh interpreter that imports this
+    fellkit."""
     src = str(Path(fellkit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, check=True)
-    assert done.stdout.split() == ["0", "False"]
+    return done.stdout.split()
+
+
+def test_report_on_a_model_file_without_generator_draws_nothing(tmp_path):
+    """Only the random presets draw: a report on an imprimitivity model file,
+    and a report and ``check theorem-3.13`` on a flow 4×2 model file, never
+    import numpy.random."""
+    calls = []
+    for name, preset in (("impr.json", ("imprimitivity", "--dims", "3,1,4,2")),
+                         ("flow.json", ("flow", "--points", "4", "--dim", "2"))):
+        code, path = run(tmp_path, "generate", "--preset", *preset, name=name)
+        assert code == 0
+        calls.append(["report", "--input", str(path)])
+    calls.append(["check", "theorem-3.13", "--input", str(path)])
+    out = str(tmp_path / "out.json")
+    script = "import sys\nfrom fellkit.cli import main\n" + "".join(
+        f"print(main({argv + ['--out', out]!r}), 'numpy.random' in sys.modules)\n"
+        for argv in calls)
+    assert fresh_python(script) == ["0", "False"] * 3
+
+
+def test_report_theorem_and_round_trip_entries_do_not_depend_on_the_seed(tmp_path):
+    """Neither theorem-3.13 nor the Φ round trip draws: on one model file
+    their entries are the same for seeds 0–9, also at an eps (0.6) where
+    some two-block mixers normalize and some do not."""
+    code, path = run(tmp_path, "generate", "--preset", "flow", "--points", "4",
+                     "--dim", "2", name="model.json")
+    assert code == 0
+    for eps, exit_code in (("1e-9", 0), ("0.6", 1)):
+        entries = set()
+        for seed in range(10):
+            code, out = run(tmp_path, "report", "--input", str(path), "--eps", eps,
+                            "--seed", str(seed))
+            assert code == exit_code
+            entries.add(json.dumps([
+                c for c in json.loads(out.read_text())["checks"]
+                if c["check"] in ("theorem-3.13", "phi-roundtrip")]))
+        assert len(entries) == 1 and len(json.loads(entries.pop())) == 2
+
+
+def test_parser_is_built_once_and_not_at_import(tmp_path):
+    assert fresh_python("import fellkit, fellkit.cli\n"
+                        "print(fellkit.cli.build_parser.cache_info().currsize)") == ["0"]
+    fellkit.cli.build_parser.cache_clear()
+    for _ in range(2):
+        assert run(tmp_path, "check", "axioms", "--preset", "fourpoint")[0] == 0
+    assert fellkit.cli.build_parser.cache_info().misses == 1
+
+
+def test_report_builds_one_covariance_group(tmp_path, monkeypatch):
+    """The cocycle, generation and phi-roundtrip stages share the report's
+    group: on flow 8×1 its eight U are assembled once, and the round trip
+    assembles those of its recovered group, 2·8 U of 8 blocks each."""
+    groups, blocks = [], []
+    build = fellkit.cli.covariance_group_from_frame
+    embed = fellkit.dynamics.FiniteCStarAlgebra.embed_block
+
+    def counted_build(*args):
+        groups.append(None)
+        return build(*args)
+
+    def counted_embed(self, *args):
+        blocks.append(None)
+        return embed(self, *args)
+
+    monkeypatch.setattr(fellkit.cli, "covariance_group_from_frame", counted_build)
+    monkeypatch.setattr(fellkit.dynamics.FiniteCStarAlgebra, "embed_block",
+                        counted_embed)
+    code, out = run(tmp_path, "report", "--preset", "flow", "--points", "8",
+                    "--dim", "1")
+    assert code == 0
+    assert [c["check"] for c in json.loads(out.read_text())["checks"]] == [
+        "axioms", "pair", "cocycle", "theorem-3.13", "generation", "phi-roundtrip"]
+    assert len(groups) == 1
+    assert len(blocks) == 2 * 8 * 8
 
 
 def test_phi_readoff_reports_a_failed_read_off(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 
 import fellkit.dynamics
 from fellkit.algebra import make_algebra
+from fellkit.cocycle import first_offender
 from fellkit.dynamics import (
     CovarianceError,
     SpatialAutomorphism,
@@ -21,6 +22,7 @@ from fellkit.fellbundle import (
     diagonal_algebra,
     enveloping_algebra,
     identity_frame,
+    is_saturated,
 )
 from fellkit.groupoid import Bisection, cycle_bisection, identity_bisection
 from fellkit.linalg import (
@@ -28,6 +30,7 @@ from fellkit.linalg import (
     haar_unitary,
     is_unitary,
     operator_norm,
+    operator_norms,
     orthonormal_span_basis,
     random_matrix,
     unitarity_defects,
@@ -147,22 +150,85 @@ def test_frame_cocycle_relation():
     assert cocycle_identity_residual(omega) < 1e-12
 
 
-def test_unitary_normalizer_theorem_sample_scale():
+def test_unitary_normalizer_theorem_decided():
+    """n automorphisms and m = n(n−1)/2 mixers, all passing, on a plain
+    product and on a framed bundle with dim-2 fibres."""
     E = build_semidirect_bundle(CStarBundle((1, 1, 1, 1)))
-    result = check_unitary_normalizer_theorem(E, samples=100, rng=rng_for(0))
-    assert result["pass"]
-    assert result["forward_pass"] == 100
-    assert result["converse_pass"] == 100
-    # dim-2 fibres as well
+    assert check_unitary_normalizer_theorem(E) == {
+        "automorphisms": 4, "forward_pass": 4, "mixers": 6, "converse_pass": 6,
+        "pass": True,
+    }
     frame = random_symmetric_frame(3, 2, rng_for(5))
     E2 = build_semidirect_bundle(CStarBundle((2, 2, 2)), frame=frame)
-    result2 = check_unitary_normalizer_theorem(E2, samples=50, rng=rng_for(1))
-    assert result2["pass"]
+    assert check_unitary_normalizer_theorem(E2) == {
+        "automorphisms": 3, "forward_pass": 3, "mixers": 3, "converse_pass": 3,
+        "pass": True,
+    }
+
+
+def sampled_theorem(E, samples=100, eps=1e-9, rng=None):
+    """Oracle: the theorem checked on random draws.  Forward: a base
+    permutation, then one Haar unitary per point; converse: two blocks, then
+    one Haar unitary on both; each sample draws from rng in turn, as it would
+    one at a time.  Each direction factors its draws with one stacked QR and
+    reads every predicate off the fibre blocks, as the decided check does."""
+    if rng is None:
+        rng = np.random.default_rng(0)
+    if len(set(E.fibre_dims)) != 1:
+        raise ValueError("theorem check needs constant fibre dimension")
+    if not is_saturated(E, eps):
+        raise ValueError("theorem check needs a saturated bundle")
+    n, d = E.n_points, E.fibre_dims[0]
+    k, points = np.arange(samples)[:, None], np.arange(n)
+
+    perms = np.empty((samples, n), dtype=int)
+    normals = np.empty((samples, n, 2, d, d))
+    for s in range(samples):
+        perms[s] = rng.permutation(n)
+        normals[s] = rng.standard_normal((n, 2, d, d))
+    maps = haar_from_normals(normals)
+    bad = first_offender(unitarity_defects(maps) > eps)
+    if bad is not None:
+        raise CovarianceError(
+            f"fibre map at {bad[1]} is not a unitary of the right shape")
+    t = np.zeros((samples, n, n))
+    t[k, perms, points] = operator_norms(maps.reshape(-1, d, d)).reshape(samples, n)
+    graph = np.zeros((samples, n, n), dtype=bool)
+    graph[k, perms, points] = True
+    forward = normalizes_by_table(t, eps) & ((t > eps) == graph).all(axis=(1, 2))
+
+    m = 2 * d if n >= 2 else d
+    pairs = np.empty((samples, 2), dtype=int)
+    normals = np.empty((samples, 2, m, m))
+    for s in range(samples):
+        if n >= 2:
+            pairs[s] = rng.choice(n, size=2, replace=False)
+        normals[s] = rng.standard_normal((2, m, m))
+    mixers = haar_from_normals(normals)
+    if n >= 2:
+        t = np.zeros((samples, n, n))
+        t[:, points, points] = 1.0
+        quadrants = mixers.reshape(samples, 2, d, 2, d).swapaxes(2, 3)
+        t[k[:, :, None], pairs[:, :, None], pairs[:, None, :]] = operator_norms(
+            quadrants.reshape(-1, d, d)).reshape(samples, 2, 2)
+    else:
+        t = operator_norms(mixers)[:, None, None]
+    support = t > eps
+    on_bisection = is_partial_bijection(support) & (support.sum(axis=(1, 2)) == n)
+    converse = on_bisection | ~normalizes_by_table(t, eps)
+
+    forward_ok, converse_ok = int(forward.sum()), int(converse.sum())
+    return {
+        "samples": samples,
+        "forward_pass": forward_ok,
+        "converse_pass": converse_ok,
+        "pass": forward_ok == samples and converse_ok == samples,
+    }
 
 
 def per_sample_theorem(E, samples=100, eps=1e-9, rng=None):
-    """Oracle: check_unitary_normalizer_theorem one sample at a time, one
-    assembled automorphism or mixer and one set of predicates per sample."""
+    """Oracle: sampled_theorem one sample at a time, one assembled
+    automorphism or mixer and one set of predicates per sample."""
     if rng is None:
         rng = np.random.default_rng(0)
     if len(set(E.fibre_dims)) != 1:
@@ -205,8 +271,8 @@ def per_sample_theorem(E, samples=100, eps=1e-9, rng=None):
 
 
 def dense_theorem(E, samples=100, eps=1e-9, rng=None):
-    """Oracle: the same draws as check_unitary_normalizer_theorem, with each
-    direction assembled into one (samples, N, N) stack and every predicate
+    """Oracle: the same draws as sampled_theorem, with each direction
+    assembled into one (samples, N, N) stack and every predicate
     read off the dense matrices (unitarity from U*U and UU*, tables from
     block_norms)."""
     A = diagonal_algebra(E)
@@ -266,7 +332,7 @@ def test_theorem_from_fibre_blocks_matches_dense_oracle(model, seed):
     frame = (flow_frame(n, dim, rng_for(seed))[0] if kind == "flow"
              else random_symmetric_frame(n, dim, rng_for(seed)))
     E = build_semidirect_bundle(CStarBundle((dim,) * n), frame=frame)
-    got = check_unitary_normalizer_theorem(E, samples=100, rng=rng_for(seed))
+    got = sampled_theorem(E, samples=100, rng=rng_for(seed))
     assert got == dense_theorem(E, samples=100, rng=rng_for(seed))
 
 
@@ -292,19 +358,31 @@ def theorem_models():
 THEOREM_MODELS = dict(theorem_models())
 
 
+# (seed, samples, eps): under the last two eps some two-block mixers
+# normalize and some do not; at 0.8 a block row of a mixer can also meet no
+# block above eps
+ORACLE_CASES = [(0, 100, 1e-9), (1, 17, 1e-9), (2, 40, 1e-9), (3, 60, 0.6),
+                (4, 60, 0.8)]
+
+
 @pytest.mark.parametrize("name", THEOREM_MODELS)
-@pytest.mark.parametrize("seed, samples, eps", [
-    (0, 100, 1e-9), (1, 17, 1e-9), (2, 40, 1e-9),
-    # under these eps some two-block mixers normalize and some do not; at
-    # 0.8 a block row of a mixer can also meet no block above eps
-    (3, 60, 0.6), (4, 60, 0.8),
-])
+@pytest.mark.parametrize("seed, samples, eps", ORACLE_CASES)
 def test_theorem_matches_per_sample_loop(name, seed, samples, eps):
     E = THEOREM_MODELS[name]
     rng, oracle_rng = rng_for(seed), rng_for(seed)
-    result = check_unitary_normalizer_theorem(E, samples=samples, eps=eps, rng=rng)
+    result = sampled_theorem(E, samples=samples, eps=eps, rng=rng)
     assert result == per_sample_theorem(E, samples, eps, rng=oracle_rng)
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("name", THEOREM_MODELS)
+@pytest.mark.parametrize("seed, samples, eps", ORACLE_CASES)
+def test_decided_theorem_agrees_with_sampled_oracle(name, seed, samples, eps):
+    """The verdict decided on the cycle powers and the angle grid is the
+    sampled oracle's, on every model and at every eps above."""
+    E = THEOREM_MODELS[name]
+    got = check_unitary_normalizer_theorem(E, eps=eps)
+    assert got["pass"] == sampled_theorem(E, samples, eps, rng=rng_for(seed))["pass"]
 
 
 @pytest.mark.parametrize("seed, eps", [(3, 0.6), (4, 0.8)])
@@ -312,10 +390,23 @@ def test_theorem_matches_per_sample_loop(name, seed, samples, eps):
                                   "semidirect 3x2"])
 def test_theorem_converse_count_is_not_all_or_nothing(name, seed, eps):
     """The last two oracle comparisons above compare a count, not a verdict:
-    some of their mixers pass the converse and some fail."""
-    result = check_unitary_normalizer_theorem(
-        THEOREM_MODELS[name], samples=60, eps=eps, rng=rng_for(seed))
+    some of the sampled mixers pass the converse and some fail."""
+    result = sampled_theorem(THEOREM_MODELS[name], samples=60, eps=eps,
+                             rng=rng_for(seed))
     assert 0 < result["converse_pass"] < 60
+
+
+def test_decided_converse_count_is_not_all_or_nothing():
+    """On fourpoint, θ_k = kπ/14: at eps = 0.4 mixers 2 and 5 have both
+    quadrant norms above eps (sin θ_2 = cos θ_5 ≈ 0.434) and their product
+    at or below it (≈ 0.391), so they normalize and fail; 4 of 6 pass."""
+    theta = np.arange(1, 7) * np.pi / 14
+    c, s = np.cos(theta), np.sin(theta)
+    fails = np.flatnonzero((c > 0.4) & (s > 0.4) & (c * s <= 0.4)) + 1
+    assert fails.tolist() == [2, 5]
+    result = check_unitary_normalizer_theorem(THEOREM_MODELS["fourpoint"], eps=0.4)
+    assert result == {"automorphisms": 4, "forward_pass": 4, "mixers": 6,
+                      "converse_pass": 4, "pass": False}
 
 
 def test_theorem_needs_a_saturated_bundle():
@@ -324,31 +415,24 @@ def test_theorem_needs_a_saturated_bundle():
     frame[0, 1] = frame[1, 0] = np.diag([1.0, 0.0])
     E = FellBundleModel(fibre_dims=(2, 2, 2), frame=frame)
     with pytest.raises(ValueError, match="saturated"):
-        check_unitary_normalizer_theorem(E, samples=5)
+        check_unitary_normalizer_theorem(E)
 
 
-def test_theorem_rejects_a_non_unitary_fibre_map(monkeypatch):
-    factor = fellkit.dynamics.haar_from_normals
-    calls = []
-
-    def stretched(normals):
-        """The forward Haar maps, with the map at point 2 of the fourth
-        sample doubled."""
-        maps = factor(normals)
-        calls.append(None)
-        if len(calls) == 1:
-            maps[3, 2] *= 2
-        return maps
-
-    monkeypatch.setattr(fellkit.dynamics, "haar_from_normals", stretched)
-    E = THEOREM_MODELS["flow 4x2"]
-    with pytest.raises(CovarianceError, match="fibre map at 2 is not a unitary"):
-        check_unitary_normalizer_theorem(E, samples=10)
+def test_theorem_rejects_a_non_unitary_fibre_map():
+    """A frame doubled at (1, 3) and (3, 1), built without validation, is
+    still saturated; the error names the first arrow in row-major order."""
+    frame, _ = flow_frame(4, 2, rng_for(4))
+    frame[1, 3] *= 2
+    frame[3, 1] *= 2
+    E = FellBundleModel(fibre_dims=(2,) * 4, frame=frame)
+    with pytest.raises(CovarianceError,
+                       match=r"fibre map at \(1, 3\) is not a unitary"):
+        check_unitary_normalizer_theorem(E)
 
 
-def test_theorem_svd_count_does_not_grow_with_samples(monkeypatch):
-    """Neither the SVDs nor the QRs grow with the sample count: each
-    direction factors all its Haar draws with one stacked QR."""
+def test_theorem_svd_and_qr_counts(monkeypatch):
+    """No QR, and no SVD at d = 1, where the norm kernel norms every 1×1
+    block.  At d = 2 the SVD count does not grow with n."""
     calls = []
 
     def counted(run):
@@ -359,15 +443,21 @@ def test_theorem_svd_count_does_not_grow_with_samples(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counted(np.linalg.svd))
     monkeypatch.setattr(np.linalg, "qr", counted(np.linalg.qr))
-    for name in ("flow 4x2", "one point 1x3"):
-        counts = []
-        for samples in (10, 100):
-            calls.clear()
-            check_unitary_normalizer_theorem(THEOREM_MODELS[name], samples=samples,
-                                             rng=rng_for(0))
-            counts.append((calls.count("svd"), calls.count("qr")))
-        assert counts[0] == counts[1]
-        assert counts[0][0] > 0 and counts[0][1] == 2
+
+    def counts(E):
+        calls.clear()
+        assert check_unitary_normalizer_theorem(E)["pass"]
+        return calls.count("svd"), calls.count("qr")
+
+    for d1 in ("fourpoint", "flow 8x1"):
+        assert counts(THEOREM_MODELS[d1]) == (0, 0)
+    wide = {counts(build_semidirect_bundle(CStarBundle((2,) * n),
+                                           frame=flow_frame(n, 2, rng_for(n))[0]))
+            for n in (2, 4, 6)}
+    # one stacked SVD each: saturation ranks, unitarity defects, frame
+    # norms, quadrant norms
+    assert wide == {(4, 0)}
+    assert counts(THEOREM_MODELS["one point 1x3"])[1] == 0
 
 
 def test_generation_needs_minimal_flow():
