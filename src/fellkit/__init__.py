@@ -22,7 +22,6 @@ from .dynamics import (
     SpatialAutomorphism,
     a_dynamical_generation_check,
     check_unitary_normalizer_theorem,
-    compose_automorphisms,
     covariance_group,
     covariance_group_from_frame,
     make_spatial_automorphism,

@@ -111,10 +111,13 @@ class FiniteCStarAlgebra:
 
     def embed_blocks(self, i, j, small) -> np.ndarray:
         """The (k, N, N) stack that holds small[t], padded as ``blocks`` pads,
-        at block (i[t], j[t]) of matrix t, from one indexed assignment."""
+        at block (i[t], j[t]) of matrix t, from one indexed assignment.  With
+        (k, p) indices and a (k, p, m, m) ``small``, matrix t holds its p
+        blocks small[t, q] at the distinct positions (i[t, q], j[t, q])."""
         d, idx, k = self.ambient_dim, self._block_index, len(small)
         out = np.zeros((k, d + 1, d + 1), dtype=complex)
-        out[np.arange(k)[:, None, None], idx[i][:, :, None], idx[j][:, None, :]] = small
+        t = np.arange(k).reshape((k,) + (1,) * (np.ndim(i) + 1))
+        out[t, idx[i][..., None], idx[j][..., None, :]] = small
         return np.ascontiguousarray(out[:, :d, :d])
 
     def block_norms(self, b) -> np.ndarray:

@@ -132,12 +132,12 @@ def isolated(prefix: str):
     return decorate
 
 
-def _covariance_group(model, generator, group: SharedGroup | None) -> CovarianceGroup:
+def _covariance_group(model, generator, eps, group: SharedGroup | None) -> CovarianceGroup:
     """The report's shared ``group()`` if given, else the group of the model
     frame along the generator."""
     if group is not None:
         return group()
-    return covariance_group_from_frame(_need_generator(generator), model)
+    return covariance_group_from_frame(_need_generator(generator), model, eps)
 
 
 @isolated("")
@@ -180,7 +180,7 @@ def run_check(
                 "residual": residual,
                 "details": {"source": "model twist", "admissible": admissible},
             }
-        Gs = _covariance_group(model, generator, group)
+        Gs = _covariance_group(model, generator, eps, group)
         readoff = read_off_pair(phi_from_covariance_group(Gs, eps), eps)
         residual = cocycle_identity_residual(readoff.omega)
         return {
@@ -201,7 +201,7 @@ def run_check(
             "details": result,
         }
     if what == "generation":
-        Gs = _covariance_group(model, generator, group)
+        Gs = _covariance_group(model, generator, eps, group)
         B = enveloping_algebra(model)
         return {
             "check": "generation",
@@ -215,7 +215,7 @@ def run_check(
 @isolated("phi-")
 def run_phi(what: str, model, generator, eps: float,
             group: SharedGroup | None = None) -> dict:
-    Gs = _covariance_group(model, generator, group)
+    Gs = _covariance_group(model, generator, eps, group)
     try:
         phi = phi_from_covariance_group(Gs, eps)
     except IncompleteSupportError as exc:
@@ -227,10 +227,8 @@ def run_phi(what: str, model, generator, eps: float,
         }
     if what == "build":
         dims = Gs.fibre_dims
-        sigma = EmbeddingInvariant(Gs.elements[0].U, dims)
-        sigma2 = EmbeddingInvariant(
-            Gs.elements[1 % len(Gs.elements)].U, dims
-        )
+        sigma = EmbeddingInvariant(Gs.unitaries[0], dims)
+        sigma2 = EmbeddingInvariant(Gs.unitaries[1 % Gs.flow.order], dims)
         orientable = is_orientable(phi, eps)
         return {
             "check": "phi-build",
@@ -279,7 +277,8 @@ def run_report(model, generator, eps: float) -> dict:
     if generator is not None:
         # built by the first stage that needs it; a build that raises is not
         # cached, so it raises again into each stage's own entry
-        group = functools.cache(lambda: covariance_group_from_frame(generator, model))
+        group = functools.cache(
+            lambda: covariance_group_from_frame(generator, model, eps))
         if model.twist is not None or model.frame is not None:
             checks.append(run_check("cocycle", model, generator, eps, group=group))
         if len(set(model.fibre_dims)) == 1:

@@ -36,22 +36,20 @@ class CovarianceError(ValueError):
 
 @dataclass(frozen=True)
 class SpatialAutomorphism:
-    """(f0, {w_x}) with w_x : fibre at x → fibre at f0(x), all unitary.
-
+    """(f0, {w_x}) with w_x : fibre at x → fibre at f0(x), all unitary, each
+    zero-padded to m = max(fibre_dims) in the (n, m, m) array fibre_maps.
     The assembled U has block (f0(x), x) equal to w_x; conjugation by U maps
-    the diagonal algebra onto itself.
-    """
+    the diagonal algebra onto itself."""
 
     f0: Bisection
-    fibre_maps: tuple[np.ndarray, ...]
+    fibre_maps: np.ndarray
     fibre_dims: tuple[int, ...]
 
     @cached_property
     def U(self) -> np.ndarray:
         A = FiniteCStarAlgebra(self.fibre_dims)
-        out = np.zeros((A.ambient_dim, A.ambient_dim), dtype=complex)
-        for x, w in enumerate(self.fibre_maps):
-            out += A.embed_block(self.f0(x), x, w)
+        i, j = np.array([self.f0.perm]), np.arange(A.n_blocks)[None]
+        out = A.embed_blocks(i, j, self.fibre_maps[None])[0]
         out.flags.writeable = False
         return out
 
@@ -68,7 +66,7 @@ def make_spatial_automorphism(
         raise CovarianceError(
             f"base permutation on {f0.n_points} points vs {len(dims)} fibres"
         )
-    maps = []
+    maps = np.zeros((len(dims), max(dims), max(dims)), dtype=complex)
     for x in range(len(dims)):
         if dims[x] != dims[f0(x)]:
             raise CovarianceError(
@@ -78,34 +76,19 @@ def make_spatial_automorphism(
         w = as_matrix(fibre_maps[x])
         if w.shape != (dims[f0(x)], dims[x]) or not is_unitary(w, eps):
             raise CovarianceError(f"fibre map at {x} is not a unitary of the right shape")
-        maps.append(w)
-    return SpatialAutomorphism(f0=f0, fibre_maps=tuple(maps), fibre_dims=dims)
-
-
-def compose_automorphisms(
-    s: SpatialAutomorphism, t: SpatialAutomorphism
-) -> SpatialAutomorphism:
-    """Apply t first, then s: base = s.f0 ∘ t.f0, U = s.U · t.U."""
-    if s.fibre_dims != t.fibre_dims:
-        raise CovarianceError("automorphisms over different bundles")
-    f0 = s.f0.compose(t.f0)
-    maps = tuple(
-        s.fibre_maps[t.f0(x)] @ t.fibre_maps[x] for x in range(len(s.fibre_dims))
-    )
-    return SpatialAutomorphism(f0=f0, fibre_maps=maps, fibre_dims=s.fibre_dims)
+        maps[x, :dims[x], :dims[x]] = w
+    return SpatialAutomorphism(f0=f0, fibre_maps=maps, fibre_dims=dims)
 
 
 @dataclass(frozen=True)
 class CovarianceGroup:
-    """The cyclic group generated by one spatial automorphism σ.
-
-    elements[m-1] is σ^m paired with the base power g^m; the last element
-    covers the identity bisection, so its U is block-diagonal.
-    """
+    """The cyclic group generated by one spatial automorphism σ: maps[k] holds
+    the fibre maps of σ^(k+1), over the base power flow.elements[k]; the last
+    power covers the identity bisection, so its U is block-diagonal."""
 
     flow: CyclicFlow
     sigma: SpatialAutomorphism
-    elements: tuple[SpatialAutomorphism, ...]
+    maps: np.ndarray  # (order, n, m, m)
 
     @property
     def fibre_dims(self) -> tuple[int, ...]:
@@ -115,26 +98,38 @@ class CovarianceGroup:
     def n_points(self) -> int:
         return len(self.fibre_dims)
 
+    @property
+    def powers(self) -> np.ndarray:  # (order, n): row k is the perm of g^(k+1)
+        return np.array([h.perm for h in self.flow.elements])
+
+    @cached_property
+    def unitaries(self) -> np.ndarray:
+        """The read-only (order, N, N) stack of the U of σ, σ², …, σ^order."""
+        A = FiniteCStarAlgebra(self.fibre_dims)
+        out = A.embed_blocks(self.powers, np.arange(self.n_points)[None], self.maps)
+        out.flags.writeable = False
+        return out
+
 
 def covariance_group(sigma: SpatialAutomorphism) -> CovarianceGroup:
+    """σ's powers by maps[k+1] = maps[k][g] @ w: σ^(k+2) applies σ first."""
     flow = cyclic_flow(sigma.f0)
-    elements = []
-    power = sigma
-    for _ in range(flow.order):
-        elements.append(power)
-        power = compose_automorphisms(power, sigma)
-    return CovarianceGroup(flow=flow, sigma=sigma, elements=tuple(elements[:flow.order]))
+    g, w = list(sigma.f0.perm), sigma.fibre_maps
+    maps = np.empty((flow.order,) + w.shape, dtype=complex)
+    maps[0] = w
+    for k in range(1, flow.order):
+        maps[k] = maps[k - 1][g] @ w
+    return CovarianceGroup(flow=flow, sigma=sigma, maps=maps)
 
 
 def covariance_group_from_frame(
-    generator: Bisection,
-    E: FellBundleModel,
+    generator: Bisection, E: FellBundleModel, eps: float = DEFAULT_EPS
 ) -> CovarianceGroup:
     """Build σ from a bundle's frame along the generator's graph."""
     dims = E.fibre_dims
     maps = ([np.eye(d, dtype=complex) for d in dims] if E.frame is None
             else E.frame[generator.perm, range(len(dims))])
-    sigma = make_spatial_automorphism(generator, maps, dims)
+    sigma = make_spatial_automorphism(generator, maps, dims, eps)
     return covariance_group(sigma)
 
 

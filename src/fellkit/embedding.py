@@ -82,11 +82,7 @@ def phi_from_covariance_group(
     dims = Gs.fibre_dims
     if len(set(dims)) != 1:
         raise ValueError("Φ from a covariance group needs constant fibre dims")
-    N = sum(dims)
-    phi = np.zeros((N, N), dtype=complex)
-    for element in Gs.elements:
-        phi += element.U
-    return EmbeddingInvariant(phi=phi, block_dims=dims)
+    return EmbeddingInvariant(phi=Gs.unitaries.sum(axis=0), block_dims=dims)
 
 
 def is_orientable(phi: EmbeddingInvariant, eps: float = DEFAULT_EPS) -> bool:
@@ -205,7 +201,7 @@ def bridge_round_trip(Gs: CovarianceGroup, eps: float = DEFAULT_EPS) -> dict:
     )
     recovered = stage(
         "recover-covariance-group",
-        lambda: covariance_group_from_frame(Gs.flow.generator, rebuilt),
+        lambda: covariance_group_from_frame(Gs.flow.generator, rebuilt, eps),
     )
     phi2 = stage("phi-recovered", lambda: phi_from_covariance_group(recovered, eps))
     readoff2 = stage("read-off-recovered", lambda: read_off_pair(phi2, eps))

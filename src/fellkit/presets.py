@@ -45,6 +45,5 @@ def flow_frame(
     sigma = make_spatial_automorphism(g, maps, (dim,) * n)
     Gs = covariance_group(sigma)
     frame = np.empty((n, n, dim, dim), dtype=complex)
-    for element in Gs.elements:
-        frame[element.f0.perm, range(n)] = element.fibre_maps
+    frame[Gs.powers, range(n)] = Gs.maps
     return frame, g

@@ -133,8 +133,8 @@ def test_criterion_05_four_point_reproduction():
     dims = Gs.fibre_dims
     from fellkit.embedding import EmbeddingInvariant
 
-    sigma = EmbeddingInvariant(Gs.elements[0].U, dims)
-    sigma2 = EmbeddingInvariant(Gs.elements[1].U, dims)
+    sigma = EmbeddingInvariant(Gs.unitaries[0], dims)
+    sigma2 = EmbeddingInvariant(Gs.unitaries[1 % Gs.flow.order], dims)
     ok = sigma.block_support() == {(0, 3), (1, 0), (2, 1), (3, 2)}
     ok = ok and sigma2.block_support() == {(0, 2), (1, 3), (2, 0), (3, 1)}
 

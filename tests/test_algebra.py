@@ -118,6 +118,25 @@ def test_embed_blocks_places_each_block_as_embed_block_does(dims):
     # the inverse of blocks: each matrix has its one block, padded as given
     grids = A.blocks(stack)
     assert np.array_equal(grids[np.arange(7), i, j], small)
+    # (k, p) indices: p = n blocks per matrix on the graph of a permutation, so
+    # on ragged dims several blocks of one matrix pad into the same index N
+    i = np.array([rng.permutation(n) for _ in range(7)])
+    j = np.broadcast_to(np.arange(n), (7, n))
+    small = np.zeros((7, n, m, m), dtype=complex)
+    for t, q in np.ndindex(7, n):
+        rows, cols = dims[i[t, q]], dims[q]
+        small[t, q, :rows, :cols] = random_matrix((rows, cols), rng)
+    small[0, 0, 0, 0] = complex(-0.0, 0.0)
+    stack = A.embed_blocks(i, j, small)
+    assert stack.shape == (7, A.ambient_dim, A.ambient_dim)
+    for t in range(7):
+        want = sum(A.embed_block(i[t, q], q, small[t, q, :dims[i[t, q]], :dims[q]])
+                   for q in range(n))
+        assert np.array_equal(stack[t], want)
+    # each block, the −0.0 included, is placed as given
+    grids = A.blocks(stack)
+    placed = grids[np.arange(7)[:, None], i, j]
+    assert np.array_equal(placed.view(np.int64), small.view(np.int64))
     assert A.embed_blocks([], [], np.zeros((0, m, m))).shape == (0, A.ambient_dim,
                                                                  A.ambient_dim)
 

@@ -216,22 +216,24 @@ def test_parser_is_built_once_and_not_at_import(tmp_path):
 
 def test_report_builds_one_covariance_group(tmp_path, monkeypatch):
     """The cocycle, generation and phi-roundtrip stages share the report's
-    group: on flow 8×1 its eight U are assembled once, and the round trip
-    assembles those of its recovered group, 2·8 U of 8 blocks each."""
-    groups, blocks = [], []
+    group: on flow 8×1 σ's U and the stack of its eight powers are assembled
+    once each, and the round trip assembles those of its recovered group,
+    2·2 embed_blocks calls from fellkit.dynamics in all."""
+    groups, assemblies = [], []
     build = fellkit.cli.covariance_group_from_frame
-    embed = fellkit.dynamics.FiniteCStarAlgebra.embed_block
+    embed = fellkit.dynamics.FiniteCStarAlgebra.embed_blocks
 
     def counted_build(*args):
         groups.append(None)
         return build(*args)
 
     def counted_embed(self, *args):
-        blocks.append(None)
+        if sys._getframe(1).f_globals["__name__"] == "fellkit.dynamics":
+            assemblies.append(None)
         return embed(self, *args)
 
     monkeypatch.setattr(fellkit.cli, "covariance_group_from_frame", counted_build)
-    monkeypatch.setattr(fellkit.dynamics.FiniteCStarAlgebra, "embed_block",
+    monkeypatch.setattr(fellkit.dynamics.FiniteCStarAlgebra, "embed_blocks",
                         counted_embed)
     code, out = run(tmp_path, "report", "--preset", "flow", "--points", "8",
                     "--dim", "1")
@@ -239,7 +241,31 @@ def test_report_builds_one_covariance_group(tmp_path, monkeypatch):
     assert [c["check"] for c in json.loads(out.read_text())["checks"]] == [
         "axioms", "pair", "cocycle", "theorem-3.13", "generation", "phi-roundtrip"]
     assert len(groups) == 1
-    assert len(blocks) == 2 * 8 * 8
+    assert len(assemblies) == 2 * 2
+
+
+def test_covariance_group_is_validated_at_the_given_eps(tmp_path):
+    """A flow 4×1 frame scaled by 1 + 1e-6 passes every stage at --eps 1e-4:
+    the report's group, the round trip's recovered group and a single
+    check's group all validate σ at the given eps, not at the default."""
+    code, path = run(tmp_path, "generate", "--preset", "flow", "--points", "4",
+                     "--dim", "1", "--seed", "0", name="model.json")
+    assert code == 0
+    doc = json.loads(path.read_text())
+    s = 1 + 1e-6
+    doc["frame"] = {arrow: [[[s * re, s * im] for re, im in row] for row in block]
+                    for arrow, block in doc["frame"].items()}
+    path.write_text(json.dumps(doc))
+    code, out = run(tmp_path, "report", "--input", str(path), "--eps", "1e-4")
+    assert code == 0
+    checks = json.loads(out.read_text())["checks"]
+    assert [c["check"] for c in checks] == [
+        "axioms", "pair", "cocycle", "theorem-3.13", "generation", "phi-roundtrip"]
+    assert all(c["pass"] and "error" not in c for c in checks)
+    for what in ("cocycle", "generation"):
+        code, out = run(tmp_path, "check", what, "--input", str(path),
+                        "--eps", "1e-4", name=f"{what}.json")
+        assert code == 0 and json.loads(out.read_text())["pass"]
 
 
 def test_phi_readoff_reports_a_failed_read_off(tmp_path):

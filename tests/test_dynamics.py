@@ -9,7 +9,6 @@ from fellkit.dynamics import (
     SpatialAutomorphism,
     a_dynamical_generation_check,
     check_unitary_normalizer_theorem,
-    compose_automorphisms,
     covariance_group,
     covariance_group_from_frame,
     make_spatial_automorphism,
@@ -24,7 +23,8 @@ from fellkit.fellbundle import (
     identity_frame,
     is_saturated,
 )
-from fellkit.groupoid import Bisection, cycle_bisection, identity_bisection
+from fellkit.embedding import phi_from_covariance_group
+from fellkit.groupoid import Bisection, cycle_bisection, cyclic_flow, identity_bisection
 from fellkit.linalg import (
     haar_from_normals,
     haar_unitary,
@@ -64,19 +64,30 @@ def test_assembled_unitary_and_covariance_support():
 
 
 def test_assembled_unitary_is_built_once_and_read_only(monkeypatch):
+    """σ's U and the group's stack of powers are one embed_blocks each,
+    assembled on first use, cached and read-only."""
     s = random_spatial_automorphism(Bisection((1, 2, 0)), (2, 2, 2), rng_for(0))
+    assemblies = []
+    embed = fellkit.dynamics.FiniteCStarAlgebra.embed_blocks
+
+    def counted(self, *args):
+        assemblies.append(None)
+        return embed(self, *args)
+
+    monkeypatch.setattr(fellkit.dynamics.FiniteCStarAlgebra, "embed_blocks", counted)
     want = np.zeros((6, 6), dtype=complex)
     for x, w in enumerate(s.fibre_maps):
         want[2 * s.f0(x):2 * s.f0(x) + 2, 2 * x:2 * x + 2] = w
     assert np.array_equal(s.U, want)
-
-    def refuse(*args):
-        raise AssertionError("U was assembled again")
-
-    monkeypatch.setattr(fellkit.dynamics.FiniteCStarAlgebra, "embed_block", refuse)
     assert s.U is s.U
+    assert len(assemblies) == 1
     with pytest.raises(ValueError):
         s.U[0, 0] = 1.0
+    Gs = covariance_group(s)
+    assert Gs.unitaries is Gs.unitaries
+    assert len(assemblies) == 2
+    with pytest.raises(ValueError):
+        Gs.unitaries[0, 0, 0] = 1.0
 
 
 def test_dimension_obstruction():
@@ -95,6 +106,48 @@ def test_dimension_obstruction():
     )
 
 
+def compose_automorphisms(
+    s: SpatialAutomorphism, t: SpatialAutomorphism
+) -> SpatialAutomorphism:
+    """Apply t first, then s: base = s.f0 ∘ t.f0, U = s.U · t.U, one fibre
+    map product per point.  Oracle for covariance_group's batched powers."""
+    if s.fibre_dims != t.fibre_dims:
+        raise CovarianceError("automorphisms over different bundles")
+    f0 = s.f0.compose(t.f0)
+    maps = np.array([
+        s.fibre_maps[t.f0(x)] @ t.fibre_maps[x] for x in range(len(s.fibre_dims))
+    ])
+    return SpatialAutomorphism(f0=f0, fibre_maps=maps, fibre_dims=s.fibre_dims)
+
+
+def composed_powers(sigma):
+    """σ, σ², …, σ^order by repeated compose_automorphisms."""
+    elements, power = [], sigma
+    for _ in range(cyclic_flow(sigma.f0).order):
+        elements.append(power)
+        power = compose_automorphisms(power, sigma)
+    return elements
+
+
+def summed_blocks(s):
+    """U of s as the sum of one embed_block per point, each fibre map cut
+    back to its own dims."""
+    A = make_algebra(s.fibre_dims)
+    out = np.zeros((A.ambient_dim, A.ambient_dim), dtype=complex)
+    for x, w in enumerate(s.fibre_maps):
+        d = s.fibre_dims[x]
+        out += A.embed_block(s.f0(x), x, w[:d, :d])
+    return out
+
+
+def summed_phi(elements):
+    """Φ as Σ element.U, accumulated into zeros, each U from summed_blocks."""
+    phi = np.zeros_like(elements[0].U)
+    for element in elements:
+        phi += summed_blocks(element)
+    return phi
+
+
 def test_composition_matches_matrix_product():
     rng = rng_for(1)
     dims = (2, 2, 2, 2)
@@ -102,6 +155,9 @@ def test_composition_matches_matrix_product():
     t = random_spatial_automorphism(Bisection((2, 0, 3, 1)), dims, rng)
     st = compose_automorphisms(s, t)
     assert np.allclose(st.U, s.U @ t.U, atol=1e-12)
+    Gs = covariance_group(s)
+    for k in range(1, Gs.flow.order):
+        assert np.allclose(Gs.unitaries[k], s.U @ Gs.unitaries[k - 1], atol=1e-12)
 
 
 def test_covariance_group_is_cyclic():
@@ -109,11 +165,52 @@ def test_covariance_group_is_cyclic():
     sigma = random_spatial_automorphism(cycle_bisection(3), (1, 1, 1), rng)
     Gs = covariance_group(sigma)
     assert Gs.flow.order == 3
-    assert len(Gs.elements) == 3
-    for m, element in enumerate(Gs.elements, start=1):
-        assert np.allclose(element.U, np.linalg.matrix_power(sigma.U, m))
-    # the last element covers the identity bisection
-    assert Gs.elements[-1].f0.is_identity()
+    assert Gs.maps.shape == (3, 3, 1, 1)
+    assert Gs.unitaries.shape == (3, 3, 3)
+    for m, U in enumerate(Gs.unitaries, start=1):
+        assert np.allclose(U, np.linalg.matrix_power(sigma.U, m))
+    # the last power covers the identity bisection
+    assert Gs.flow.elements[-1].is_identity()
+
+
+def oracle_cases():
+    """One covariance group per pytest.param."""
+    for seed, (n, dim) in enumerate([(4, 2), (6, 3)]):
+        frame, g = flow_frame(n, dim, rng_for(40 + seed))
+        E = build_semidirect_bundle(CStarBundle((dim,) * n), frame=frame)
+        yield pytest.param(covariance_group_from_frame(g, E), id=f"flow {n}x{dim}")
+    E = build_semidirect_bundle(CStarBundle((1, 1, 1, 1)))
+    yield pytest.param(covariance_group_from_frame(cycle_bisection(4), E),
+                       id="fourpoint")
+    sigma = random_spatial_automorphism(Bisection((2, 3, 0, 1)), (2, 1, 2, 1),
+                                        rng_for(42))
+    yield pytest.param(covariance_group(sigma), id="ragged 2,1,2,1")
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("Gs", list(oracle_cases()))
+def test_covariance_group_matches_the_compose_oracle(Gs):
+    """maps, the stack of U and Φ equal the per-point compose loop and the
+    per-element sum bit for bit, the sign of zero included."""
+    elements = composed_powers(Gs.sigma)
+    assert len(elements) == Gs.flow.order
+    assert [e.f0 for e in elements] == list(Gs.flow.elements)
+    assert np.array_equal(bits(Gs.maps), bits([e.fibre_maps for e in elements]))
+    assert np.array_equal(bits(Gs.unitaries), bits([e.U for e in elements]))
+    assert np.array_equal(bits(Gs.unitaries), bits([summed_blocks(e) for e in elements]))
+    A = make_algebra(Gs.fibre_dims)
+    B = make_algebra([A.ambient_dim])
+    if len(set(Gs.fibre_dims)) == 1:
+        phi = phi_from_covariance_group(Gs).phi
+        assert np.array_equal(bits(phi), bits(summed_phi(elements)))
+        assert a_dynamical_generation_check(Gs, A, B)
+    else:
+        # f0 = x ↦ x + 2 pairs the blocks {0, 2} and {1, 3}: no generation
+        assert not a_dynamical_generation_check(Gs, A, B)
+        assert not span_closure_generates(Gs, A)
 
 
 def test_covariance_group_from_frame_round_trip():
@@ -123,7 +220,7 @@ def test_covariance_group_from_frame_round_trip():
     for x in range(4):
         assert np.allclose(Gs.sigma.fibre_maps[x], frame[(g(x), x)])
     # trivial holonomy by construction: the n-th power is the identity
-    assert operator_norm(Gs.elements[-1].U - np.eye(8)) < 1e-9
+    assert operator_norm(Gs.unitaries[-1] - np.eye(8)) < 1e-9
 
 
 def test_frame_cocycle_relation():
@@ -502,11 +599,9 @@ def span_closure_generates(Gs, A, eps=1e-9):
 
 def with_fibre_map(Gs, x, w):
     """Gs with σ's fibre map at x replaced by w, bypassing validation."""
-    maps = list(Gs.sigma.fibre_maps)
-    maps[x] = np.asarray(w, dtype=complex)
-    return covariance_group(
-        SpatialAutomorphism(Gs.sigma.f0, tuple(maps), Gs.fibre_dims)
-    )
+    maps = Gs.sigma.fibre_maps.copy()
+    maps[x] = w
+    return covariance_group(SpatialAutomorphism(Gs.sigma.f0, maps, Gs.fibre_dims))
 
 
 def generation_cases():
