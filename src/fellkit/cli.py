@@ -5,7 +5,7 @@ Commands:
 * ``generate`` — write a model JSON from a preset or input file;
 * ``check {axioms|pair|cocycle|theorem-3.13|generation}`` — run one suite;
 * ``phi {build|readoff|roundtrip}`` — the embedding-invariant pipeline;
-* ``report`` — every applicable suite in one document.
+* ``report`` — every applicable suite in one document, an extracted ω by sha256.
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 usage or
 parse error.  A suite that raises on its model reports a failed check with
@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import argparse
 import functools
+import hashlib
+import json
 import os
 import sys
 from collections.abc import Callable
@@ -281,6 +283,10 @@ def run_report(model, generator, eps: float) -> dict:
             lambda: covariance_group_from_frame(generator, model, eps))
         if model.twist is not None or model.frame is not None:
             checks.append(run_check("cocycle", model, generator, eps, group=group))
+            details = checks[-1].get("details", {})  # `check cocycle` prints ω in full
+            if "omega" in details:
+                text = json.dumps(details.pop("omega"), sort_keys=True, separators=(",", ":"))
+                details["omega_sha256"] = hashlib.sha256(text.encode()).hexdigest()
         if len(set(model.fibre_dims)) == 1:
             checks.append(run_check("theorem-3.13", model, generator, eps))
         checks.append(run_check("generation", model, generator, eps, group=group))

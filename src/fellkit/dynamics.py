@@ -23,7 +23,6 @@ from .groupoid import Bisection, CyclicFlow, cyclic_flow, is_minimal_flow
 from .linalg import (
     DEFAULT_EPS,
     as_matrix,
-    is_unitary,
     operator_norms,
     unitarity_defects,
 )
@@ -60,23 +59,31 @@ def make_spatial_automorphism(
     fibre_dims,
     eps: float = DEFAULT_EPS,
 ) -> SpatialAutomorphism:
-    """Validate and assemble a spatial automorphism."""
+    """Validate and assemble a spatial automorphism, naming the first point
+    whose dims, map shape or map unitarity (one stacked check) is at fault;
+    a map that is not a finite matrix raises as_matrix's ValueError."""
     dims = tuple(int(n) for n in fibre_dims)
     if f0.n_points != len(dims):
         raise CovarianceError(
             f"base permutation on {f0.n_points} points vs {len(dims)} fibres"
         )
-    maps = np.zeros((len(dims), max(dims), max(dims)), dtype=complex)
-    for x in range(len(dims)):
-        if dims[x] != dims[f0(x)]:
-            raise CovarianceError(
-                f"fibre dims {dims[x]} at {x} and {dims[f0(x)]} at f0({x})={f0(x)} "
-                "differ; a non-trivial base map needs matching dimensions"
-            )
-        w = as_matrix(fibre_maps[x])
-        if w.shape != (dims[f0(x)], dims[x]) or not is_unitary(w, eps):
-            raise CovarianceError(f"fibre map at {x} is not a unitary of the right shape")
+    n, m = len(dims), max(dims)
+    maps = np.zeros((n, m, m), dtype=complex)
+    for x in range(n):  # n ends at the first fault that needs no norm
+        if dims[x] != dims[f0(x)] or (w := as_matrix(fibre_maps[x])).shape != (dims[x],) * 2:
+            n = x
+            break
         maps[x, :dims[x], :dims[x]] = w
+    # w_x is padded by the identity, so that it is checked on its own dims
+    pad = np.eye(m, dtype=bool) & (np.arange(m) >= np.array(dims)[:, None, None])
+    x = first_offender(~(unitarity_defects(np.where(pad, 1, maps)[:n]) <= eps))
+    x = n if x is None else x[0]
+    if x < len(dims) and dims[x] != dims[f0(x)]:
+        raise CovarianceError(
+            f"fibre dims {dims[x]} at {x} and {dims[f0(x)]} at f0({x})={f0(x)} "
+            "differ; a non-trivial base map needs matching dimensions")
+    if x < len(dims):
+        raise CovarianceError(f"fibre map at {x} is not a unitary of the right shape")
     return SpatialAutomorphism(f0=f0, fibre_maps=maps, fibre_dims=dims)
 
 

@@ -19,7 +19,8 @@ A document with a frame or twist parses to the coefficient (semidirect)
 model; without either it parses to the imprimitivity model.  In memory the
 frame is an (n, n, d, d) array and the twist an (n, n, n, d, d) one.  A twist
 pair left out is the identity: ``model_to_json`` writes the pairs whose value
-is not exactly the identity, ``cocycle_to_json`` every pair.
+is not exactly the identity, ``cocycle_to_json`` every pair.  Arrays are
+written from one ``tolist`` of their real view, bit for bit (−0.0 included).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import re
 
 import numpy as np
 
-from .cocycle import Cocycle2, make_twist
+from .cocycle import Cocycle2, first_offender, make_twist
 from .fellbundle import (
     CStarBundle,
     FellBundleModel,
@@ -38,7 +39,7 @@ from .fellbundle import (
     build_semidirect_bundle,
 )
 from .groupoid import Arrow, Bisection
-from .linalg import DEFAULT_EPS, as_matrix, is_unitary
+from .linalg import DEFAULT_EPS, as_matrix, as_stack, unitarity_defects
 
 
 class ParseError(ValueError):
@@ -57,9 +58,7 @@ def complex_from_json(v) -> complex:
 
 
 def matrix_to_json(m) -> list[list[list[float]]]:
-    a = as_matrix(m)
-    return [[complex_to_json(a[r, c]) for c in range(a.shape[1])]
-            for r in range(a.shape[0])]
+    return as_matrix(m)[..., None].view(float).tolist()
 
 
 def matrix_from_json(v) -> np.ndarray:
@@ -118,13 +117,6 @@ def permutation_from_json(v) -> Bisection:
         raise ParseError(str(exc)) from exc
 
 
-def twist_value_to_json(v: np.ndarray):
-    a = as_matrix(v)
-    if a.shape == (1, 1):
-        return complex_to_json(a[0, 0])
-    return matrix_to_json(a)
-
-
 def twist_value_from_json(v):
     if (isinstance(v, list) and len(v) == 2
             and all(isinstance(x, (int, float)) for x in v)):
@@ -133,12 +125,14 @@ def twist_value_from_json(v):
 
 
 def cocycle_to_json(w: Cocycle2) -> dict:
-    n = w.n_points
+    n, d = w.n_points, w.fibre_dim
+    values = as_stack(w.values.reshape(-1, d, d))
+    values = values[:, 0, 0] if d == 1 else values  # a scalar value as [re, im]
+    keys = (pair_key((x, y), (y, z)) for x, y, z in np.ndindex(n, n, n))
     return {
         "points": n,
-        "fibre_dim": w.fibre_dim,
-        "pairs": {pair_key((x, y), (y, z)): twist_value_to_json(w.values[x, y, z])
-                  for x, y, z in np.ndindex(n, n, n)},
+        "fibre_dim": d,
+        "pairs": dict(zip(keys, values[..., None].view(float).tolist())),
     }
 
 
@@ -151,13 +145,13 @@ def model_to_json(
     }
     n = model.n_points
     if model.frame is not None:
-        doc["frame"] = {arrow_key(g): matrix_to_json(model.frame[g])
-                        for g in np.ndindex(n, n)}
+        d = model.frame.shape[-1]
+        frame = as_stack(model.frame.reshape(n * n, d, d))[..., None].view(float)
+        doc["frame"] = dict(zip(map(arrow_key, np.ndindex(n, n)), frame.tolist()))
     if model.twist is not None:
-        values, eye = model.twist.values, np.eye(model.twist.fibre_dim)
-        doc["twist"] = {pair_key((x, y), (y, z)): twist_value_to_json(values[x, y, z])
-                        for x, y, z in np.ndindex(n, n, n)
-                        if not np.array_equal(values[x, y, z], eye)}
+        kept = (model.twist.values != np.eye(model.twist.fibre_dim)).any(axis=(-2, -1))
+        pairs = cocycle_to_json(model.twist)["pairs"].items()
+        doc["twist"] = {k: v for (k, v), keep in zip(pairs, kept.ravel()) if keep}
     if generator is not None:
         doc["generator"] = permutation_to_json(generator)
     return doc
@@ -200,13 +194,14 @@ def model_from_json(
         given = {arrow_from_key(k): matrix_from_json(v) for k, v in doc["frame"].items()}
         if any(max(g) >= n for g in given):
             raise ParseError(f"frame names an arrow outside the {n} points")
-        frame = np.empty((n, n, dim, dim), dtype=complex)
-        for g in np.ndindex(n, n):  # the first offending arrow, row-major
-            if g not in given:
-                raise FrameError(f"frame missing arrow {g}")
-            if given[g].shape != (dim, dim) or not is_unitary(given[g], eps):
-                raise FrameError(f"frame entry at {g} is not a {dim}×{dim} unitary")
-            frame[g] = given[g]
+        frame, shaped = np.zeros((n, n, dim, dim), dtype=complex), np.zeros((n, n), bool)
+        for g, u in given.items():
+            if u.shape == (dim, dim):
+                frame[g], shaped[g] = u, True
+        g = first_offender(~shaped | ~(unitarity_defects(frame) <= eps))  # row-major
+        if g is not None:
+            raise FrameError(f"frame missing arrow {g}" if g not in given
+                             else f"frame entry at {g} is not a {dim}×{dim} unitary")
     twist = None
     if "twist" in doc:
         values = {pair_from_key(k): twist_value_from_json(v)

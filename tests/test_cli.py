@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -266,6 +268,46 @@ def test_covariance_group_is_validated_at_the_given_eps(tmp_path):
         code, out = run(tmp_path, "check", what, "--input", str(path),
                         "--eps", "1e-4", name=f"{what}.json")
         assert code == 0 and json.loads(out.read_text())["pass"]
+
+
+@pytest.mark.parametrize("model", [
+    ("--preset", "flow", "--points", "4", "--dim", "2"),
+    ("--preset", "flow", "--points", "8", "--dim", "1"),
+    ("--preset", "fourpoint"),
+    ("--preset", "diag-masa", "--n", "8"),
+], ids=["flow-4x2", "flow-8x1", "fourpoint", "diag-masa-8"])
+def test_report_omega_digest_is_that_of_the_printed_omega(tmp_path, model):
+    """The report's omega_sha256 is the sha256 of the compact sorted-key
+    JSON of the ω that ``phi readoff`` prints in full."""
+    code, readoff = run(tmp_path, "phi", "readoff", *model, name="readoff.json")
+    assert code == 0
+    omega = json.loads(readoff.read_text())["omega"]
+    text = json.dumps(omega, sort_keys=True, separators=(",", ":"))
+    code, report = run(tmp_path, "report", *model)
+    assert code == 0
+    (cocycle,) = [c for c in json.loads(report.read_text())["checks"]
+                  if c["check"] == "cocycle"]
+    assert "omega" not in cocycle["details"]
+    assert cocycle["details"]["omega_sha256"] == hashlib.sha256(
+        text.encode("utf-8")).hexdigest()
+
+
+def test_ragged_blocks_model_files_report_in_every_order(tmp_path):
+    """An imprimitivity model file with dims 1..4 in each of the 24 orders,
+    as the ragged-blocks benchmark draws them, reports exit 0 with axioms
+    and pair passing, and twice the same bytes."""
+    for dims in itertools.permutations("1234"):
+        code, path = run(tmp_path, "generate", "--preset", "imprimitivity",
+                         "--dims", ",".join(dims), name="model.json")
+        assert code == 0
+        bodies = []
+        for name in ("r1.json", "r2.json"):
+            code, out = run(tmp_path, "report", "--input", str(path), name=name)
+            assert code == 0
+            bodies.append(out.read_bytes())
+        assert [(c["check"], c["pass"]) for c in json.loads(bodies[0])["checks"]] == [
+            ("axioms", True), ("pair", True)]
+        assert bodies[0] == bodies[1]
 
 
 def test_phi_readoff_reports_a_failed_read_off(tmp_path):

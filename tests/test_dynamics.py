@@ -26,6 +26,7 @@ from fellkit.fellbundle import (
 from fellkit.embedding import phi_from_covariance_group
 from fellkit.groupoid import Bisection, cycle_bisection, cyclic_flow, identity_bisection
 from fellkit.linalg import (
+    as_matrix,
     haar_from_normals,
     haar_unitary,
     is_unitary,
@@ -104,6 +105,92 @@ def test_dimension_obstruction():
     make_spatial_automorphism(
         identity_bisection(3), [np.eye(n) for n in (2, 1, 3)], (2, 1, 3)
     )
+
+
+def spatial_automorphism_per_point(f0, fibre_maps, fibre_dims, eps=1e-9):
+    """make_spatial_automorphism's checks point by point, each map normed on
+    its own by is_unitary: the oracle for its one stacked check."""
+    dims = tuple(int(n) for n in fibre_dims)
+    maps = np.zeros((len(dims), max(dims), max(dims)), dtype=complex)
+    for x in range(len(dims)):
+        if dims[x] != dims[f0(x)]:
+            raise CovarianceError(
+                f"fibre dims {dims[x]} at {x} and {dims[f0(x)]} at f0({x})={f0(x)} "
+                "differ; a non-trivial base map needs matching dimensions"
+            )
+        w = as_matrix(fibre_maps[x])
+        if w.shape != (dims[f0(x)], dims[x]) or not is_unitary(w, eps):
+            raise CovarianceError(f"fibre map at {x} is not a unitary of the right shape")
+        maps[x, :dims[x], :dims[x]] = w
+    return maps
+
+
+def sigma_cases():
+    """(f0, maps, dims, eps): each fault kind ahead of each other kind, ragged
+    dims, and eps at and beyond the edges."""
+    rng = rng_for(17)
+    ragged = (2, 1, 3, 1)
+    haar = [haar_unitary(d, rng) for d in ragged]
+    ident, nan = identity_bisection(4), np.full((3, 3), np.nan)
+    swap23 = Bisection((0, 1, 3, 2))
+    yield ident, haar, ragged, 1e-9
+    yield ident, [haar[0], haar[1], haar[2] * (1 + 1e-7), haar[3]], ragged, 1e-6
+    yield ident, [haar[0], haar[1], haar[2] * (1 + 1e-7), haar[3]], ragged, 1e-9
+    yield ident, haar, ragged, float("nan")
+    yield ident, [np.zeros((2, 2)), haar[1], np.zeros((3, 3)), haar[3]], ragged, 1.5
+    # a bad map at 0 ahead of a dims mismatch at 2, and the reverse
+    yield swap23, [2 * haar[0], haar[1], haar[2], haar[3]], ragged, 1e-9
+    yield swap23, [haar[0], haar[1], haar[2], 2 * haar[3]], ragged, 1e-9
+    yield Bisection((1, 0, 2, 3)), [haar[0], 2 * haar[1], haar[2], haar[3]], ragged, 1e-9
+    # wrong shape, non-unitary and not a finite matrix, in several orders
+    yield ident, [haar[0], np.eye(2), nan, 3 * haar[3]], ragged, 1e-9
+    yield ident, [haar[0], 2 * haar[1], np.eye(2), haar[3]], ragged, 1e-9
+    yield ident, [haar[0], nan[:1, :1], 2 * haar[2], np.eye(2)], ragged, 1e-9
+    yield ident, [haar[0], haar[1], np.ones(3), 2 * haar[3]], ragged, 1e-9
+    frame, g = flow_frame(5, 2, rng)
+    yield g, frame[g.perm, range(5)], (2,) * 5, 1e-9
+    maps = frame[g.perm, range(5)].copy()
+    maps[3] *= 1 + 1e-6
+    maps[4] = 0
+    yield g, maps, (2,) * 5, 1e-9
+
+
+@pytest.mark.parametrize("f0, maps, dims, eps", list(sigma_cases()))
+def test_sigma_is_validated_as_the_per_point_oracle_does(f0, maps, dims, eps,
+                                                         monkeypatch):
+    try:
+        expected = spatial_automorphism_per_point(f0, maps, dims, eps)
+    except ValueError as exc:
+        expected = (type(exc), str(exc))
+    stacks = []
+    monkeypatch.setattr(fellkit.dynamics, "unitarity_defects",
+                        lambda a: stacks.append(a.shape) or unitarity_defects(a))
+    try:
+        got = make_spatial_automorphism(f0, maps, dims, eps).fibre_maps
+    except ValueError as exc:
+        got = (type(exc), str(exc))
+    if isinstance(expected, tuple):
+        assert got == expected
+    else:
+        assert np.array_equal(bits(got), bits(expected))
+    # one stacked check, unless a map that is not a finite matrix stops it
+    assert len(stacks) == (expected[0] is not ValueError
+                           if isinstance(expected, tuple) else 1)
+
+
+def test_a_map_that_is_not_a_finite_matrix_raises_where_it_is_met():
+    """Unitarity is checked after the per-point pass, so a map that is not a
+    finite matrix raises as_matrix's ValueError even behind a non-unitary map
+    (which the per-point oracle names first)."""
+    ragged, f0 = (2, 1, 3, 1), identity_bisection(4)
+    for x, bad in ((2, np.full((3, 3), np.nan)), (3, np.ones(1))):
+        maps = [np.eye(d) for d in ragged]
+        maps[1], maps[x] = 2 * maps[1], bad
+        with pytest.raises(CovarianceError, match="fibre map at 1 "):
+            spatial_automorphism_per_point(f0, maps, ragged)
+        with pytest.raises(ValueError, match="non-finite|2-d") as exc:
+            make_spatial_automorphism(f0, maps, ragged)
+        assert exc.type is ValueError
 
 
 def compose_automorphisms(

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
+import fellkit.serialize
 from fellkit.cli import main
-from fellkit.cocycle import NotATwistError, make_twist
+from fellkit.cocycle import Cocycle2, NotATwistError, make_twist
 from fellkit.fellbundle import (
     CStarBundle,
     FrameError,
@@ -12,6 +13,7 @@ from fellkit.fellbundle import (
     build_semidirect_bundle,
 )
 from fellkit.groupoid import cycle_bisection
+from fellkit.linalg import as_matrix, is_unitary
 from fellkit.presets import random_symmetric_frame
 from fellkit.serialize import (
     ParseError,
@@ -226,3 +228,141 @@ def test_frame_and_twist_must_be_objects(key, value, tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["report", "--input", str(path)]) == 2
     assert capsys.readouterr().err.startswith(f'error: "{key}" must be a JSON object')
+
+
+# The per-value writers and the per-arrow frame check that the array code
+# replaced, kept as oracles.
+
+def matrix_to_json_per_entry(m):
+    a = as_matrix(m)
+    return [[complex_to_json(a[r, c]) for c in range(a.shape[1])]
+            for r in range(a.shape[0])]
+
+
+def twist_value_to_json(v):
+    a = as_matrix(v)
+    if a.shape == (1, 1):
+        return complex_to_json(a[0, 0])
+    return matrix_to_json_per_entry(a)
+
+
+def cocycle_to_json_per_value(w):
+    n = w.n_points
+    return {
+        "points": n,
+        "fibre_dim": w.fibre_dim,
+        "pairs": {pair_key((x, y), (y, z)): twist_value_to_json(w.values[x, y, z])
+                  for x, y, z in np.ndindex(n, n, n)},
+    }
+
+
+def frame_per_arrow(given, n, dim, eps=1e-9):
+    """The frame array of per-arrow matrices, raising at the first offending
+    arrow in row-major order."""
+    frame = np.empty((n, n, dim, dim), dtype=complex)
+    for g in np.ndindex(n, n):
+        if g not in given:
+            raise FrameError(f"frame missing arrow {g}")
+        if given[g].shape != (dim, dim) or not is_unitary(given[g], eps):
+            raise FrameError(f"frame entry at {g} is not a {dim}×{dim} unitary")
+        frame[g] = given[g]
+    return frame
+
+
+def signed_values(shape, rng):
+    """Complex values with ±0.0 parts and tiny and huge magnitudes mixed in."""
+    pool = np.array([0.0, -0.0, 1.0, -1.0, 5e-324, -1e300, 0.1, 1 / 3])
+    re, im = (np.where(rng.random(shape) < 0.5, rng.choice(pool, shape),
+                       rng.standard_normal(shape)) for _ in range(2))
+    return re + 1j * im
+
+
+def dumped(doc):
+    return json.dumps(doc, sort_keys=True)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_array_writers_match_the_per_value_oracle(d):
+    rng = np.random.default_rng(d)
+    w = Cocycle2(values=signed_values((3, 3, 3, d, d), rng))
+    assert dumped(cocycle_to_json(w)) == dumped(cocycle_to_json_per_value(w))
+    m = signed_values((d, d + 1), rng)
+    assert dumped(matrix_to_json(m)) == dumped(matrix_to_json_per_entry(m))
+    assert str(matrix_to_json(np.array([[-0.0]]))) == "[[[-0.0, 0.0]]]"
+    # a model writes its frame and its non-identity twist values the same way
+    frame = random_symmetric_frame(3, d, rng)
+    phases = np.exp(1j * (np.arange(d) + 0.5))
+    twist = make_twist(3, d, {((0, 1), (1, 2)): np.diag(phases),
+                              ((2, 1), (1, 0)): np.diag(phases.conj())})
+    doc = model_to_json(build_semidirect_bundle(CStarBundle((d,) * 3), frame=frame,
+                                                twist=twist))
+    assert doc["frame"] == {arrow_key(g): matrix_to_json_per_entry(frame[g])
+                            for g in np.ndindex(3, 3)}
+    assert doc["twist"] == {k: v for k, v in cocycle_to_json_per_value(twist)["pairs"].items()
+                            if k in ("((1,2),(2,3))", "((3,2),(2,1))")}
+    w.values[1, 2, 0, 0, 0] = np.nan
+    for writer in (cocycle_to_json, cocycle_to_json_per_value):
+        with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
+            writer(w)
+
+
+def test_omega_and_the_frame_are_checked_as_one_stack(monkeypatch):
+    """Writing ω checks no value on its own, and reading a frame checks its
+    arrows' unitarity in one stacked call."""
+    calls = []
+    for name in ("as_matrix", "unitarity_defects"):
+        real = getattr(fellkit.serialize, name)
+        monkeypatch.setattr(fellkit.serialize, name,
+                            lambda m, real=real, name=name: calls.append(name) or real(m))
+    cocycle_to_json(twist_from_phases(np.array([[0.0, 0.3], [-0.3, 0.0]])))
+    frame = random_symmetric_frame(4, 2, np.random.default_rng(0))
+    model = build_semidirect_bundle(CStarBundle((2,) * 4), frame=frame)
+    model_from_json(model_to_json(model))
+    assert calls == ["unitarity_defects"]
+
+
+FRAME_FAULTS = {
+    # arrow (0-indexed) -> its matrix, or None to leave it out; each name
+    # lists the faults in row-major order
+    "non-unitary, missing": {(0, 1): 2 * np.eye(2), (1, 1): None},
+    "missing, non-unitary": {(1, 0): None, (1, 2): 2 * np.eye(2)},
+    "missing, non-unitary in one row": {(2, 0): None, (2, 1): 2 * np.eye(2)},
+    "non-unitary, missing in one column": {(0, 2): 1.5j * np.eye(2), (2, 2): None},
+    "wrong shape, missing": {(0, 1): np.eye(3), (0, 2): None},
+    "missing, wrong shape": {(0, 1): None, (1, 0): np.eye(1)},
+    "non-finite, missing": {(1, 0): np.full((2, 2), np.nan), (1, 2): None},
+    "non-finite wrong shape, missing": {(0, 1): np.full((1, 2), np.nan), (0, 2): None},
+}
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1.5])  # at 1.5 a zero or 1.5i·I block passes
+@pytest.mark.parametrize("name", FRAME_FAULTS)
+def test_frame_faults_are_named_as_the_per_arrow_oracle_names_them(name, eps):
+    frame = random_symmetric_frame(3, 2, np.random.default_rng(5))
+    given = {g: frame[g] for g in np.ndindex(3, 3)}
+    for g, u in FRAME_FAULTS[name].items():
+        if u is None:
+            del given[g]
+        else:
+            given[g] = np.asarray(u, dtype=complex)
+    doc = {"points": 3, "fibre_dims": [2, 2, 2],
+           "frame": {arrow_key(g): [[[z.real, z.imag] for z in row] for row in u]
+                     for g, u in given.items()}}
+    with pytest.raises(ValueError) as expected:
+        frame_per_arrow(given, 3, 2, eps)
+    with pytest.raises(ValueError) as got:
+        model_from_json(doc, eps)
+    assert (got.type, str(got.value)) == (expected.type, str(expected.value))
+
+
+def test_a_non_finite_frame_entry_fails_the_stacked_check():
+    """Unitarity is checked on the whole frame at once, so a non-finite entry
+    raises its ValueError even behind an arrow with another fault (which
+    the per-arrow oracle names first)."""
+    frame = random_symmetric_frame(3, 2, np.random.default_rng(5))
+    doc = model_to_json(build_semidirect_bundle(CStarBundle((2,) * 3), frame=frame))
+    doc["frame"]["(1,2)"] = [[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]]
+    doc["frame"]["(3,2)"] = [[["nan", 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    with pytest.raises(ValueError, match="^matrix contains non-finite entries$") as exc:
+        model_from_json(doc)
+    assert exc.type is ValueError
