@@ -7,7 +7,7 @@ automorphism groups, 2-cocycles, the embedding invariant Φ) is verified
 numerically against residual tolerances.
 """
 
-from .algebra import FiniteCStarAlgebra, make_algebra
+from .algebra import BlockSample, FiniteCStarAlgebra, make_algebra
 from .cocycle import (
     Cocycle2,
     NotATwistError,
@@ -83,7 +83,6 @@ from .subalgebra import (
     Slice,
     classify_pair,
     is_normalizer,
-    is_regular,
     slice_check,
 )
 

@@ -17,6 +17,20 @@ from .linalg import DEFAULT_EPS, as_matrix, as_stack, operator_norm
 from .linalg import _largest_singular_values  # the norm kernel
 
 
+@dataclass(frozen=True, eq=False)
+class BlockSample:
+    """A family of matrices that each lie in one block pair: member t is
+    small[t], zero-padded as ``FiniteCStarAlgebra.blocks`` pads, at block
+    (i[t], j[t]); ``embed_blocks(s.i, s.j, s.small)`` is its dense stack."""
+
+    i: np.ndarray
+    j: np.ndarray
+    small: np.ndarray  # (k, m, m), m = max(block_dims)
+
+    def __len__(self) -> int:
+        return len(self.small)
+
+
 @dataclass(frozen=True)
 class FiniteCStarAlgebra:
     """A direct sum ⊕ M_{n_i}(ℂ) with its block projections.
@@ -59,26 +73,9 @@ class FiniteCStarAlgebra:
         label = np.repeat(np.arange(self.n_blocks), self.block_dims)
         return label[:, None] == label
 
-    def projection(self, i: int) -> np.ndarray:
-        """Orthogonal projection onto the i-th block (rank block_dims[i])."""
-        p = np.zeros((self.ambient_dim, self.ambient_dim), dtype=complex)
-        o = self.block_offsets[i]
-        n = self.block_dims[i]
-        p[o : o + n, o : o + n] = np.eye(n)
-        return p
-
-    def projections(self) -> list[np.ndarray]:
-        return [self.projection(i) for i in range(self.n_blocks)]
-
     def unit(self) -> np.ndarray:
         """The identity: in finite dimension the approximate unit is exact."""
         return np.eye(self.ambient_dim, dtype=complex)
-
-    def block(self, b, i: int, j: int) -> np.ndarray:
-        """The (i, j) block p_i b p_j of an ambient matrix, as a small matrix."""
-        a = as_matrix(b)
-        oi, oj = self.block_offsets[i], self.block_offsets[j]
-        return a[oi : oi + self.block_dims[i], oj : oj + self.block_dims[j]]
 
     def embed_block(self, i: int, j: int, small) -> np.ndarray:
         """Place a small matrix at block position (i, j) of an ambient matrix."""
@@ -120,6 +117,31 @@ class FiniteCStarAlgebra:
         out[t, idx[i][..., None], idx[j][..., None, :]] = small
         return np.ascontiguousarray(out[:, :d, :d])
 
+    def block_sample(self, mats) -> BlockSample:
+        """The block form of a family of N × N matrices that each lie in one
+        block pair (a zero matrix at (0, 0)); raises ValueError naming the
+        first member with two nonzero blocks."""
+        d, a = self.ambient_dim, np.asarray(mats, dtype=complex)
+        grids = self.blocks(as_stack(a if a.size else a.reshape(0, d, d)))
+        live = grids.any(axis=(-2, -1)).reshape(len(grids), self.n_blocks ** 2)
+        bad = np.flatnonzero(live.sum(axis=1) > 1)
+        if bad.size:
+            p, q = (divmod(int(t), self.n_blocks)
+                    for t in np.flatnonzero(live[bad[0]])[:2])
+            raise ValueError(f"sample element {bad[0]} has nonzero blocks at {p} and {q},"
+                             " not at one block pair")
+        i, j = np.divmod(live.argmax(axis=1), self.n_blocks)
+        return BlockSample(i, j, grids[np.arange(len(grids)), i, j])
+
+    def unit_blocks(self) -> BlockSample:
+        """The N² matrix units of the ambient algebra in block form: block
+        pairs row-major, row-major within each block pair."""
+        inside = np.arange(max(self.block_dims)) < np.array(self.block_dims)[:, None]
+        i, j, r, c = np.nonzero(inside[:, None, :, None] & inside[None, :, None, :])
+        small = np.zeros((len(i),) + inside.shape[1:] * 2, dtype=complex)
+        small[np.arange(len(i)), r, c] = 1.0
+        return BlockSample(i, j, small)
+
     def block_norms(self, b) -> np.ndarray:
         """The n_blocks × n_blocks table of block norms ∥p_i b p_j∥, from which
         every block-support question about b is answered (for a (k, N, N)
@@ -134,8 +156,7 @@ class FiniteCStarAlgebra:
 
     def contains(self, b, eps: float = DEFAULT_EPS) -> bool:
         """True iff b is block-diagonal for this algebra within eps."""
-        a = as_matrix(b)
-        d = self.ambient_dim
+        a, d = as_matrix(b), self.ambient_dim
         if a.shape != (d, d):
             raise ValueError(f"expected shape ({d},{d}), got {a.shape}")
         return operator_norm(a - self.compress(a)) <= eps
@@ -144,11 +165,9 @@ class FiniteCStarAlgebra:
         """All block matrix units, embedded in the ambient representation:
         blocks in order, row-major within each block (the row-major order of
         the block-diagonal entries)."""
-        d = self.ambient_dim
-        entries = np.flatnonzero(self._block_mask)
-        units = np.zeros((len(entries), d * d), dtype=complex)
-        units[np.arange(len(entries)), entries] = 1.0
-        return list(units.reshape(-1, d, d))
+        u = self.unit_blocks()
+        on = u.i == u.j
+        return list(self.embed_blocks(u.i[on], u.j[on], u.small[on]))
 
     def dim(self) -> int:
         """Linear dimension Σ n_i² of the algebra itself."""

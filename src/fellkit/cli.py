@@ -336,15 +336,17 @@ def emit(doc: dict, args) -> None:
 
 
 def resolve_eps(args) -> float:
-    if args.eps is not None:
-        return float(args.eps)
-    env = os.environ.get("FELLKIT_EPS")
-    if env is not None:
-        try:
-            return float(env)
-        except ValueError as exc:
-            raise UsageError(f"bad FELLKIT_EPS value {env!r}") from exc
-    return DEFAULT_EPS
+    """--eps, else FELLKIT_EPS, else 1e-9; outside (0, 1), or NaN, a usage error."""
+    source, value = "--eps", args.eps
+    if value is None:
+        source, value = "FELLKIT_EPS", os.environ.get("FELLKIT_EPS", DEFAULT_EPS)
+    try:
+        eps = float(value)
+    except ValueError as exc:
+        raise UsageError(f"bad {source} value {value!r}") from exc
+    if not 0 < eps < 1:
+        raise UsageError(f"{source} must lie in (0, 1), got {eps}")
+    return eps
 
 
 def add_model_args(p: argparse.ArgumentParser) -> None:

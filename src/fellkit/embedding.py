@@ -4,7 +4,7 @@
 isometries, one per pair of block indices.  It is generated from a covariance
 group as the sum of partial products of the single generator; from an
 orientable Φ one reads off the diagonal algebra, the ambient algebra, the
-canonical expectation, a normalizer sample and the twist.
+canonical expectation, a normalizer sample (Φ's blocks) and the twist.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import FiniteCStarAlgebra
+from .algebra import BlockSample, FiniteCStarAlgebra
 from .cocycle import Cocycle2, extract_cocycle
 from .dynamics import CovarianceGroup, covariance_group_from_frame
 from .fellbundle import (
@@ -28,12 +28,7 @@ from .fellbundle import (
     restriction_expectation,
 )
 from .groupoid import Arrow, is_minimal_flow, orbit_pairs
-from .linalg import (
-    DEFAULT_EPS,
-    operator_norm,
-    operator_norms,
-    ranks,
-)
+from .linalg import DEFAULT_EPS, operator_norm, operator_norms, ranks
 from .subalgebra import PairCandidate, PairClassification, classify_pair
 
 
@@ -57,9 +52,6 @@ class EmbeddingInvariant:
     @property
     def algebra(self) -> FiniteCStarAlgebra:
         return FiniteCStarAlgebra(self.block_dims)
-
-    def block(self, i: int, j: int) -> np.ndarray:
-        return self.algebra.block(self.phi, i, j)
 
     def block_support(self, eps: float = DEFAULT_EPS) -> set[tuple[int, int]]:
         support = self.algebra.block_norms(self.phi) > eps
@@ -102,7 +94,7 @@ class ReadOff:
     A: FiniteCStarAlgebra
     B: FiniteCStarAlgebra
     P: ConditionalExpectation
-    normalizer_sample: np.ndarray  # (n², N, N)
+    normalizer_sample: BlockSample  # Φ's n² blocks
     assignment: np.ndarray | None  # (n, n, d, d), as FellBundleModel.frame
     omega: Cocycle2 | None
     note: str = ""
@@ -121,13 +113,11 @@ def read_off_pair(phi: EmbeddingInvariant, eps: float = DEFAULT_EPS) -> ReadOff:
     P = ConditionalExpectation(range_algebra=A)
     n, m = A.n_blocks, max(A.block_dims)
     blocks = A.blocks(phi.phi)
-    sample = A.embed_blocks(*np.divmod(np.arange(n * n), n), blocks.reshape(-1, m, m))
-    assignment = None
-    omega = None
-    note = ""
+    sample = BlockSample(*np.divmod(np.arange(n * n), n), blocks.reshape(-1, m, m))
+    assignment, omega, note = None, None, ""
     if len(set(A.block_dims)) == 1:
         # assignment[i, j] is the (i, j) block of Φ, the identity on the diagonal
-        assignment = blocks
+        assignment = blocks.copy()  # the sample keeps Φ's diagonal blocks
         assignment[range(n), range(n)] = np.eye(m)
         omega = extract_cocycle(assignment, eps)
     else:
@@ -135,10 +125,8 @@ def read_off_pair(phi: EmbeddingInvariant, eps: float = DEFAULT_EPS) -> ReadOff:
             "varying block ranks: off-diagonal blocks are partial isometries, "
             "no ⊕𝕋-valued twist is defined"
         )
-    return ReadOff(
-        A=A, B=B, P=P, normalizer_sample=sample, assignment=assignment,
-        omega=omega, note=note,
-    )
+    return ReadOff(A=A, B=B, P=P, normalizer_sample=sample, assignment=assignment,
+                   omega=omega, note=note)
 
 
 def cartan_from_fell_bundle(
@@ -158,16 +146,16 @@ def cartan_from_fell_bundle(
         raise ValueError(f"bundle fails axioms {axioms.failed_axioms()}")
     A = diagonal_algebra(E)
     pair = PairCandidate(A=A, B=enveloping_algebra(E), P=restriction_expectation(E))
-    # the fibre bases over the off-diagonal arrows: a unit per grid entry (x, y, r, c)
-    grid = A.blocks(np.ones((A.ambient_dim,) * 2)).real > 0
-    for g in [(x, x) for x in range(A.n_blocks)] + list(E.zero_fibres):
-        grid[g] = False
-    x, y, r, c = np.nonzero(grid)
-    m = grid.shape[-1]
-    units = np.eye(m * m, dtype=complex)[r * m + c].reshape(-1, m, m)
-    units = units @ E.frame[x, y] if E.coefficient_form else units
-    classification = classify_pair(pair, A.embed_blocks(x, y, units), eps)
-    return pair, classification, axioms
+    # the fibre bases over the off-diagonal arrows: the units E_rc, times u_(x,y)
+    # in coefficient form, at the block pairs (x, y) of nonzero fibres
+    off = ~np.eye(A.n_blocks, dtype=bool)
+    for g in E.zero_fibres:
+        off[g] = False
+    units = A.unit_blocks()
+    keep = off[units.i, units.j]
+    x, y, small = units.i[keep], units.j[keep], units.small[keep]
+    small = small @ E.frame[x, y] if E.coefficient_form else small
+    return pair, classify_pair(pair, BlockSample(x, y, small), eps), axioms
 
 
 def bridge_round_trip(Gs: CovarianceGroup, eps: float = DEFAULT_EPS) -> dict:

@@ -154,14 +154,6 @@ class FellBundleModel:
             a = a @ self.frame[g]
         return B.embed_block(g[0], g[1], a)
 
-    def block(self, ambient: np.ndarray, g: Arrow) -> np.ndarray:
-        """Read the coefficient of the (x, y) block back out of an ambient matrix."""
-        B = diagonal_algebra(self)
-        blk = B.block(ambient, g[0], g[1])
-        if self.coefficient_form:
-            blk = blk @ self.frame[g].conj().T
-        return blk
-
 
 def identity_frame(n_points: int, fibre_dim: int) -> np.ndarray:
     return np.tile(np.eye(fibre_dim, dtype=complex), (n_points, n_points, 1, 1))

@@ -111,13 +111,8 @@ def _numerical_rank(sv: np.ndarray, eps: float) -> np.ndarray:
     return np.count_nonzero((sv > eps * top) & (top > 0), axis=-1)
 
 
-def rank(m, eps: float = DEFAULT_EPS) -> int:
-    """Numerical rank of a matrix, under the rule of ``_numerical_rank``."""
-    return int(_numerical_rank(np.linalg.svd(as_matrix(m), compute_uv=False), eps))
-
-
 def ranks(stack, eps: float = DEFAULT_EPS) -> np.ndarray:
-    """``rank`` of each matrix of a (k, rows, cols) stack, from one stacked
+    """The rank of each matrix of a (k, rows, cols) stack, from one stacked
     SVD, or the norm kernel's σ if 1×1: both equal LAPACK's, matrix by matrix."""
     a = as_stack(stack)
     if a.shape[1:] == (1, 1):
@@ -125,11 +120,23 @@ def ranks(stack, eps: float = DEFAULT_EPS) -> np.ndarray:
     return _numerical_rank(np.linalg.svd(a, compute_uv=False), eps)
 
 
-def span_dimension(mats: Sequence[np.ndarray], eps: float = DEFAULT_EPS) -> int:
-    """Rank of the vectorized family, under the rule of ``_numerical_rank``."""
+def span_dimension(mats: Sequence[np.ndarray], eps: float = DEFAULT_EPS,
+                   groups=None) -> int:
+    """Rank of the vectorized family, under the rule of ``_numerical_rank``.
+    Members with different int labels groups[t] ≥ 0 (one group if None) must
+    share no nonzero entry, as blocks at different block pairs do.  The
+    singular values are then the union of each group's, from one SVD of the
+    zero-padded (groups, members, entries) stack: zero rows add only zeros."""
     if len(mats) == 0:
         return 0
-    return rank(as_stack(mats).reshape(len(mats), -1), eps)
+    flat = as_stack(mats).reshape(len(mats), -1)
+    label = np.zeros(len(flat), dtype=int) if groups is None else np.asarray(groups)
+    count, order, row = np.bincount(label), np.argsort(label), np.empty_like(label)
+    row[order] = np.arange(len(flat)) - (np.cumsum(count) - count)[label[order]]
+    stack = np.zeros((len(count), count.max(), flat.shape[1]), dtype=complex)
+    stack[label, row] = flat  # member t is row row[t] of its group's matrix
+    sv = np.sort(np.linalg.svd(stack, compute_uv=False).ravel())[::-1]
+    return int(_numerical_rank(sv, eps))
 
 
 def is_in_span(m, mats: Sequence[np.ndarray], eps: float = DEFAULT_EPS) -> bool:

@@ -16,15 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import FiniteCStarAlgebra
+from .algebra import BlockSample, FiniteCStarAlgebra
 from .fellbundle import ConditionalExpectation
-from .linalg import (
-    DEFAULT_EPS,
-    as_stack,
-    is_unitary,
-    operator_norms,
-    span_dimension,
-)
+from .linalg import DEFAULT_EPS, is_unitary, operator_norms, span_dimension
 
 
 def _columns_meet_one_block(t: np.ndarray, eps: float) -> np.ndarray:
@@ -82,24 +76,9 @@ class PairCandidate:
             raise ValueError("ambient algebra must be a single full matrix block")
         if self.A.ambient_dim != self.B.ambient_dim:
             raise ValueError("A and B must share the ambient representation")
-
-
-def is_regular(
-    pair: PairCandidate,
-    normalizer_sample: list[np.ndarray],
-    eps: float = DEFAULT_EPS,
-) -> bool:
-    """ls N(A) = B at sample scale: the sample plus basis(A) spans B.
-
-    Raises if the sample contains a non-normalizer (contract violation),
-    naming the first; the whole sample takes one stack of block-norm tables.
-    """
-    if len(normalizer_sample):
-        bad = np.flatnonzero(~is_normalizer(as_stack(normalizer_sample), pair.A, eps))
-        if bad.size:
-            raise ValueError(f"sample element {bad[0]} is not a normalizer of A")
-    family = list(normalizer_sample) + pair.A.basis()
-    return span_dimension(family, eps) == pair.B.dim()
+        if self.P.range_algebra != self.A:
+            raise ValueError(f"P maps onto block dims {self.P.range_algebra.block_dims},"
+                             f" not onto A's {self.A.block_dims}")
 
 
 @dataclass
@@ -113,7 +92,7 @@ class PairClassification:
 
 def classify_pair(
     pair: PairCandidate,
-    normalizer_sample: list[np.ndarray],
+    normalizer_sample: BlockSample | list[np.ndarray],
     eps: float = DEFAULT_EPS,
 ) -> PairClassification:
     """Diagonal / Cartan / neither, with per-check evidence.
@@ -122,20 +101,31 @@ def classify_pair(
     normalizers in ker P span ker P, of dimension dim B − dim A (Kumjian
     1986; Exel 2011); cartan: all but the kernel identity; neither: anything
     earlier fails.  Equal dimensions mean equal spans, as one contains the other.
+
+    Each sample element lies in one block pair, so it normalizes A (a dense
+    family goes through ``A.block_sample``, which raises on two blocks).
+    Regular: the sample and A's units span B.  P keeps a diagonal block and
+    kills the rest, and an off-diagonal block squares to 0, so an element is
+    free in ker P iff off-diagonal or its block and its square are ≤ eps.
+    Spans are ranked per block pair (``span_dimension``'s groups).
     """
-    unit_in_A = pair.A.contains(pair.B.unit(), eps)
-    regular = is_regular(pair, normalizer_sample, eps)
+    A, n = pair.A, pair.A.n_blocks
+    s = (normalizer_sample if isinstance(normalizer_sample, BlockSample)
+         else A.block_sample(normalizer_sample))
+    unit_in_A = A.contains(pair.B.unit(), eps)
+    units = A.unit_blocks()
+    on_A = units.i == units.j  # A's matrix units
+    family = np.concatenate([s.small, units.small[on_A]])
+    labels = np.concatenate([s.i * n + s.j, (units.i * n + units.j)[on_A]])
+    regular = span_dimension(family, eps, labels) == pair.B.dim()
     p_report = pair.P.verify(eps=eps)
     p_ok = all(v[0] for k, v in p_report.items() if isinstance(v, tuple))
 
-    kernel_dim = pair.B.dim() - pair.A.dim()
-    # every sample element normalizes A (is_regular raises otherwise), so
-    # the free normalizers in ker P are those with P(b) = 0 and b² = 0
-    N = pair.B.ambient_dim
-    stack = np.asarray(normalizer_sample, dtype=complex).reshape(-1, N, N)
-    free = ((operator_norms(pair.P(stack)) <= eps)
-            & (operator_norms(stack @ stack) <= eps))
-    free_dim = span_dimension(stack[free], eps)
+    kernel_dim = pair.B.dim() - A.dim()
+    free = s.i != s.j
+    diag = s.small[~free]
+    free[~free] = (operator_norms(diag) <= eps) & (operator_norms(diag @ diag) <= eps)
+    free_dim = span_dimension(s.small[free], eps, (s.i * n + s.j)[free])
 
     evidence = {
         "unit_in_A": unit_in_A,

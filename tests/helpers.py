@@ -1,13 +1,49 @@
 """Model builders shared by several test modules."""
 
 import math
+import tracemalloc
 
 import numpy as np
 
 from fellkit.cocycle import Cocycle2, make_twist
 from fellkit.dynamics import SpatialAutomorphism, make_spatial_automorphism
 from fellkit.groupoid import Bisection
-from fellkit.linalg import haar_unitary, operator_norms
+from fellkit.linalg import (
+    DEFAULT_EPS,
+    _numerical_rank,
+    as_matrix,
+    haar_unitary,
+    operator_norms,
+)
+
+
+def dense_rank(m, eps: float = DEFAULT_EPS) -> int:
+    """The rank oracle: one SVD of one dense matrix, under the package's rank
+    rule (singular values above eps times the largest)."""
+    return int(_numerical_rank(np.linalg.svd(as_matrix(m), compute_uv=False), eps))
+
+
+def dense_span_dimension(mats, eps: float = DEFAULT_EPS) -> int:
+    """The span oracle: ``dense_rank`` of the family vectorised as one
+    (members, entries) matrix."""
+    return dense_rank(np.reshape(mats, (len(mats), -1)), eps) if len(mats) else 0
+
+
+def block_of(A, b, i: int, j: int) -> np.ndarray:
+    """The (i, j) block p_i b p_j of an ambient matrix, read through
+    ``A.blocks`` and unpadded."""
+    return A.blocks(b)[i, j, :A.block_dims[i], :A.block_dims[j]]
+
+
+def traced_peak_bytes(run) -> int:
+    """The peak of memory traced by tracemalloc over a second call of run."""
+    run()  # warm numpy's and the interpreter's caches outside the trace
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def twist_from_phases(theta: np.ndarray, fibre_dim: int = 1) -> Cocycle2:

@@ -4,6 +4,13 @@ import pytest
 from fellkit.algebra import FiniteCStarAlgebra, make_algebra
 from fellkit.linalg import operator_norm, random_matrix, span_dimension
 
+from helpers import block_of
+
+
+def projections(A):
+    """The block projections p_i, one embed_block of an identity each."""
+    return [A.embed_block(i, i, np.eye(n)) for i, n in enumerate(A.block_dims)]
+
 
 def test_constructor_validation():
     with pytest.raises(ValueError):
@@ -23,7 +30,10 @@ def test_shape_bookkeeping():
 
 def test_projections_are_orthogonal_and_sum_to_unit():
     A = make_algebra([2, 1, 3])
-    ps = A.projections()
+    ps = projections(A)
+    # p_i has the identity at block (i, i) and no other block
+    assert np.array_equal(A.block_norms(np.stack(ps)),
+                          np.eye(3)[:, None] * np.eye(3))
     total = sum(ps)
     assert np.allclose(total, A.unit())
     for i, p in enumerate(ps):
@@ -39,8 +49,8 @@ def test_block_and_embed_are_inverse():
     rng = np.random.default_rng(0)
     small = random_matrix((2, 3), rng)
     big = A.embed_block(0, 1, small)
-    assert np.allclose(A.block(big, 0, 1), small)
-    assert operator_norm(A.block(big, 1, 0)) == 0.0
+    assert np.array_equal(block_of(A, big, 0, 1), small)
+    assert operator_norm(block_of(A, big, 1, 0)) == 0.0
     with pytest.raises(ValueError):
         A.embed_block(0, 1, np.ones((3, 2)))
 
@@ -55,7 +65,7 @@ def test_compress_is_the_block_diagonal_part():
     assert operator_norm(c[:2, 2:]) == 0.0
     # compression is idempotent and equals sum of p b p
     assert np.allclose(A.compress(c), c)
-    manual = sum(p @ b @ p for p in A.projections())
+    manual = sum(p @ b @ p for p in projections(A))
     assert np.allclose(manual, c)
     # a (k, N, N) stack is compressed matrix by matrix
     stack = np.stack([b, 2j * b, random_matrix((4, 4), rng)])
@@ -72,7 +82,7 @@ def test_block_norms_match_per_block_operator_norms(dims):
     assert table.shape == (A.n_blocks, A.n_blocks)
     for i in range(A.n_blocks):
         for j in range(A.n_blocks):
-            assert abs(table[i, j] - operator_norm(A.block(b, i, j))) < 1e-12
+            assert abs(table[i, j] - operator_norm(block_of(A, b, i, j))) < 1e-12
     # a stack takes one table per member, each equal to its own call
     stack = np.stack([b, np.zeros_like(b), 1e-12 * b.conj().T])
     assert np.array_equal(A.block_norms(stack),
@@ -84,15 +94,18 @@ def test_block_norms_match_per_block_operator_norms(dims):
 
 
 def test_blocks_match_block_on_ragged_dims():
+    """Oracle: each block sliced out of b at the block offsets."""
     A = make_algebra([1, 2, 3])
     rng = np.random.default_rng(4)
     b = random_matrix((6, 6), rng)
     stack = np.stack([b, random_matrix((6, 6), rng), np.zeros((6, 6))])
+    o = A.block_offsets
     for m, blocks in [(b, A.blocks(b)), *zip(stack, A.blocks(stack))]:
         assert blocks.shape == (3, 3, 3, 3)
         for i, ni in enumerate(A.block_dims):
             for j, nj in enumerate(A.block_dims):
-                assert np.array_equal(blocks[i, j, :ni, :nj], A.block(m, i, j))
+                assert np.array_equal(blocks[i, j, :ni, :nj],
+                                      m[o[i]:o[i] + ni, o[j]:o[j] + nj])
                 # the padding is zero
                 assert not blocks[i, j, ni:].any() and not blocks[i, j, :, nj:].any()
     with pytest.raises(ValueError):
@@ -194,3 +207,46 @@ def test_single_block_algebra_is_full():
     assert B.contains(b)
     assert np.allclose(B.compress(b), b)
     assert B.dim() == 16
+
+
+@pytest.mark.parametrize("dims", [(2, 1, 3), (1,), (2, 2), (1, 1, 1)])
+def test_unit_blocks_are_the_ambient_matrix_units(dims):
+    """Oracle: one embed_block per unit, block pairs row-major, row-major
+    within each block pair; the units at diagonal block pairs are basis()."""
+    A = make_algebra(dims)
+    units = A.unit_blocks()
+    oracle = []
+    for i, ni in enumerate(dims):
+        for j, nj in enumerate(dims):
+            for e in np.eye(ni * nj, dtype=complex).reshape(-1, ni, nj):
+                oracle.append(A.embed_block(i, j, e))
+    assert len(units) == len(units.small) == A.ambient_dim ** 2
+    dense = A.embed_blocks(units.i, units.j, units.small)
+    assert np.array_equal(dense.view(np.int64), np.array(oracle).view(np.int64))
+    on_A = units.i == units.j
+    assert np.array_equal(dense[on_A], np.array(A.basis()))
+
+
+@pytest.mark.parametrize("dims", [(2, 1, 3), (2, 2)])
+def test_block_sample_is_the_inverse_of_embed_blocks(dims):
+    A = make_algebra(dims)
+    n, m = A.n_blocks, max(dims)
+    rng = np.random.default_rng(7)
+    i, j = rng.integers(n, size=9), rng.integers(n, size=9)
+    small = np.zeros((9, m, m), dtype=complex)
+    for t in range(9):
+        small[t, :dims[i[t]], :dims[j[t]]] = random_matrix((dims[i[t]], dims[j[t]]), rng)
+    small[4] = 0.0  # a zero member lands at block pair (0, 0)
+    i[4] = j[4] = 0
+    small[2, 0, 0] = complex(-0.0, 0.0)
+    sample = A.block_sample(A.embed_blocks(i, j, small))
+    assert np.array_equal(sample.i, i) and np.array_equal(sample.j, j)
+    assert np.array_equal(sample.small.view(np.int64), small.view(np.int64))
+    assert A.block_sample([]).small.shape == (0, m, m)
+    assert len(sample) == 9 and len(A.block_sample([])) == 0
+    with pytest.raises(TypeError):
+        iter(sample)  # a sample is its three arrays, not a sequence of them
+    with pytest.raises(ValueError):
+        A.block_sample(np.eye(A.ambient_dim))  # a matrix, not a family
+    with pytest.raises(ValueError):
+        A.block_sample(np.zeros((1, A.ambient_dim + 1, A.ambient_dim + 1)))

@@ -281,7 +281,9 @@ def test_report_omega_digest_is_that_of_the_printed_omega(tmp_path, model):
     JSON of the ω that ``phi readoff`` prints in full."""
     code, readoff = run(tmp_path, "phi", "readoff", *model, name="readoff.json")
     assert code == 0
-    omega = json.loads(readoff.read_text())["omega"]
+    doc = json.loads(readoff.read_text())
+    assert doc["normalizer_sample_size"] == len(doc["block_dims"]) ** 2
+    omega = doc["omega"]
     text = json.dumps(omega, sort_keys=True, separators=(",", ":"))
     code, report = run(tmp_path, "report", *model)
     assert code == 0
@@ -392,6 +394,23 @@ def test_eps_flag_beats_environment(tmp_path, monkeypatch):
     assert code == 0
     monkeypatch.setenv("FELLKIT_EPS", "not-a-number")
     assert main(["check", "axioms", "--preset", "fourpoint"]) == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "1.5", "1", "-1", "0"])
+@pytest.mark.parametrize("source", ["flag", "environment"])
+def test_eps_outside_the_unit_interval_is_a_usage_error(value, source, monkeypatch,
+                                                        capsys):
+    """Before, nan failed every check, inf and 1.5 passed the axioms with
+    every rank 0, and -1 and 0 refused the model's own frame."""
+    argv = ["check", "axioms", "--preset", "flow", "--points", "3", "--dim", "1"]
+    if source == "flag":
+        argv += ["--eps", value]
+    else:
+        monkeypatch.setenv("FELLKIT_EPS", value)
+    assert main(argv) == 2
+    name = "--eps" if source == "flag" else "FELLKIT_EPS"
+    want = f"error: {name} must lie in (0, 1), got {float(value)}\n"
+    assert capsys.readouterr().err == want
 
 
 def test_text_format(tmp_path):

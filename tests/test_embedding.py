@@ -24,18 +24,24 @@ from fellkit.fellbundle import (
     FellBundleModel,
     build_imprimitivity_bundle,
     build_semidirect_bundle,
+    diagonal_algebra,
     identity_frame,
 )
 from fellkit.groupoid import cycle_bisection, identity_bisection
-from fellkit.linalg import operator_norm, random_matrix, rank
+from fellkit.linalg import operator_norm, random_matrix
 from fellkit.presets import flow_frame
 from fellkit.subalgebra import is_normalizer
 
-from helpers import distance_from_trivial
+from helpers import block_of, dense_rank, distance_from_trivial, traced_peak_bytes
 
 
 def rng_for(seed):
     return np.random.default_rng(seed)
+
+
+def dense(A, sample):
+    """The (k, N, N) stack of a block-form sample."""
+    return A.embed_blocks(sample.i, sample.j, sample.small)
 
 
 def test_phi_with_varying_dims_partial_isometries():
@@ -52,8 +58,7 @@ def test_phi_with_varying_dims_partial_isometries():
     assert readoff.omega is None
     assert "varying block ranks" in readoff.note
     assert readoff.A.block_dims == (2, 1)
-    for b in readoff.normalizer_sample:
-        assert is_normalizer(b, readoff.A)
+    assert is_normalizer(dense(readoff.A, readoff.normalizer_sample), readoff.A).all()
 
 
 def test_partition_form_matches_expanded_double_loop():
@@ -124,8 +129,9 @@ def per_block_orientable(phi, eps=1e-9):
     full rank min(nᵢ, nⱼ)."""
     A = phi.algebra
     return all(
-        operator_norm(phi.block(i, j)) > eps
-        and rank(phi.block(i, j), eps) == min(A.block_dims[i], A.block_dims[j])
+        operator_norm(block_of(A, phi.phi, i, j)) > eps
+        and dense_rank(block_of(A, phi.phi, i, j), eps) == min(A.block_dims[i],
+                                                               A.block_dims[j])
         for i in range(A.n_blocks)
         for j in range(A.n_blocks)
     )
@@ -169,8 +175,7 @@ def test_read_off_masa_pair():
     assert readoff.B.block_dims == (4,)
     b = np.arange(16, dtype=complex).reshape(4, 4)
     assert np.array_equal(readoff.P(b), np.diag(np.diagonal(b)))
-    for u in readoff.normalizer_sample:
-        assert is_normalizer(u, readoff.A)
+    assert is_normalizer(dense(readoff.A, readoff.normalizer_sample), readoff.A).all()
     # dim-1 blocks are unit scalars
     for i in range(4):
         for j in range(4):
@@ -184,11 +189,20 @@ def bits(a):
 
 @pytest.mark.parametrize("name", ["ragged", "flow"])
 def test_read_off_sample_matches_embed_block_loop(name):
+    """The sample is Φ's n² blocks, row-major: its dense stack equals one
+    embed_block per block of Φ bit for bit, the diagonal blocks of Φ
+    included (the assignment's identities do not leak into it)."""
     phi = orientability_cases()[name][0]
     A = phi.algebra
-    oracle = [A.embed_block(i, j, phi.block(i, j))
-              for i in range(A.n_blocks) for j in range(A.n_blocks)]
-    assert np.array_equal(bits(read_off_pair(phi).normalizer_sample), bits(oracle))
+    oracle = [A.embed_block(i, j, phi.phi[np.ix_(range(o, o + ni), range(p, p + nj))])
+              for i, (o, ni) in enumerate(zip(A.block_offsets, A.block_dims))
+              for j, (p, nj) in enumerate(zip(A.block_offsets, A.block_dims))]
+    readoff = read_off_pair(phi)
+    sample = readoff.normalizer_sample
+    assert len(sample) == len(sample.small) == A.n_blocks ** 2
+    assert np.array_equal(bits(dense(A, sample)), bits(oracle))
+    if readoff.assignment is not None:
+        assert not np.shares_memory(sample.small, readoff.assignment)
 
 
 def cartan_sample_models():
@@ -217,8 +231,9 @@ def test_cartan_sample_matches_per_element_embed(name, monkeypatch):
               for e in E.fibre_basis(g)]
     (sample,) = seen
     N = sum(E.fibre_dims)
-    assert sample.shape == (len(oracle), N, N)
-    assert np.array_equal(bits(sample), bits(np.array(oracle, complex).reshape(-1, N, N)))
+    got = dense(diagonal_algebra(E), sample)
+    assert got.shape == (len(oracle), N, N)
+    assert np.array_equal(bits(got), bits(np.array(oracle, complex).reshape(-1, N, N)))
 
 
 def test_cartan_from_fell_bundle():
@@ -298,3 +313,16 @@ def test_bridge_round_trip_rejects_identity_generator():
     )
     with pytest.raises(RuntimeError, match="stage 'phi'"):
         bridge_round_trip(covariance_group(sigma))
+
+
+def test_pair_stage_and_read_off_hold_block_samples():
+    """At N = 48 the samples stay in block form.  A dense sample would be
+    71 MB for the pair stage at flow 6×8 (1,920 units of 48 × 48) and 85 MB
+    for the read-off at flow 48×1 (Φ's 2,304 blocks)."""
+    frame, _ = flow_frame(6, 8, rng_for(0))
+    E = build_semidirect_bundle(CStarBundle((8,) * 6), frame=frame)
+    assert traced_peak_bytes(lambda: cartan_from_fell_bundle(E)) <= 24e6
+    frame, g = flow_frame(48, 1, rng_for(0))
+    E = build_semidirect_bundle(CStarBundle((1,) * 48), frame=frame)
+    phi = phi_from_covariance_group(covariance_group_from_frame(g, E))
+    assert traced_peak_bytes(lambda: read_off_pair(phi)) <= 16e6

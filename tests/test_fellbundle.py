@@ -1,7 +1,6 @@
 import math
 import random
 import sys
-import tracemalloc
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -38,7 +37,7 @@ from fellkit.linalg import (
 from fellkit.presets import flow_frame, random_symmetric_frame
 from fellkit.serialize import model_from_json
 
-from helpers import TWISTED_5, twist_from_phases, unchecked_cocycle
+from helpers import TWISTED_5, traced_peak_bytes, twist_from_phases, unchecked_cocycle
 
 
 def rng_for(seed):
@@ -213,7 +212,8 @@ def test_embed_block_round_trip_coefficient_form():
     rng = rng_for(6)
     a = E.random_fibre_element((0, 2), rng)
     amb = E.embed((0, 2), a)
-    assert np.allclose(E.block(amb, (0, 2)), a)
+    # read back: the (0, 2) block times u_(0,2)*
+    assert np.allclose(diagonal_algebra(E).blocks(amb)[0, 2] @ frame[0, 2].conj().T, a)
     # embedding intertwines fibre product and ambient matrix product
     b = E.random_fibre_element((2, 1), rng)
     gh, prod = E.multiply((0, 2), a, (2, 1), b)
@@ -911,16 +911,6 @@ def test_expectation_verify_draws_nothing_and_calls_no_svd(monkeypatch):
     monkeypatch.setattr(np.random, "standard_normal", refuse)
     for dims, report in want.items():
         assert ConditionalExpectation(make_algebra(dims)).verify() == report
-
-
-def traced_peak_bytes(run):
-    run()  # warm numpy's and the interpreter's caches outside the trace
-    tracemalloc.start()
-    try:
-        run()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def test_sampled_suites_hold_bounded_stacks():

@@ -23,11 +23,12 @@ from fellkit.linalg import (
     operator_norms,
     orthonormal_span_basis,
     random_matrix,
-    rank,
     ranks,
     span_dimension,
     unitarity_defects,
 )
+
+from helpers import dense_rank, dense_span_dimension
 
 
 def jacobi_eigvalsh(h, sweeps=60, tol=1e-13):
@@ -201,9 +202,10 @@ def test_ranks_match_rank_member_by_member():
         np.eye(4),
     ])
     got = ranks(stack)
-    assert [int(r) for r in got] == [rank(m) for m in stack] == [0, 2, 2, 4, 2, 4]
+    assert [int(r) for r in got] == [dense_rank(m) for m in stack] == [0, 2, 2, 4, 2, 4]
     assert ranks(np.zeros((0, 3, 3))).shape == (0,)
-    assert list(ranks(np.zeros((2, 0, 3)))) == [0, 0] == [rank(np.zeros((0, 3)))] * 2
+    assert list(ranks(np.zeros((2, 0, 3)))) == [0, 0]
+    assert dense_rank(np.zeros((0, 3))) == 0
     with pytest.raises(ValueError):
         ranks(np.full((1, 2, 2), np.nan))
 
@@ -306,7 +308,7 @@ def test_ranks_of_scalars_follow_the_rank_rule_on_kernel_norms(eps):
     stack = np.concatenate([random_scalars(rng, 500), random_scalars(rng, 20, -300, -110),
                             np.zeros((3, 1, 1)), [[[1e-12]], [[2.0 - 3.0j]]]])
     got = ranks(stack, eps)
-    assert [int(r) for r in got] == [rank(m, eps) for m in stack]
+    assert [int(r) for r in got] == [dense_rank(m, eps) for m in stack]
     # rank 1 for every nonzero scalar below eps = 1, and rank 0 from eps = 1 on
     want = (stack.ravel() != 0) if eps < 1 else np.zeros(len(stack), dtype=bool)
     assert got.tolist() == want.astype(int).tolist()
@@ -336,6 +338,83 @@ def test_span_dimension_edge_cases():
     assert span_dimension([np.zeros((2, 2))]) == 0
     a = random_matrix((2, 2), rng_for(0))
     assert span_dimension([a, 2 * a, 1j * a]) == 1
+    assert span_dimension([], groups=[]) == 0
+    assert span_dimension([a, np.zeros((2, 2))], groups=[4, 4]) == 1
+
+
+def block_family(dims, members, rng):
+    """A block-form family over the block algebra of ``dims``: member t is
+    scale · (row of a Haar unitary of its block pair), so every nonzero
+    singular value of a block pair's family is a root of a sum of squared
+    scales.  ``members`` lists (block pair, row, scale)."""
+    A = make_algebra(dims)
+    n, m = A.n_blocks, max(dims)
+    haar = {}
+    i, j, small = [], [], np.zeros((len(members), m, m), dtype=complex)
+    for t, (pair, row, scale) in enumerate(members):
+        p, q = divmod(pair % (n * n), n)
+        rows, cols = dims[p], dims[q]
+        if (p, q) not in haar:
+            haar[(p, q)] = haar_unitary(rows * cols, rng)
+        u = haar[(p, q)][row % (rows * cols)].reshape(rows, cols)
+        small[t, :rows, :cols] = scale * u
+        i.append(p)
+        j.append(q)
+    return A, np.array(i, dtype=int), np.array(j, dtype=int), small
+
+
+def assert_grouped_rank_matches_dense(A, i, j, small, eps=1e-9):
+    """span_dimension over the block pairs equals the dense oracle: one SVD
+    of the family embedded in N × N and vectorised."""
+    got = span_dimension(small, eps, i * A.n_blocks + j)
+    assert got == dense_span_dimension(A.embed_blocks(i, j, small), eps)
+    return got
+
+
+def test_grouped_rank_within_one_block_pair():
+    """Scales 1e3, 1 and 1e-3 stay counted, 1e-15 does not, and a repeated
+    direction adds nothing: a rank-deficient block pair."""
+    members = [(1, 0, 1e3), (1, 1, 1.0), (1, 2, 1e-3), (1, 0, -2.0), (1, 3, 1e-15),
+               (1, 1, 1e-3)]
+    A, i, j, small = block_family((2, 3), members, rng_for(20))
+    assert assert_grouped_rank_matches_dense(A, i, j, small) == 3
+
+
+def test_grouped_rank_uses_the_global_top():
+    """Block pairs 1e12 apart: eps times the global top (1e3) drops the whole
+    small block pair, as the dense rank does, though each pair has rank 2
+    against its own top."""
+    members = [(0, 0, 1.0), (0, 1, 1.0), (3, 0, 1e12), (3, 1, 1e12)]
+    A, i, j, small = block_family((2, 2), members, rng_for(21))
+    assert assert_grouped_rank_matches_dense(A, i, j, small) == 2
+    assert span_dimension(small[:2], 1e-9, i[:2] * 2 + j[:2]) == 2
+
+
+def test_grouped_rank_of_zero_and_missing_members():
+    """Zero members, zero blocks, block pairs with no member and an all-zero
+    family."""
+    members = [(1, 0, 0.0), (1, 1, 1.0), (5, 0, 0.0), (8, 2, 1.0), (8, 2, 0.0)]
+    A, i, j, small = block_family((1, 2, 3), members, rng_for(22))
+    assert assert_grouped_rank_matches_dense(A, i, j, small) == 2
+    assert assert_grouped_rank_matches_dense(A, i[[0, 2]], j[[0, 2]], small[[0, 2]]) == 0
+    # labels need not start at 0 or be contiguous
+    assert span_dimension(small, 1e-9, i * 100 + j + 7) == 2
+
+
+SCALES = (0.0, 1e-15, 1e-3, 1.0, 1e3)  # every σ ≥ 10× away from eps·σ_max
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=3),
+       st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8), st.sampled_from(SCALES)),
+                max_size=14),
+       st.integers(0, 2**32 - 1))
+def test_grouped_rank_matches_dense_rank(dims, members, seed):
+    A, i, j, small = block_family(tuple(dims), members, rng_for(seed))
+    if len(members):
+        assert_grouped_rank_matches_dense(A, i, j, small)
+    # one group: the dense rank of the padded blocks themselves
+    assert span_dimension(small) == dense_span_dimension(small)
 
 
 @settings(max_examples=30, deadline=None)

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from fellkit.algebra import make_algebra
+from fellkit.algebra import BlockSample, make_algebra
 from fellkit.dynamics import slice_from_bisection
 from fellkit.fellbundle import (
     ConditionalExpectation,
@@ -23,7 +23,6 @@ from fellkit.subalgebra import (
     Slice,
     classify_pair,
     is_normalizer,
-    is_regular,
     normalizer_support,
     slice_check,
 )
@@ -166,6 +165,23 @@ def test_pair_candidate_validation():
         PairCandidate(A=A, B=make_algebra([3]), P=ConditionalExpectation(A))
 
 
+@pytest.mark.parametrize("dims, onto", [
+    ((2, 1), (1, 2)),  # the same ambient, other blocks
+    ((2, 1), (3,)),  # the identity of B: a valid expectation, onto B
+    ((1, 1, 1), (1, 2)),  # onto a subalgebra that contains A
+    ((1, 2), (1, 1, 1)),  # onto a subalgebra of A
+])
+def test_pair_candidate_rejects_an_expectation_onto_another_algebra(dims, onto):
+    """classify_pair reads P(b) off the block position of b, which is exact
+    for the compression onto A only; a P onto another algebra passes its
+    own verify, so the pair refuses it."""
+    A = make_algebra(dims)
+    P = ConditionalExpectation(make_algebra(onto))
+    assert all(v[0] for v in P.verify().values() if isinstance(v, tuple))
+    with pytest.raises(ValueError, match="P maps onto block dims"):
+        PairCandidate(A=A, B=make_algebra([A.ambient_dim]), P=P)
+
+
 def test_regularity_and_sample_contract():
     E = build_imprimitivity_bundle((2, 1))
     pair = PairCandidate(
@@ -173,10 +189,12 @@ def test_regularity_and_sample_contract():
         P=restriction_expectation(E),
     )
     kernel = kernel_basis(pair.A)
-    assert is_regular(pair, kernel)
-    assert not is_regular(pair, [])
-    with pytest.raises(ValueError):
-        is_regular(pair, [random_matrix((3, 3), np.random.default_rng(1))])
+    for sample, regular in ((kernel, True), ([], False), (kernel[1:], False)):
+        assert classify_pair(pair, sample).evidence["regular"] is regular
+        assert per_element_pair_evidence(pair, sample)[0] is regular
+    # a generic matrix meets every block pair: it breaks the sample contract
+    with pytest.raises(ValueError, match="^sample element 0 has nonzero blocks at"):
+        classify_pair(pair, [random_matrix((3, 3), np.random.default_rng(1))])
 
 
 def test_classify_masa_pair_is_diagonal():
@@ -249,45 +267,78 @@ def per_element_pair_evidence(pair, sample, eps=1e-9):
     return regular, span_dimension(free, eps)
 
 
-def normalizer_samples(dims, rng):
-    """Samples mixing free kernel normalizers, kernel normalizers with
-    b² ≠ 0 (swaps), in-block nilpotents, diagonal unitaries and elements
-    below and above eps."""
+def block_samples(dims, rng):
+    """A block-form sample, each element at one block pair: random
+    off-diagonal blocks (free normalizers), random diagonal blocks,
+    in-block nilpotents (b² = 0, P(b) ≠ 0), kernel units, zero elements and
+    elements below and above eps, in a random order."""
     A = make_algebra(dims)
-    n = len(dims)
-    sample = []
-    for trial in range(40):
-        b = np.zeros((A.ambient_dim, A.ambient_dim), dtype=complex)
-        for i, j in random_block_support(n, rng, bijective=True):
-            b += A.embed_block(i, j, random_matrix((dims[i], dims[j]), rng))
-        sample.append(b * (1e-12 if trial % 7 == 3 else 1.0))
-    sample += kernel_basis(A)[::3]
-    sample.append(A.embed_block(n - 1, n - 1, unit_matrix(dims[-1], 0, dims[-1] - 1)))
-    sample.append(haar_unitary(1, rng)[0, 0] * np.eye(A.ambient_dim))
-    order = rng.permutation(len(sample))
-    return A, [sample[k] for k in order]
+    n, m = A.n_blocks, max(dims)
+    i, j = rng.integers(n, size=40), rng.integers(n, size=40)
+    small = np.zeros((40, m, m), dtype=complex)
+    for t in range(40):
+        small[t, :dims[i[t]], :dims[j[t]]] = random_matrix((dims[i[t]], dims[j[t]]), rng)
+    small[3::7] *= 1e-12
+    small[5] = 0.0
+    units = A.unit_blocks()
+    off = np.flatnonzero(units.i != units.j)[::3]
+    nilpotent = np.zeros((1, m, m), dtype=complex)
+    nilpotent[0, 0, dims[-1] - 1] = 1.0
+    i = np.concatenate([i, units.i[off], [n - 1]])
+    j = np.concatenate([j, units.j[off], [n - 1]])
+    small = np.concatenate([small, units.small[off], nilpotent])
+    order = rng.permutation(len(small))
+    return A, BlockSample(i[order], j[order], small[order])
 
 
 @pytest.mark.parametrize("dims", [(1, 1, 1, 1), (2, 1, 3), (2, 2)])
 def test_classify_pair_matches_per_element_loop(dims):
-    A, sample = normalizer_samples(dims, np.random.default_rng(len(dims)))
+    """Oracle: the per-element loop on the dense stack of the block sample;
+    the dense stack itself, converted by classify_pair, gives the same.  The
+    sample scaled by 1e-12 makes every element free, diagonal ones included,
+    and the relative rank rule still counts them."""
+    A, sample = block_samples(dims, np.random.default_rng(len(dims)))
     pair = PairCandidate(A=A, B=make_algebra([A.ambient_dim]),
                          P=ConditionalExpectation(A))
-    result = classify_pair(pair, sample)
-    regular, free_dim = per_element_pair_evidence(pair, sample)
-    assert (result.evidence["regular"], result.evidence["free_normalizer_span_dim"]) \
-        == (regular, free_dim)
-    assert 0 < free_dim <= result.evidence["kernel_dim"]
+    tiny = BlockSample(sample.i, sample.j, 1e-12 * sample.small)
+    for s in (sample, tiny):
+        stack = A.embed_blocks(s.i, s.j, s.small)
+        regular, free_dim = per_element_pair_evidence(pair, list(stack))
+        for given in (s, stack, list(stack)):
+            result = classify_pair(pair, given)
+            assert (result.evidence["regular"],
+                    result.evidence["free_normalizer_span_dim"]) == (regular, free_dim)
+        if s is sample:
+            assert 0 < free_dim <= result.evidence["kernel_dim"]
+        else:
+            assert free_dim > result.evidence["kernel_dim"] and not regular
 
-    # a non-normalizer: the same first offender, named in the same words
-    clash = A.embed_block(0, 0, np.ones((dims[0], dims[0]))) + A.embed_block(
-        0, 1, np.ones((dims[0], dims[1])))
-    for bad in (sample[:5] + [clash] + sample[5:] + [clash], [clash]):
-        with pytest.raises(ValueError) as want:
-            per_element_pair_evidence(pair, bad)
+
+def off_one_block_pair(A):
+    """Elements that meet two block pairs of A = (2, 1, 3): a clash in one
+    block row (no normalizer), a swap of blocks 1 and 2 on one vector, and a
+    diagonal unitary (normalizers), with their first two block pairs."""
+    clash = A.embed_block(0, 0, np.ones((2, 2))) + A.embed_block(0, 1, np.ones((2, 1)))
+    v = np.zeros((1, 3), dtype=complex)
+    v[0, 0] = 1.0
+    swap = A.embed_block(1, 2, v) + A.embed_block(2, 1, v.T)
+    phase = haar_unitary(1, np.random.default_rng(8))[0, 0]
+    return {"clash": (clash, (0, 0), (0, 1)), "swap": (swap, (1, 2), (2, 1)),
+            "diagonal unitary": (phase * A.unit(), (0, 0), (1, 1))}
+
+
+@pytest.mark.parametrize("name", ["clash", "swap", "diagonal unitary"])
+def test_classify_pair_names_the_first_element_off_one_block_pair(name):
+    A = make_algebra([2, 1, 3])
+    pair = PairCandidate(A=A, B=make_algebra([6]), P=ConditionalExpectation(A))
+    bad, p, q = off_one_block_pair(A)[name]
+    assert is_normalizer(bad, A) == (name != "clash")
+    kernel = kernel_basis(A)
+    for sample, first in ((kernel[:5] + [bad] + kernel[5:] + [bad], 5), ([bad], 0)):
         with pytest.raises(ValueError) as got:
-            classify_pair(pair, bad)
-        assert str(got.value) == str(want.value)
+            classify_pair(pair, sample)
+        assert str(got.value) == (f"sample element {first} has nonzero blocks at "
+                                  f"{p} and {q}, not at one block pair")
 
 
 def test_classify_neither_when_not_regular():
