@@ -26,7 +26,7 @@ from .linalg import (
     operator_norms,
     unitarity_defects,
 )
-from .subalgebra import Slice, is_partial_bijection, normalizes_by_table
+from .subalgebra import Slice, normalizes_by_table
 
 
 class CovarianceError(ValueError):
@@ -158,9 +158,14 @@ def check_unitary_normalizer_theorem(
 
     Converse: pair k of the m = n(n−1)/2 block pairs (row-major) gets the
     mixer R(θ_k)⊗I_d, θ_k = kπ/(2(m+1)), which lies on no bisection and must
-    fail to normalize.  Its table holds the norms of its four d×d quadrants,
-    cos θ_k and sin θ_k, and 1.0 on the untouched diagonal blocks.  No
-    verdict reads an rng.
+    fail to normalize.  Its table is 1.0 on the untouched diagonal blocks,
+    c_k = ‖cos θ_k·I_d‖ on the pair's diagonal blocks and s_k = ‖sin θ_k·I_d‖
+    on its off-diagonal ones.  So its support is a bisection iff exactly one
+    of c_k, s_k exceeds eps (c_k, s_k < 1, so neither does once eps ≥ 1
+    drops the 1.0 entries), and it normalizes iff c_k·s_k ≤ eps, the product
+    of the two largest entries of the pair's rows and columns: the converse
+    passes iff one of the two holds, and no table is formed.  No verdict
+    reads an rng.
     """
     if len(set(E.fibre_dims)) != 1:
         raise ValueError("theorem check needs constant fibre dimension")
@@ -179,18 +184,11 @@ def check_unitary_normalizer_theorem(
     graph[k, y, x] = True
     forward = normalizes_by_table(t, eps) & ((t > eps) == graph).all(axis=(1, 2))
 
-    pairs = np.stack(np.triu_indices(n, 1), axis=1)  # (m, 2)
-    m = len(pairs)
+    m = n * (n - 1) // 2
     theta = np.arange(1, m + 1) * np.pi / (2 * (m + 1))
-    c, s = np.cos(theta), np.sin(theta)
-    rotations = np.stack([c, -s, s, c], axis=1).reshape(m, 2, 2, 1, 1)
-    t = np.zeros((m, n, n))
-    t[:, range(n), range(n)] = 1.0
-    t[np.arange(m)[:, None, None], pairs[:, :, None], pairs[:, None, :]] = (
-        operator_norms((rotations * np.eye(d)).reshape(-1, d, d)).reshape(m, 2, 2))
-    support = t > eps
-    on_bisection = is_partial_bijection(support) & (support.sum(axis=(1, 2)) == n)
-    converse = on_bisection | ~normalizes_by_table(t, eps)
+    quadrants = np.stack([np.cos(theta), np.sin(theta)], axis=1)[..., None, None]
+    c, s = operator_norms((quadrants * np.eye(d)).reshape(-1, d, d)).reshape(m, 2).T
+    converse = ((c > eps) != (s > eps)) | (c * s > eps)
 
     forward_ok, converse_ok = int(forward.sum()), int(converse.sum())
     return {

@@ -32,7 +32,6 @@ from .cocycle import (
 from .groupoid import Arrow, PairGroupoid
 from .linalg import (
     DEFAULT_EPS,
-    _largest_singular_values,
     adjoints,
     as_matrix,
     operator_norms,
@@ -417,81 +416,53 @@ class ConditionalExpectation:
 
     range_algebra: FiniteCStarAlgebra
 
-    @property
-    def ambient_dim(self) -> int:
-        return self.range_algebra.ambient_dim
-
     def __call__(self, b) -> np.ndarray:
         return self.range_algebra.compress(b)
 
     def verify(self, eps: float = DEFAULT_EPS) -> dict:
-        """Decide the contract of an expectation onto A, and faithfulness,
-        from the images T_rs = P(E_rs) of the N² matrix units (P is linear).
+        """Decide the contract of the compression P onto ``range_algebra``,
+        and faithfulness, from A's block mask m: P(E_rs) = m_rs·E_rs on the
+        N² matrix units (P is linear).  This compression is the only P that
+        fellkit builds; another map must be checked on its images of the
+        units, as the tests' probe does.
 
-        * fixes_range: max ‖T_rs − E_rs‖ over the units of A; idempotent:
-          max ‖P(T_rs) − T_rs‖.
-        * bimodule: by Schur's lemma the A-bimodule maps are x ↦ Σ c_kl p_k x p_l,
-          so max ‖T_rs − c_rs E_rs‖, c_rs = (T_rs)_rs, and the spread of c
-          from the corner of each block rectangle.
+        * fixes_range: max |m_rs − 1| over the units of A; idempotent:
+          max |m_rs² − m_rs|.
+        * bimodule: by Schur's lemma the A-bimodule maps are x ↦ Σ c_kl p_k x p_l;
+          P(E_rs) − c_rs E_rs vanishes for c = m, so the residual is the
+          spread of m from the corner of each block rectangle.
         * positive means completely positive (Choi): the Choi matrix
-          C[(r,i),(s,j)] = (T_rs)_ij, with residual max(‖C − C*‖, −λ_min).
-          An expectation is completely positive (Tomiyama), so the contract
-          is the same.  A zero row of C adds only the eigenvalue 0, so only
-          the other rows and columns go to eigvalsh: N for a compression.
+          C[(r,i),(s,j)] = P(E_rs)_ij is m on its rows (r,r) and zero
+          elsewhere, with residual max(‖C − C*‖, −λ_min).  An expectation is
+          completely positive (Tomiyama), so the contract is the same.  A
+          zero row of C adds only the eigenvalue 0, so m goes to eigvalsh.
         * contractive: for ±P completely positive, ‖P‖ = ‖P(1)‖ (Russo–Dye),
-          the top eigenvalue of ±P(1) = ±Σ_r T_rr.
-        * faithful: then tr P(x) = tr(x·P*(1)), P*(1) = Σ_rs tr(T_rs)·E_sr,
-          so P(b*b) = 0 forces b = 0 iff P*(1) is invertible: the residual
-          is λ_min(±P*(1)), and must exceed eps.
+          the top eigenvalue of ±P(1) = ±diag(m_rr).
+        * faithful: then tr P(x) = tr(x·P*(1)), P*(1) = diag(m_rr), so
+          P(b*b) = 0 forces b = 0 iff P*(1) is invertible: the residual is
+          λ_min(±P*(1)), and must exceed eps.
 
         If neither P nor −P is completely positive, those two fail closed,
         with the positive residual and 0.0.
         """
-        N, in_A = self.ambient_dim, self.range_algebra._block_mask
+        in_A = self.range_algebra._block_mask
         corner = in_A.argmax(axis=1)  # the first index of each block
-        c = np.zeros((N, N), dtype=complex)  # c_rs = (T_rs)_rs
-        ends = np.zeros((2, N, N), dtype=complex)  # P(1) and P*(1)
-        choi = []  # (row, column, value) of C's nonzero entries, per chunk
-        fix = idem = bimod = 0.0
-        k = max(1, min(N, 2**14 // (N * N)))  # a row, or ≤ 2¹⁴ entries
-        for start in range(0, N * N, k):
-            r, s = np.divmod(np.arange(start, min(start + k, N * N)), N)
-            at = (np.arange(len(r)), r, s)
-            T = np.zeros((len(r), N, N), dtype=complex)
-            T[at] = 1.0
-            T = self(T)
-            c[r, s] = T[at]
-            live = np.flatnonzero(T.any(axis=(1, 2)))  # units with T_rs ≠ 0
-            t, i, j = np.nonzero(T[live])
-            t = live[t]
-            choi.append((r[t] * N + i, s[t] * N + j, T[t, i, j]))
-            ends[0] += T[r == s].sum(axis=0)
-            ends[1, s, r] = np.trace(T, axis1=1, axis2=2)
-            idem = max(idem, _largest_singular_values(self(T) - T).max())
-            T[at] = 0.0  # T_rs − c_rs E_rs
-            bimod = max(bimod, _largest_singular_values(T).max())
-            T[at] = c[r, s] - 1.0  # T_rs − E_rs, kept on the units of A
-            T[~in_A[r, s]] = 0.0
-            fix = max(fix, _largest_singular_values(T).max())
-            del T  # before the next chunk's units
-        bimod = max(bimod, np.abs(c - c[corner][:, corner]).max())
-
-        rows, cols, values = (np.concatenate(part) for part in zip(*choi))
-        live = np.zeros(N * N, dtype=bool)
-        live[rows] = live[cols] = True
-        pos = np.cumsum(live) - 1  # the position of a live row in C
-        C = np.zeros((pos[-1] + 1,) * 2, dtype=complex)
-        C[pos[rows], pos[cols]] = values
-        defect = operator_norms((C - adjoints(C))[None])[0]
-        spectrum = np.append(np.linalg.eigvalsh((C + adjoints(C)) / 2),
-                             [0.0] * (len(C) < N * N))  # C's zero rows
+        # C on its rows (r,r); complex, as a float64 array would take dsyevd,
+        # not zheevd, and move the last bits of the spectrum
+        m = in_A.astype(complex)
+        fix = np.max(np.abs(m - 1.0), where=in_A, initial=0.0)
+        idem = np.abs(m * m - m).max()
+        bimod = np.abs(m - m[corner][:, corner]).max()
+        defect = operator_norms((m - adjoints(m))[None])[0]
+        spectrum = np.append(np.linalg.eigvalsh((m + adjoints(m)) / 2),
+                             [0.0] * (len(m) > 1))  # C's zero rows
         positive = max(defect, -spectrum.min())
         sign = (1.0 if positive <= eps
                 else -1.0 if max(defect, spectrum.max()) <= eps else 0.0)
         contract, faithful = positive, 0.0
         if sign:
-            ends = np.linalg.eigvalsh(sign * (ends + adjoints(ends)) / 2)
-            contract, faithful = max(0.0, ends[0].max() - 1.0), ends[1].min()
+            ends = sign * m.diagonal().real  # the spectrum of ±P(1) = ±P*(1)
+            contract, faithful = max(0.0, ends.max() - 1.0), ends.min()
         report = {key: (bool(r <= eps), float(r)) for key, r in (
             ("fixes_range", fix), ("bimodule", bimod), ("positive", positive),
             ("idempotent", idem), ("contractive", contract))}

@@ -10,7 +10,9 @@ from fellkit.dynamics import SpatialAutomorphism, make_spatial_automorphism
 from fellkit.groupoid import Bisection
 from fellkit.linalg import (
     DEFAULT_EPS,
+    _largest_singular_values,
     _numerical_rank,
+    adjoints,
     as_matrix,
     haar_unitary,
     operator_norms,
@@ -44,6 +46,75 @@ def traced_peak_bytes(run) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def probe_expectation(P, eps: float = DEFAULT_EPS) -> dict:
+    """The expectation oracle: ``ConditionalExpectation.verify``'s contract
+    decided from the images T_rs = P(E_rs) of the N² matrix units, for any
+    linear map P(b) on (k, N, N) stacks over ``P.range_algebra`` (``verify``
+    reads the same residuals off the block mask of the compression).
+
+    * fixes_range: max ‖T_rs − E_rs‖ over the units of A; idempotent:
+      max ‖P(T_rs) − T_rs‖.
+    * bimodule: max ‖T_rs − c_rs E_rs‖, c_rs = (T_rs)_rs, and the spread of
+      c from the corner of each block rectangle (Schur's lemma).
+    * positive: complete positivity from the Choi matrix
+      C[(r,i),(s,j)] = (T_rs)_ij, with residual max(‖C − C*‖, −λ_min); only
+      C's nonzero rows and columns go to eigvalsh.
+    * contractive and faithful: from the spectra of ±P(1) = ±Σ_r T_rr and
+      ±P*(1), P*(1) = Σ_rs tr(T_rs)·E_sr, when ±P is completely positive.
+
+    The units pass through P a row, or at most 2¹⁴ entries, at a time."""
+    N, in_A = P.range_algebra.ambient_dim, P.range_algebra._block_mask
+    corner = in_A.argmax(axis=1)  # the first index of each block
+    c = np.zeros((N, N), dtype=complex)  # c_rs = (T_rs)_rs
+    ends = np.zeros((2, N, N), dtype=complex)  # P(1) and P*(1)
+    choi = []  # (row, column, value) of C's nonzero entries, per chunk
+    fix = idem = bimod = 0.0
+    k = max(1, min(N, 2**14 // (N * N)))  # a row, or ≤ 2¹⁴ entries
+    for start in range(0, N * N, k):
+        r, s = np.divmod(np.arange(start, min(start + k, N * N)), N)
+        at = (np.arange(len(r)), r, s)
+        T = np.zeros((len(r), N, N), dtype=complex)
+        T[at] = 1.0
+        T = P(T)
+        c[r, s] = T[at]
+        live = np.flatnonzero(T.any(axis=(1, 2)))  # units with T_rs ≠ 0
+        t, i, j = np.nonzero(T[live])
+        t = live[t]
+        choi.append((r[t] * N + i, s[t] * N + j, T[t, i, j]))
+        ends[0] += T[r == s].sum(axis=0)
+        ends[1, s, r] = np.trace(T, axis1=1, axis2=2)
+        idem = max(idem, _largest_singular_values(P(T) - T).max())
+        T[at] = 0.0  # T_rs − c_rs E_rs
+        bimod = max(bimod, _largest_singular_values(T).max())
+        T[at] = c[r, s] - 1.0  # T_rs − E_rs, kept on the units of A
+        T[~in_A[r, s]] = 0.0
+        fix = max(fix, _largest_singular_values(T).max())
+        del T  # before the next chunk's units
+    bimod = max(bimod, np.abs(c - c[corner][:, corner]).max())
+
+    rows, cols, values = (np.concatenate(part) for part in zip(*choi))
+    live = np.zeros(N * N, dtype=bool)
+    live[rows] = live[cols] = True
+    pos = np.cumsum(live) - 1  # the position of a live row in C
+    C = np.zeros((pos[-1] + 1,) * 2, dtype=complex)
+    C[pos[rows], pos[cols]] = values
+    defect = operator_norms((C - adjoints(C))[None])[0]
+    spectrum = np.append(np.linalg.eigvalsh((C + adjoints(C)) / 2),
+                         [0.0] * (len(C) < N * N))  # C's zero rows
+    positive = max(defect, -spectrum.min())
+    sign = (1.0 if positive <= eps
+            else -1.0 if max(defect, spectrum.max()) <= eps else 0.0)
+    contract, faithful = positive, 0.0
+    if sign:
+        ends = np.linalg.eigvalsh(sign * (ends + adjoints(ends)) / 2)
+        contract, faithful = max(0.0, ends[0].max() - 1.0), ends[1].min()
+    report = {key: (bool(r <= eps), float(r)) for key, r in (
+        ("fixes_range", fix), ("bimodule", bimod), ("positive", positive),
+        ("idempotent", idem), ("contractive", contract))}
+    report["faithful"] = (bool(faithful > eps), float(faithful))
+    return {**report, "uniqueness": "assumed"}
 
 
 def twist_from_phases(theta: np.ndarray, fibre_dim: int = 1) -> Cocycle2:

@@ -593,6 +593,37 @@ def test_decided_converse_count_is_not_all_or_nothing():
                       "converse_pass": 4, "pass": False}
 
 
+def table_converse_count(n, d, eps):
+    """Oracle: the theorem-3.13 converse count read off the mixers' (m, n, n)
+    block-norm tables, one table per mixer R(θ_k)⊗I_d, by the bisection and
+    normalizer rules."""
+    pairs = np.stack(np.triu_indices(n, 1), axis=1)  # (m, 2)
+    m = len(pairs)
+    theta = np.arange(1, m + 1) * np.pi / (2 * (m + 1))
+    c, s = np.cos(theta), np.sin(theta)
+    rotations = np.stack([c, -s, s, c], axis=1).reshape(m, 2, 2, 1, 1)
+    t = np.zeros((m, n, n))
+    t[:, range(n), range(n)] = 1.0
+    t[np.arange(m)[:, None, None], pairs[:, :, None], pairs[:, None, :]] = (
+        operator_norms((rotations * np.eye(d)).reshape(-1, d, d)).reshape(m, 2, 2))
+    support = t > eps
+    on_bisection = is_partial_bijection(support) & (support.sum(axis=(1, 2)) == n)
+    return int((on_bisection | ~normalizes_by_table(t, eps)).sum())
+
+
+@pytest.mark.parametrize("eps", [1e-9, 0.4, 0.6, 0.8, 1.0, 1.5])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_converse_from_quadrant_norms_matches_the_tables(d, eps, monkeypatch):
+    """The converse count from c_k and s_k alone is the table oracle's for
+    n = 2..8.  At eps ≥ 1 a caller is refused by the saturation check first,
+    so it is bypassed here to reach the rule."""
+    monkeypatch.setattr(fellkit.dynamics, "is_saturated", lambda E, eps: True)
+    for n in range(2, 9):
+        E = build_semidirect_bundle(CStarBundle((d,) * n))
+        got = check_unitary_normalizer_theorem(E, eps=eps)["converse_pass"]
+        assert got == table_converse_count(n, d, eps), n
+
+
 def test_theorem_needs_a_saturated_bundle():
     # a singular frame entry leaves the product fibres short of full rank
     frame = identity_frame(3, 2)

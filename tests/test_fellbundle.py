@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import sys
@@ -37,7 +38,13 @@ from fellkit.linalg import (
 from fellkit.presets import flow_frame, random_symmetric_frame
 from fellkit.serialize import model_from_json
 
-from helpers import TWISTED_5, traced_peak_bytes, twist_from_phases, unchecked_cocycle
+from helpers import (
+    TWISTED_5,
+    probe_expectation,
+    traced_peak_bytes,
+    twist_from_phases,
+    unchecked_cocycle,
+)
 
 
 def rng_for(seed):
@@ -380,7 +387,7 @@ def test_expectation_is_faithful_on_off_block_elements():
     assert operator_norm(A.compress(b.conj().T @ b) - np.diag([0.0, 1.0])) < 1e-12
 
 
-# --- the axiom suite and verify against their per-sample loops --------------
+# --- the axiom suite and the expectation probe against per-sample loops -----
 
 
 def per_sample_fell_axioms(E, sample_count=200, eps=1e-9, rng=None,
@@ -504,7 +511,7 @@ def test_positivity():
 def per_sample_verify(P, samples=200, eps=1e-9, rng=None):
     """Oracle: the expectation contract on `samples` random draws, one at a
     time.  Sampling can miss a failure but never invents one, so every
-    property it fails, the decided ``verify`` must fail too."""
+    property it fails, the probe on the matrix units must fail too."""
     if rng is None:
         rng = np.random.default_rng(0)
     A = P.range_algebra
@@ -827,18 +834,51 @@ def sampled_failures(P, count, seed):
 @pytest.mark.parametrize("count", (0,) + SAMPLE_COUNTS)
 @pytest.mark.parametrize("dims", [(2, 1, 3), (3, 1, 4, 2), (2, 2, 2), (1,)])
 def test_expectation_verify_matches_per_sample_loop(dims, count):
-    """Every property the sampled loop fails on `count` draws, the decided
-    contract fails too; for a block compression that is none."""
+    """Every property the sampled loop fails on `count` draws, the probe on
+    the matrix units fails too; for a block compression that is none."""
     P = restriction_expectation(build_imprimitivity_bundle(dims))
-    report = P.verify()
+    report = probe_expectation(P)
     assert sampled_failures(P, count, count) <= expectation_failures(report) == set()
     assert report["faithful"] == (True, 1.0)
     assert {type(v) for k in EXPECTATION_KEYS for v in report[k]} == {bool, float}
 
 
+PROBED_DIMS = [(1,), (2, 1, 3), (2, 2, 2), (3, 3),
+               *itertools.permutations((1, 2, 3, 4)),
+               (8,) * 6, (1,) * 24, tuple(range(1, 10))]
+
+
+@pytest.mark.parametrize("eps", [1e-9, 0.5])
+@pytest.mark.parametrize("dims", PROBED_DIMS, ids=str)
+def test_expectation_verify_equals_the_probe(dims, eps):
+    """The residuals read off the block mask are the probe's on the N²
+    unit images, field for field and bit for bit: the Choi spectrum is one
+    eigvalsh of the same complex N×N array, and every other residual is an
+    exact zero, or 1.0 for faithful."""
+    P = ConditionalExpectation(make_algebra(dims))
+    got, want = P.verify(eps), probe_expectation(P, eps)
+    assert got.keys() == want.keys() and got["uniqueness"] == want["uniqueness"]
+    for key in EXPECTATION_KEYS:
+        assert got[key][0] == want[key][0], key
+        bits = np.array([got[key][1], want[key][1]]).view(np.int64)
+        assert bits[0] == bits[1], (key, got[key][1], want[key][1])
+    assert isinstance(got["positive"][1], float)
+
+
+def test_expectation_verify_never_compresses(monkeypatch):
+    """verify reads the block mask and applies P to no matrix."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify applied the compression")
+
+    monkeypatch.setattr(FiniteCStarAlgebra, "compress", refuse)
+    for dims in [(2, 1, 3), (8,) * 6]:
+        assert not expectation_failures(ConditionalExpectation(make_algebra(dims)).verify())
+
+
 @dataclass(frozen=True)
 class DefectiveExpectation(ConditionalExpectation):
-    """A map in place of the block compression, for negative controls."""
+    """A map in place of the block compression, for negative controls of the
+    probe (``verify`` decides the compression alone)."""
 
     defect: Callable = None
 
@@ -873,11 +913,11 @@ ADVERSARIAL_MAPS = {
 
 @pytest.mark.parametrize("name", EXPECTATION_DEFECTS)
 def test_expectation_verify_rejects_defective_maps(name):
-    """The controls fail exactly what they failed when verify sampled, and
-    contain every failure of the sampled loop."""
+    """The probe fails the controls exactly where the sampled verify failed
+    them, and contains every failure of the sampled loop."""
     defect, failing = EXPECTATION_DEFECTS[name]
     P = DefectiveExpectation(make_algebra([2, 1, 3]), defect)
-    report = P.verify()
+    report = probe_expectation(P)
     assert expectation_failures(report) == failing
     for seed in range(3):
         assert sampled_failures(P, 200, seed) <= failing, seed
@@ -887,7 +927,7 @@ def test_expectation_verify_rejects_defective_maps(name):
 def test_expectation_verify_decides_complete_positivity(name):
     defect, failing = ADVERSARIAL_MAPS[name]
     P = DefectiveExpectation(make_algebra([2, 1, 3]), defect)
-    report = P.verify()
+    report = probe_expectation(P)
     assert expectation_failures(report) == failing
     assert sampled_failures(P, 200, 0) < failing
     # failed closed: no verdict rests on Russo–Dye or P*(1), and the
@@ -897,9 +937,9 @@ def test_expectation_verify_decides_complete_positivity(name):
 
 
 def test_expectation_verify_draws_nothing_and_calls_no_svd(monkeypatch):
-    """On a block compression every residual matrix is exactly zero, so the
-    norm kernel skips LAPACK; the Choi spectrum and the spectra of P(1) and
-    P*(1) come from eigvalsh, and no random numbers are drawn."""
+    """‖C − C*‖ is the norm of an exact zero matrix, so the norm kernel skips
+    LAPACK; the Choi spectrum comes from eigvalsh, and no random numbers are
+    drawn."""
     want = {dims: ConditionalExpectation(make_algebra(dims)).verify()
             for dims in [(2, 1, 3), (8,) * 6, (1,) * 24]}
 
@@ -914,10 +954,9 @@ def test_expectation_verify_draws_nothing_and_calls_no_svd(monkeypatch):
 
 
 def test_sampled_suites_hold_bounded_stacks():
-    """verify holds the images of one row of matrix units at a time, about
-    three (N, N, N) stacks: 0.72 MB at N = 24.  The axiom suite on
-    imprimitivity (1,2,3,4) holds only its (n, n) and (n, n, n) masks
-    (2 kB), and verify peaks there at 0.06 MB."""
+    """verify holds a few N×N arrays of the block mask (9 kB each at
+    N = 24).  The axiom suite on imprimitivity (1,2,3,4) holds only its
+    (n, n) and (n, n, n) masks (2 kB)."""
     E = build_imprimitivity_bundle((1, 2, 3, 4))
 
     def both_suites():
@@ -933,7 +972,15 @@ def test_sampled_suites_hold_bounded_stacks():
 
 @pytest.mark.parametrize("dims", [(8,) * 6, (1,) * 48])
 def test_expectation_verify_peak_at_n_48(dims):
-    """N² = 2304 unit images of 2304 entries each (85 MB in all) pass
-    through verify seven at a time: it peaks at about 1.0 MB."""
+    """verify forms no unit image, only N×N arrays of the block mask (the
+    probe passes 2304 images of 2304 entries through P seven at a time)."""
     P = ConditionalExpectation(make_algebra(dims))
     assert traced_peak_bytes(P.verify) <= 4.1e6
+
+
+@pytest.mark.parametrize("dims", [(8,) * 6, (1,) * 48])
+def test_expectation_verify_peaks_under_0_2_mb(dims):
+    """At N = 48 verify peaks at about 0.15 MB, a few complex 48×48 arrays;
+    the unit images peaked at about 1.0 MB."""
+    P = ConditionalExpectation(make_algebra(dims))
+    assert traced_peak_bytes(P.verify) < 2e5
