@@ -2,13 +2,16 @@
 
 Usage: python3 bench/ladder.py --label LABEL [--src DIR]
 
-Each configuration runs ``fellkit report`` once, in a fresh interpreter with
-one BLAS thread, on the package under ``--src`` (default: this checkout's
-``src``).  It records the wall seconds of the whole process (interpreter
-start included), its peak RSS (``ru_maxrss`` from ``wait4``), the report's
+Each configuration runs ``fellkit report`` REPEATS times, each in a fresh
+interpreter with one BLAS thread, on the package under ``--src`` (default:
+this checkout's ``src``).  It records the wall seconds of each whole process
+(interpreter start included) as ``wall_runs`` and their median as
+``wall_s``, the median peak RSS (``ru_maxrss`` from ``wait4``), the report's
 sha256 and its verdicts, and writes them to ``BENCH_<label>.json`` next to
-this script.  Two ladders of the same configurations are compared by their
-digests: equal digests are byte-identical reports.
+this script.  The exit status is 1 if a report fails to run, or if a
+configuration's runs differ in exit code or sha256.  Two ladders of the same
+configurations are compared by their digests: equal digests are
+byte-identical reports.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import hashlib
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -35,6 +39,8 @@ CONFIGS = {
     "diag-masa-48": (48, ["--preset", "diag-masa", "--n", "48"]),
     "semidirect-24x2": (48, ["--preset", "semidirect", "--points", "24", "--dim", "2"]),
 }
+# the first run of a session is often the slowest, so one run is not a time
+REPEATS = 3
 ONE_THREAD = {k: "1" for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                                "MKL_NUM_THREADS", "BLIS_NUM_THREADS")}
 
@@ -74,11 +80,17 @@ def main(argv=None) -> int:
     parser.add_argument("--src", type=Path, default=HERE.parent / "src",
                         help="the directory that holds the fellkit package")
     args = parser.parse_args(argv)
-    rows = []
+    rows, unsteady = [], []
     with tempfile.TemporaryDirectory() as tmp:
         for name, (dim, preset) in CONFIGS.items():
-            row = {"name": name, "N": dim, "args": preset,
-                   **run(args.src.resolve(), preset, Path(tmp) / f"{name}.json")}
+            runs = [run(args.src.resolve(), preset, Path(tmp) / f"{name}-{k}.json")
+                    for k in range(REPEATS)]
+            if len({(r["exit"], r["sha256"]) for r in runs}) > 1:
+                unsteady.append(name)
+            row = {"name": name, "N": dim, "args": preset, **runs[0],
+                   "wall_runs": [r["wall_s"] for r in runs],
+                   "wall_s": statistics.median(r["wall_s"] for r in runs),
+                   "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in runs)}
             rows.append(row)
             print(f"{name:20} N={dim:3} {row['wall_s']:8.2f} s "
                   f"{row['peak_rss_mb']:7.1f} MB exit {row['exit']}", flush=True)
@@ -93,7 +105,9 @@ def main(argv=None) -> int:
     }
     (HERE / f"BENCH_{args.label}.json").write_text(
         json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    return 0 if all(r["exit"] in (0, 1) for r in rows) else 1
+    for name in unsteady:
+        print(f"{name}: exit code or sha256 differs between runs", file=sys.stderr)
+    return 0 if not unsteady and all(r["exit"] in (0, 1) for r in rows) else 1
 
 
 if __name__ == "__main__":

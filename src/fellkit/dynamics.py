@@ -4,9 +4,9 @@ A spatial automorphism pairs a base permutation f0 with one unitary per point
 and assembles to a block-permutation unitary U whose nonzero blocks sit
 exactly on the graph of f0 (the covariance condition).  Iterating one such
 automorphism over a cyclic base flow gives a covariance group, the discrete
-stand-in for a 1-parameter group.  Whether A and the covariance group
-generate B (Arveson's A-dynamical systems) is decided by block-support
-reachability on the block-norm table of σ.
+stand-in for a 1-parameter group.  Theorem 3.13 and whether A and the
+covariance group generate B (Arveson's A-dynamical systems) are read off the
+norms of the frame and of σ's fibre maps, never off σ's N×N unitary.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .linalg import (
     operator_norms,
     unitarity_defects,
 )
-from .subalgebra import Slice, normalizes_by_table
+from .subalgebra import Slice
 
 
 class CovarianceError(ValueError):
@@ -149,23 +149,22 @@ def check_unitary_normalizer_theorem(
     Forward: the n powers c^k of the cycle c(x) = x + 1, with fibre maps
     w_x = u_(c^k x, x) of the model frame (I_d for a plain product), cover
     every arrow once.  U's block (c^k x, x) is w_x and the rest are zero, so
-    table k is the norms of the w_x on the graph of c^k, and ‖U*U − I‖,
-    ‖UU* − I‖ are the largest unitarity defect of the w_x: a fibre map that
-    is not unitary raises CovarianceError, naming the first offending arrow
-    in row-major order.  Each table has one entry per row and per column, and
-    the normalizer rule reads each column on its own, so the verdict covers
-    every base permutation f0.
+    ‖U*U − I‖, ‖UU* − I‖ are the largest unitarity defect of the w_x: a fibre
+    map that is not unitary raises CovarianceError, naming the first
+    offending arrow in row-major order.  Table k holds the ‖w_x‖ on the graph
+    of c^k, one entry per row and per column, so the normalizer rule (whose
+    verdict covers every base permutation f0) always passes, and the support
+    is the graph iff every ‖w_x‖ > eps: power k passes iff they all are.
 
     Converse: pair k of the m = n(n−1)/2 block pairs (row-major) gets the
     mixer R(θ_k)⊗I_d, θ_k = kπ/(2(m+1)), which lies on no bisection and must
     fail to normalize.  Its table is 1.0 on the untouched diagonal blocks,
-    c_k = ‖cos θ_k·I_d‖ on the pair's diagonal blocks and s_k = ‖sin θ_k·I_d‖
-    on its off-diagonal ones.  So its support is a bisection iff exactly one
-    of c_k, s_k exceeds eps (c_k, s_k < 1, so neither does once eps ≥ 1
-    drops the 1.0 entries), and it normalizes iff c_k·s_k ≤ eps, the product
-    of the two largest entries of the pair's rows and columns: the converse
-    passes iff one of the two holds, and no table is formed.  No verdict
-    reads an rng.
+    c_k = ‖cos θ_k·I_d‖ = cos θ_k on the pair's diagonal blocks and s_k =
+    sin θ_k on its off-diagonal ones.  So its support is a bisection iff
+    exactly one of c_k, s_k exceeds eps (c_k, s_k < 1, so neither does once
+    eps ≥ 1 drops the 1.0 entries), and it normalizes iff c_k·s_k ≤ eps, the
+    product of the two largest entries of the pair's rows and columns: the
+    converse passes iff one of the two holds.  No verdict reads an rng.
     """
     if len(set(E.fibre_dims)) != 1:
         raise ValueError("theorem check needs constant fibre dimension")
@@ -176,18 +175,13 @@ def check_unitary_normalizer_theorem(
     bad = first_offender(unitarity_defects(frame) > eps)
     if bad is not None:
         raise CovarianceError(f"fibre map at {bad} is not a unitary of the right shape")
-    k, x = np.divmod(np.arange(n * n), n)  # table k, column x
-    y = (x + k) % n
-    t = np.zeros((n, n, n))
-    t[k, y, x] = operator_norms(frame.reshape(-1, d, d)).reshape(n, n)[y, x]
-    graph = np.zeros((n, n, n), dtype=bool)
-    graph[k, y, x] = True
-    forward = normalizes_by_table(t, eps) & ((t > eps) == graph).all(axis=(1, 2))
+    live = operator_norms(frame.reshape(-1, d, d)).reshape(n, n) > eps
+    k, x = np.arange(n)[:, None], np.arange(n)  # power k, column x
+    forward = live[(x + k) % n, x].all(axis=1)
 
     m = n * (n - 1) // 2
     theta = np.arange(1, m + 1) * np.pi / (2 * (m + 1))
-    quadrants = np.stack([np.cos(theta), np.sin(theta)], axis=1)[..., None, None]
-    c, s = operator_norms((quadrants * np.eye(d)).reshape(-1, d, d)).reshape(m, 2).T
+    c, s = np.cos(theta), np.sin(theta)
     converse = ((c > eps) != (s > eps)) | (c * s > eps)
 
     forward_ok, converse_ok = int(forward.sum()), int(converse.sum())
@@ -208,22 +202,22 @@ def a_dynamical_generation_check(
 ) -> bool:
     """Whether products a₀ σ^{t₁} a₁ σ^{t₂} … generate all of B.
 
-    Decided on block supports: A's blocks are full matrix algebras and
-    e_ab·w·e_cd = w_bc·e_ad, so M_{n_i}·w·M_{n_j} is the whole (i, j) block
-    for any nonzero w.  The rank on each block pair is thus 0 or full, and
-    products compose block supports: B is generated iff ⋃_{k≥0} S^k, with S
-    the block support of σ and S⁰ the identity, covers every block pair.  A
-    non-minimal base flow returns False: its orbit pairs miss part of X×X.
+    Decided on block supports: A's blocks, σ's fibres, are full matrix
+    algebras and e_ab·w·e_cd = w_bc·e_ad, so M_{n_i}·w·M_{n_j} is the whole
+    (i, j) block for any nonzero w.  Products thus compose block supports,
+    and B is generated iff ⋃_{k≥0} S^k, with S the block support of σ and S⁰
+    the identity, covers X×X.  S is the graph of f0 less the (f0(x), x) with
+    ‖w_x‖ ≤ eps.  A non-minimal f0 misses an orbit pair; one n-cycle with
+    every arrow live reaches all of X×X.  At n > 1 a dead arrow at x leaves
+    (f0(x), x) unreached, as every path out of x starts on it; at n = 1, S⁰
+    alone covers X×X.
     """
     if A.ambient_dim != B.ambient_dim or B.n_blocks != 1:
         raise ValueError("expected A inside the single-block ambient algebra B")
-    if not is_minimal_flow(Gs.flow.generator):
-        return False
-    step = A.block_norms(Gs.sigma.U) > eps
-    reach = np.eye(A.n_blocks, dtype=bool)
-    for _ in range(A.n_blocks - 1):  # a path needs fewer than n_blocks steps
-        reach = reach | (reach @ step)
-    return bool(reach.all())
+    if A.block_dims != Gs.fibre_dims:
+        raise ValueError(f"A's blocks {A.block_dims} are not σ's fibres {Gs.fibre_dims}")
+    return is_minimal_flow(Gs.flow.generator) and (
+        Gs.n_points == 1 or bool((operator_norms(Gs.sigma.fibre_maps) > eps).all()))
 
 
 def slice_from_bisection(U: SpatialAutomorphism) -> Slice:

@@ -165,6 +165,7 @@ def bridge_round_trip(Gs: CovarianceGroup, eps: float = DEFAULT_EPS) -> dict:
     against the originals; any stage error propagates with its label.  Both
     expectations are block compressions, so they are compared on the N²
     matrix units: the residual is 1.0 if the two block masks differ, else 0.0.
+    Both σ are block permutations over one f0: ‖U − U′‖ = max ‖w_x − w′_x‖.
     """
     report: dict = {"stages": []}
 
@@ -203,7 +204,8 @@ def bridge_round_trip(Gs: CovarianceGroup, eps: float = DEFAULT_EPS) -> dict:
     # P(E_rs) − P′(E_rs) = (mask − mask′)_rs·E_rs on every matrix unit
     p_residual = float(not np.array_equal(readoff.A._block_mask,
                                           readoff2.A._block_mask))
-    sigma_residual = operator_norm(recovered.sigma.U - Gs.sigma.U)
+    sigma_residual = float(operator_norms(recovered.sigma.fibre_maps
+                                          - Gs.sigma.fibre_maps).max())
     phi_residual = operator_norm(phi2.phi - phi.phi)
 
     report.update(

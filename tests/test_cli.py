@@ -218,16 +218,21 @@ def test_parser_is_built_once_and_not_at_import(tmp_path):
 
 def test_report_builds_one_covariance_group(tmp_path, monkeypatch):
     """The cocycle, generation and phi-roundtrip stages share the report's
-    group: on flow 8×1 σ's U and the stack of its eight powers are assembled
-    once each, and the round trip assembles those of its recovered group,
-    2·2 embed_blocks calls from fellkit.dynamics in all."""
-    groups, assemblies = [], []
+    group: on flow 8×1 the stack of σ's eight powers is assembled once, for
+    Φ, and the round trip assembles that of its recovered group, 2
+    embed_blocks calls from fellkit.dynamics in all.  No stage assembles
+    σ's own U: generation and the round trip read σ's fibre maps."""
+    groups, recovered, assemblies = [], [], []
     build = fellkit.cli.covariance_group_from_frame
     embed = fellkit.dynamics.FiniteCStarAlgebra.embed_blocks
 
     def counted_build(*args):
-        groups.append(None)
-        return build(*args)
+        groups.append(build(*args))
+        return groups[-1]
+
+    def kept_build(*args):
+        recovered.append(build(*args))
+        return recovered[-1]
 
     def counted_embed(self, *args):
         if sys._getframe(1).f_globals["__name__"] == "fellkit.dynamics":
@@ -235,6 +240,7 @@ def test_report_builds_one_covariance_group(tmp_path, monkeypatch):
         return embed(self, *args)
 
     monkeypatch.setattr(fellkit.cli, "covariance_group_from_frame", counted_build)
+    monkeypatch.setattr(fellkit.embedding, "covariance_group_from_frame", kept_build)
     monkeypatch.setattr(fellkit.dynamics.FiniteCStarAlgebra, "embed_blocks",
                         counted_embed)
     code, out = run(tmp_path, "report", "--preset", "flow", "--points", "8",
@@ -242,8 +248,9 @@ def test_report_builds_one_covariance_group(tmp_path, monkeypatch):
     assert code == 0
     assert [c["check"] for c in json.loads(out.read_text())["checks"]] == [
         "axioms", "pair", "cocycle", "theorem-3.13", "generation", "phi-roundtrip"]
-    assert len(groups) == 1
-    assert len(assemblies) == 2 * 2
+    assert len(groups) == len(recovered) == 1
+    assert len(assemblies) == 2
+    assert all("U" not in Gs.sigma.__dict__ for Gs in groups + recovered)
 
 
 def test_covariance_group_is_validated_at_the_given_eps(tmp_path):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -624,6 +626,45 @@ def test_converse_from_quadrant_norms_matches_the_tables(d, eps, monkeypatch):
         assert got == table_converse_count(n, d, eps), n
 
 
+def table_forward_count(E, eps):
+    """Oracle: the theorem-3.13 forward count read off the n cycle powers'
+    (n, n, n) block-norm tables, by the normalizer rule and support == graph."""
+    n, d = E.n_points, E.fibre_dims[0]
+    frame = identity_frame(n, d) if E.frame is None else E.frame
+    k, x = np.divmod(np.arange(n * n), n)  # table k, column x
+    y = (x + k) % n
+    t = np.zeros((n, n, n))
+    t[k, y, x] = operator_norms(frame.reshape(-1, d, d)).reshape(n, n)[y, x]
+    graph = np.zeros((n, n, n), dtype=bool)
+    graph[k, y, x] = True
+    forward = normalizes_by_table(t, eps) & ((t > eps) == graph).all(axis=(1, 2))
+    return int(forward.sum())
+
+
+@pytest.mark.parametrize("eps", [1e-9, 0.5, 0.7, 0.9])
+def test_forward_from_frame_norms_matches_the_tables(eps):
+    """The forward count from the frame norms alone is the table oracle's on
+    plain products, flow frames and symmetric frames, n = 1..8, d = 1..3."""
+    for n, d in itertools.product(range(1, 9), range(1, 4)):
+        for frame in (None, flow_frame(n, d, rng_for(n))[0],
+                      random_symmetric_frame(n, d, rng_for(n))):
+            E = build_semidirect_bundle(CStarBundle((d,) * n), frame=frame)
+            got = check_unitary_normalizer_theorem(E, eps=eps)["forward_pass"]
+            assert got == table_forward_count(E, eps) == n, (n, d)
+
+
+@pytest.mark.parametrize("eps", [0.7, 0.9])
+def test_forward_counts_powers_through_a_short_fibre_map(eps):
+    """u_(1,0) = u_(0,1) = 0.62 passes unitarity (defect 0.6156) but not the
+    support test: powers 1 and 3 of the 4-cycle hold them, so 2 of 4 pass."""
+    frame = identity_frame(4, 1)
+    frame[1, 0] = frame[0, 1] = 0.62
+    E = FellBundleModel(fibre_dims=(1,) * 4, frame=frame)
+    got = check_unitary_normalizer_theorem(E, eps=eps)
+    assert got["forward_pass"] == table_forward_count(E, eps) == 2
+    assert not got["pass"]
+
+
 def test_theorem_needs_a_saturated_bundle():
     # a singular frame entry leaves the product fibres short of full rank
     frame = identity_frame(3, 2)
@@ -669,9 +710,8 @@ def test_theorem_svd_and_qr_counts(monkeypatch):
     wide = {counts(build_semidirect_bundle(CStarBundle((2,) * n),
                                            frame=flow_frame(n, 2, rng_for(n))[0]))
             for n in (2, 4, 6)}
-    # one stacked SVD each: saturation ranks, unitarity defects, frame
-    # norms, quadrant norms
-    assert wide == {(4, 0)}
+    # one stacked SVD each: saturation ranks, unitarity defects, frame norms
+    assert wide == {(3, 0)}
     assert counts(THEOREM_MODELS["one point 1x3"])[1] == 0
 
 
@@ -697,6 +737,16 @@ def test_generation_with_nonscalar_fibres():
     assert a_dynamical_generation_check(
         Gs, diagonal_algebra(E), enveloping_algebra(E)
     )
+
+
+def reachability_generates(Gs, A, eps=1e-9):
+    """Oracle: the boolean closure ⋃_k S^k of σ's block support S, read off
+    the block-norm table of σ's U, covers every block pair."""
+    step = A.block_norms(Gs.sigma.U) > eps
+    reach = np.eye(A.n_blocks, dtype=bool)
+    for _ in range(A.n_blocks - 1):  # a path needs fewer than n_blocks steps
+        reach = reach | (reach @ step)
+    return bool(reach.all())
 
 
 def span_closure_generates(Gs, A, eps=1e-9):
@@ -757,7 +807,41 @@ def generation_cases():
 def test_generation_matches_span_closure(Gs, E, expected):
     A, B = diagonal_algebra(E), enveloping_algebra(E)
     verdict = a_dynamical_generation_check(Gs, A, B)
-    assert verdict == span_closure_generates(Gs, A) == expected
+    assert verdict == reachability_generates(Gs, A) == expected
+    assert verdict == span_closure_generates(Gs, A)
+
+
+@pytest.mark.parametrize("perm", list(itertools.permutations(range(4))),
+                         ids=lambda p: "".join(map(str, p)))
+def test_generation_matches_both_oracles_on_every_base_map(perm):
+    """Every base permutation of 4 scalar points, as built and with a zero
+    fibre map at each point in turn: the verdict is the reachability
+    closure's and the span closure's."""
+    E = build_semidirect_bundle(CStarBundle((1,) * 4))
+    A, B = diagonal_algebra(E), enveloping_algebra(E)
+    Gs = covariance_group_from_frame(Bisection(perm), E)
+    for G in [Gs] + [with_fibre_map(Gs, x, np.zeros((1, 1))) for x in range(4)]:
+        verdict = a_dynamical_generation_check(G, A, B)
+        assert verdict == reachability_generates(G, A) == span_closure_generates(G, A)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_generation_on_one_point(d):
+    """At n = 1, A = B: generated even by a zero fibre map."""
+    E = build_semidirect_bundle(CStarBundle((d,)))
+    A, B = diagonal_algebra(E), enveloping_algebra(E)
+    Gs = covariance_group_from_frame(identity_bisection(1), E)
+    for G in (Gs, with_fibre_map(Gs, 0, np.zeros((d, d)))):
+        assert a_dynamical_generation_check(G, A, B)
+        assert reachability_generates(G, A) and span_closure_generates(G, A)
+
+
+def test_generation_rejects_a_mismatched_A():
+    """A = M₂ against σ on fibres (1, 1): same ambient dim, other blocks."""
+    E = build_semidirect_bundle(CStarBundle((1, 1)))
+    Gs = covariance_group_from_frame(cycle_bisection(2), E)
+    with pytest.raises(ValueError, match="not σ's fibres"):
+        a_dynamical_generation_check(Gs, make_algebra([2]), enveloping_algebra(E))
 
 
 def basis_loop_endomorphism(v, A, eps=1e-9):

@@ -307,6 +307,35 @@ def test_bridge_round_trip_gates_on_recovered_phi(monkeypatch):
     assert check["residual"] == report["phi_residual"]
 
 
+def test_bridge_round_trip_sigma_residual_is_the_dense_norm(monkeypatch):
+    """The recovered σ conjugated by the diagonal unitary ⊕ e^{ix²}·I: w_x
+    turns by a phase that depends on x.  The σ residual read off the fibre
+    maps is ‖U − U′‖ of the two dense generators."""
+    recover = fellkit.embedding.covariance_group_from_frame
+    groups, phases = [], []
+
+    def turned(generator, E, eps):
+        G = recover(generator, E, eps)
+        alpha = np.arange(G.n_points) ** 2
+        phases.append(np.exp(1j * (alpha[list(G.sigma.f0.perm)] - alpha)))
+        groups.append(covariance_group(make_spatial_automorphism(
+            G.sigma.f0, G.sigma.fibre_maps * phases[-1][:, None, None],
+            G.fibre_dims, eps)))
+        return groups[-1]
+
+    monkeypatch.setattr(fellkit.embedding, "covariance_group_from_frame", turned)
+    frame, g = flow_frame(4, 2, rng_for(0))
+    E = build_semidirect_bundle(CStarBundle((2,) * 4), frame=frame)
+    Gs = covariance_group_from_frame(g, E)
+    report = bridge_round_trip(Gs)
+    dense_residual = operator_norm(groups[0].sigma.U - Gs.sigma.U)
+    assert report["sigma_residual"] == pytest.approx(dense_residual, rel=0, abs=1e-12)
+    assert report["sigma_residual"] == pytest.approx(
+        np.abs(phases[0] - 1).max(), rel=0, abs=1e-12)
+    assert len(set(np.round(np.abs(phases[0] - 1), 6))) > 1
+    assert not report["pass"]
+
+
 def test_bridge_round_trip_rejects_identity_generator():
     sigma = make_spatial_automorphism(
         identity_bisection(3), [np.eye(1)] * 3, (1, 1, 1)
