@@ -5,7 +5,8 @@ Commands:
 * ``generate`` — write a model JSON from a preset or input file;
 * ``check {axioms|pair|cocycle|theorem-3.13|generation}`` — run one suite;
 * ``phi {build|readoff|roundtrip}`` — the embedding-invariant pipeline;
-* ``report`` — every applicable suite in one document, an extracted ω by sha256.
+* ``report`` — every applicable suite in one document, an extracted ω by
+  the sha256 of its array (``serialize.cocycle_sha256``).
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 usage or
 parse error.  A suite that raises on its model reports a failed check with
@@ -19,18 +20,14 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
-import json
 import os
 import sys
-from collections.abc import Callable
 from dataclasses import replace
 
 import numpy as np
 
-from .cocycle import cocycle_identity_residual, twist_is_admissible
+from .cocycle import Cocycle2, cocycle_identity_residual, twist_is_admissible
 from .dynamics import (
-    CovarianceGroup,
     a_dynamical_generation_check,
     check_unitary_normalizer_theorem,
     covariance_group_from_frame,
@@ -38,11 +35,10 @@ from .dynamics import (
 from .embedding import (
     EmbeddingInvariant,
     IncompleteSupportError,
+    Pipeline,
     bridge_round_trip,
     cartan_from_fell_bundle,
     is_orientable,
-    phi_from_covariance_group,
-    read_off_pair,
 )
 from .fellbundle import (
     AxiomReport,
@@ -59,6 +55,7 @@ from .linalg import DEFAULT_EPS
 from .presets import flow_frame, random_symmetric_frame
 from .serialize import (
     ParseError,
+    cocycle_sha256,
     cocycle_to_json,
     dumps_canonical,
     loads,
@@ -67,8 +64,6 @@ from .serialize import (
 )
 
 PRESETS = ("fourpoint", "diag-masa", "imprimitivity", "semidirect", "flow")
-# the covariance group that the stages of one report share
-SharedGroup = Callable[[], CovarianceGroup]
 
 
 class UsageError(Exception):
@@ -134,22 +129,21 @@ def isolated(prefix: str):
     return decorate
 
 
-def _covariance_group(model, generator, eps, group: SharedGroup | None) -> CovarianceGroup:
-    """The report's shared ``group()`` if given, else the group of the model
-    frame along the generator."""
-    if group is not None:
-        return group()
-    return covariance_group_from_frame(_need_generator(generator), model, eps)
+def pipeline(model, generator, eps: float) -> Pipeline:
+    """The group of the model frame along the generator, its Φ and read-off."""
+    return Pipeline(
+        lambda: covariance_group_from_frame(_need_generator(generator), model, eps), eps)
 
 
 @isolated("")
 def run_check(
     what: str, model, generator, eps: float, axioms: dict | None = None,
-    group: SharedGroup | None = None,
+    built: Pipeline | None = None,
 ) -> dict:
     """One suite's entry; the pair stage reuses the axioms entry ``axioms``
-    and the cocycle and generation stages the covariance group ``group``
-    when given them.  No suite draws."""
+    and the cocycle and generation stages a report's ``built`` pipeline when
+    given them.  No suite draws."""
+    built = built or pipeline(model, generator, eps)
     if what == "axioms":
         report = check_fell_axioms(model, eps=eps)
         return {
@@ -182,17 +176,13 @@ def run_check(
                 "residual": residual,
                 "details": {"source": "model twist", "admissible": admissible},
             }
-        Gs = _covariance_group(model, generator, eps, group)
-        readoff = read_off_pair(phi_from_covariance_group(Gs, eps), eps)
-        residual = cocycle_identity_residual(readoff.omega)
+        omega = built.readoff().omega
+        residual = cocycle_identity_residual(omega)
         return {
             "check": "cocycle",
             "pass": residual <= eps,
             "residual": residual,
-            "details": {
-                "source": "extracted from generator orbit",
-                "omega": cocycle_to_json(readoff.omega),
-            },
+            "details": {"source": "extracted from generator orbit", "omega": omega},
         }
     if what == "theorem-3.13":
         result = check_unitary_normalizer_theorem(model, eps=eps)
@@ -203,7 +193,7 @@ def run_check(
             "details": result,
         }
     if what == "generation":
-        Gs = _covariance_group(model, generator, eps, group)
+        Gs = built.group()
         B = enveloping_algebra(model)
         return {
             "check": "generation",
@@ -216,10 +206,11 @@ def run_check(
 
 @isolated("phi-")
 def run_phi(what: str, model, generator, eps: float,
-            group: SharedGroup | None = None) -> dict:
-    Gs = _covariance_group(model, generator, eps, group)
+            built: Pipeline | None = None) -> dict:
+    built = built or pipeline(model, generator, eps)
+    Gs = built.group()
     try:
-        phi = phi_from_covariance_group(Gs, eps)
+        phi = built.phi()
     except IncompleteSupportError as exc:
         return {
             "check": f"phi-{what}",
@@ -244,7 +235,7 @@ def run_phi(what: str, model, generator, eps: float,
             "orientable": orientable,
         }
     if what == "readoff":
-        readoff = read_off_pair(phi, eps)
+        readoff = built.readoff()
         return {
             "check": "phi-readoff",
             "pass": True,
@@ -253,12 +244,11 @@ def run_phi(what: str, model, generator, eps: float,
             "ambient_dim": readoff.B.ambient_dim,
             "orientable": True,
             "normalizer_sample_size": len(readoff.normalizer_sample),
-            "omega": None if readoff.omega is None
-            else cocycle_to_json(readoff.omega),
+            "omega": readoff.omega,
             "note": readoff.note,
         }
     if what == "roundtrip":
-        report = bridge_round_trip(Gs, eps)
+        report = bridge_round_trip(Gs, eps, built.phi, built.readoff)
         return {
             "check": "phi-roundtrip",
             "pass": report["pass"],
@@ -277,21 +267,17 @@ def run_report(model, generator, eps: float) -> dict:
     axioms = run_check("axioms", model, generator, eps)
     checks = [axioms, run_check("pair", model, generator, eps, axioms=axioms)]
     if generator is not None:
-        # built by the first stage that needs it; a build that raises is not
-        # cached, so it raises again into each stage's own entry
-        group = functools.cache(
-            lambda: covariance_group_from_frame(generator, model, eps))
+        built = pipeline(model, generator, eps)
         if model.twist is not None or model.frame is not None:
-            checks.append(run_check("cocycle", model, generator, eps, group=group))
+            checks.append(run_check("cocycle", model, generator, eps, built=built))
             details = checks[-1].get("details", {})  # `check cocycle` prints ω in full
             if "omega" in details:
-                text = json.dumps(details.pop("omega"), sort_keys=True, separators=(",", ":"))
-                details["omega_sha256"] = hashlib.sha256(text.encode()).hexdigest()
+                details["omega_sha256"] = cocycle_sha256(details.pop("omega"))
         if len(set(model.fibre_dims)) == 1:
             checks.append(run_check("theorem-3.13", model, generator, eps))
-        checks.append(run_check("generation", model, generator, eps, group=group))
+        checks.append(run_check("generation", model, generator, eps, built=built))
         if model.frame is not None:
-            checks.append(run_phi("roundtrip", model, generator, eps, group=group))
+            checks.append(run_phi("roundtrip", model, generator, eps, built=built))
     return {
         "check": "report",
         "checks": checks,
@@ -306,7 +292,7 @@ def render_text(doc: dict) -> str:
         pad = "  " * indent
         if isinstance(d, dict):
             for k in sorted(d):
-                v = d[k]
+                v = cocycle_to_json(d[k]) if isinstance(d[k], Cocycle2) else d[k]
                 if isinstance(v, (dict, list)):
                     lines.append(f"{pad}{k}:")
                     walk(v, indent + 1)

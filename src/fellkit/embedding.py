@@ -9,6 +9,8 @@ canonical expectation, a normalizer sample (Φ's blocks) and the twist.
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,6 +131,19 @@ def read_off_pair(phi: EmbeddingInvariant, eps: float = DEFAULT_EPS) -> ReadOff:
                    omega=omega, note=note)
 
 
+class Pipeline:
+    """The covariance group that ``group()`` builds, its Φ and Φ's read-off,
+    each a callable that builds on first call and keeps the result.  A build
+    that raises is not kept, so it raises again at each call: every stage of
+    a report that shares one pipeline and meets the error reports it in its
+    own entry."""
+
+    def __init__(self, group: Callable[[], CovarianceGroup], eps: float):
+        self.group = group = functools.cache(group)
+        self.phi = phi = functools.cache(lambda: phi_from_covariance_group(group(), eps))
+        self.readoff = functools.cache(lambda: read_off_pair(phi(), eps))
+
+
 def cartan_from_fell_bundle(
     E: FellBundleModel,
     eps: float = DEFAULT_EPS,
@@ -158,11 +173,18 @@ def cartan_from_fell_bundle(
     return pair, classify_pair(pair, BlockSample(x, y, small), eps), axioms
 
 
-def bridge_round_trip(Gs: CovarianceGroup, eps: float = DEFAULT_EPS) -> dict:
+def bridge_round_trip(
+    Gs: CovarianceGroup,
+    eps: float = DEFAULT_EPS,
+    phi_of: Callable[[], EmbeddingInvariant] | None = None,
+    readoff_of: Callable[[], ReadOff] | None = None,
+) -> dict:
     """Covariance group → Φ → (A,B,P,ω) → bundle → covariance group, compared.
 
     Verifies the recovered block dims, twist, expectation, generator and Φ
-    against the originals; any stage error propagates with its label.  Both
+    against the originals; any stage error propagates with its label.  The
+    "phi" and "read-off" stages call ``phi_of`` and ``readoff_of`` when given
+    them, a report's Φ of Gs and its read-off, built once for every stage.  Both
     expectations are block compressions, so they are compared on the N²
     matrix units: the residual is 1.0 if the two block masks differ, else 0.0.
     Both σ are block permutations over one f0: ‖U − U′‖ = max ‖w_x − w′_x‖.
@@ -177,8 +199,8 @@ def bridge_round_trip(Gs: CovarianceGroup, eps: float = DEFAULT_EPS) -> dict:
         report["stages"].append(name)
         return out
 
-    phi = stage("phi", lambda: phi_from_covariance_group(Gs, eps))
-    readoff = stage("read-off", lambda: read_off_pair(phi, eps))
+    phi = stage("phi", phi_of or (lambda: phi_from_covariance_group(Gs, eps)))
+    readoff = stage("read-off", readoff_of or (lambda: read_off_pair(phi, eps)))
     rebuilt = stage(
         "rebuild-bundle",
         lambda: build_semidirect_bundle(

@@ -194,6 +194,16 @@ def build_semidirect_bundle(
     g = first_offender(unitarity_defects(frame) > eps)
     if g is not None:
         raise FrameError(f"frame entry at {g} is not a {dim}×{dim} unitary")
+    return unitary_frame_bundle(E0.fibre_dims, frame, twist, eps)
+
+
+def unitary_frame_bundle(
+    dims: tuple[int, ...], frame: np.ndarray, twist: Cocycle2 | None, eps: float
+) -> FellBundleModel:
+    """``build_semidirect_bundle`` past its shape and unitarity checks: the
+    frame is an (n, n, d, d) complex array with every entry unitary within
+    eps (a parsed model file's frame, normed once on load)."""
+    n, dim = frame.shape[0], frame.shape[-1]
     x, g = frame_offenders(frame, eps)
     if x is not None:
         raise FrameError(f"frame unit at ({x},{x}) is not the identity")
@@ -210,7 +220,7 @@ def build_semidirect_bundle(
                 "twist is not admissible: needs unit-normalized values with "
                 "ω(g,h)·ω(h*,g*) = 1 and ω(g,g*) = 1"
             )
-    return FellBundleModel(fibre_dims=E0.fibre_dims, frame=frame, twist=twist)
+    return FellBundleModel(fibre_dims=dims, frame=frame, twist=twist)
 
 
 # --- axiom suite -----------------------------------------------------------

@@ -20,11 +20,20 @@ model; without either it parses to the imprimitivity model.  In memory the
 frame is an (n, n, d, d) array and the twist an (n, n, n, d, d) one.  A twist
 pair left out is the identity: ``model_to_json`` writes the pairs whose value
 is not exactly the identity, ``cocycle_to_json`` every pair.  Arrays are
-written from one ``tolist`` of their real view, bit for bit (−0.0 included).
+written from one ``tolist`` of their real view, bit for bit (−0.0 included),
+and a well-formed frame is read as one array.
+
+A report names an extracted ω by ``cocycle_sha256``: the sha256 of the shape
+"n,n,n,d,d" in ASCII and a newline, then the (n, n, n, d, d) values as
+little-endian complex128 bytes.  To recompute it from the ω that ``check
+cocycle`` or ``phi readoff`` prints, parse each key "((x,y),(y,z))" to the
+index [x-1, y-1, z-1], store its value ([re, im], or a d×d matrix of them)
+there in a complex128 array, and hash that array so.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 
@@ -32,11 +41,11 @@ import numpy as np
 
 from .cocycle import Cocycle2, first_offender, make_twist
 from .fellbundle import (
-    CStarBundle,
     FellBundleModel,
     FrameError,
     build_imprimitivity_bundle,
-    build_semidirect_bundle,
+    identity_frame,
+    unitary_frame_bundle,
 )
 from .groupoid import Arrow, Bisection
 from .linalg import DEFAULT_EPS, as_matrix, as_stack, unitarity_defects
@@ -136,6 +145,13 @@ def cocycle_to_json(w: Cocycle2) -> dict:
     }
 
 
+def cocycle_sha256(w: Cocycle2) -> str:
+    """The digest of ω's values that a report prints (see the module docstring)."""
+    v = np.ascontiguousarray(w.values, dtype="<c16")
+    header = ",".join(map(str, v.shape)).encode() + b"\n"
+    return hashlib.sha256(header + v.tobytes()).hexdigest()
+
+
 def model_to_json(
     model: FellBundleModel, generator: Bisection | None = None
 ) -> dict:
@@ -189,19 +205,9 @@ def model_from_json(
             raise ParseError(f'"{key}" must be a JSON object, '
                              f"got {type(doc[key]).__name__}")
     dim = dims[0]
-    frame = None
+    frame = identity_frame(n, dim)
     if "frame" in doc:
-        given = {arrow_from_key(k): matrix_from_json(v) for k, v in doc["frame"].items()}
-        if any(max(g) >= n for g in given):
-            raise ParseError(f"frame names an arrow outside the {n} points")
-        frame, shaped = np.zeros((n, n, dim, dim), dtype=complex), np.zeros((n, n), bool)
-        for g, u in given.items():
-            if u.shape == (dim, dim):
-                frame[g], shaped[g] = u, True
-        g = first_offender(~shaped | ~(unitarity_defects(frame) <= eps))  # row-major
-        if g is not None:
-            raise FrameError(f"frame missing arrow {g}" if g not in given
-                             else f"frame entry at {g} is not a {dim}×{dim} unitary")
+        frame = frame_from_json(doc["frame"], n, dim, eps)
     twist = None
     if "twist" in doc:
         values = {pair_from_key(k): twist_value_from_json(v)
@@ -209,13 +215,51 @@ def model_from_json(
         if any(max(*g, *h) >= n for g, h in values):
             raise ParseError(f"twist names a pair outside the {n} points")
         twist = make_twist(n, dim, values, eps=eps)
-    model = build_semidirect_bundle(CStarBundle(dims), frame=frame,
-                                    twist=twist, eps=eps)
-    return model, generator
+    return unitary_frame_bundle(dims, frame, twist, eps), generator
+
+
+def _numbers(v) -> np.ndarray | None:
+    """Nested lists of JSON numbers, of one shape, as a float array; else None."""
+    try:
+        a = np.array(v)
+    except ValueError:  # ragged
+        return None
+    return a.astype(float) if a.dtype.kind in "biuf" else None
+
+
+def frame_from_json(obj: dict, n: int, dim: int, eps: float) -> np.ndarray:
+    """The (n, n, dim, dim) frame of a model's "frame" object.  ParseError for
+    a malformed key or value, else FrameError for the first arrow, row-major,
+    that is missing or not a dim×dim unitary within eps."""
+    frame = np.zeros((n, n, dim, dim), dtype=complex)
+    given, shaped = np.zeros((2, n, n), bool)
+    index = {arrow_key(g): g for g in np.ndindex(n, n)}
+    arrows = [index.get(k) for k in obj]
+    values = _numbers(list(obj.values()))
+    if None not in arrows and values is not None and values.shape[1:] == (dim, dim, 2):
+        # the common file: every key "(x,y)" of the points, every value a
+        # dim×dim matrix, all read as one array
+        at = tuple(np.array(arrows).T)
+        frame[at] = values.view(complex)[..., 0]
+        given[at] = shaped[at] = True
+    else:  # value by value, to name the first malformed key or value
+        matrices = {arrow_from_key(k): matrix_from_json(v) for k, v in obj.items()}
+        if any(max(g) >= n for g in matrices):
+            raise ParseError(f"frame names an arrow outside the {n} points")
+        for g, u in matrices.items():
+            given[g] = True
+            if u.shape == (dim, dim):
+                frame[g], shaped[g] = u, True
+    g = first_offender(~shaped | ~(unitarity_defects(frame) <= eps))  # row-major
+    if g is not None:
+        raise FrameError(f"frame entry at {g} is not a {dim}×{dim} unitary"
+                         if given[g] else f"frame missing arrow {g}")
+    return frame
 
 
 def jsonable(obj):
-    """Recursively coerce report values (numpy scalars, matrices) to JSON types."""
+    """Recursively coerce report values (numpy scalars, matrices, an extracted
+    ω) to JSON types."""
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, set, frozenset)):
@@ -225,6 +269,8 @@ def jsonable(obj):
         return items
     if isinstance(obj, np.ndarray):
         return matrix_to_json(obj)
+    if isinstance(obj, Cocycle2):
+        return cocycle_to_json(obj)
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (int, np.integer)):

@@ -253,6 +253,56 @@ def test_report_builds_one_covariance_group(tmp_path, monkeypatch):
     assert all("U" not in Gs.sigma.__dict__ for Gs in groups + recovered)
 
 
+def counted_calls(monkeypatch, *names) -> dict[str, int]:
+    """Count the calls of each named fellkit function, wherever a fellkit
+    module binds it."""
+    counts = dict.fromkeys(names, 0)
+    modules = [m for k, m in sys.modules.items() if k.split(".")[0] == "fellkit"]
+    for name in names:
+        (fn,) = {vars(m)[name] for m in modules if name in vars(m)}
+
+        def counted(*args, name=name, fn=fn, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        for m in modules:
+            if vars(m).get(name) is fn:
+                monkeypatch.setattr(m, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("model", [
+    ("--preset", "flow", "--points", "4", "--dim", "2"),
+    ("--preset", "flow", "--points", "8", "--dim", "1"),
+], ids=["flow-4x2", "flow-8x1"])
+def test_report_builds_phi_and_its_read_off_once(tmp_path, monkeypatch, model):
+    """The cocycle and phi-roundtrip stages share the report's Φ and its
+    read-off: the second group, Φ and read-off are the round trip's
+    recovered ones.  ω is hashed from its array, never written as JSON."""
+    counts = counted_calls(monkeypatch, "covariance_group_from_frame",
+                           "phi_from_covariance_group", "read_off_pair",
+                           "cocycle_to_json")
+    code, out = run(tmp_path, "report", *model)
+    assert code == 0
+    assert [c["check"] for c in json.loads(out.read_text())["checks"]] == [
+        "axioms", "pair", "cocycle", "theorem-3.13", "generation", "phi-roundtrip"]
+    assert counts == {"covariance_group_from_frame": 2, "phi_from_covariance_group": 2,
+                      "read_off_pair": 2, "cocycle_to_json": 0}
+
+
+def test_a_failed_read_off_fails_each_stage_that_shares_it(tmp_path):
+    """A read-off that raises is not kept: on the semidirect control the
+    cocycle entry and the round trip's read-off stage each carry its error."""
+    code, out = run(tmp_path, "report", "--preset", "semidirect")
+    assert code == 1
+    entries = {c["check"]: c for c in json.loads(out.read_text())["checks"]}
+    error = "assignment violates u_(g*) = u_g* at (0, 1)"
+    assert entries["cocycle"]["error"] == error
+    assert entries["phi-roundtrip"]["error"] == (
+        f"round trip failed at stage 'read-off': {error}")
+    assert [c for c, e in entries.items() if not e["pass"]] == ["cocycle", "phi-roundtrip"]
+
+
 def test_covariance_group_is_validated_at_the_given_eps(tmp_path):
     """A flow 4×1 frame scaled by 1 + 1e-6 passes every stage at --eps 1e-4:
     the report's group, the round trip's recovered group and a single
@@ -284,21 +334,29 @@ def test_covariance_group_is_validated_at_the_given_eps(tmp_path):
     ("--preset", "diag-masa", "--n", "8"),
 ], ids=["flow-4x2", "flow-8x1", "fourpoint", "diag-masa-8"])
 def test_report_omega_digest_is_that_of_the_printed_omega(tmp_path, model):
-    """The report's omega_sha256 is the sha256 of the compact sorted-key
-    JSON of the ω that ``phi readoff`` prints in full."""
+    """The report's omega_sha256 is recomputed from the ω that ``phi
+    readoff`` prints in full: each pair key ((x,y),(y,z)) to the index
+    [x-1, y-1, z-1] of an (n, n, n, d, d) complex128 array, hashed as its
+    shape "n,n,n,d,d" and a newline, then its little-endian bytes."""
     code, readoff = run(tmp_path, "phi", "readoff", *model, name="readoff.json")
     assert code == 0
     doc = json.loads(readoff.read_text())
     assert doc["normalizer_sample_size"] == len(doc["block_dims"]) ** 2
-    omega = doc["omega"]
-    text = json.dumps(omega, sort_keys=True, separators=(",", ":"))
+    n, d = doc["omega"]["points"], doc["omega"]["fibre_dim"]
+    omega = np.full((n, n, n, d, d), np.nan, dtype="<c16")
+    for key, value in doc["omega"]["pairs"].items():
+        (x, y), (y2, z) = json.loads(key.replace("(", "[").replace(")", "]"))
+        assert y2 == y
+        re, im = np.moveaxis(np.array(value, dtype=float).reshape(d, d, 2), -1, 0)
+        omega[x - 1, y - 1, z - 1] = re + 1j * im
+    assert not np.isnan(omega).any()  # every pair printed
     code, report = run(tmp_path, "report", *model)
     assert code == 0
     (cocycle,) = [c for c in json.loads(report.read_text())["checks"]
                   if c["check"] == "cocycle"]
     assert "omega" not in cocycle["details"]
     assert cocycle["details"]["omega_sha256"] == hashlib.sha256(
-        text.encode("utf-8")).hexdigest()
+        f"{n},{n},{n},{d},{d}\n".encode() + omega.tobytes()).hexdigest()
 
 
 def test_ragged_blocks_model_files_report_in_every_order(tmp_path):

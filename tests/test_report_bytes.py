@@ -9,9 +9,11 @@ twist arrays.  The semidirect and twisted-5 `report` digests were recorded
 when theorem-3.13 began to be decided on the cycle powers and an angle grid
 of two-block mixers, which changed only the `details` of its entry.  The
 fourpoint, flow 4×2, flow 8×1 and diag-masa 8 `report` digests were
-recorded when the cocycle entry began to carry the extracted ω as the
-sha256 of its compact JSON (`omega_sha256`) in place of every pair's value;
-the other four documents print no extracted ω and kept their bytes.
+recorded when the cocycle entry's `omega_sha256` began to hash ω's
+(n, n, n, d, d) array, its shape then its little-endian complex128 bytes
+(`serialize.cocycle_sha256`), in place of ω's compact JSON; nothing else in
+them moved.  The other four documents print no extracted ω and kept their
+bytes.
 The reports print residuals, and ω's digest pins the twist, to the last
 bit, so a changed product order or summation order shows here.  A numpy or BLAS
 build that rounds differently can move these digests without any change to
@@ -31,10 +33,10 @@ from helpers import TWISTED_5
 CASES = {
     "report-fourpoint": (
         ["report", "--preset", "fourpoint"], 0,
-        "edba8285f0cf050026834eb12b7fc32e331579887c5c3be3dfd4c783379994a2"),
+        "3d96a2621c0a58b6b05212ff0238316019b7df2c2747015b2e3af0745754fe0b"),
     "report-flow-4x2": (
         ["report", "--preset", "flow", "--points", "4", "--dim", "2"], 0,
-        "577a3d1f8cfc76b320be62728fd319f515839c6708c385948419a2fb7b29a51e"),
+        "d34487eb4cda23485af8e63d5e9fa9119a9ee7d781f06dce93022b2fb8ef82c0"),
     "report-semidirect": (
         ["report", "--preset", "semidirect"], 1,
         "ad94537c493188630524551d431663b2e67ece3d42040f9244b979ba4dd6994e"),
@@ -46,10 +48,10 @@ CASES = {
         "fe752974e4cbd29d619cb655c2187208e88e93530191194c42737dd367506825"),
     "report-flow-8x1": (
         ["report", "--preset", "flow", "--points", "8", "--dim", "1"], 0,
-        "ab494300286c03186eadc4850f21957ac6ada9e8b89f88a4abbf8100265e51c8"),
+        "908ee2d71574ff2fd37cad6e44b9a911be2d7e4d0952a5a084055c53f980aacd"),
     "report-diag-masa-8": (
         ["report", "--preset", "diag-masa", "--n", "8"], 0,
-        "0a2103440ba3ff6869f37fbec9be5fdbde8608688ad99587683ad83d4f3ad2d8"),
+        "827057edc39ff477368a2f5ea1d4b9978ede5d1a12092ad6c4d344bd84bccd3f"),
     # the read-off fails: the random frame has holonomy round the 4-cycle
     "phi-readoff-semidirect": (
         ["phi", "readoff", "--preset", "semidirect"], 1,

@@ -1,8 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
+import fellkit.fellbundle
 import fellkit.serialize
 from fellkit.cli import main
 from fellkit.cocycle import Cocycle2, NotATwistError, make_twist
@@ -366,3 +368,46 @@ def test_a_non_finite_frame_entry_fails_the_stacked_check():
     with pytest.raises(ValueError, match="^matrix contains non-finite entries$") as exc:
         model_from_json(doc)
     assert exc.type is ValueError
+
+
+ONE_ARRAY_FAULTS = {
+    # arrow (0-indexed) -> its matrix, or None to leave it out, in row-major order
+    "non-unitary before missing": {(0, 2): 1.5 * np.eye(2), (1, 0): None},
+    "missing before non-unitary": {(0, 2): None, (1, 0): 1.5 * np.eye(2)},
+}
+
+
+@pytest.mark.parametrize("name", [*ONE_ARRAY_FAULTS, "unitary"])
+def test_a_well_formed_frame_is_read_as_one_array(name, monkeypatch):
+    """A frame whose keys all name arrows of the points and whose values are
+    all d×d matrices is read without the per-value readers, normed once in
+    all of fellkit, names its first fault as the per-arrow oracle does and
+    otherwise keeps every bit (−0.0 included)."""
+    frame = random_symmetric_frame(3, 2, np.random.default_rng(7))
+    frame[0, 1] = -np.eye(2)  # entries −1−0j and −0−0j
+    frame[1, 0] = frame[0, 1].conj().T
+    given = {g: frame[g] for g in np.ndindex(3, 3)}
+    for g, u in ONE_ARRAY_FAULTS.get(name, {}).items():
+        if u is None:
+            del given[g]
+        else:
+            given[g] = u.astype(complex)
+    text = json.dumps({"points": 3, "fibre_dims": [2, 2, 2], "frame": {
+        arrow_key(g): matrix_to_json(u) for g, u in given.items()}})
+    calls = []
+    for module, names in ((fellkit.serialize, ("arrow_from_key", "matrix_from_json",
+                                               "unitarity_defects")),
+                          (fellkit.fellbundle, ("unitarity_defects",))):
+        for fn in names:
+            real = getattr(module, fn)
+            monkeypatch.setattr(module, fn,
+                                lambda *a, real=real, fn=fn: calls.append(fn) or real(*a))
+    if name == "unitary":
+        model, _ = model_from_json(loads(text))
+        assert model.frame.tobytes() == frame.tobytes()
+    else:
+        with pytest.raises(FrameError) as expected:
+            frame_per_arrow(given, 3, 2)
+        with pytest.raises(FrameError, match=f"^{re.escape(str(expected.value))}$"):
+            model_from_json(loads(text))
+    assert calls == ["unitarity_defects"]
