@@ -8,10 +8,10 @@ this checkout's ``src``).  It records the wall seconds of each whole process
 (interpreter start included) as ``wall_runs`` and their median as
 ``wall_s``, the median peak RSS (``ru_maxrss`` from ``wait4``), the report's
 sha256 and its verdicts, and writes them to ``BENCH_<label>.json`` next to
-this script.  The exit status is 1 if a report fails to run, or if a
-configuration's runs differ in exit code or sha256.  Two ladders of the same
-configurations are compared by their digests: equal digests are
-byte-identical reports.
+this script with ``src_lines``, the line count of ``<src>/fellkit/*.py``.
+The exit status is 1 if a report fails to run, or if a configuration's runs
+differ in exit code or sha256.  Two ladders of the same configurations are
+compared by their digests: equal digests are byte-identical reports.
 """
 
 from __future__ import annotations
@@ -102,6 +102,8 @@ def main(argv=None) -> int:
                  "python": platform.python_version(), "numpy": numpy.__version__,
                  "blas_threads": 1},
         "configs": rows,
+        "src_lines": sum(path.read_bytes().count(b"\n")
+                         for path in (args.src / "fellkit").glob("*.py")),
     }
     (HERE / f"BENCH_{args.label}.json").write_text(
         json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")

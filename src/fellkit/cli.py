@@ -41,12 +41,10 @@ from .embedding import (
     is_orientable,
 )
 from .fellbundle import (
-    AxiomReport,
     CStarBundle,
     FellBundleModel,
     build_imprimitivity_bundle,
     build_semidirect_bundle,
-    check_fell_axioms,
     diagonal_algebra,
     enveloping_algebra,
 )
@@ -70,25 +68,37 @@ class UsageError(Exception):
     pass
 
 
+def _size(option: str, value: int) -> int:
+    if value < 1:
+        raise UsageError(f"{option} must be at least 1, got {value}")
+    return value
+
+
+def _block_dims(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(_size("--dims entry", int(d)) for d in text.split(","))
+    except ValueError as exc:
+        raise UsageError(f"--dims must be comma-separated integers, got {text!r}") from exc
+
+
 def build_preset(name: str, args, eps: float) -> tuple[FellBundleModel, Bisection | None]:
-    """The preset model; only the random frames draw, from --seed."""
+    """The preset model; only the random frames draw, from --seed.  A size
+    below 1 is a usage error."""
     if name == "fourpoint":
         model = build_semidirect_bundle(CStarBundle((1, 1, 1, 1)), eps=eps)
         return model, cycle_bisection(4)
     if name == "diag-masa":
-        n = args.n
+        n = _size("--n", args.n)
         model = build_semidirect_bundle(CStarBundle((1,) * n), eps=eps)
         return model, cycle_bisection(n)
     if name == "imprimitivity":
-        dims = tuple(int(d) for d in args.dims.split(","))
-        return build_imprimitivity_bundle(dims), None
+        return build_imprimitivity_bundle(_block_dims(args.dims)), None
+    n, dim = _size("--points", args.points), _size("--dim", args.dim)
     if name == "semidirect":
-        n, dim = args.points, args.dim
         frame = random_symmetric_frame(n, dim, np.random.default_rng(args.seed))
         model = build_semidirect_bundle(CStarBundle((dim,) * n), frame=frame, eps=eps)
         return model, cycle_bisection(n)
     if name == "flow":
-        n, dim = args.points, args.dim
         frame, g = flow_frame(n, dim, np.random.default_rng(args.seed))
         model = build_semidirect_bundle(CStarBundle((dim,) * n), frame=frame, eps=eps)
         return model, g
@@ -130,22 +140,18 @@ def isolated(prefix: str):
 
 
 def pipeline(model, generator, eps: float) -> Pipeline:
-    """The group of the model frame along the generator, its Φ and read-off."""
+    """One command's axiom report, group along the generator, Φ and read-off."""
     return Pipeline(
-        lambda: covariance_group_from_frame(_need_generator(generator), model, eps), eps)
+        model, lambda: covariance_group_from_frame(_need_generator(generator), model, eps),
+        eps)
 
 
 @isolated("")
-def run_check(
-    what: str, model, generator, eps: float, axioms: dict | None = None,
-    built: Pipeline | None = None,
-) -> dict:
-    """One suite's entry; the pair stage reuses the axioms entry ``axioms``
-    and the cocycle and generation stages a report's ``built`` pipeline when
-    given them.  No suite draws."""
-    built = built or pipeline(model, generator, eps)
+def run_check(what: str, built: Pipeline) -> dict:
+    """One suite's entry on the pipeline's model and shared builds.  No suite draws."""
+    model, eps = built.model, built.eps
     if what == "axioms":
-        report = check_fell_axioms(model, eps=eps)
+        report = built.axioms()
         return {
             "check": "axioms",
             "pass": report.all_passed,
@@ -153,11 +159,7 @@ def run_check(
             "details": report.as_dict(),
         }
     if what == "pair":
-        report = None  # the suite runs here if its entry is missing or raised
-        if axioms is not None and "details" in axioms:
-            rows = axioms["details"]["axioms"]
-            report = AxiomReport([r["pass"] for r in rows], [r["residual"] for r in rows])
-        _, classification, _ = cartan_from_fell_bundle(model, eps=eps, axioms=report)
+        _, classification, _ = cartan_from_fell_bundle(model, eps, built.axioms())
         return {
             "check": "pair",
             "pass": classification.verdict in ("diagonal", "cartan"),
@@ -205,9 +207,8 @@ def run_check(
 
 
 @isolated("phi-")
-def run_phi(what: str, model, generator, eps: float,
-            built: Pipeline | None = None) -> dict:
-    built = built or pipeline(model, generator, eps)
+def run_phi(what: str, built: Pipeline) -> dict:
+    eps = built.eps
     Gs = built.group()
     try:
         phi = built.phi()
@@ -248,7 +249,7 @@ def run_phi(what: str, model, generator, eps: float,
             "note": readoff.note,
         }
     if what == "roundtrip":
-        report = bridge_round_trip(Gs, eps, built.phi, built.readoff)
+        report = bridge_round_trip(Gs, eps, built)
         return {
             "check": "phi-roundtrip",
             "pass": report["pass"],
@@ -263,21 +264,20 @@ def run_phi(what: str, model, generator, eps: float,
     raise UsageError(f"unknown phi subcommand {what!r}")
 
 
-def run_report(model, generator, eps: float) -> dict:
-    axioms = run_check("axioms", model, generator, eps)
-    checks = [axioms, run_check("pair", model, generator, eps, axioms=axioms)]
+def run_report(built: Pipeline, generator: Bisection | None) -> dict:
+    model = built.model
+    checks = [run_check("axioms", built), run_check("pair", built)]
     if generator is not None:
-        built = pipeline(model, generator, eps)
         if model.twist is not None or model.frame is not None:
-            checks.append(run_check("cocycle", model, generator, eps, built=built))
+            checks.append(run_check("cocycle", built))
             details = checks[-1].get("details", {})  # `check cocycle` prints ω in full
             if "omega" in details:
                 details["omega_sha256"] = cocycle_sha256(details.pop("omega"))
         if len(set(model.fibre_dims)) == 1:
-            checks.append(run_check("theorem-3.13", model, generator, eps))
-        checks.append(run_check("generation", model, generator, eps, built=built))
+            checks.append(run_check("theorem-3.13", built))
+        checks.append(run_check("generation", built))
         if model.frame is not None:
-            checks.append(run_phi("roundtrip", model, generator, eps, built=built))
+            checks.append(run_phi("roundtrip", built))
     return {
         "check": "report",
         "checks": checks,
@@ -399,12 +399,13 @@ def main(argv=None) -> int:
         if args.command == "generate":
             emit(model_to_json(model, generator), args)
             return 0
+        built = pipeline(model, generator, eps)
         if args.command == "check":
-            doc = run_check(args.what, model, generator, eps)
+            doc = run_check(args.what, built)
         elif args.command == "phi":
-            doc = run_phi(args.what, model, generator, eps)
+            doc = run_phi(args.what, built)
         else:
-            doc = run_report(model, generator, eps)
+            doc = run_report(built, generator)
         emit(doc, args)
         return 0 if doc["pass"] else 1
     except (UsageError, ParseError, OSError) as exc:

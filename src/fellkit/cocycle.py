@@ -99,8 +99,8 @@ def make_twist(
     out = np.tile(np.eye(fibre_dim, dtype=complex), (n_points,) * 3 + (1, 1))
     for pair, v in values.items():
         (x, y), (_, z) = pair
-        if np.isscalar(v):
-            v = complex(v) * np.eye(fibre_dim, dtype=complex)
+        if np.isscalar(v):  # checked finite before it scales I
+            v = as_matrix([[v]]) * np.eye(fibre_dim, dtype=complex)
         mat = as_matrix(v)
         if mat.shape != (fibre_dim, fibre_dim):
             raise ValueError(f"twist value for {pair} has shape {mat.shape}, "

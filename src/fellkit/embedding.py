@@ -132,13 +132,16 @@ def read_off_pair(phi: EmbeddingInvariant, eps: float = DEFAULT_EPS) -> ReadOff:
 
 
 class Pipeline:
-    """The covariance group that ``group()`` builds, its Φ and Φ's read-off,
-    each a callable that builds on first call and keeps the result.  A build
-    that raises is not kept, so it raises again at each call: every stage of
-    a report that shares one pipeline and meets the error reports it in its
-    own entry."""
+    """One command's shared stage inputs: the axiom report of ``model``, the
+    covariance group that ``group()`` builds, its Φ and Φ's read-off, each a
+    callable that builds on first call and keeps the result.  A build that
+    raises is not kept, so it raises again at each call: every stage that
+    shares one pipeline and meets the error reports it in its own entry."""
 
-    def __init__(self, group: Callable[[], CovarianceGroup], eps: float):
+    def __init__(self, model: FellBundleModel | None,
+                 group: Callable[[], CovarianceGroup], eps: float):
+        self.model, self.eps = model, eps
+        self.axioms = functools.cache(lambda: check_fell_axioms(model, eps=eps))
         self.group = group = functools.cache(group)
         self.phi = phi = functools.cache(lambda: phi_from_covariance_group(group(), eps))
         self.readoff = functools.cache(lambda: read_off_pair(phi(), eps))
@@ -174,20 +177,18 @@ def cartan_from_fell_bundle(
 
 
 def bridge_round_trip(
-    Gs: CovarianceGroup,
-    eps: float = DEFAULT_EPS,
-    phi_of: Callable[[], EmbeddingInvariant] | None = None,
-    readoff_of: Callable[[], ReadOff] | None = None,
+    Gs: CovarianceGroup, eps: float = DEFAULT_EPS, built: Pipeline | None = None
 ) -> dict:
     """Covariance group → Φ → (A,B,P,ω) → bundle → covariance group, compared.
 
     Verifies the recovered block dims, twist, expectation, generator and Φ
     against the originals; any stage error propagates with its label.  The
-    "phi" and "read-off" stages call ``phi_of`` and ``readoff_of`` when given
-    them, a report's Φ of Gs and its read-off, built once for every stage.  Both
-    expectations are block compressions, so they are compared on the N²
-    matrix units: the residual is 1.0 if the two block masks differ, else 0.0.
-    Both σ are block permutations over one f0: ‖U − U′‖ = max ‖w_x − w′_x‖.
+    original side is ``built``, the pipeline of Gs that a report shares
+    with its other stages, else one of its own; the recovered side is a
+    second pipeline, on the rebuilt bundle.  Both expectations are block
+    compressions, so they are compared on the N² matrix units: the residual
+    is 1.0 if the two block masks differ, else 0.0.  Both σ are block
+    permutations over one f0: ‖U − U′‖ = max ‖w_x − w′_x‖.
     """
     report: dict = {"stages": []}
 
@@ -199,8 +200,9 @@ def bridge_round_trip(
         report["stages"].append(name)
         return out
 
-    phi = stage("phi", phi_of or (lambda: phi_from_covariance_group(Gs, eps)))
-    readoff = stage("read-off", readoff_of or (lambda: read_off_pair(phi, eps)))
+    built = built or Pipeline(None, lambda: Gs, eps)
+    phi = stage("phi", built.phi)
+    readoff = stage("read-off", built.readoff)
     rebuilt = stage(
         "rebuild-bundle",
         lambda: build_semidirect_bundle(
@@ -210,12 +212,11 @@ def bridge_round_trip(
             eps=eps,
         ),
     )
-    recovered = stage(
-        "recover-covariance-group",
-        lambda: covariance_group_from_frame(Gs.flow.generator, rebuilt, eps),
-    )
-    phi2 = stage("phi-recovered", lambda: phi_from_covariance_group(recovered, eps))
-    readoff2 = stage("read-off-recovered", lambda: read_off_pair(phi2, eps))
+    again = Pipeline(
+        rebuilt, lambda: covariance_group_from_frame(Gs.flow.generator, rebuilt, eps), eps)
+    recovered = stage("recover-covariance-group", again.group)
+    phi2 = stage("phi-recovered", again.phi)
+    readoff2 = stage("read-off-recovered", again.readoff)
 
     dims_match = readoff2.A.block_dims == Gs.fibre_dims
     omega_residual = 0.0

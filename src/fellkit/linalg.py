@@ -88,10 +88,11 @@ def is_unitary(m, eps: float = DEFAULT_EPS) -> bool:
 
 def unitarity_defects(stack) -> np.ndarray:
     """max(∥u*u − I∥, ∥uu* − I∥) for each u of a (..., m, m) array of square
-    matrices, from one stacked SVD."""
+    matrices, from one stacked SVD.  A non-finite entry raises before any
+    product is formed."""
     a = np.asarray(stack, dtype=complex)
     m = a.shape[-1]
-    flat = a.reshape(-1, m, m)
+    flat = as_stack(a.reshape(-1, m, m))
     products = np.concatenate([adjoints(flat) @ flat, flat @ adjoints(flat)])
     defects = operator_norms(products - np.eye(m)).reshape((2, *a.shape[:-2]))
     return defects.max(axis=0)

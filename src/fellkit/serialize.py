@@ -117,8 +117,15 @@ def permutation_to_json(g: Bisection) -> list[int]:
     return [g(x) + 1 for x in range(g.n_points)]
 
 
+def _count(v, what: str) -> int:
+    """A JSON integer ≥ 1; not a float, nor a bool (which Python counts an int)."""
+    if type(v) is not int or v < 1:
+        raise ParseError(f"{what} must be a positive integer, got {v!r}")
+    return v
+
+
 def permutation_from_json(v) -> Bisection:
-    if not isinstance(v, list) or not all(isinstance(i, int) for i in v):
+    if not isinstance(v, list) or not all(type(i) is int for i in v):
         raise ParseError(f"permutation must be an integer array, got {v!r}")
     try:
         return Bisection(tuple(i - 1 for i in v))
@@ -182,10 +189,13 @@ def model_from_json(
     if not isinstance(doc, dict):
         raise ParseError("model document must be a JSON object")
     try:
-        n = int(doc["points"])
-        dims = tuple(int(d) for d in doc["fibre_dims"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad model document: {exc}") from exc
+        n, dims = doc["points"], doc["fibre_dims"]
+    except KeyError as exc:
+        raise ParseError(f"bad model document: missing {exc}") from exc
+    if not isinstance(dims, list):
+        raise ParseError(f'"fibre_dims" must be an array, got {dims!r}')
+    n = _count(n, '"points"')
+    dims = tuple(_count(d, '"fibre_dims" entry') for d in dims)
     if len(dims) != n:
         raise ParseError(f"{n} points but {len(dims)} fibre dims")
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,11 +14,14 @@ import fellkit
 import fellkit.cli
 import fellkit.dynamics
 import fellkit.embedding
-from fellkit.cli import main
+import fellkit.fellbundle
+from fellkit.cli import main, pipeline, run_phi
 from fellkit.cocycle import make_twist
+from fellkit.dynamics import covariance_group_from_frame
+from fellkit.embedding import bridge_round_trip
 from fellkit.fellbundle import CStarBundle, build_semidirect_bundle, check_fell_axioms
 from fellkit.groupoid import cycle_bisection
-from fellkit.presets import random_symmetric_frame
+from fellkit.presets import flow_frame, random_symmetric_frame
 from fellkit.serialize import model_from_json, model_to_json, loads
 
 
@@ -122,8 +126,7 @@ def test_report_runs_the_axiom_suite_once(tmp_path, monkeypatch):
         calls.append(args)
         return check_fell_axioms(*args, **kwargs)
 
-    for module in (fellkit.cli, fellkit.embedding):
-        monkeypatch.setattr(module, "check_fell_axioms", counted)
+    monkeypatch.setattr(fellkit.embedding, "check_fell_axioms", counted)
     flow = ("--preset", "flow", "--points", "4", "--dim", "2")
     code, report = run(tmp_path, "report", *flow)
     assert code == 0
@@ -301,6 +304,50 @@ def test_a_failed_read_off_fails_each_stage_that_shares_it(tmp_path):
     assert entries["phi-roundtrip"]["error"] == (
         f"round trip failed at stage 'read-off': {error}")
     assert [c for c, e in entries.items() if not e["pass"]] == ["cocycle", "phi-roundtrip"]
+
+
+def test_a_raising_axiom_suite_fails_the_axioms_and_pair_entries(tmp_path, monkeypatch):
+    """An axiom report whose build raises is not kept: the axioms and pair
+    entries of one report each run the suite and carry its error."""
+    calls = []
+
+    def broken(*args, **kwargs):
+        calls.append(args)
+        raise ValueError("axiom suite broke")
+
+    real = fellkit.fellbundle.check_fell_axioms
+    for module in [m for k, m in sys.modules.items() if k.split(".")[0] == "fellkit"]:
+        if vars(module).get("check_fell_axioms") is real:
+            monkeypatch.setattr(module, "check_fell_axioms", broken)
+    code, out = run(tmp_path, "report", "--preset", "flow", "--points", "4", "--dim", "2")
+    assert code == 1
+    entries = {c["check"]: c for c in json.loads(out.read_text())["checks"]}
+    assert entries["axioms"]["error"] == entries["pair"]["error"] == "axiom suite broke"
+    assert [c for c, e in entries.items() if not e["pass"]] == ["axioms", "pair"]
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("points, dim", [(4, 2), (8, 1)])
+def test_a_library_round_trip_equals_the_report_pipelines(points, dim):
+    """``bridge_round_trip`` on a group alone builds its own original side;
+    its report equals that of the round trip on a command's pipeline."""
+    frame, g = flow_frame(points, dim, np.random.default_rng(0))
+    model = build_semidirect_bundle(CStarBundle((dim,) * points), frame=frame)
+    Gs = covariance_group_from_frame(g, model, 1e-9)
+    check = run_phi("roundtrip", pipeline(model, g, 1e-9))
+    assert check["pass"]
+    assert bridge_round_trip(Gs, 1e-9) == check["details"]
+
+
+def test_a_library_round_trip_fails_as_the_report_pipelines_do():
+    frame = random_symmetric_frame(4, 2, np.random.default_rng(0))
+    model = build_semidirect_bundle(CStarBundle((2,) * 4), frame=frame)
+    g = cycle_bisection(4)
+    check = run_phi("roundtrip", pipeline(model, g, 1e-9))
+    with pytest.raises(RuntimeError) as exc:
+        bridge_round_trip(covariance_group_from_frame(g, model, 1e-9), 1e-9)
+    assert str(exc.value).startswith("round trip failed at stage 'read-off': ")
+    assert check["error"] == str(exc.value)
 
 
 def test_covariance_group_is_validated_at_the_given_eps(tmp_path):
@@ -508,3 +555,51 @@ def test_imprimitivity_pair_check(tmp_path):
 def test_commands_that_need_a_generator(tmp_path):
     assert main(["check", "generation", "--preset", "imprimitivity"]) == 2
     assert main(["phi", "build", "--preset", "imprimitivity"]) == 2
+
+
+@pytest.mark.parametrize("argv, option", [
+    (("--preset", "flow", "--points", "0"), "--points"),
+    (("--preset", "flow", "--dim", "0"), "--dim"),
+    (("--preset", "semidirect", "--points", "-2"), "--points"),
+    (("--preset", "diag-masa", "--n", "0"), "--n"),
+    (("--preset", "imprimitivity", "--dims", "1,,2"), "--dims"),
+    (("--preset", "imprimitivity", "--dims", "1,x"), "--dims"),
+    (("--preset", "imprimitivity", "--dims", ""), "--dims"),
+    (("--preset", "imprimitivity", "--dims", "2,0"), "--dims"),
+], ids=["points-0", "dim-0", "points-negative", "n-0", "dims-empty-entry",
+        "dims-not-integer", "dims-empty", "dims-entry-0"])
+@pytest.mark.parametrize("command", ["report", "generate"])
+def test_preset_sizes_out_of_range_are_usage_errors(tmp_path, capsys, argv, option,
+                                                    command):
+    """Before, these exited 1 with numpy's or int()'s message."""
+    code, out = run(tmp_path, command, *argv)
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {option} ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "1e400"])
+@pytest.mark.parametrize("where", ["frame", "scalar twist", "matrix twist"])
+def test_a_non_finite_model_value_fails_without_a_warning(tmp_path, capsys, value,
+                                                          where):
+    """Finiteness is checked before the frame's unitarity products and
+    before a scalar twist value scales I, so numpy warns of nothing."""
+    code, path = run(tmp_path, "generate", "--preset", "flow", "--points", "3",
+                     "--dim", "2", name="model.json")
+    assert code == 0
+    doc = json.loads(path.read_text())
+    if where == "frame":
+        doc["frame"]["(1,2)"][0][0][0] = "@"
+    elif where == "scalar twist":
+        doc["twist"] = {"((1,2),(2,3))": ["@", 0.0]}
+    else:
+        doc["twist"] = {"((1,2),(2,3))": [[["@", 0.0], [0.0, 0.0]],
+                                          [[0.0, 0.0], [1.0, 0.0]]]}
+    path.write_text(json.dumps(doc).replace('"@"', value))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(tmp_path, "report", "--input", str(path))
+    assert code == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == "check failed: matrix contains non-finite entries\n"

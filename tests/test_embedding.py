@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import fellkit.embedding
-from fellkit.cli import run_phi
+from fellkit.cli import pipeline, run_phi
 from fellkit.algebra import make_algebra
 from fellkit.dynamics import (
     covariance_group,
@@ -297,7 +297,7 @@ def test_bridge_round_trip_gates_on_recovered_phi(monkeypatch):
                         conjugated_second)
     frame, g = flow_frame(4, 1, rng_for(0))
     E = build_semidirect_bundle(CStarBundle((1,) * 4), frame=frame)
-    check = run_phi("roundtrip", E, g, 1e-9)
+    check = run_phi("roundtrip", pipeline(E, g, 1e-9))
     report = check["details"]
     assert len(calls) == 2
     assert report["phi_residual"] > 0.1

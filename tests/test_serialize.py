@@ -172,6 +172,23 @@ def test_model_parse_errors():
         model_from_json({"points": 2, "fibre_dims": [1, 1], "frame": frame})
     with pytest.raises(ParseError):
         loads("{not json")
+    # counts are JSON integers, and points and fibre dims at least 1: a bool
+    # or a float is no count (1.7, true and [2.5, 2.9] used to load)
+    for doc in (
+        {"points": 1.7, "fibre_dims": [1]},
+        {"points": True, "fibre_dims": [True]},
+        {"points": 1, "fibre_dims": [True]},
+        {"points": 2, "fibre_dims": [2.5, 2.9]},
+        {"points": 0, "fibre_dims": []},
+        {"points": 2, "fibre_dims": [1, 0]},
+        {"points": 2, "fibre_dims": [1, -1]},
+        {"points": 2, "fibre_dims": "11"},
+        {"points": "2", "fibre_dims": [1, 1]},
+        {"points": 2, "fibre_dims": [1, 1], "generator": [True, 1]},
+        {"points": 2, "fibre_dims": [1, 1], "generator": [2.0, 1.0]},
+    ):
+        with pytest.raises(ParseError):
+            model_from_json(doc)
 
 
 IDENTITY_FRAME_2 = {f"({x},{y})": [[[1.0, 0.0]]] for x in (1, 2) for y in (1, 2)}
