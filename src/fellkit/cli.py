@@ -8,10 +8,16 @@ Commands:
 * ``report`` — every applicable suite in one document, an extracted ω by
   the sha256 of its array (``serialize.cocycle_sha256``).
 
+Each ``check`` and ``phi`` subcommand is one suite function in ``CHECKS`` or
+``PHI``: it takes the command's pipeline and returns its entry's fields, and
+``run_check`` / ``run_phi`` name the entry.  The parser's choices are the
+tables' keys, so a new check is one table entry.
+
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 usage or
-parse error.  A suite that raises on its model reports a failed check with
-the error, and the other suites of a report still run.  Reports are
-canonical JSON (sorted keys), byte-identical for identical config and seed.
+parse error (a model file that is not UTF-8 JSON is a parse error).  A suite
+that raises on its model reports a failed check with the error, and the
+other suites of a report still run.  Reports are canonical JSON (sorted
+keys), byte-identical for identical config and seed.
 The tolerance comes from --eps, else the FELLKIT_EPS environment variable,
 else 1e-9.
 """
@@ -68,47 +74,41 @@ class UsageError(Exception):
     pass
 
 
-def _size(option: str, value: int) -> int:
-    if value < 1:
-        raise UsageError(f"{option} must be at least 1, got {value}")
+def _at_least(option: str, value: int, least: int = 1) -> int:
+    if value < least:
+        raise UsageError(f"{option} must be at least {least}, got {value}")
     return value
 
 
 def _block_dims(text: str) -> tuple[int, ...]:
     try:
-        return tuple(_size("--dims entry", int(d)) for d in text.split(","))
+        return tuple(_at_least("--dims entry", int(d)) for d in text.split(","))
     except ValueError as exc:
         raise UsageError(f"--dims must be comma-separated integers, got {text!r}") from exc
 
 
 def build_preset(name: str, args, eps: float) -> tuple[FellBundleModel, Bisection | None]:
     """The preset model; only the random frames draw, from --seed.  A size
-    below 1 is a usage error."""
-    if name == "fourpoint":
-        model = build_semidirect_bundle(CStarBundle((1, 1, 1, 1)), eps=eps)
-        return model, cycle_bisection(4)
-    if name == "diag-masa":
-        n = _size("--n", args.n)
+    below 1, or a seed below 0 where it is drawn from, is a usage error."""
+    if name in ("fourpoint", "diag-masa"):
+        n = 4 if name == "fourpoint" else _at_least("--n", args.n)
         model = build_semidirect_bundle(CStarBundle((1,) * n), eps=eps)
         return model, cycle_bisection(n)
     if name == "imprimitivity":
         return build_imprimitivity_bundle(_block_dims(args.dims)), None
-    n, dim = _size("--points", args.points), _size("--dim", args.dim)
+    n, dim = _at_least("--points", args.points), _at_least("--dim", args.dim)
+    rng = np.random.default_rng(_at_least("--seed", args.seed, 0))
     if name == "semidirect":
-        frame = random_symmetric_frame(n, dim, np.random.default_rng(args.seed))
-        model = build_semidirect_bundle(CStarBundle((dim,) * n), frame=frame, eps=eps)
-        return model, cycle_bisection(n)
-    if name == "flow":
-        frame, g = flow_frame(n, dim, np.random.default_rng(args.seed))
-        model = build_semidirect_bundle(CStarBundle((dim,) * n), frame=frame, eps=eps)
-        return model, g
-    raise UsageError(f"unknown preset {name!r}")
+        frame, g = random_symmetric_frame(n, dim, rng), cycle_bisection(n)
+    else:
+        frame, g = flow_frame(n, dim, rng)
+    return build_semidirect_bundle(CStarBundle((dim,) * n), frame=frame, eps=eps), g
 
 
 def load_model(args, eps) -> tuple[FellBundleModel, Bisection | None]:
     if args.preset is not None:
         return build_preset(args.preset, args, eps)
-    with open(args.input, encoding="utf-8") as f:
+    with open(args.input, "rb") as f:
         return model_from_json(loads(f.read()), eps=eps)
 
 
@@ -146,122 +146,96 @@ def pipeline(model, generator, eps: float) -> Pipeline:
         eps)
 
 
+# The suites: each returns its entry's fields but "check", from the
+# command's pipeline.  No suite draws.
+
+def _axioms(built: Pipeline) -> dict:
+    report = built.axioms()
+    return {"pass": report.all_passed, "residual": max(report.residuals),
+            "details": report.as_dict()}
+
+
+def _pair(built: Pipeline) -> dict:
+    _, classification, _ = cartan_from_fell_bundle(built.model, built.eps, built.axioms())
+    return {"pass": classification.verdict in ("diagonal", "cartan"), "residual": 0.0,
+            "details": classification.as_dict()}
+
+
+def _cocycle(built: Pipeline) -> dict:
+    model, eps = built.model, built.eps
+    if model.twist is not None:
+        # the model frame supplies the conjugation of non-scalar values
+        residual = cocycle_identity_residual(replace(model.twist, frame=model.frame))
+        admissible = twist_is_admissible(model.twist, eps)
+        return {"pass": residual <= eps and admissible, "residual": residual,
+                "details": {"source": "model twist", "admissible": admissible}}
+    omega = built.readoff().omega
+    residual = cocycle_identity_residual(omega)
+    return {"pass": residual <= eps, "residual": residual,
+            "details": {"source": "extracted from generator orbit", "omega": omega}}
+
+
+def _theorem_3_13(built: Pipeline) -> dict:
+    result = check_unitary_normalizer_theorem(built.model, eps=built.eps)
+    return {"pass": result["pass"], "residual": 0.0, "details": result}
+
+
+def _generation(built: Pipeline) -> dict:
+    Gs, B = built.group(), enveloping_algebra(built.model)
+    A = diagonal_algebra(built.model)
+    return {"pass": a_dynamical_generation_check(Gs, A, B, built.eps), "residual": 0.0,
+            "details": {"generator_order": Gs.flow.order, "target_dim": B.dim()}}
+
+
+def _phi_build(built: Pipeline) -> dict:
+    Gs, phi, eps = built.group(), built.phi(), built.eps
+    dims = Gs.fibre_dims
+    sigma = EmbeddingInvariant(Gs.unitaries[0], dims)
+    sigma2 = EmbeddingInvariant(Gs.unitaries[1 % Gs.flow.order], dims)
+    orientable = is_orientable(phi, eps)
+    return {"pass": orientable, "residual": 0.0, "phi": phi.phi, "block_dims": list(dims),
+            "block_support": _support_json(phi, eps),
+            "generator_support": _support_json(sigma, eps),
+            "generator_squared_support": _support_json(sigma2, eps),
+            "orientable": orientable}
+
+
+def _phi_readoff(built: Pipeline) -> dict:
+    readoff = built.readoff()
+    return {"pass": True, "residual": 0.0, "block_dims": list(readoff.A.block_dims),
+            "ambient_dim": readoff.B.ambient_dim, "orientable": True,
+            "normalizer_sample_size": len(readoff.normalizer_sample),
+            "omega": readoff.omega, "note": readoff.note}
+
+
+def _phi_roundtrip(built: Pipeline) -> dict:
+    report = bridge_round_trip(built.group(), built.eps, built)
+    residuals = ("omega", "expectation", "sigma", "phi")
+    return {"pass": report["pass"], "details": report,
+            "residual": max(report[f"{r}_residual"] for r in residuals)}
+
+
+CHECKS = {"axioms": _axioms, "pair": _pair, "cocycle": _cocycle,
+          "theorem-3.13": _theorem_3_13, "generation": _generation}
+PHI = {"build": _phi_build, "readoff": _phi_readoff, "roundtrip": _phi_roundtrip}
+
+
 @isolated("")
 def run_check(what: str, built: Pipeline) -> dict:
-    """One suite's entry on the pipeline's model and shared builds.  No suite draws."""
-    model, eps = built.model, built.eps
-    if what == "axioms":
-        report = built.axioms()
-        return {
-            "check": "axioms",
-            "pass": report.all_passed,
-            "residual": max(report.residuals),
-            "details": report.as_dict(),
-        }
-    if what == "pair":
-        _, classification, _ = cartan_from_fell_bundle(model, eps, built.axioms())
-        return {
-            "check": "pair",
-            "pass": classification.verdict in ("diagonal", "cartan"),
-            "residual": 0.0,
-            "details": classification.as_dict(),
-        }
-    if what == "cocycle":
-        if model.twist is not None:
-            # the model frame supplies the conjugation of non-scalar values
-            twist = replace(model.twist, frame=model.frame)
-            residual = cocycle_identity_residual(twist)
-            admissible = twist_is_admissible(model.twist, eps)
-            return {
-                "check": "cocycle",
-                "pass": residual <= eps and admissible,
-                "residual": residual,
-                "details": {"source": "model twist", "admissible": admissible},
-            }
-        omega = built.readoff().omega
-        residual = cocycle_identity_residual(omega)
-        return {
-            "check": "cocycle",
-            "pass": residual <= eps,
-            "residual": residual,
-            "details": {"source": "extracted from generator orbit", "omega": omega},
-        }
-    if what == "theorem-3.13":
-        result = check_unitary_normalizer_theorem(model, eps=eps)
-        return {
-            "check": "theorem-3.13",
-            "pass": result["pass"],
-            "residual": 0.0,
-            "details": result,
-        }
-    if what == "generation":
-        Gs = built.group()
-        B = enveloping_algebra(model)
-        return {
-            "check": "generation",
-            "pass": a_dynamical_generation_check(Gs, diagonal_algebra(model), B, eps),
-            "residual": 0.0,
-            "details": {"generator_order": Gs.flow.order, "target_dim": B.dim()},
-        }
-    raise UsageError(f"unknown check {what!r}")
+    """The entry of the suite ``CHECKS[what]``."""
+    return {"check": what, **CHECKS[what](built)}
 
 
 @isolated("phi-")
 def run_phi(what: str, built: Pipeline) -> dict:
-    eps = built.eps
-    Gs = built.group()
+    """The entry of ``PHI[what]``, or the arrows a non-minimal generator misses."""
+    built.group()
     try:
-        phi = built.phi()
+        built.phi()
     except IncompleteSupportError as exc:
-        return {
-            "check": f"phi-{what}",
-            "pass": False,
-            "error": "generator is not minimal",
-            "missing_pairs": sorted([x + 1, y + 1] for (x, y) in exc.missing),
-        }
-    if what == "build":
-        dims = Gs.fibre_dims
-        sigma = EmbeddingInvariant(Gs.unitaries[0], dims)
-        sigma2 = EmbeddingInvariant(Gs.unitaries[1 % Gs.flow.order], dims)
-        orientable = is_orientable(phi, eps)
-        return {
-            "check": "phi-build",
-            "pass": orientable,
-            "residual": 0.0,
-            "phi": phi.phi,
-            "block_dims": list(dims),
-            "block_support": _support_json(phi, eps),
-            "generator_support": _support_json(sigma, eps),
-            "generator_squared_support": _support_json(sigma2, eps),
-            "orientable": orientable,
-        }
-    if what == "readoff":
-        readoff = built.readoff()
-        return {
-            "check": "phi-readoff",
-            "pass": True,
-            "residual": 0.0,
-            "block_dims": list(readoff.A.block_dims),
-            "ambient_dim": readoff.B.ambient_dim,
-            "orientable": True,
-            "normalizer_sample_size": len(readoff.normalizer_sample),
-            "omega": readoff.omega,
-            "note": readoff.note,
-        }
-    if what == "roundtrip":
-        report = bridge_round_trip(Gs, eps, built)
-        return {
-            "check": "phi-roundtrip",
-            "pass": report["pass"],
-            "residual": max(
-                report["omega_residual"],
-                report["expectation_residual"],
-                report["sigma_residual"],
-                report["phi_residual"],
-            ),
-            "details": report,
-        }
-    raise UsageError(f"unknown phi subcommand {what!r}")
+        return {"check": "phi-" + what, "pass": False, "error": "generator is not minimal",
+                "missing_pairs": sorted([x + 1, y + 1] for (x, y) in exc.missing)}
+    return {"check": "phi-" + what, **PHI[what](built)}
 
 
 def run_report(built: Pipeline, generator: Bisection | None) -> dict:
@@ -370,15 +344,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_common_args(p_gen)
 
     p_check = sub.add_parser("check", help="run one verification suite")
-    p_check.add_argument(
-        "what",
-        choices=("axioms", "pair", "cocycle", "theorem-3.13", "generation"),
-    )
+    p_check.add_argument("what", choices=tuple(CHECKS))
     add_model_args(p_check)
     add_common_args(p_check)
 
     p_phi = sub.add_parser("phi", help="embedding-invariant pipeline")
-    p_phi.add_argument("what", choices=("build", "readoff", "roundtrip"))
+    p_phi.add_argument("what", choices=tuple(PHI))
     add_model_args(p_phi)
     add_common_args(p_phi)
 

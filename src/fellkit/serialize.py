@@ -297,8 +297,10 @@ def dumps_canonical(doc) -> str:
     return json.dumps(jsonable(doc), sort_keys=True, indent=2) + "\n"
 
 
-def loads(text: str):
+def loads(text: str | bytes):
+    """A JSON document from text or UTF-8 bytes.  Bytes that are not UTF-8,
+    and nesting deeper than json's recursion limit, are parse errors."""
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc

@@ -566,8 +566,11 @@ def test_commands_that_need_a_generator(tmp_path):
     (("--preset", "imprimitivity", "--dims", "1,x"), "--dims"),
     (("--preset", "imprimitivity", "--dims", ""), "--dims"),
     (("--preset", "imprimitivity", "--dims", "2,0"), "--dims"),
+    (("--preset", "flow", "--seed", "-1"), "--seed"),
+    (("--preset", "semidirect", "--seed", "-1"), "--seed"),
 ], ids=["points-0", "dim-0", "points-negative", "n-0", "dims-empty-entry",
-        "dims-not-integer", "dims-empty", "dims-entry-0"])
+        "dims-not-integer", "dims-empty", "dims-entry-0", "flow-seed-negative",
+        "semidirect-seed-negative"])
 @pytest.mark.parametrize("command", ["report", "generate"])
 def test_preset_sizes_out_of_range_are_usage_errors(tmp_path, capsys, argv, option,
                                                     command):
@@ -577,6 +580,30 @@ def test_preset_sizes_out_of_range_are_usage_errors(tmp_path, capsys, argv, opti
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith(f"error: {option} ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("preset", ["fourpoint", "diag-masa", "imprimitivity"])
+def test_a_preset_that_does_not_draw_ignores_the_seed(tmp_path, preset):
+    """Only the presets that draw refuse a negative --seed."""
+    assert run(tmp_path, "generate", "--preset", preset, "--seed", "-1")[0] == 0
+
+
+@pytest.mark.parametrize("body, reason", [
+    (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff"),
+    (b"[" * 200_000, "maximum recursion depth exceeded"),
+], ids=["not-utf-8", "nested-too-deep"])
+@pytest.mark.parametrize("command", ["report", "generate"])
+def test_an_unreadable_model_file_is_a_parse_error(tmp_path, capsys, body, reason,
+                                                   command):
+    """Before, the first exited 1 as a failed check and the second raised
+    RecursionError out of json."""
+    path = tmp_path / "model.json"
+    path.write_bytes(body)
+    code, out = run(tmp_path, command, "--input", str(path))
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: invalid JSON: {reason}") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("value", ["NaN", "Infinity", "1e400"])

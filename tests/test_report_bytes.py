@@ -14,6 +14,9 @@ recorded when the cocycle entry's `omega_sha256` began to hash ω's
 (`serialize.cocycle_sha256`), in place of ω's compact JSON; nothing else in
 them moved.  The other four documents print no extracted ω and kept their
 bytes.
+The `check` and `phi` subcommands on flow 4×2, the fourpoint report in text and
+`phi build` on a non-minimal generator were recorded when the suites became
+one table of entry functions in `cli`, from the commit before that change.
 The reports print residuals, and ω's digest pins the twist, to the last
 bit, so a changed product order or summation order shows here.  A numpy or BLAS
 build that rounds differently can move these digests without any change to
@@ -29,6 +32,11 @@ from fellkit.cli import main
 
 # its report fails axioms, pair and cocycle; the rest pass
 from helpers import TWISTED_5
+
+# (2,1,4,3) swaps two pairs of points: its orbits miss 8 of the 16 arrows
+NON_MINIMAL_4 = {"points": 4, "fibre_dims": [1] * 4, "generator": [2, 1, 4, 3]}
+MODELS = {"TWISTED_5": TWISTED_5, "NON_MINIMAL_4": NON_MINIMAL_4}
+FLOW_4X2 = ["--preset", "flow", "--points", "4", "--dim", "2"]
 
 CASES = {
     "report-fourpoint": (
@@ -56,16 +64,49 @@ CASES = {
     "phi-readoff-semidirect": (
         ["phi", "readoff", "--preset", "semidirect"], 1,
         "6a52f7b772d92c9c1a77d1fb3842d77fd7e81a521ae621eb4be6a6cd2dafc03f"),
+    "check-axioms-flow-4x2": (
+        ["check", "axioms", *FLOW_4X2], 0,
+        "a092db4a4924b5a34bbdb9357bfb4a6ff558875f47dc40b90d6937f2d34b3d53"),
+    "check-pair-flow-4x2": (
+        ["check", "pair", *FLOW_4X2], 0,
+        "7ba1c43d91aa7b9a3bad1e91551c3c788b21c7de43109d749e6dc02e10d6779d"),
+    "check-cocycle-flow-4x2": (
+        ["check", "cocycle", *FLOW_4X2], 0,
+        "3633b0a3f563adb82a8bffca2ea26ee3db2c7dc7ce273ea796e6dd2eba4287e3"),
+    "check-theorem-3.13-flow-4x2": (
+        ["check", "theorem-3.13", *FLOW_4X2], 0,
+        "e2889f9fc9c4849fae6c93a3f18a3a243e5aa9b872aa6c886e0a87c8e8bb0d8a"),
+    "check-generation-flow-4x2": (
+        ["check", "generation", *FLOW_4X2], 0,
+        "3a5651cbd6b318b6b702e128b1824b38b7bfa6b0d0bbdf7be6b74374959a4ecc"),
+    "phi-build-flow-4x2": (
+        ["phi", "build", *FLOW_4X2], 0,
+        "f4c029cda2afcdd2d0ceb94286f255a9df5fce7f70365b21a99eb9a2a8761b8f"),
+    "phi-readoff-flow-4x2": (
+        ["phi", "readoff", *FLOW_4X2], 0,
+        "70abe8807165c2cfc25b7a054e9608c5e16c6a74e75cdedc9a2b8236a22be14b"),
+    "phi-roundtrip-flow-4x2": (
+        ["phi", "roundtrip", *FLOW_4X2], 0,
+        "464832f3f55c62118426e8658cd6be8c5ddc8787a78be1896cbce227e833f235"),
+    "report-fourpoint-text": (
+        ["report", "--preset", "fourpoint", "--format", "text"], 0,
+        "4fda8bafb3f54b0e5bc5ae5cf866d447c4013f69e8245fb8811e56fdc8adf81e"),
+    # the entry names the missing pairs in place of Φ
+    "phi-build-non-minimal-4": (
+        ["phi", "build", "--input", "NON_MINIMAL_4"], 1,
+        "56dd9a260d4d03b7867bf1d47ad43e2decac784746983a25fadb35cfe03e76b3"),
 }
 
 
 @pytest.mark.parametrize("name", CASES)
 def test_report_bytes_are_unchanged(name, tmp_path):
     args, exit_code, digest = CASES[name]
-    model = tmp_path / "twisted-5.json"
-    model.write_text(json.dumps(TWISTED_5))
+    paths = {}
+    for key, doc in MODELS.items():
+        paths[key] = tmp_path / f"{key}.json"
+        paths[key].write_text(json.dumps(doc))
     out = tmp_path / "out.json"
-    args = [str(model) if a == "TWISTED_5" else a for a in args]
+    args = [str(paths[a]) if a in paths else a for a in args]
     assert main([*args, "--out", str(out)]) == exit_code
     body = out.read_bytes()
     if name.endswith("semidirect"):
