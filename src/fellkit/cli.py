@@ -13,6 +13,11 @@ Each ``check`` and ``phi`` subcommand is one suite function in ``CHECKS`` or
 ``run_check`` / ``run_phi`` name the entry.  The parser's choices are the
 tables' keys, so a new check is one table entry.
 
+A command parses with its own parser, ``build_parser(command)``; only
+top-level help, a missing or unknown command and stray arguments reach the
+full parser, whose usage and messages they print.  The first command in a
+process calls ``gc.freeze()`` once, so no collection walks the start-up heap.
+
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 usage or
 parse error (a model file that is not UTF-8 JSON is a parse error).  A suite
 that raises on its model reports a failed check with the error, and the
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import os
 import sys
 from dataclasses import replace
@@ -329,40 +335,56 @@ def add_common_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("text", "json"), default="json")
 
 
+COMMANDS = {"generate": "write a model JSON", "check": "run one verification suite",
+            "phi": "embedding-invariant pipeline", "report": "run every applicable suite"}
+
+
+def add_command_args(p: argparse.ArgumentParser, command: str) -> None:
+    suites = {"check": CHECKS, "phi": PHI}
+    if command in suites:
+        p.add_argument("what", choices=tuple(suites[command]))
+    add_model_args(p)
+    add_common_args(p)
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and kept for the process."""
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of ``command`` alone, else the full parser with one
+    subparser per command; each is built on first use and kept for the
+    process.  A command's parser prints what its subparser would."""
+    if command is not None:
+        parser = argparse.ArgumentParser(prog="fellkit " + command)
+        add_command_args(parser, command)
+        parser.set_defaults(command=command)
+        return parser
     parser = argparse.ArgumentParser(
         prog="fellkit",
         description="Block-matrix Fell bundles over finite pair groupoids: "
         "build models and verify the structure theory numerically.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_gen = sub.add_parser("generate", help="write a model JSON")
-    add_model_args(p_gen)
-    add_common_args(p_gen)
-
-    p_check = sub.add_parser("check", help="run one verification suite")
-    p_check.add_argument("what", choices=tuple(CHECKS))
-    add_model_args(p_check)
-    add_common_args(p_check)
-
-    p_phi = sub.add_parser("phi", help="embedding-invariant pipeline")
-    p_phi.add_argument("what", choices=tuple(PHI))
-    add_model_args(p_phi)
-    add_common_args(p_phi)
-
-    p_rep = sub.add_parser("report", help="run every applicable suite")
-    add_model_args(p_rep)
-    add_common_args(p_rep)
-
+    for name, summary in COMMANDS.items():
+        add_command_args(sub.add_parser(name, help=summary), name)
     return parser
 
 
+@functools.cache
+def freeze_start_up_heap() -> None:
+    """Keep what is alive at the first command (interpreter, numpy, argparse,
+    fellkit) out of every later collection; it lives until exit anyway."""
+    gc.freeze()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    freeze_start_up_heap()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args, stray = None, ()
+    if argv and argv[0] in COMMANDS:
+        args, stray = build_parser(argv[0]).parse_known_args(argv[1:])
+    if args is None or stray:
+        # top-level help, a missing or unknown command, stray arguments:
+        # the full parser prints its usage and exits
+        args = build_parser().parse_args(argv)
     try:
         eps = resolve_eps(args)
         model, generator = load_model(args, eps)

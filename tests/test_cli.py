@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 import warnings
 from pathlib import Path
 
@@ -23,6 +24,8 @@ from fellkit.fellbundle import CStarBundle, build_semidirect_bundle, check_fell_
 from fellkit.groupoid import cycle_bisection
 from fellkit.presets import flow_frame, random_symmetric_frame
 from fellkit.serialize import model_from_json, model_to_json, loads
+
+from test_parse_bytes import CASES as PARSE_CASES
 
 
 def run(tmp_path, *argv, name="out.json"):
@@ -162,15 +165,20 @@ def test_report_pair_entry_does_not_depend_on_the_seed(tmp_path, model):
     assert [len(e) for e in entries.values()] == [1, 1]
 
 
+def fresh_run(*args: str, **env: str) -> subprocess.CompletedProcess:
+    """``python ARGS`` in a fresh interpreter that imports this fellkit;
+    it must exit 0."""
+    src = str(Path(fellkit.__file__).resolve().parents[1])
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          check=True)
+
+
 def fresh_python(script: str) -> list[str]:
     """The words ``script`` prints in a fresh interpreter that imports this
     fellkit."""
-    src = str(Path(fellkit.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    done = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, check=True)
-    return done.stdout.split()
+    return fresh_run("-c", script).stdout.decode().split()
 
 
 def test_report_on_a_model_file_without_generator_draws_nothing(tmp_path):
@@ -217,6 +225,65 @@ def test_parser_is_built_once_and_not_at_import(tmp_path):
     for _ in range(2):
         assert run(tmp_path, "check", "axioms", "--preset", "fourpoint")[0] == 0
     assert fellkit.cli.build_parser.cache_info().misses == 1
+
+
+def test_first_command_builds_its_own_parser_and_freezes_once(tmp_path):
+    """Importing the CLI builds and freezes nothing.  The first command
+    freezes the start-up heap and builds its own parser only; a second
+    command freezes nothing more, and top-level help builds the full
+    parser."""
+    out = str(tmp_path / "out.json")
+    script = textwrap.dedent(f"""\
+        import contextlib, gc, io
+        import fellkit.cli as cli
+        cache = cli.build_parser.cache_info
+        print(gc.get_freeze_count(), cache().currsize)
+        argv = ["report", "--preset", "fourpoint", "--out", {out!r}]
+        print(cli.main(argv))
+        frozen = gc.get_freeze_count()
+        cli.build_parser("report")
+        print(frozen > 0, cache().currsize, cache().misses)
+        print(cli.main(argv), gc.get_freeze_count() == frozen)
+        with contextlib.redirect_stdout(io.StringIO()), \\
+                contextlib.suppress(SystemExit):
+            cli.main(["--help"])
+        cli.build_parser()
+        print(cache().currsize, cache().misses)
+        """)
+    assert fresh_python(script) == ["0", "0", "0", "True", "1", "1", "0", "True",
+                                    "2", "2"]
+
+
+def test_console_path_reads_sys_argv(tmp_path):
+    """``python -m fellkit.cli``, where ``main`` reads ``sys.argv``, as the
+    benchmark builds its inputs: the model it generates and the report on
+    that model are the bytes of the in-process commands, and its top-level
+    help is the pinned one."""
+    dims = ["--preset", "imprimitivity", "--dims", "3,1,4,2"]
+    console = ("-m", "fellkit.cli")
+    fresh_run(*console, "generate", *dims, "--out", str(tmp_path / "model.json"))
+    fresh_run(*console, "report", "--input", str(tmp_path / "model.json"),
+              "--out", str(tmp_path / "report.json"))
+    code, model = run(tmp_path, "generate", *dims, name="model-in-process.json")
+    assert code == 0
+    assert model.read_bytes() == (tmp_path / "model.json").read_bytes()
+    code, report = run(tmp_path, "report", "--input", str(model),
+                       name="report-in-process.json")
+    assert code == 0
+    assert report.read_bytes() == (tmp_path / "report.json").read_bytes()
+    help_text = fresh_run(*console, "--help", COLUMNS="80").stdout
+    assert hashlib.sha256(help_text).hexdigest() == PARSE_CASES["--help"][2]
+
+
+@pytest.mark.parametrize("dims", [",".join(map(str, p))
+                                  for p in itertools.permutations((1, 2, 3, 4))])
+def test_every_ragged_order_generates_and_reports(tmp_path, dims):
+    """The ragged-blocks workload's seed can draw any order of the block
+    dims 1..4; each generates and reports with exit 0."""
+    code, model = run(tmp_path, "generate", "--preset", "imprimitivity", "--dims",
+                      dims, name="model.json")
+    assert code == 0
+    assert run(tmp_path, "report", "--input", str(model))[0] == 0
 
 
 def test_report_builds_one_covariance_group(tmp_path, monkeypatch):
