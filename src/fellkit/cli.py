@@ -38,7 +38,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .cocycle import Cocycle2, cocycle_identity_residual, twist_is_admissible
+from .cocycle import cocycle_identity_residual, twist_is_admissible
 from .dynamics import (
     a_dynamical_generation_check,
     check_unitary_normalizer_theorem,
@@ -66,8 +66,8 @@ from .presets import flow_frame, random_symmetric_frame
 from .serialize import (
     ParseError,
     cocycle_sha256,
-    cocycle_to_json,
     dumps_canonical,
+    jsonable,
     loads,
     model_from_json,
     model_to_json,
@@ -271,24 +271,21 @@ def render_text(doc: dict) -> str:
     def walk(d, indent=0):
         pad = "  " * indent
         if isinstance(d, dict):
-            for k in sorted(d):
-                v = cocycle_to_json(d[k]) if isinstance(d[k], Cocycle2) else d[k]
+            for k, v in sorted(d.items()):
                 if isinstance(v, (dict, list)):
                     lines.append(f"{pad}{k}:")
                     walk(v, indent + 1)
                 else:
                     lines.append(f"{pad}{k}: {v}")
-        elif isinstance(d, list):
+        else:
             for v in d:
                 if isinstance(v, (dict, list)):
                     walk(v, indent)
                     lines.append("")
                 else:
                     lines.append(f"{pad}- {v}")
-        else:
-            lines.append(f"{pad}{d}")
 
-    walk(doc)
+    walk(jsonable(doc))
     return "\n".join(lines).rstrip() + "\n"
 
 

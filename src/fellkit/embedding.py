@@ -23,6 +23,7 @@ from .fellbundle import (
     CStarBundle,
     ConditionalExpectation,
     FellBundleModel,
+    _zero_fibre_mask,
     build_semidirect_bundle,
     check_fell_axioms,
     diagonal_algebra,
@@ -30,8 +31,8 @@ from .fellbundle import (
     restriction_expectation,
 )
 from .groupoid import Arrow, is_minimal_flow, orbit_pairs
-from .linalg import DEFAULT_EPS, operator_norm, operator_norms, ranks
-from .subalgebra import PairCandidate, PairClassification, classify_pair
+from .linalg import DEFAULT_EPS, operator_norm, operator_norms, ranks, singular_values
+from .subalgebra import PairCandidate, PairClassification, SpanValues, classify_pair
 
 
 class IncompleteSupportError(ValueError):
@@ -154,9 +155,11 @@ def cartan_from_fell_bundle(
 ) -> tuple[PairCandidate, PairClassification, AxiomReport]:
     """The pair (A, B, P) of a bundle with its classification evidence.
 
-    The normalizer sample is the bundle's fibre bases over the off-diagonal
-    arrows, embedded in B.  Raises if the bundle fails the axiom suite, which
-    runs unless its report is passed as ``axioms``.
+    The normalizer family, the fibre bases over the off-diagonal arrows with
+    nonzero fibres, is passed as its span's singular values, with no sample or
+    grouped SVD: at (x, y), n_x·n_y values 1.0 (units E_rc), or u_(x,y)'s each
+    d times (E_rc·u_(x,y) in coefficient form).  Raises if the bundle fails
+    the axiom suite, which runs unless its report is passed as ``axioms``.
     """
     if axioms is None:
         axioms = check_fell_axioms(E, eps=eps)
@@ -164,16 +167,11 @@ def cartan_from_fell_bundle(
         raise ValueError(f"bundle fails axioms {axioms.failed_axioms()}")
     A = diagonal_algebra(E)
     pair = PairCandidate(A=A, B=enveloping_algebra(E), P=restriction_expectation(E))
-    # the fibre bases over the off-diagonal arrows: the units E_rc, times u_(x,y)
-    # in coefficient form, at the block pairs (x, y) of nonzero fibres
-    off = ~np.eye(A.n_blocks, dtype=bool)
-    for g in E.zero_fibres:
-        off[g] = False
-    units = A.unit_blocks()
-    keep = off[units.i, units.j]
-    x, y, small = units.i[keep], units.j[keep], units.small[keep]
-    small = small @ E.frame[x, y] if E.coefficient_form else small
-    return pair, classify_pair(pair, BlockSample(x, y, small), eps), axioms
+    x, y = np.nonzero(~np.eye(A.n_blocks, dtype=bool) & ~_zero_fibre_mask(E))
+    dims = np.array(A.block_dims)
+    sv = (np.repeat(singular_values(E.frame[x, y]), dims[0]) if E.coefficient_form
+          else np.ones(int((dims[x] * dims[y]).sum())))
+    return pair, classify_pair(pair, SpanValues(sv), eps), axioms
 
 
 def bridge_round_trip(

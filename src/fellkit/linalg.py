@@ -112,13 +112,22 @@ def _numerical_rank(sv: np.ndarray, eps: float) -> np.ndarray:
     return np.count_nonzero((sv > eps * top) & (top > 0), axis=-1)
 
 
-def ranks(stack, eps: float = DEFAULT_EPS) -> np.ndarray:
-    """The rank of each matrix of a (k, rows, cols) stack, from one stacked
-    SVD, or the norm kernel's σ if 1×1: both equal LAPACK's, matrix by matrix."""
+def singular_values(stack) -> np.ndarray:
+    """Each stacked matrix's singular values, descending: LAPACK's, or if 1×1 the norm kernel's."""
     a = as_stack(stack)
     if a.shape[1:] == (1, 1):
-        return _numerical_rank(_largest_singular_values(a)[:, None], eps)
-    return _numerical_rank(np.linalg.svd(a, compute_uv=False), eps)
+        return _largest_singular_values(a)[:, None]
+    return np.linalg.svd(a, compute_uv=False)
+
+
+def ranks(stack, eps: float = DEFAULT_EPS) -> np.ndarray:
+    """The rank of each matrix of a (k, rows, cols) stack: its ``singular_values``."""
+    return _numerical_rank(singular_values(stack), eps)
+
+
+def values_rank(sv, eps: float = DEFAULT_EPS) -> int:
+    """The rank rule on a family's singular values pooled in any order and shape."""
+    return int(_numerical_rank(np.sort(np.ravel(sv))[::-1], eps))
 
 
 def span_dimension(mats: Sequence[np.ndarray], eps: float = DEFAULT_EPS,
@@ -136,8 +145,7 @@ def span_dimension(mats: Sequence[np.ndarray], eps: float = DEFAULT_EPS,
     row[order] = np.arange(len(flat)) - (np.cumsum(count) - count)[label[order]]
     stack = np.zeros((len(count), count.max(), flat.shape[1]), dtype=complex)
     stack[label, row] = flat  # member t is row row[t] of its group's matrix
-    sv = np.sort(np.linalg.svd(stack, compute_uv=False).ravel())[::-1]
-    return int(_numerical_rank(sv, eps))
+    return values_rank(np.linalg.svd(stack, compute_uv=False), eps)
 
 
 def is_in_span(m, mats: Sequence[np.ndarray], eps: float = DEFAULT_EPS) -> bool:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .algebra import BlockSample, FiniteCStarAlgebra
 from .fellbundle import ConditionalExpectation
-from .linalg import DEFAULT_EPS, is_unitary, operator_norms, span_dimension
+from .linalg import DEFAULT_EPS, is_unitary, operator_norms, span_dimension, values_rank
 
 
 def _columns_meet_one_block(t: np.ndarray, eps: float) -> np.ndarray:
@@ -90,9 +90,15 @@ class PairClassification:
         return {"verdict": self.verdict, **self.evidence}
 
 
+@dataclass(frozen=True)
+class SpanValues:
+    """A free family at off-diagonal block pairs, by its span's singular values."""
+    values: np.ndarray
+
+
 def classify_pair(
     pair: PairCandidate,
-    normalizer_sample: BlockSample | list[np.ndarray],
+    normalizer_sample: BlockSample | list[np.ndarray] | SpanValues,
     eps: float = DEFAULT_EPS,
 ) -> PairClassification:
     """Diagonal / Cartan / neither, with per-check evidence.
@@ -102,30 +108,36 @@ def classify_pair(
     1986; Exel 2011); cartan: all but the kernel identity; neither: anything
     earlier fails.  Equal dimensions mean equal spans, as one contains the other.
 
-    Each sample element lies in one block pair, so it normalizes A (a dense
-    family goes through ``A.block_sample``, which raises on two blocks).
-    Regular: the sample and A's units span B.  P keeps a diagonal block and
-    kills the rest, and an off-diagonal block squares to 0, so an element is
-    free in ker P iff off-diagonal or its block and its square are ≤ eps.
-    Spans are ranked per block pair (``span_dimension``'s groups).
+    Regular: the sample and A's units span B.  Each sample element lies in
+    one block pair, so it normalizes A (a dense family goes through
+    ``A.block_sample``, which raises on two blocks); as P keeps diagonal
+    blocks and off-diagonal ones square to 0, it is free in ker P iff
+    off-diagonal or its block and its square are ≤ eps.  A sample is ranked
+    per block pair by ``span_dimension``'s grouped SVD; ``SpanValues`` (a
+    bundle's own family, off its structure) by the same rule, A's units as 1.0s.
     """
     A, n = pair.A, pair.A.n_blocks
-    s = (normalizer_sample if isinstance(normalizer_sample, BlockSample)
-         else A.block_sample(normalizer_sample))
     unit_in_A = A.contains(pair.B.unit(), eps)
-    units = A.unit_blocks()
-    on_A = units.i == units.j  # A's matrix units
-    family = np.concatenate([s.small, units.small[on_A]])
-    labels = np.concatenate([s.i * n + s.j, (units.i * n + units.j)[on_A]])
-    regular = span_dimension(family, eps, labels) == pair.B.dim()
+    if isinstance(normalizer_sample, SpanValues):
+        sv = normalizer_sample.values
+        regular_dim = values_rank(np.concatenate([sv, np.ones(A.dim())]), eps)
+        free_dim = values_rank(sv, eps)
+    else:
+        s = (normalizer_sample if isinstance(normalizer_sample, BlockSample)
+             else A.block_sample(normalizer_sample))
+        units = A.unit_blocks()
+        on_A = units.i == units.j  # A's matrix units
+        family = np.concatenate([s.small, units.small[on_A]])
+        labels = np.concatenate([s.i * n + s.j, (units.i * n + units.j)[on_A]])
+        regular_dim = span_dimension(family, eps, labels)
+        free = s.i != s.j
+        diag = s.small[~free]
+        free[~free] = (operator_norms(diag) <= eps) & (operator_norms(diag @ diag) <= eps)
+        free_dim = span_dimension(s.small[free], eps, (s.i * n + s.j)[free])
+    regular = regular_dim == pair.B.dim()
     p_report = pair.P.verify(eps=eps)
     p_ok = all(v[0] for k, v in p_report.items() if isinstance(v, tuple))
-
     kernel_dim = pair.B.dim() - A.dim()
-    free = s.i != s.j
-    diag = s.small[~free]
-    free[~free] = (operator_norms(diag) <= eps) & (operator_norms(diag @ diag) <= eps)
-    free_dim = span_dimension(s.small[free], eps, (s.i * n + s.j)[free])
 
     evidence = {
         "unit_in_A": unit_in_A,

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import fellkit
+import fellkit.algebra
 import fellkit.cli
 import fellkit.dynamics
 import fellkit.embedding
@@ -360,6 +361,28 @@ def test_report_builds_phi_and_its_read_off_once(tmp_path, monkeypatch, model):
                       "read_off_pair": 2, "cocycle_to_json": 0}
 
 
+def test_pair_stage_ranks_without_a_sample(tmp_path, monkeypatch):
+    """The bundle's own pair is ranked from block structure and frame: a
+    report on imprimitivity 1..4 forms no unit sample and calls no SVD, and
+    the pair check on flow 4×2 calls no grouped span_dimension."""
+    counts = counted_calls(monkeypatch, "span_dimension")
+    for owner, name in ((fellkit.algebra.FiniteCStarAlgebra, "unit_blocks"),
+                        (np.linalg, "svd")):
+        def counted(*args, name=name, fn=getattr(owner, name), **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    code, out = run(tmp_path, "report", "--preset", "imprimitivity", "--dims", "1,2,3,4")
+    assert code == 0
+    assert [(c["check"], c["pass"]) for c in json.loads(out.read_text())["checks"]] == [
+        ("axioms", True), ("pair", True)]
+    assert counts == {"span_dimension": 0}
+    code, out = run(tmp_path, "check", "pair", "--preset", "flow", "--points", "4",
+                    "--dim", "2")
+    assert code == 0 and json.loads(out.read_text())["details"]["verdict"] == "diagonal"
+    assert counts["span_dimension"] == 0 and counts["svd"] > 0
+
+
 def test_a_failed_read_off_fails_each_stage_that_shares_it(tmp_path):
     """A read-off that raises is not kept: on the semidirect control the
     cocycle entry and the round trip's read-off stage each carry its error."""
@@ -599,6 +622,26 @@ def test_text_format(tmp_path):
     text = out.read_text()
     assert "verdict: diagonal" in text
     assert "kernel_dim: 12" in text
+
+
+def test_text_format_keeps_every_digit_of_phi(tmp_path):
+    """At N = 32 the text form of Φ has no elided entries, and its numbers
+    are the JSON form's: each matrix entry is walked as the [re, im] pair
+    that the JSON form writes."""
+    args = ("phi", "build", "--preset", "flow", "--points", "8", "--dim", "4")
+    code, out = run(tmp_path, *args, "--format", "text", name="phi.txt")
+    assert code == 0
+    text = out.read_text()
+    assert "..." not in text
+    code, out = run(tmp_path, *args)
+    assert code == 0
+    doc = json.loads(out.read_text())
+    lines = text.splitlines()
+    start = lines.index("phi:") + 1
+    numbers = [float(line.strip()[2:]) for line in lines[start:]
+               if line.startswith("  - ")]
+    assert numbers == list(np.ravel(doc["phi"]))
+    assert len(numbers) == 2 * 32 * 32
 
 
 def test_diag_masa_pair_check(tmp_path):

@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import fellkit.embedding
 from fellkit.cli import pipeline, run_phi
-from fellkit.algebra import make_algebra
+from fellkit.algebra import BlockSample, make_algebra
 from fellkit.dynamics import (
     covariance_group,
     covariance_group_from_frame,
@@ -29,8 +31,8 @@ from fellkit.fellbundle import (
 )
 from fellkit.groupoid import cycle_bisection, identity_bisection
 from fellkit.linalg import operator_norm, random_matrix
-from fellkit.presets import flow_frame
-from fellkit.subalgebra import is_normalizer
+from fellkit.presets import flow_frame, random_symmetric_frame
+from fellkit.subalgebra import classify_pair, is_normalizer
 
 from helpers import block_of, dense_rank, distance_from_trivial, traced_peak_bytes
 
@@ -219,21 +221,86 @@ def cartan_sample_models():
     }
 
 
+def bundle_sample(E):
+    """Oracle: the bundle's own normalizer sample, which the pair stage
+    once formed and ranked: the off-diagonal units E_rc of A.unit_blocks()
+    at the nonzero fibres, times u_(x,y) in coefficient form."""
+    A = diagonal_algebra(E)
+    off = ~np.eye(A.n_blocks, dtype=bool)
+    for g in E.zero_fibres:
+        off[g] = False
+    units = A.unit_blocks()
+    keep = off[units.i, units.j]
+    x, y, small = units.i[keep], units.j[keep], units.small[keep]
+    return BlockSample(x, y, small @ E.frame[x, y] if E.coefficient_form else small)
+
+
 @pytest.mark.parametrize("name", list(cartan_sample_models()))
-def test_cartan_sample_matches_per_element_embed(name, monkeypatch):
+def test_cartan_sample_matches_per_element_embed(name):
+    """The oracle sample is the fibre bases, embedded one element at a time."""
     E = cartan_sample_models()[name]
-    seen = []
-    monkeypatch.setattr(fellkit.embedding, "classify_pair",
-                        lambda pair, sample, eps: seen.append(sample))
-    # the axiom suite is not under test: the sample is built either way
-    cartan_from_fell_bundle(E, axioms=AxiomReport([True], [0.0]))
     oracle = [E.embed(g, e) for g in E.groupoid.arrows() if g[0] != g[1]
               for e in E.fibre_basis(g)]
-    (sample,) = seen
     N = sum(E.fibre_dims)
-    got = dense(diagonal_algebra(E), sample)
+    got = dense(diagonal_algebra(E), bundle_sample(E))
     assert got.shape == (len(oracle), N, N)
     assert np.array_equal(bits(got), bits(np.array(oracle, complex).reshape(-1, N, N)))
+
+
+def with_frame_entry(n, d, g, entry):
+    """The identity frame on n points with u_g = entry and u_g* = entry*."""
+    frame = identity_frame(n, d)
+    frame[g], frame[g[::-1]] = entry, np.conj(entry).T
+    return FellBundleModel((d,) * n, frame=frame)
+
+
+def structural_rank_models(eps):
+    rng = rng_for(1)
+    flows = {f"flow-{n}x{d}": build_semidirect_bundle(
+        CStarBundle((d,) * n), frame=flow_frame(n, d, rng)[0])
+        for n, d in ((4, 2), (8, 1), (3, 3))}
+    orders = {f"imprimitivity-{','.join(map(str, dims))}": build_imprimitivity_bundle(dims)
+              for dims in itertools.permutations((1, 2, 3, 4))}
+    return {
+        **cartan_sample_models(), **flows, **orders,
+        "fourpoint": build_semidirect_bundle(CStarBundle((1,) * 4)),
+        "diag-masa-6": build_semidirect_bundle(CStarBundle((1,) * 6)),
+        "semidirect-4x2": build_semidirect_bundle(
+            CStarBundle((2,) * 4), frame=random_symmetric_frame(4, 2, rng)),
+        "one-point": build_imprimitivity_bundle((3,)),
+        "one-point-frame": FellBundleModel((2,), frame=identity_frame(1, 2)),
+        "zero-fibre-frame": FellBundleModel((2, 2, 2), frame=flow_frame(3, 2, rng)[0],
+                                            zero_fibres=frozenset({(1, 2), (2, 1)})),
+        # a singular value below eps·top at every eps, and one below it at 0.9
+        "tiny-singular-value": with_frame_entry(3, 2, (0, 1), np.diag([1.0, 1e-12])),
+        "mid-singular-value": with_frame_entry(3, 2, (0, 1), np.diag([1.0, 0.7])),
+        # the global top is 1 + eps/2: at eps 0.9 every value 1.0 drops
+        "top-above-one": with_frame_entry(3, 2, (0, 1), np.diag([1 + eps / 2, 1.0])),
+        "top-above-one-scalar": with_frame_entry(4, 1, (2, 0), np.eye(1) * (1 + eps / 2)),
+    }
+
+
+@pytest.mark.parametrize("eps", [1e-9, 0.5, 0.9])
+def test_structural_pair_ranks_match_the_sample_oracle(eps):
+    """The pair stage's ranks from block structure and frame equal the
+    grouped span_dimension on the sample it once formed: regularity, the
+    free span and the verdict, on every model and at every eps."""
+    free = {}
+    for name, E in structural_rank_models(eps).items():
+        # the axiom suite is not under test: some models fail it on purpose
+        pair, got, _ = cartan_from_fell_bundle(E, eps, axioms=AxiomReport([True], [0.0]))
+        want = classify_pair(pair, bundle_sample(E), eps)
+        assert got.as_dict() == want.as_dict(), name
+        free[name] = got.evidence["free_normalizer_span_dim"], got.verdict
+    # u_(0,1) and u_(1,0) each lose one value, twice over (d = 2)
+    assert free["tiny-singular-value"] == (20, "neither")
+    assert free["mid-singular-value"] == ((20, "neither") if eps == 0.9
+                                          else (24, "diagonal"))
+    # only the two values 1 + eps/2 survive at eps 0.9, each d times
+    assert free["top-above-one"] == ((4, "neither") if eps == 0.9 else (24, "diagonal"))
+    assert free["top-above-one-scalar"] == ((2, "neither") if eps == 0.9
+                                            else (12, "diagonal"))
+    assert free["one-point"] == (0, "diagonal")
 
 
 def test_cartan_from_fell_bundle():
