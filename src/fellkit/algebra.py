@@ -109,8 +109,8 @@ class FiniteCStarAlgebra:
     def embed_blocks(self, i, j, small) -> np.ndarray:
         """The (k, N, N) stack that holds small[t], padded as ``blocks`` pads,
         at block (i[t], j[t]) of matrix t, from one indexed assignment.  With
-        (k, p) indices and a (k, p, m, m) ``small``, matrix t holds its p
-        blocks small[t, q] at the distinct positions (i[t, q], j[t, q])."""
+        (k, …) indices and a (k, …, m, m) ``small``, matrix t holds its blocks
+        small[t, q…] at the distinct positions (i[t, q…], j[t, q…])."""
         d, idx, k = self.ambient_dim, self._block_index, len(small)
         out = np.zeros((k, d + 1, d + 1), dtype=complex)
         t = np.arange(k).reshape((k,) + (1,) * (np.ndim(i) + 1))

@@ -45,7 +45,6 @@ from .dynamics import (
     covariance_group_from_frame,
 )
 from .embedding import (
-    EmbeddingInvariant,
     IncompleteSupportError,
     Pipeline,
     bridge_round_trip,
@@ -124,10 +123,6 @@ def _need_generator(generator: Bisection | None) -> Bisection:
     return generator
 
 
-def _support_json(phi: EmbeddingInvariant, eps: float) -> list[list[int]]:
-    return sorted([i + 1, j + 1] for (i, j) in phi.block_support(eps))
-
-
 def isolated(prefix: str):
     """Turn a contract a suite raises (ValueError, RuntimeError) into its
     failed check, so that one failing suite does not take down a report."""
@@ -195,15 +190,12 @@ def _generation(built: Pipeline) -> dict:
 
 def _phi_build(built: Pipeline) -> dict:
     Gs, phi, eps = built.group(), built.phi(), built.eps
-    dims = Gs.fibre_dims
-    sigma = EmbeddingInvariant(Gs.unitaries[0], dims)
-    sigma2 = EmbeddingInvariant(Gs.unitaries[1 % Gs.flow.order], dims)
     orientable = is_orientable(phi, eps)
-    return {"pass": orientable, "residual": 0.0, "phi": phi.phi, "block_dims": list(dims),
-            "block_support": _support_json(phi, eps),
-            "generator_support": _support_json(sigma, eps),
-            "generator_squared_support": _support_json(sigma2, eps),
-            "orientable": orientable}
+    supports = {"block_support": phi.block_support(eps), "generator_support": Gs.support(0, eps),
+                "generator_squared_support": Gs.support(1 % Gs.flow.order, eps)}
+    return {"pass": orientable, "residual": 0.0, "phi": phi.matrix(), "orientable": orientable,
+            "block_dims": list(phi.block_dims),
+            **{key: sorted([i + 1, j + 1] for i, j in s) for key, s in supports.items()}}
 
 
 def _phi_readoff(built: Pipeline) -> dict:

@@ -4,9 +4,9 @@ A spatial automorphism pairs a base permutation f0 with one unitary per point
 and assembles to a block-permutation unitary U whose nonzero blocks sit
 exactly on the graph of f0 (the covariance condition).  Iterating one such
 automorphism over a cyclic base flow gives a covariance group, the discrete
-stand-in for a 1-parameter group.  Theorem 3.13 and whether A and the
-covariance group generate B (Arveson's A-dynamical systems) are read off the
-norms of the frame and of σ's fibre maps, never off σ's N×N unitary.
+stand-in for a 1-parameter group; its powers' fibre maps, in block form, are
+Φ's blocks.  Theorem 3.13 and whether A and σ generate B (Arveson's
+A-dynamical systems) are read off norms of the frame and of σ's fibre maps.
 """
 
 from __future__ import annotations
@@ -109,13 +109,18 @@ class CovarianceGroup:
     def powers(self) -> np.ndarray:  # (order, n): row k is the perm of g^(k+1)
         return np.array([h.perm for h in self.flow.elements])
 
-    @cached_property
-    def unitaries(self) -> np.ndarray:
-        """The read-only (order, N, N) stack of the U of σ, σ², …, σ^order."""
-        A = FiniteCStarAlgebra(self.fibre_dims)
-        out = A.embed_blocks(self.powers, np.arange(self.n_points)[None], self.maps)
-        out.flags.writeable = False
+    @property
+    def blocks(self) -> np.ndarray:
+        """The (n, n, m, m) array with maps[k][x] at block (g^(k+1)(x), x): on
+        a minimal flow each block is one power's map, so Σ_k σ^(k+1)'s blocks."""
+        out = np.zeros((self.n_points,) * 2 + self.maps.shape[-2:], dtype=complex)
+        out[self.powers, range(self.n_points)] = self.maps
         return out
+
+    def support(self, k: int, eps: float = DEFAULT_EPS) -> set[tuple[int, int]]:
+        """σ^(k+1)'s block support: its graph less the maps of norm ≤ eps."""
+        live, h = operator_norms(self.maps[k]) > eps, self.flow.elements[k]
+        return {(int(h(x)), x) for x in range(self.n_points) if live[x]}
 
 
 def covariance_group(sigma: SpatialAutomorphism) -> CovarianceGroup:
@@ -206,9 +211,9 @@ def a_dynamical_generation_check(
     algebras and e_ab·w·e_cd = w_bc·e_ad, so M_{n_i}·w·M_{n_j} is the whole
     (i, j) block for any nonzero w.  Products thus compose block supports,
     and B is generated iff ⋃_{k≥0} S^k, with S the block support of σ and S⁰
-    the identity, covers X×X.  S is the graph of f0 less the (f0(x), x) with
-    ‖w_x‖ ≤ eps.  A non-minimal f0 misses an orbit pair; one n-cycle with
-    every arrow live reaches all of X×X.  At n > 1 a dead arrow at x leaves
+    the identity, covers X×X.  S is ``Gs.support(0)``: the graph of f0 less
+    the (f0(x), x) with ‖w_x‖ ≤ eps.  A non-minimal f0 misses an orbit pair;
+    one live n-cycle reaches all of X×X.  At n > 1 a dead arrow at x leaves
     (f0(x), x) unreached, as every path out of x starts on it; at n = 1, S⁰
     alone covers X×X.
     """
@@ -217,7 +222,7 @@ def a_dynamical_generation_check(
     if A.block_dims != Gs.fibre_dims:
         raise ValueError(f"A's blocks {A.block_dims} are not σ's fibres {Gs.fibre_dims}")
     return is_minimal_flow(Gs.flow.generator) and (
-        Gs.n_points == 1 or bool((operator_norms(Gs.sigma.fibre_maps) > eps).all()))
+        Gs.n_points == 1 or len(Gs.support(0, eps)) == Gs.n_points)
 
 
 def slice_from_bisection(U: SpatialAutomorphism) -> Slice:

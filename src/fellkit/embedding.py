@@ -1,17 +1,17 @@
 """The embedding invariant Φ and the round trips built on it.
 
-Φ is a single element of the ambient algebra whose blocks are partial
-isometries, one per pair of block indices.  It is generated from a covariance
-group as the sum of partial products of the single generator; from an
-orientable Φ one reads off the diagonal algebra, the ambient algebra, the
-canonical expectation, a normalizer sample (Φ's blocks) and the twist.
+Φ = Σ_m σ^m, summed over the powers of a covariance group's generator σ, is
+held as its blocks: on a minimal flow block (x, y) is the fibre map of the
+one power σ^m with f^m(y) = x, a partial isometry.  From an orientable Φ one
+reads off the diagonal algebra, the ambient algebra, the canonical
+expectation, a normalizer sample (Φ's blocks) and the twist.
 """
 
 from __future__ import annotations
 
 import functools
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,9 +47,9 @@ class IncompleteSupportError(ValueError):
 
 @dataclass(frozen=True)
 class EmbeddingInvariant:
-    """Φ together with the block structure it is read against."""
+    """Φ as its blocks p_i Φ p_j, zero-padded as ``FiniteCStarAlgebra.blocks`` pads."""
 
-    phi: np.ndarray
+    blocks: np.ndarray  # (n, n, m, m)
     block_dims: tuple[int, ...]
 
     @property
@@ -57,8 +57,14 @@ class EmbeddingInvariant:
         return FiniteCStarAlgebra(self.block_dims)
 
     def block_support(self, eps: float = DEFAULT_EPS) -> set[tuple[int, int]]:
-        support = self.algebra.block_norms(self.phi) > eps
-        return {(int(i), int(j)) for i, j in np.argwhere(support)}
+        m = self.blocks.shape[-1]
+        live = operator_norms(self.blocks.reshape(-1, m, m)) > eps
+        return {divmod(int(t), len(self.block_dims)) for t in np.flatnonzero(live)}
+
+    def matrix(self) -> np.ndarray:
+        """The N × N Φ, assembled from its blocks by one embed_blocks call."""
+        i, j = np.indices(self.blocks.shape[:2])[:, None]
+        return self.algebra.embed_blocks(i, j, self.blocks[None])[0]
 
 
 def phi_from_covariance_group(
@@ -77,17 +83,17 @@ def phi_from_covariance_group(
     dims = Gs.fibre_dims
     if len(set(dims)) != 1:
         raise ValueError("Φ from a covariance group needs constant fibre dims")
-    return EmbeddingInvariant(phi=Gs.unitaries.sum(axis=0), block_dims=dims)
+    # σ's powers can hold −0.0 (w² = −I for a rotation w); + 0.0 makes it
+    # +0.0, as summing σ's N×N powers did, so printed bytes keep their signs
+    return EmbeddingInvariant(blocks=Gs.blocks + 0.0, block_dims=dims)
 
 
 def is_orientable(phi: EmbeddingInvariant, eps: float = DEFAULT_EPS) -> bool:
     """Every block has full rank min(nᵢ, nⱼ) — no vanishing section."""
-    A = phi.algebra
-    if not np.all(A.block_norms(phi.phi) > eps):
-        return False
-    m = max(A.block_dims)
-    full = np.minimum.outer(A.block_dims, A.block_dims).ravel()
-    return bool(np.all(ranks(A.blocks(phi.phi).reshape(-1, m, m), eps) == full))
+    dims, m = phi.block_dims, phi.blocks.shape[-1]
+    full = np.minimum.outer(dims, dims).ravel()
+    return (len(phi.block_support(eps)) == len(full)
+            and bool(np.all(ranks(phi.blocks.reshape(-1, m, m), eps) == full)))
 
 
 @dataclass
@@ -114,8 +120,7 @@ def read_off_pair(phi: EmbeddingInvariant, eps: float = DEFAULT_EPS) -> ReadOff:
     A = phi.algebra
     B = FiniteCStarAlgebra((A.ambient_dim,))
     P = ConditionalExpectation(range_algebra=A)
-    n, m = A.n_blocks, max(A.block_dims)
-    blocks = A.blocks(phi.phi)
+    n, m, blocks = A.n_blocks, max(A.block_dims), phi.blocks
     sample = BlockSample(*np.divmod(np.arange(n * n), n), blocks.reshape(-1, m, m))
     assignment, omega, note = None, None, ""
     if len(set(A.block_dims)) == 1:
@@ -186,8 +191,8 @@ def bridge_round_trip(
     second pipeline, on the rebuilt bundle.  Both expectations are block
     compressions, so they are compared on the N² matrix units: the residual
     is 1.0 if the two block masks differ, else 0.0.  Both σ are block
-    permutations over one f0: ‖U − U′‖ = max ‖w_x − w′_x‖.
-    """
+    permutations over one f0: ‖U − U′‖ = max ‖w_x − w′_x‖.  ‖Φ′ − Φ‖ is one
+    SVD of the assembled difference of blocks, the round trip's one N×N SVD."""
     report: dict = {"stages": []}
 
     def stage(name, fn):
@@ -227,7 +232,7 @@ def bridge_round_trip(
                                           readoff2.A._block_mask))
     sigma_residual = float(operator_norms(recovered.sigma.fibre_maps
                                           - Gs.sigma.fibre_maps).max())
-    phi_residual = operator_norm(phi2.phi - phi.phi)
+    phi_residual = operator_norm(replace(phi, blocks=phi2.blocks - phi.blocks).matrix())
 
     report.update(
         {

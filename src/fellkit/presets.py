@@ -42,8 +42,4 @@ def flow_frame(
         for w in maps:
             closing = w @ closing
         maps.append(closing.conj().T)
-    sigma = make_spatial_automorphism(g, maps, (dim,) * n)
-    Gs = covariance_group(sigma)
-    frame = np.empty((n, n, dim, dim), dtype=complex)
-    frame[Gs.powers, range(n)] = Gs.maps
-    return frame, g
+    return covariance_group(make_spatial_automorphism(g, maps, (dim,) * n)).blocks, g

@@ -5,9 +5,16 @@ import tracemalloc
 
 import numpy as np
 
+from fellkit.algebra import FiniteCStarAlgebra
 from fellkit.cocycle import Cocycle2, make_twist
-from fellkit.dynamics import SpatialAutomorphism, make_spatial_automorphism
-from fellkit.groupoid import Bisection
+from fellkit.dynamics import (
+    CovarianceGroup,
+    SpatialAutomorphism,
+    covariance_group,
+    make_spatial_automorphism,
+)
+from fellkit.embedding import EmbeddingInvariant
+from fellkit.groupoid import Bisection, cycle_bisection
 from fellkit.linalg import (
     DEFAULT_EPS,
     _largest_singular_values,
@@ -164,6 +171,40 @@ def random_spatial_automorphism(
     dims = tuple(int(n) for n in fibre_dims)
     maps = [haar_unitary(dims[x], rng) for x in range(len(dims))]
     return make_spatial_automorphism(f0, maps, dims)
+
+
+def group_unitaries(Gs: CovarianceGroup) -> np.ndarray:
+    """The dense oracle of Φ: the (order, N, N) stack of the U of σ, σ², …,
+    σ^order from one embed_blocks call.  Its sum, cut into blocks, is Φ's
+    blocks bit for bit, the sign of zero included."""
+    A = FiniteCStarAlgebra(Gs.fibre_dims)
+    return A.embed_blocks(Gs.powers, np.arange(Gs.n_points)[None], Gs.maps)
+
+
+def dense_invariant(phi, block_dims) -> EmbeddingInvariant:
+    """Φ given as an N×N matrix, held as its blocks ``A.blocks(phi)``."""
+    dims = tuple(block_dims)
+    return EmbeddingInvariant(FiniteCStarAlgebra(dims).blocks(phi), dims)
+
+
+def _rot90_flow() -> dict:
+    """Flow 4×2 along x ↦ x + 1 with every fibre map w = [[0, −1], [1, 0]].
+    Its frame is σ's powers, frame[g^m(x), x] = w^m, and those hold −0.0:
+    w² = −I has off-diagonal entries 0·(−1) + (−1)·0 = −0.0."""
+    w = np.array([[0, -1], [1, 0]], dtype=complex)
+    Gs = covariance_group(make_spatial_automorphism(cycle_bisection(4), [w] * 4, (2,) * 4))
+    frame = np.zeros((4, 4, 2, 2), dtype=complex)
+    frame[Gs.powers, range(4)] = Gs.maps
+    return {
+        "points": 4,
+        "fibre_dims": [2] * 4,
+        "frame": {f"({x + 1},{y + 1})": frame[x, y][..., None].view(float).tolist()
+                  for x in range(4) for y in range(4)},
+        "generator": [2, 3, 4, 1],
+    }
+
+
+ROT90_4X2 = _rot90_flow()
 
 
 # a 5-point scalar twist on one pair and its mirror, admissible but not a

@@ -131,10 +131,10 @@ def test_criterion_05_four_point_reproduction():
     g = cycle_bisection(4)
     Gs = covariance_group_from_frame(g, E)
     dims = Gs.fibre_dims
-    from fellkit.embedding import EmbeddingInvariant
+    from helpers import dense_invariant, group_unitaries
 
-    sigma = EmbeddingInvariant(Gs.unitaries[0], dims)
-    sigma2 = EmbeddingInvariant(Gs.unitaries[1 % Gs.flow.order], dims)
+    sigma = dense_invariant(group_unitaries(Gs)[0], dims)
+    sigma2 = dense_invariant(group_unitaries(Gs)[1 % Gs.flow.order], dims)
     ok = sigma.block_support() == {(0, 3), (1, 0), (2, 1), (3, 2)}
     ok = ok and sigma2.block_support() == {(0, 2), (1, 3), (2, 0), (3, 1)}
 

@@ -289,10 +289,11 @@ def test_every_ragged_order_generates_and_reports(tmp_path, dims):
 
 def test_report_builds_one_covariance_group(tmp_path, monkeypatch):
     """The cocycle, generation and phi-roundtrip stages share the report's
-    group: on flow 8×1 the stack of σ's eight powers is assembled once, for
-    Φ, and the round trip assembles that of its recovered group, 2
-    embed_blocks calls from fellkit.dynamics in all.  No stage assembles
-    σ's own U: generation and the round trip read σ's fibre maps."""
+    group.  Φ is held as its blocks, so fellkit.dynamics calls embed_blocks
+    0 times, and the whole flow 8×1 report assembles one N×N matrix: the
+    round trip's Φ′ − Φ, for its one SVD.  `phi build` assembles Φ once, to
+    print it.  No stage assembles σ's own U: generation and the round trip
+    read σ's fibre maps."""
     groups, recovered, assemblies = [], [], []
     build = fellkit.cli.covariance_group_from_frame
     embed = fellkit.dynamics.FiniteCStarAlgebra.embed_blocks
@@ -306,22 +307,25 @@ def test_report_builds_one_covariance_group(tmp_path, monkeypatch):
         return recovered[-1]
 
     def counted_embed(self, *args):
-        if sys._getframe(1).f_globals["__name__"] == "fellkit.dynamics":
-            assemblies.append(None)
+        frame = sys._getframe(1)
+        assemblies.append((frame.f_globals["__name__"], frame.f_code.co_name))
         return embed(self, *args)
 
     monkeypatch.setattr(fellkit.cli, "covariance_group_from_frame", counted_build)
     monkeypatch.setattr(fellkit.embedding, "covariance_group_from_frame", kept_build)
     monkeypatch.setattr(fellkit.dynamics.FiniteCStarAlgebra, "embed_blocks",
                         counted_embed)
-    code, out = run(tmp_path, "report", "--preset", "flow", "--points", "8",
-                    "--dim", "1")
+    flow = ["--preset", "flow", "--points", "8", "--dim", "1"]
+    code, out = run(tmp_path, "report", *flow)
     assert code == 0
     assert [c["check"] for c in json.loads(out.read_text())["checks"]] == [
         "axioms", "pair", "cocycle", "theorem-3.13", "generation", "phi-roundtrip"]
     assert len(groups) == len(recovered) == 1
-    assert len(assemblies) == 2
+    assert assemblies == [("fellkit.embedding", "matrix")]
     assert all("U" not in Gs.sigma.__dict__ for Gs in groups + recovered)
+    assemblies.clear()
+    assert run(tmp_path, "phi", "build", *flow)[0] == 0
+    assert assemblies == [("fellkit.embedding", "matrix")]
 
 
 def counted_calls(monkeypatch, *names) -> dict[str, int]:

@@ -114,7 +114,7 @@ def flow_read_off(n, dim, seed):
     frame, g = flow_frame(n, dim, np.random.default_rng(seed))
     E = build_semidirect_bundle(CStarBundle((dim,) * n), frame=frame)
     phi = phi_from_covariance_group(covariance_group_from_frame(g, E))
-    blocks = phi.algebra.blocks(phi.phi)
+    blocks = phi.blocks
     per_arrow = {(i, j): np.eye(dim, dtype=complex) if i == j else blocks[i, j]
                  for i in range(n) for j in range(n)}
     return phi, per_arrow
@@ -218,7 +218,7 @@ def test_semidirect_control_error_matches_pair_loop():
     frame = random_symmetric_frame(4, 2, np.random.default_rng(0))
     E = build_semidirect_bundle(CStarBundle((2,) * 4), frame=frame)
     phi = phi_from_covariance_group(covariance_group_from_frame(cycle_bisection(4), E))
-    blocks = phi.algebra.blocks(phi.phi)
+    blocks = phi.blocks
     per_arrow = {(i, j): np.eye(2, dtype=complex) if i == j else blocks[i, j]
                  for i in range(4) for j in range(4)}
     stacked = error_text(lambda: read_off_pair(phi))

@@ -1,10 +1,14 @@
 import itertools
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fellkit.embedding
-from fellkit.cli import pipeline, run_phi
+from fellkit.cli import build_preset, pipeline, run_phi
 from fellkit.algebra import BlockSample, make_algebra
 from fellkit.dynamics import (
     covariance_group,
@@ -12,7 +16,6 @@ from fellkit.dynamics import (
     make_spatial_automorphism,
 )
 from fellkit.embedding import (
-    EmbeddingInvariant,
     IncompleteSupportError,
     bridge_round_trip,
     cartan_from_fell_bundle,
@@ -29,12 +32,22 @@ from fellkit.fellbundle import (
     diagonal_algebra,
     identity_frame,
 )
-from fellkit.groupoid import cycle_bisection, identity_bisection
-from fellkit.linalg import operator_norm, random_matrix
+from fellkit.groupoid import Bisection, cycle_bisection, identity_bisection
+from fellkit.linalg import haar_unitaries, operator_norm, random_matrix
 from fellkit.presets import flow_frame, random_symmetric_frame
 from fellkit.subalgebra import classify_pair, is_normalizer
 
-from helpers import block_of, dense_rank, distance_from_trivial, traced_peak_bytes
+from fellkit.serialize import model_from_json
+
+from helpers import (
+    ROT90_4X2,
+    block_of,
+    dense_invariant,
+    dense_rank,
+    distance_from_trivial,
+    group_unitaries,
+    traced_peak_bytes,
+)
 
 
 def rng_for(seed):
@@ -50,7 +63,7 @@ def test_phi_with_varying_dims_partial_isometries():
     A = make_algebra([2, 1])
     v = np.zeros((2, 1), dtype=complex)
     v[0, 0] = 1.0
-    phi = EmbeddingInvariant(
+    phi = dense_invariant(
         A.embed_block(0, 0, np.eye(2)) + A.embed_block(1, 1, np.eye(1))
         + A.embed_block(0, 1, v) + A.embed_block(1, 0, v.conj().T),
         A.block_dims,
@@ -70,13 +83,88 @@ def test_partition_form_matches_expanded_double_loop():
     phi = phi_from_covariance_group(Gs)
     # expand Σ_m Π_i U_{g_i} literally as repeated matrix products
     sigma_U = Gs.sigma.U
-    total = np.zeros_like(phi.phi)
+    total = np.zeros_like(phi.matrix())
     for m in range(1, Gs.flow.order + 1):
         product = np.eye(sigma_U.shape[0], dtype=complex)
         for _ in range(m):
             product = product @ sigma_U
         total += product
-    assert operator_norm(total - phi.phi) < 1e-12
+    assert operator_norm(total - phi.matrix()) < 1e-12
+
+
+def assert_phi_matches_the_dense_oracle(Gs):
+    """Φ's blocks and assembled matrix equal the dense oracle, the sum of
+    σ's (order, N, N) stack of powers, bit for bit (−0.0 ≠ 0.0), and each
+    generator support equals the oracle's block-norm table at eps."""
+    A = make_algebra(Gs.fibre_dims)
+    stack = group_unitaries(Gs)
+    phi = phi_from_covariance_group(Gs)
+    assert np.array_equal(bits(phi.blocks), bits(A.blocks(stack.sum(axis=0))))
+    assert np.array_equal(bits(phi.matrix()), bits(stack.sum(axis=0)))
+    for eps, k in itertools.product((1e-9, 0.5), (0, 1 % Gs.flow.order)):
+        table = A.block_norms(stack[k]) > eps
+        assert Gs.support(k, eps) == {(int(i), int(j)) for i, j in np.argwhere(table)}
+
+
+def preset_group(name, **sizes):
+    args = SimpleNamespace(**{"n": 4, "dims": "2,1,3", "points": 4, "dim": 2, "seed": 0,
+                              **sizes})
+    E, g = build_preset(name, args, 1e-9)
+    return covariance_group_from_frame(g, E)
+
+
+def rotation_group(n, w):
+    """σ along x ↦ x + 1 with every fibre map w: not a frame's group unless
+    wⁿ = I, but Φ is built all the same."""
+    w = np.asarray(w, dtype=complex)
+    return covariance_group(make_spatial_automorphism(cycle_bisection(n), [w] * n,
+                                                      (len(w),) * n))
+
+
+ROT90 = [[0, -1], [1, 0]]
+SIGNED_ZEROS = [[1, complex(-0.0, -0.0)], [complex(-0.0, -0.0), 1]]
+
+
+def phi_oracle_models():
+    yield "fourpoint", preset_group("fourpoint")
+    yield "diag-masa 6", preset_group("diag-masa", n=6)
+    for n, d in [(1, 1), (4, 2), (8, 1), (5, 3), (96, 1)]:
+        yield f"flow {n}x{d}", preset_group("flow", points=n, dim=d)
+    for n, d in [(4, 2), (3, 3), (6, 1)]:
+        yield f"semidirect {n}x{d}", preset_group("semidirect", points=n, dim=d)
+    E, g = model_from_json(ROT90_4X2)
+    yield "ROT90_4X2", covariance_group_from_frame(g, E)
+    for n in (3, 5):
+        yield f"rot90 n={n}", rotation_group(n, ROT90)
+    for n in (1, 2, 3, 5):
+        yield f"signed zeros n={n}", rotation_group(n, SIGNED_ZEROS)
+    # maps of norm 0, 0.3 and 1: the supports drop some at eps 1e-9 and 0.5
+    Gs = preset_group("flow", points=5, dim=2)
+    scale = np.random.default_rng(7).choice([0.0, 0.3, 1.0], Gs.maps.shape[:2])
+    yield "damped flow 5x2", replace(Gs, maps=Gs.maps * scale[..., None, None])
+
+
+@pytest.mark.parametrize("Gs", [pytest.param(Gs, id=name) for name, Gs in phi_oracle_models()])
+def test_phi_blocks_match_the_dense_stack_oracle(Gs):
+    assert_phi_matches_the_dense_oracle(Gs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 7), st.integers(1, 3), st.booleans())
+def test_phi_blocks_match_the_dense_stack_oracle_on_random_flows(seed, n, d, signed):
+    """σ along a random n-cycle, with Haar fibre maps or signed permutation
+    matrices (whose products hold −0.0)."""
+    rng = np.random.default_rng(seed)
+    cycle, perm = rng.permutation(n), np.empty(n, dtype=int)
+    perm[cycle] = np.roll(cycle, -1)
+    if signed:
+        maps = [np.eye(d, dtype=complex)[rng.permutation(d)] * rng.choice([-1, 1], d)
+                for _ in range(n)]
+    else:
+        maps = list(haar_unitaries(n, d, rng))
+    Gs = covariance_group(make_spatial_automorphism(Bisection(tuple(int(x) for x in perm)),
+                                                    maps, (d,) * n))
+    assert_phi_matches_the_dense_oracle(Gs)
 
 
 def test_phi_requires_minimal_flow():
@@ -94,7 +182,7 @@ def test_phi_single_point():
         identity_bisection(1), [np.eye(2)], (2,)
     )
     phi = phi_from_covariance_group(covariance_group(sigma))
-    assert np.array_equal(phi.phi, np.eye(2))
+    assert np.array_equal(phi.matrix(), np.eye(2))
     readoff = read_off_pair(phi)
     assert readoff.A.block_dims == (2,)
     assert readoff.omega is not None and distance_from_trivial(readoff.omega) <= 1e-9
@@ -106,24 +194,24 @@ def test_phi_from_block_units_all_ones():
         cycle_bisection(4), [np.eye(1)] * 4, (1, 1, 1, 1)
     )
     phi = phi_from_covariance_group(covariance_group(sigma))
-    assert np.array_equal(phi.phi, np.ones((4, 4)))
+    assert np.array_equal(phi.matrix(), np.ones((4, 4)))
     # rank 1 as a matrix, yet full block support
-    assert np.linalg.matrix_rank(phi.phi) == 1
+    assert np.linalg.matrix_rank(phi.matrix()) == 1
     assert len(phi.block_support()) == 16
     assert is_orientable(phi)
 
 
 def test_orientability_detects_vanishing_blocks():
-    phi = EmbeddingInvariant(np.ones((3, 3), dtype=complex), (1, 1, 1))
+    phi = dense_invariant(np.ones((3, 3), dtype=complex), (1, 1, 1))
     # rank 1 as a matrix, yet full block support
-    assert np.linalg.matrix_rank(phi.phi) == 1
+    assert np.linalg.matrix_rank(phi.matrix()) == 1
     assert len(phi.block_support()) == 9
     assert is_orientable(phi)
-    killed = phi.phi.copy()
+    killed = phi.matrix()
     killed[0, 2] = 0.0
-    assert not is_orientable(EmbeddingInvariant(killed, phi.block_dims))
+    assert not is_orientable(dense_invariant(killed, phi.block_dims))
     with pytest.raises(ValueError):
-        read_off_pair(EmbeddingInvariant(killed, phi.block_dims))
+        read_off_pair(dense_invariant(killed, phi.block_dims))
 
 
 def per_block_orientable(phi, eps=1e-9):
@@ -131,8 +219,8 @@ def per_block_orientable(phi, eps=1e-9):
     full rank min(nᵢ, nⱼ)."""
     A = phi.algebra
     return all(
-        operator_norm(block_of(A, phi.phi, i, j)) > eps
-        and dense_rank(block_of(A, phi.phi, i, j), eps) == min(A.block_dims[i],
+        operator_norm(block_of(A, phi.matrix(), i, j)) > eps
+        and dense_rank(block_of(A, phi.matrix(), i, j), eps) == min(A.block_dims[i],
                                                                A.block_dims[j])
         for i in range(A.n_blocks)
         for j in range(A.n_blocks)
@@ -141,22 +229,22 @@ def per_block_orientable(phi, eps=1e-9):
 
 def orientability_cases():
     rng = rng_for(6)
-    ragged = EmbeddingInvariant(random_matrix((6, 6), rng), (1, 2, 3))
-    deficient = ragged.phi.copy()
+    ragged = dense_invariant(random_matrix((6, 6), rng), (1, 2, 3))
+    deficient = ragged.matrix()
     deficient[3:, 3:] = np.outer(random_matrix((3, 1), rng), random_matrix((1, 3), rng))
-    vanishing = ragged.phi.copy()
+    vanishing = ragged.matrix()
     vanishing[1:3, 3:] = 0.0
-    tiny = ragged.phi.copy()
+    tiny = ragged.matrix()
     tiny[0, 1:3] *= 1e-12  # full rank, yet within eps of zero
     frame, _ = flow_frame(3, 2, rng)
     return {
         "ragged": (ragged, True),
-        "rank-deficient": (EmbeddingInvariant(deficient, (1, 2, 3)), False),
-        "vanishing": (EmbeddingInvariant(vanishing, (1, 2, 3)), False),
-        "tiny": (EmbeddingInvariant(tiny, (1, 2, 3)), False),
-        "ones": (EmbeddingInvariant(np.ones((3, 3), dtype=complex), (1, 1, 1)), True),
-        "zero": (EmbeddingInvariant(np.zeros((4, 4), dtype=complex), (2, 2)), False),
-        "flow": (EmbeddingInvariant(
+        "rank-deficient": (dense_invariant(deficient, (1, 2, 3)), False),
+        "vanishing": (dense_invariant(vanishing, (1, 2, 3)), False),
+        "tiny": (dense_invariant(tiny, (1, 2, 3)), False),
+        "ones": (dense_invariant(np.ones((3, 3), dtype=complex), (1, 1, 1)), True),
+        "zero": (dense_invariant(np.zeros((4, 4), dtype=complex), (2, 2)), False),
+        "flow": (dense_invariant(
             frame.transpose(0, 2, 1, 3).reshape(6, 6), (2, 2, 2)), True),
     }
 
@@ -186,7 +274,7 @@ def test_read_off_masa_pair():
 
 def bits(a):
     """The IEEE bit patterns of a complex array: -0.0 and 0.0 differ."""
-    return np.ascontiguousarray(a).view(np.int64)
+    return np.ascontiguousarray(a).view(np.uint64)
 
 
 @pytest.mark.parametrize("name", ["ragged", "flow"])
@@ -196,7 +284,7 @@ def test_read_off_sample_matches_embed_block_loop(name):
     included (the assignment's identities do not leak into it)."""
     phi = orientability_cases()[name][0]
     A = phi.algebra
-    oracle = [A.embed_block(i, j, phi.phi[np.ix_(range(o, o + ni), range(p, p + nj))])
+    oracle = [A.embed_block(i, j, phi.matrix()[np.ix_(range(o, o + ni), range(p, p + nj))])
               for i, (o, ni) in enumerate(zip(A.block_offsets, A.block_dims))
               for j, (p, nj) in enumerate(zip(A.block_offsets, A.block_dims))]
     readoff = read_off_pair(phi)
@@ -356,8 +444,8 @@ def test_bridge_round_trip_gates_on_recovered_phi(monkeypatch):
         phi = recover(Gs, eps)
         calls.append(Gs)
         if len(calls) == 2:
-            d = np.diag(np.exp(1j * np.arange(len(phi.phi))))
-            phi = EmbeddingInvariant(d @ phi.phi @ d.conj().T, phi.block_dims)
+            d = np.diag(np.exp(1j * np.arange(len(phi.matrix()))))
+            phi = dense_invariant(d @ phi.matrix() @ d.conj().T, phi.block_dims)
         return phi
 
     monkeypatch.setattr(fellkit.embedding, "phi_from_covariance_group",

@@ -17,6 +17,10 @@ bytes.
 The `check` and `phi` subcommands on flow 4×2, the fourpoint report in text and
 `phi build` on a non-minimal generator were recorded when the suites became
 one table of entry functions in `cli`, from the commit before that change.
+The `phi` subcommands on fourpoint, flow 8×1, diag-masa 6, semidirect and the
+rotation flow ROT90_4X2, and ROT90_4X2's report, were recorded when Φ came to
+be held as its blocks, from the commit before that change; ROT90_4X2's frame
+holds −0.0, which Φ must not print.
 The reports print residuals, and ω's digest pins the twist, to the last
 bit, so a changed product order or summation order shows here.  A numpy or BLAS
 build that rounds differently can move these digests without any change to
@@ -25,18 +29,23 @@ fellkit; re-record them then, from a commit whose reports are trusted.
 
 import hashlib
 import json
+import re
 
 import pytest
 
 from fellkit.cli import main
 
 # its report fails axioms, pair and cocycle; the rest pass
-from helpers import TWISTED_5
+from helpers import ROT90_4X2, TWISTED_5
 
 # (2,1,4,3) swaps two pairs of points: its orbits miss 8 of the 16 arrows
 NON_MINIMAL_4 = {"points": 4, "fibre_dims": [1] * 4, "generator": [2, 1, 4, 3]}
-MODELS = {"TWISTED_5": TWISTED_5, "NON_MINIMAL_4": NON_MINIMAL_4}
+MODELS = {"TWISTED_5": TWISTED_5, "NON_MINIMAL_4": NON_MINIMAL_4, "ROT90_4X2": ROT90_4X2}
 FLOW_4X2 = ["--preset", "flow", "--points", "4", "--dim", "2"]
+FOURPOINT = ["--preset", "fourpoint"]
+FLOW_8X1 = ["--preset", "flow", "--points", "8", "--dim", "1"]
+DIAG_MASA_6 = ["--preset", "diag-masa", "--n", "6"]
+ROUND_TRIP = "464832f3f55c62118426e8658cd6be8c5ddc8787a78be1896cbce227e833f235"
 
 CASES = {
     "report-fourpoint": (
@@ -95,6 +104,46 @@ CASES = {
     "phi-build-non-minimal-4": (
         ["phi", "build", "--input", "NON_MINIMAL_4"], 1,
         "56dd9a260d4d03b7867bf1d47ad43e2decac784746983a25fadb35cfe03e76b3"),
+    "phi-build-fourpoint": (
+        ["phi", "build", *FOURPOINT], 0,
+        "49258722dc709a30df4e97053a53c49e3c1d165ec198b0929dca6477ee224208"),
+    "phi-readoff-fourpoint": (
+        ["phi", "readoff", *FOURPOINT], 0,
+        "41128a7502e15a0914cfba40c8279beef5277d2c663039e1a88157c7d9488be1"),
+    "phi-roundtrip-fourpoint": (["phi", "roundtrip", *FOURPOINT], 0, ROUND_TRIP),
+    "phi-build-flow-8x1": (
+        ["phi", "build", *FLOW_8X1], 0,
+        "e74c53f71a3f67fb13ca04cf440d0f489582ef99b53a5a1dd2c0557ac804f00d"),
+    "phi-readoff-flow-8x1": (
+        ["phi", "readoff", *FLOW_8X1], 0,
+        "8f74a773960f324c035a79a7f79213353126d47371d1ec8bfa71b2a60e88f32b"),
+    "phi-roundtrip-flow-8x1": (["phi", "roundtrip", *FLOW_8X1], 0, ROUND_TRIP),
+    "phi-build-diag-masa-6": (
+        ["phi", "build", *DIAG_MASA_6], 0,
+        "1d14504387380048bf7d8c5bc86a7c92605478f39808dcdce45b4961b7b7ba98"),
+    "phi-readoff-diag-masa-6": (
+        ["phi", "readoff", *DIAG_MASA_6], 0,
+        "2392b312ebd25ec9e2781e7aef969c867cf77925374bbcb9b027b2637928b95e"),
+    "phi-roundtrip-diag-masa-6": (["phi", "roundtrip", *DIAG_MASA_6], 0, ROUND_TRIP),
+    "phi-build-semidirect": (
+        ["phi", "build", "--preset", "semidirect"], 0,
+        "d54e62e3f577d4982906da3def219f9af8dea7e8a9786d8ee7102b4e3ed8ca7a"),
+    # the read-off fails, as in phi-readoff-semidirect
+    "phi-roundtrip-semidirect": (
+        ["phi", "roundtrip", "--preset", "semidirect"], 1,
+        "002f7ab6b3b5ac01f0f789abeb99b831c0524194dbdaa9596f40056b0572c80d"),
+    # the model file holds −0.0; the printed Φ holds none
+    "phi-build-rot90-4x2": (
+        ["phi", "build", "--input", "ROT90_4X2"], 0,
+        "f473aa6f734359dbdaa1bb14308694f74d7101125ad39fa6aaf9d9f0be83581d"),
+    "phi-readoff-rot90-4x2": (
+        ["phi", "readoff", "--input", "ROT90_4X2"], 0,
+        "a539214ce45ada8d130073cbd822dcb68d68197060e14b5cb5e5226efba8f11a"),
+    "phi-roundtrip-rot90-4x2": (["phi", "roundtrip", "--input", "ROT90_4X2"], 0,
+                                ROUND_TRIP),
+    "report-rot90-4x2": (
+        ["report", "--input", "ROT90_4X2"], 0,
+        "3754763a56c8ff7ecc54b76f230de1eab3c7f03a592562e2e328594c04893279"),
 }
 
 
@@ -109,6 +158,9 @@ def test_report_bytes_are_unchanged(name, tmp_path):
     args = [str(paths[a]) if a in paths else a for a in args]
     assert main([*args, "--out", str(out)]) == exit_code
     body = out.read_bytes()
-    if name.endswith("semidirect"):
+    if name.endswith("semidirect") and name != "phi-build-semidirect":
         assert b"assignment violates u_(g*) = u_g* at (0, 1)" in body
+    if name == "phi-build-rot90-4x2":
+        assert b"-0.0" in paths["ROT90_4X2"].read_bytes()
+        assert not re.search(rb"-0\.0\b", body)
     assert hashlib.sha256(body).hexdigest() == digest
