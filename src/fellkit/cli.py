@@ -47,6 +47,7 @@ from .dynamics import (
 from .embedding import (
     IncompleteSupportError,
     Pipeline,
+    ROUND_TRIP_RESIDUALS,
     bridge_round_trip,
     cartan_from_fell_bundle,
     is_orientable,
@@ -208,9 +209,8 @@ def _phi_readoff(built: Pipeline) -> dict:
 
 def _phi_roundtrip(built: Pipeline) -> dict:
     report = bridge_round_trip(built.group(), built.eps, built)
-    residuals = ("omega", "expectation", "sigma", "phi")
     return {"pass": report["pass"], "details": report,
-            "residual": max(report[f"{r}_residual"] for r in residuals)}
+            "residual": max(report[f"{r}_residual"] for r in ROUND_TRIP_RESIDUALS)}
 
 
 CHECKS = {"axioms": _axioms, "pair": _pair, "cocycle": _cocycle,

@@ -215,9 +215,8 @@ def model_from_json(
             raise ParseError(f'"{key}" must be a JSON object, '
                              f"got {type(doc[key]).__name__}")
     dim = dims[0]
-    frame = identity_frame(n, dim)
-    if "frame" in doc:
-        frame = frame_from_json(doc["frame"], n, dim, eps)
+    frame = (frame_from_json(doc["frame"], n, dim, eps) if "frame" in doc
+             else identity_frame(n, dim))
     twist = None
     if "twist" in doc:
         values = {pair_from_key(k): twist_value_from_json(v)

@@ -462,6 +462,47 @@ def test_bridge_round_trip_gates_on_recovered_phi(monkeypatch):
     assert check["residual"] == report["phi_residual"]
 
 
+def test_round_trip_residual_table_names_every_residual_and_sets_the_entry():
+    """The report's ``*_residual`` keys are exactly ``ROUND_TRIP_RESIDUALS``,
+    and the CLI entry's residual is their max."""
+    frame, g = flow_frame(4, 2, rng_for(1))
+    E = build_semidirect_bundle(CStarBundle((2,) * 4), frame=frame)
+    check = run_phi("roundtrip", pipeline(E, g, 1e-9))
+    report = check["details"]
+    names = fellkit.embedding.ROUND_TRIP_RESIDUALS
+    assert sorted(f"{r}_residual" for r in names) == sorted(
+        k for k in report if k.endswith("_residual"))
+    assert check["residual"] == max(report[f"{r}_residual"] for r in names)
+    assert check["pass"] and report["pass"]
+
+
+def test_bridge_round_trip_gates_on_recovered_block_dims(monkeypatch):
+    """A recovered read-off whose A has other block dims (the same ambient
+    dim, twist and Φ) fails the round trip on its expectation alone."""
+    read_off = fellkit.embedding.read_off_pair
+    calls = []
+
+    def regrouped_second(phi, eps):
+        readoff = read_off(phi, eps)
+        calls.append(phi)
+        if len(calls) == 2:
+            readoff = replace(readoff, A=make_algebra([1, 3, 2, 2]))
+        return readoff
+
+    monkeypatch.setattr(fellkit.embedding, "read_off_pair", regrouped_second)
+    frame, g = flow_frame(4, 2, rng_for(0))
+    E = build_semidirect_bundle(CStarBundle((2,) * 4), frame=frame)
+    check = run_phi("roundtrip", pipeline(E, g, 1e-9))
+    report = check["details"]
+    assert len(calls) == 2
+    assert report["expectation_residual"] == 1.0
+    assert report["block_dims_match"] is False
+    for key in ("omega_residual", "sigma_residual", "phi_residual"):
+        assert report[key] < 1e-9
+    assert not report["pass"] and not check["pass"]
+    assert check["residual"] == 1.0
+
+
 def test_bridge_round_trip_sigma_residual_is_the_dense_norm(monkeypatch):
     """The recovered σ conjugated by the diagonal unitary ⊕ e^{ix²}·I: w_x
     turns by a phase that depends on x.  The σ residual read off the fibre

@@ -340,6 +340,25 @@ def test_omega_and_the_frame_are_checked_as_one_stack(monkeypatch):
     assert calls == ["unitarity_defects"]
 
 
+def test_identity_frame_is_built_only_for_a_twist_without_a_frame(monkeypatch):
+    """A framed model file reads its frame and builds no identity frame; a
+    document with a twist and no frame builds one, as its frame."""
+    calls = []
+    real = fellkit.serialize.identity_frame
+    monkeypatch.setattr(fellkit.serialize, "identity_frame",
+                        lambda n, d: calls.append((n, d)) or real(n, d))
+    frame = random_symmetric_frame(3, 2, np.random.default_rng(0))
+    twist = make_twist(3, 2, {((0, 1), (1, 2)): np.diag([1j, -1.0]),
+                              ((2, 1), (1, 0)): np.diag([-1j, -1.0])})
+    doc = model_to_json(build_semidirect_bundle(CStarBundle((2,) * 3), frame=frame,
+                                                twist=twist))
+    m, _ = model_from_json(doc)
+    assert calls == [] and np.array_equal(m.frame, frame)
+    m, _ = model_from_json({k: v for k, v in doc.items() if k != "frame"})
+    assert calls == [(3, 2)] and np.array_equal(m.frame, real(3, 2))
+    assert np.array_equal(m.twist.values, twist.values)
+
+
 FRAME_FAULTS = {
     # arrow (0-indexed) -> its matrix, or None to leave it out; each name
     # lists the faults in row-major order
