@@ -1,4 +1,4 @@
-"""The report size ladder: `fellkit report` on presets up to ambient dim 91.
+"""The report size ladder: `fellkit report` on presets up to ambient dim 96.
 
 Usage: python3 bench/ladder.py --label LABEL [--src DIR]
 
@@ -33,12 +33,14 @@ HERE = Path(__file__).resolve().parent
 # name → (ambient dim N, preset arguments)
 CONFIGS = {
     **{f"flow-{n}x{d}": (n * d, ["--preset", "flow", "--points", str(n), "--dim", str(d)])
-       for n, d in ((6, 4), (8, 4), (16, 2), (24, 1), (6, 8), (12, 4), (48, 1))},
+       for n, d in ((6, 4), (8, 4), (16, 2), (24, 1), (6, 8), (12, 4), (48, 1),
+                    (96, 1))},
     "imprimitivity-1..9": (45, ["--preset", "imprimitivity",
                                 "--dims", ",".join(str(k) for k in range(1, 10))]),
     "imprimitivity-1..13": (91, ["--preset", "imprimitivity",
                                  "--dims", ",".join(str(k) for k in range(1, 14))]),
     "diag-masa-48": (48, ["--preset", "diag-masa", "--n", "48"]),
+    "diag-masa-96": (96, ["--preset", "diag-masa", "--n", "96"]),
     "semidirect-24x2": (48, ["--preset", "semidirect", "--points", "24", "--dim", "2"]),
 }
 # the first run of a session is often the slowest, so one run is not a time

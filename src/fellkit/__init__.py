@@ -12,7 +12,6 @@ from .cocycle import (
     Cocycle2,
     NotATwistError,
     cocycle_identity_residual,
-    extract_cocycle,
     make_twist,
     twist_is_admissible,
 )

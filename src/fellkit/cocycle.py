@@ -2,9 +2,14 @@
 
 A twist assigns to each composable pair of arrows a unit-modulus scalar, or a
 diagonal unitary of the fibre dimension, measuring the defect of an assignment
-g ↦ u_g from being a representation: u_g u_h = ω(g,h) u_{gh}.  On the pair
-groupoid a twist is an (n, n, n, d, d) array and a frame an (n, n, d, d) one,
-so each identity below is a stacked product over them.
+g ↦ u_g from being a representation: u_g u_h = ω(g,h) u_{gh}, so ω is the
+coboundary δu.  On the pair groupoid a twist is an (n, n, n, d, d) array and a
+frame an (n, n, d, d) one, so each identity below is a stacked product over
+them.  ``extract_cocycle`` reads δu off any assignment and checks that it is a
+twist; the read-off of Φ (``embedding.read_off_pair``) forms δu alone, since
+there the holonomy decides those checks.  The n⁴ cocycle identity
+(``cocycle_identity_residual``) is decided on model twists; on δu it holds
+identically.
 """
 
 from __future__ import annotations
@@ -135,6 +140,12 @@ def twist_is_admissible(w: Cocycle2, eps: float = DEFAULT_EPS) -> bool:
     return bool(np.all(operator_norms(stack - np.eye(d)) <= eps))
 
 
+def coboundary(u: np.ndarray) -> np.ndarray:
+    """δu[x, y, z] = u_(x,y) u_(y,z) u_(x,z)* of an (n, n, d, d) assignment,
+    one stacked product."""
+    return (u[:, :, None] @ u[None, :, :]) @ adjoints(u)[:, None, :]
+
+
 def extract_cocycle(assignment: np.ndarray, eps: float = DEFAULT_EPS) -> Cocycle2:
     """Read the twist off an (n, n, d, d) assignment of unitaries u_(x,y).
 
@@ -152,8 +163,7 @@ def extract_cocycle(assignment: np.ndarray, eps: float = DEFAULT_EPS) -> Cocycle
     if g is not None:
         raise ValueError(f"assignment violates u_(g*) = u_g* at {g}")
 
-    # defects[x, y, z] = u_(x,y) u_(y,z) u_(x,z)*
-    defects = (u[:, :, None] @ u[None, :, :]) @ adjoints(u)[:, None, :]
+    defects = coboundary(u)
     bad = first_non_twist_value(defects, eps)
     if bad is not None:
         (x, y, z), off = bad

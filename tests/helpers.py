@@ -15,6 +15,7 @@ from fellkit.dynamics import (
 )
 from fellkit.embedding import EmbeddingInvariant
 from fellkit.groupoid import Bisection, cycle_bisection
+from fellkit.presets import flow_frame
 from fellkit.linalg import (
     DEFAULT_EPS,
     _largest_singular_values,
@@ -185,6 +186,19 @@ def dense_invariant(phi, block_dims) -> EmbeddingInvariant:
     """Φ given as an N×N matrix, held as its blocks ``A.blocks(phi)``."""
     dims = tuple(block_dims)
     return EmbeddingInvariant(FiniteCStarAlgebra(dims).blocks(phi), dims)
+
+
+def turned_flow_frame(n: int, dim: int, h: float, rng: np.random.Generator):
+    """``flow_frame(n, dim, rng)`` (n ≥ 3) with its closing edge u_(0,n−1)
+    turned by the phase e^{iθ} with |e^{iθ} − 1| = h, and u_(n−1,0) kept as
+    its adjoint.  The frame is still unitary and symmetric, so the model
+    loads; σ's fibre maps u_(x+1,x) now compose round the cycle to e^{iθ}·I
+    at every point, so its holonomy is h.  (On two points the closing edge
+    is the adjoint of the other edge, and the phases cancel.)"""
+    frame, g = flow_frame(n, dim, rng)
+    frame[0, n - 1] *= np.exp(2j * np.arcsin(h / 2))
+    frame[n - 1, 0] = frame[0, n - 1].conj().T
+    return frame, g
 
 
 def _rot90_flow() -> dict:

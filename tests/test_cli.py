@@ -289,12 +289,11 @@ def test_every_ragged_order_generates_and_reports(tmp_path, dims):
 
 def test_report_builds_one_covariance_group(tmp_path, monkeypatch):
     """The cocycle, generation and phi-roundtrip stages share the report's
-    group.  Φ is held as its blocks, so fellkit.dynamics calls embed_blocks
-    0 times, and the whole flow 8×1 report assembles one N×N matrix: the
-    round trip's Φ′ − Φ, for its one SVD.  `phi build` assembles Φ once, to
-    print it.  No stage assembles σ's own U: generation and the round trip
-    read σ's fibre maps."""
-    groups, recovered, assemblies = [], [], []
+    group, and the round trip recovers none.  Φ is held as its blocks, so
+    the whole flow 8×1 report assembles no N×N matrix; `phi build`
+    assembles Φ once, to print it.  No stage assembles σ's own U:
+    generation reads σ's fibre maps and the round trip Φ's diagonal."""
+    groups, assemblies = [], []
     build = fellkit.cli.covariance_group_from_frame
     embed = fellkit.dynamics.FiniteCStarAlgebra.embed_blocks
 
@@ -302,17 +301,12 @@ def test_report_builds_one_covariance_group(tmp_path, monkeypatch):
         groups.append(build(*args))
         return groups[-1]
 
-    def kept_build(*args):
-        recovered.append(build(*args))
-        return recovered[-1]
-
     def counted_embed(self, *args):
         frame = sys._getframe(1)
         assemblies.append((frame.f_globals["__name__"], frame.f_code.co_name))
         return embed(self, *args)
 
     monkeypatch.setattr(fellkit.cli, "covariance_group_from_frame", counted_build)
-    monkeypatch.setattr(fellkit.embedding, "covariance_group_from_frame", kept_build)
     monkeypatch.setattr(fellkit.dynamics.FiniteCStarAlgebra, "embed_blocks",
                         counted_embed)
     flow = ["--preset", "flow", "--points", "8", "--dim", "1"]
@@ -320,9 +314,9 @@ def test_report_builds_one_covariance_group(tmp_path, monkeypatch):
     assert code == 0
     assert [c["check"] for c in json.loads(out.read_text())["checks"]] == [
         "axioms", "pair", "cocycle", "theorem-3.13", "generation", "phi-roundtrip"]
-    assert len(groups) == len(recovered) == 1
-    assert assemblies == [("fellkit.embedding", "matrix")]
-    assert all("U" not in Gs.sigma.__dict__ for Gs in groups + recovered)
+    assert len(groups) == 1
+    assert assemblies == []
+    assert "U" not in groups[0].sigma.__dict__
     assemblies.clear()
     assert run(tmp_path, "phi", "build", *flow)[0] == 0
     assert assemblies == [("fellkit.embedding", "matrix")]
@@ -352,8 +346,8 @@ def counted_calls(monkeypatch, *names) -> dict[str, int]:
 ], ids=["flow-4x2", "flow-8x1"])
 def test_report_builds_phi_and_its_read_off_once(tmp_path, monkeypatch, model):
     """The cocycle and phi-roundtrip stages share the report's Φ and its
-    read-off: the second group, Φ and read-off are the round trip's
-    recovered ones.  ω is hashed from its array, never written as JSON."""
+    read-off, and the round trip builds no second group, Φ or read-off.
+    ω is hashed from its array, never written as JSON."""
     counts = counted_calls(monkeypatch, "covariance_group_from_frame",
                            "phi_from_covariance_group", "read_off_pair",
                            "cocycle_to_json")
@@ -361,8 +355,8 @@ def test_report_builds_phi_and_its_read_off_once(tmp_path, monkeypatch, model):
     assert code == 0
     assert [c["check"] for c in json.loads(out.read_text())["checks"]] == [
         "axioms", "pair", "cocycle", "theorem-3.13", "generation", "phi-roundtrip"]
-    assert counts == {"covariance_group_from_frame": 2, "phi_from_covariance_group": 2,
-                      "read_off_pair": 2, "cocycle_to_json": 0}
+    assert counts == {"covariance_group_from_frame": 1, "phi_from_covariance_group": 1,
+                      "read_off_pair": 1, "cocycle_to_json": 0}
 
 
 def test_pair_stage_ranks_without_a_sample(tmp_path, monkeypatch):
@@ -389,11 +383,12 @@ def test_pair_stage_ranks_without_a_sample(tmp_path, monkeypatch):
 
 def test_a_failed_read_off_fails_each_stage_that_shares_it(tmp_path):
     """A read-off that raises is not kept: on the semidirect control the
-    cocycle entry and the round trip's read-off stage each carry its error."""
+    cocycle entry and the round trip's read-off stage each carry its error,
+    which names the holonomy and the point that attains it."""
     code, out = run(tmp_path, "report", "--preset", "semidirect")
     assert code == 1
     entries = {c["check"]: c for c in json.loads(out.read_text())["checks"]}
-    error = "assignment violates u_(g*) = u_g* at (0, 1)"
+    error = "holonomy 1.751e+00 at point 1 exceeds eps"
     assert entries["cocycle"]["error"] == error
     assert entries["phi-roundtrip"]["error"] == (
         f"round trip failed at stage 'read-off': {error}")
@@ -524,7 +519,7 @@ def test_phi_readoff_reports_a_failed_read_off(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["check"] == "phi-readoff"
     assert not doc["pass"]
-    assert "u_(g*) = u_g*" in doc["error"]
+    assert doc["error"].startswith("holonomy ")
 
 
 def test_non_unitary_frame_exits_1_without_report(tmp_path):

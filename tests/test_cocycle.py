@@ -6,6 +6,7 @@ from fellkit.cocycle import (
     NotATwistError,
     cocycle_identity_residual,
     extract_cocycle,
+    frame_defects,
     make_twist,
     twist_is_admissible,
 )
@@ -13,10 +14,11 @@ from fellkit.dynamics import covariance_group_from_frame
 from fellkit.embedding import phi_from_covariance_group, read_off_pair
 from fellkit.fellbundle import CStarBundle, build_semidirect_bundle
 from fellkit.groupoid import PairGroupoid, cycle_bisection
-from fellkit.linalg import as_matrix, haar_unitary, operator_norm
+from fellkit.linalg import as_matrix, haar_unitary, operator_norm, operator_norms
 from fellkit.presets import flow_frame, random_symmetric_frame
 
 from helpers import distance_from_trivial, frame_array, twist_from_phases
+from readoff_oracle import oracle_read_off
 
 
 def phase_assignment(n, rng):
@@ -213,17 +215,24 @@ def test_extraction_errors_match_pair_loop(name):
 
 
 def test_semidirect_control_error_matches_pair_loop():
-    # a random frame has holonomy round the 4-cycle: the read-off assignment
-    # breaks u_(g*) = u_g*, and both forms name the same arrow
+    # a random frame has holonomy round the 4-cycle: the oracle read-off's
+    # assignment breaks u_(g*) = u_g*, and the stacked and per-pair forms
+    # name the same arrow; the read-off refuses Φ for that holonomy, which
+    # is the largest involution defect
     frame = random_symmetric_frame(4, 2, np.random.default_rng(0))
     E = build_semidirect_bundle(CStarBundle((2,) * 4), frame=frame)
     phi = phi_from_covariance_group(covariance_group_from_frame(cycle_bisection(4), E))
     blocks = phi.blocks
     per_arrow = {(i, j): np.eye(2, dtype=complex) if i == j else blocks[i, j]
                  for i in range(4) for j in range(4)}
-    stacked = error_text(lambda: read_off_pair(phi))
+    stacked = error_text(lambda: oracle_read_off(phi))
     assert stacked == error_text(lambda: loop_extract_cocycle(per_arrow))
     assert stacked[1] == "assignment violates u_(g*) = u_g* at (0, 1)"
+    involution = frame_defects(frame_array(per_arrow, 4))[1].max()
+    h = operator_norms(blocks[range(4), range(4)] - np.eye(2)).max()
+    assert involution == pytest.approx(h, rel=1e-12)
+    assert error_text(lambda: read_off_pair(phi)) == (
+        ValueError, f"holonomy {h:.3e} at point 1 exceeds eps")
 
 
 def test_trivial_twist_defaults():

