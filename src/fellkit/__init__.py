@@ -73,7 +73,6 @@ from .linalg import (
     haar_unitary,
     is_unitary,
     operator_norm,
-    random_matrix,
     span_dimension,
 )
 from .subalgebra import (

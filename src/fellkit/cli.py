@@ -66,7 +66,6 @@ from .serialize import (
     ParseError,
     cocycle_sha256,
     dumps_canonical,
-    jsonable,
     loads,
     model_from_json,
     model_to_json,
@@ -281,7 +280,7 @@ def render_text(doc: dict) -> str:
                 else:
                     lines.append(f"{pad}- {v}")
 
-    walk(jsonable(doc))
+    walk(loads(dumps_canonical(doc)))
     return "\n".join(lines).rstrip() + "\n"
 
 
@@ -308,7 +307,15 @@ def resolve_eps(args) -> float:
     return eps
 
 
-def add_model_args(p: argparse.ArgumentParser) -> None:
+COMMANDS = {"generate": "write a model JSON", "check": "run one verification suite",
+            "phi": "embedding-invariant pipeline", "report": "run every applicable suite"}
+
+
+def add_command_args(p: argparse.ArgumentParser, command: str) -> None:
+    """A command's arguments: its suite, the model's source and sizes, the options."""
+    suites = {"check": CHECKS, "phi": PHI}
+    if command in suites:
+        p.add_argument("what", choices=tuple(suites[command]))
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--preset", choices=PRESETS)
     src.add_argument("--input", metavar="MODEL_JSON")
@@ -317,27 +324,12 @@ def add_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--points", type=int, default=4,
                    help="semidirect/flow point count")
     p.add_argument("--dim", type=int, default=2, help="semidirect/flow fibre dim")
-
-
-def add_common_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eps", type=float, default=None,
                    help="tolerance (overrides FELLKIT_EPS)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the semidirect and flow preset frames")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--format", choices=("text", "json"), default="json")
-
-
-COMMANDS = {"generate": "write a model JSON", "check": "run one verification suite",
-            "phi": "embedding-invariant pipeline", "report": "run every applicable suite"}
-
-
-def add_command_args(p: argparse.ArgumentParser, command: str) -> None:
-    suites = {"check": CHECKS, "phi": PHI}
-    if command in suites:
-        p.add_argument("what", choices=tuple(suites[command]))
-    add_model_args(p)
-    add_common_args(p)
 
 
 @functools.cache

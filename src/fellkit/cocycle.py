@@ -71,14 +71,6 @@ def frame_defects(frame: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return norms[:n], norms[n:].reshape(n, n)
 
 
-def frame_offenders(frame: np.ndarray, eps: float) -> tuple[int | None, Arrow | None]:
-    """For an (n, n, d, d) frame: the first point x with ‖u_(x,x) − I‖ > eps
-    and the first arrow g, row-major, with ‖u_(g*) − u_g*‖ > eps, or None."""
-    units, involution = frame_defects(frame)
-    x = first_offender(units > eps)
-    return None if x is None else x[0], first_offender(involution > eps)
-
-
 def first_non_twist_value(
     values: np.ndarray, eps: float
 ) -> tuple[tuple[int, ...], float] | None:
@@ -157,10 +149,10 @@ def extract_cocycle(assignment: np.ndarray, eps: float = DEFAULT_EPS) -> Cocycle
     u = np.asarray(assignment, dtype=complex)
     if u.ndim != 4 or u.shape[0] != u.shape[1] or u.shape[2] != u.shape[3]:
         raise ValueError("assignment must be an (n, n, d, d) array of unitaries")
-    x, g = frame_offenders(u, eps)
-    if x is not None:
-        raise ValueError(f"unit arrow ({x},{x}) is not assigned the identity")
-    if g is not None:
+    units, involution = frame_defects(u)
+    if (x := first_offender(units > eps)) is not None:
+        raise ValueError(f"unit arrow ({x[0]},{x[0]}) is not assigned the identity")
+    if (g := first_offender(involution > eps)) is not None:
         raise ValueError(f"assignment violates u_(g*) = u_g* at {g}")
 
     defects = coboundary(u)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .algebra import FiniteCStarAlgebra
 from .cocycle import first_offender
-from .fellbundle import FellBundleModel, identity_frame, is_saturated
+from .fellbundle import FellBundleModel, FrameAudit, identity_frame, is_saturated
 from .groupoid import Bisection, CyclicFlow, cyclic_flow, is_minimal_flow
 from .linalg import (
     DEFAULT_EPS,
@@ -137,12 +137,17 @@ def covariance_group(sigma: SpatialAutomorphism) -> CovarianceGroup:
 def covariance_group_from_frame(
     generator: Bisection, E: FellBundleModel, eps: float = DEFAULT_EPS
 ) -> CovarianceGroup:
-    """Build σ from a bundle's frame along the generator's graph."""
+    """Build σ from a bundle's frame along the generator's graph (I per point
+    for a plain product), its maps checked off the frame's audit."""
     dims = E.fibre_dims
-    maps = ([np.eye(d, dtype=complex) for d in dims] if E.frame is None
-            else E.frame[generator.perm, range(len(dims))])
-    sigma = make_spatial_automorphism(generator, maps, dims, eps)
-    return covariance_group(sigma)
+    if E.frame is None or generator.n_points != len(dims):  # the latter raises
+        maps = [np.eye(d, dtype=complex) for d in dims]
+        return covariance_group(make_spatial_automorphism(generator, maps, dims, eps))
+    graph = (list(generator.perm), range(len(dims)))
+    if (x := first_offender(~(E.audit.unitarity[graph] <= eps))) is not None:
+        raise CovarianceError(f"fibre map at {x[0]} is not a unitary of the right shape")
+    maps = np.asarray(E.frame[graph], dtype=complex)
+    return covariance_group(SpatialAutomorphism(generator, maps, dims))
 
 
 def check_unitary_normalizer_theorem(
@@ -176,11 +181,10 @@ def check_unitary_normalizer_theorem(
     if not is_saturated(E, eps):
         raise ValueError("theorem check needs a saturated bundle")
     n, d = E.n_points, E.fibre_dims[0]
-    frame = identity_frame(n, d) if E.frame is None else E.frame
-    bad = first_offender(unitarity_defects(frame) > eps)
-    if bad is not None:
+    audit = E.audit or FrameAudit(identity_frame(n, d))
+    if (bad := first_offender(audit.unitarity > eps)) is not None:
         raise CovarianceError(f"fibre map at {bad} is not a unitary of the right shape")
-    live = operator_norms(frame.reshape(-1, d, d)).reshape(n, n) > eps
+    live = audit.values[..., 0] > eps  # ‖w_x‖ at arrow (c^k x, x)
     k, x = np.arange(n)[:, None], np.arange(n)  # power k, column x
     forward = live[(x + k) % n, x].all(axis=1)
 

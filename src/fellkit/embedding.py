@@ -59,7 +59,7 @@ from .fellbundle import (
     restriction_expectation,
 )
 from .groupoid import Arrow, is_minimal_flow, orbit_pairs
-from .linalg import DEFAULT_EPS, operator_norms, ranks, singular_values
+from .linalg import DEFAULT_EPS, _numerical_rank, operator_norms, singular_values
 from .subalgebra import PairCandidate, PairClassification, SpanValues, classify_pair
 
 
@@ -121,11 +121,12 @@ def phi_from_covariance_group(
 
 
 def is_orientable(phi: EmbeddingInvariant, eps: float = DEFAULT_EPS) -> bool:
-    """Every block has full rank min(nᵢ, nⱼ) — no vanishing section."""
+    """Every block has norm > eps and full rank min(nᵢ, nⱼ) — no vanishing
+    section — read off one stacked SVD of the blocks."""
     dims, m = phi.block_dims, phi.blocks.shape[-1]
+    sv = singular_values(phi.blocks.reshape(-1, m, m))
     full = np.minimum.outer(dims, dims).ravel()
-    return (len(phi.block_support(eps)) == len(full)
-            and bool(np.all(ranks(phi.blocks.reshape(-1, m, m), eps) == full)))
+    return bool(np.all(sv[:, 0] > eps) and np.all(_numerical_rank(sv, eps) == full))
 
 
 @dataclass
@@ -222,7 +223,7 @@ def cartan_from_fell_bundle(
     pair = PairCandidate(A=A, B=enveloping_algebra(E), P=restriction_expectation(E))
     x, y = np.nonzero(~np.eye(A.n_blocks, dtype=bool) & ~_zero_fibre_mask(E))
     dims = np.array(A.block_dims)
-    sv = (np.repeat(singular_values(E.frame[x, y]), dims[0]) if E.coefficient_form
+    sv = (np.repeat(E.audit.values[x, y], dims[0]) if E.coefficient_form
           else np.ones(int((dims[x] * dims[y]).sum())))
     return pair, classify_pair(pair, SpanValues(sv), eps), axioms
 

@@ -13,30 +13,34 @@ B = M_{Σn}.  Two constructions are provided:
 Both are checked against the ten bundle axioms: the algebraic ones are
 decided over every arrow, composable pair and triple from the zero fibres and
 the frame and twist arrays; nothing is sampled.
+
+A model's frame is normed once, by its ``FrameAudit``: eps-free arrays, each
+computed on first use and kept, each the LAPACK call a stage made before, so
+every residual is unchanged.  ``unitarity``, u's defects: load, axioms 3, 8,
+9, theorem 3.13, σ's maps.  ``defects``, ‖u_(x,x) − I‖ and ‖u_(y,x) −
+u_(x,y)*‖: the builder, axiom 8.  ``values``, u's singular values: ‖u_g‖ in
+axiom 4, theorem 3.13, the pair stage.  ``transport``, those of u_(y,z)
+u_(x,z)*: ‖u_h u_gh*‖ in axiom 4, ``is_saturated``'s ranks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .algebra import FiniteCStarAlgebra
-from .cocycle import (
-    Cocycle2,
-    first_offender,
-    frame_defects,
-    frame_offenders,
-    twist_is_admissible,
-)
+from .cocycle import Cocycle2, first_offender, frame_defects, twist_is_admissible
 from .groupoid import Arrow, PairGroupoid
 from .linalg import (
     DEFAULT_EPS,
+    _numerical_rank,
     adjoints,
     as_matrix,
     operator_norms,
-    random_matrix,
     ranks,
+    singular_values,
     unitarity_defects,
 )
 
@@ -67,6 +71,32 @@ class CStarBundle:
         return len(set(self.fibre_dims)) == 1
 
 
+@dataclass(frozen=True, eq=False)
+class FrameAudit:
+    """The norms of an (n, n, d, d) frame, each kept (module docstring)."""
+
+    frame: np.ndarray
+
+    @cached_property
+    def unitarity(self) -> np.ndarray:  # (n, n)
+        return unitarity_defects(self.frame)
+
+    @cached_property
+    def defects(self) -> tuple[np.ndarray, np.ndarray]:  # units (n,), involution (n, n)
+        return frame_defects(self.frame)
+
+    @cached_property
+    def values(self) -> np.ndarray:  # (n, n, d)
+        u = self.frame
+        return singular_values(u.reshape(-1, *u.shape[2:])).reshape(u.shape[:3])
+
+    @cached_property
+    def transport(self) -> np.ndarray:  # (n, n, n, d)
+        u = self.frame
+        m = u[None] @ adjoints(u)[:, None]  # u_(y,z) u_(x,z)* at [x, y, z]
+        return singular_values(m.reshape(-1, *u.shape[2:])).reshape(m.shape[:4])
+
+
 @dataclass(frozen=True)
 class FellBundleModel:
     """Bundle data: base pair groupoid, fibre dims, optional frame and twist.
@@ -79,6 +109,11 @@ class FellBundleModel:
     frame: np.ndarray | None = None  # frame[x, y] = u_(x,y), shape (n, n, d, d)
     twist: Cocycle2 | None = None
     zero_fibres: frozenset[Arrow] = field(default_factory=frozenset)
+    audit: FrameAudit | None = field(default=None, compare=False, repr=False)  # frame norms
+
+    def __post_init__(self):
+        if getattr(self.audit, "frame", None) is not self.frame:  # None, or another frame's
+            object.__setattr__(self, "audit", None if self.frame is None else FrameAudit(self.frame))
 
     @property
     def groupoid(self) -> PairGroupoid:
@@ -110,11 +145,6 @@ class FellBundleModel:
             return []
         rows, cols = self.fibre_shape(g)
         return list(np.eye(rows * cols, dtype=complex).reshape(-1, rows, cols))
-
-    def random_fibre_element(self, g: Arrow, rng: np.random.Generator) -> np.ndarray:
-        if g in self.zero_fibres:
-            return np.zeros(self.fibre_shape(g), dtype=complex)
-        return random_matrix(self.fibre_shape(g), rng)
 
     def multiply(
         self, g: Arrow, e1: np.ndarray, h: Arrow, e2: np.ndarray
@@ -191,23 +221,23 @@ def build_semidirect_bundle(
     frame = np.asarray(frame, dtype=complex)
     if frame.shape != (n, n, dim, dim):
         raise FrameError(f"frame has shape {frame.shape}, expected {(n, n, dim, dim)}")
-    g = first_offender(unitarity_defects(frame) > eps)
-    if g is not None:
+    audit = FrameAudit(frame)
+    if (g := first_offender(audit.unitarity > eps)) is not None:
         raise FrameError(f"frame entry at {g} is not a {dim}×{dim} unitary")
-    return unitary_frame_bundle(E0.fibre_dims, frame, twist, eps)
+    return unitary_frame_bundle(E0.fibre_dims, audit, twist, eps)
 
 
 def unitary_frame_bundle(
-    dims: tuple[int, ...], frame: np.ndarray, twist: Cocycle2 | None, eps: float
+    dims: tuple[int, ...], audit: FrameAudit, twist: Cocycle2 | None, eps: float
 ) -> FellBundleModel:
     """``build_semidirect_bundle`` past its shape and unitarity checks: the
-    frame is an (n, n, d, d) complex array with every entry unitary within
-    eps (a parsed model file's frame, normed once on load)."""
+    audit's frame is an (n, n, d, d) complex array with every entry unitary
+    within eps (a parsed model file's frame, normed once on load)."""
+    frame, (units, involution) = audit.frame, audit.defects
     n, dim = frame.shape[0], frame.shape[-1]
-    x, g = frame_offenders(frame, eps)
-    if x is not None:
-        raise FrameError(f"frame unit at ({x},{x}) is not the identity")
-    if g is not None:
+    if (x := first_offender(units > eps)) is not None:
+        raise FrameError(f"frame unit at ({x[0]},{x[0]}) is not the identity")
+    if (g := first_offender(involution > eps)) is not None:
         raise FrameError(f"frame violates u_(y,x) = u_(x,y)* at {g}")
     if twist is not None:
         if twist.fibre_dim != dim or twist.n_points != n:
@@ -220,7 +250,7 @@ def unitary_frame_bundle(
                 "twist is not admissible: needs unit-normalized values with "
                 "ω(g,h)·ω(h*,g*) = 1 and ω(g,g*) = 1"
             )
-    return FellBundleModel(fibre_dims=dims, frame=frame, twist=twist)
+    return FellBundleModel(fibre_dims=dims, frame=frame, twist=twist, audit=audit)
 
 
 # --- axiom suite -----------------------------------------------------------
@@ -334,7 +364,7 @@ def _coefficient_residuals(E: FellBundleModel, live: np.ndarray) -> dict[int, fl
     positive).  So 9 is the largest unitarity defect of u_(x,y), u_(y,x),
     u_(y,y) and W, and 10 the larger of that and ‖W·P·R − I‖.
     """
-    u, n, d = E.frame, E.n_points, E.fibre_dims[0]
+    u, n, d, audit = E.frame, E.n_points, E.fibre_dims[0], E.audit
     eye = np.eye(d)
     pairs = live[:, :, None] & live[None]  # [x, y, z]: (x,y) and (y,z) live
 
@@ -344,14 +374,13 @@ def _coefficient_residuals(E: FellBundleModel, live: np.ndarray) -> dict[int, fl
 
     L = u @ u.swapaxes(0, 1)  # [x, y] = u_(x,y) u_(y,x)
     involutive = worst(_kron(L.conj(), L) - np.eye(d * d), live)
-    defects = unitarity_defects(u)
+    defects = audit.unitarity
     assoc = np.max(defects, where=live, initial=0.0)
-    antimultiplicative = max(
-        assoc, np.max(frame_defects(u)[1], where=live, initial=0.0))
+    antimultiplicative = max(assoc, np.max(audit.defects[1], where=live, initial=0.0))
     # [x, y] = P·R (W·P·R once a twist is on), and the defects 9 folds
     wpr = L.swapaxes(0, 1) @ adjoints(u[range(n), range(n)])
     fold = np.maximum(np.maximum(defects, defects.T), np.diagonal(defects)[None])
-    factors = [u[None] @ adjoints(u)[:, None]]  # u_h u_gh* at [x, y, z]
+    factors = []  # ω(g,h) at [x, y, z], once a twist is on
     if E.twist is not None:
         w = E.twist.values  # [x, y, z] = ω((x,y),(y,z))
         for x in range(n):
@@ -367,11 +396,10 @@ def _coefficient_residuals(E: FellBundleModel, live: np.ndarray) -> dict[int, fl
         fold = np.maximum(fold, unitarity_defects(W))
         wpr = W @ wpr
         factors.append(w)
-    norms = operator_norms(np.concatenate(
-        [f.reshape(-1, d, d) for f in [wpr - eye, u, *factors]]))
-    off, top, rest = norms[:n * n], norms[n * n:2 * n * n], norms[2 * n * n:]
+    norms = operator_norms(np.concatenate([f.reshape(-1, d, d) for f in [wpr - eye, *factors]]))
+    off, wnorm = norms[:n * n], norms[n * n:].reshape(-1, n, n, n).prod(axis=0)
     # sup ‖a·b‖ at [x, y, z]: ‖u_g‖ times ‖u_h u_gh*‖, and ‖ω(g,h)‖
-    sup = top.reshape(n, n, 1) * rest.reshape(-1, n, n, n).prod(axis=0)
+    sup = audit.values[..., :1] * (audit.transport[..., 0] * wnorm)
     cstar = np.max(fold, where=live, initial=0.0)
     return {
         3: float(assoc),
@@ -390,8 +418,8 @@ def is_saturated(E: FellBundleModel, eps: float = DEFAULT_EPS) -> bool:
     all matrices for X ≠ 0, and a zero fibre spans {0}.  In coefficient form
     ω(g,h)·a·u_g·b·M, M = u_h u_gh*, spans ω(g,h)·M_n·M (dim rank ω · rank M)
     if u_g ≠ 0; u_(x,y) = 0 fails anyway, as M = 0 at the pair ((x,x), (x,y)).
-    Over the n³ pairs ((x,y),(y,z)) this takes one stacked rank of the
-    products M and one of the twist values.
+    Over the n³ pairs ((x,y),(y,z)) this reads the ranks of the products M
+    off the frame's audit, and takes one stacked rank of the twist values.
     """
     n = E.n_points
     zero = _zero_fibre_mask(E)
@@ -399,11 +427,9 @@ def is_saturated(E: FellBundleModel, eps: float = DEFAULT_EPS) -> bool:
     full = dims[:, None] * dims  # dim E_(x,z) unless it is a zero fibre
     got = full[:, None, :]  # [x, y, z], for the pair ((x,y),(y,z))
     if E.coefficient_form:
-        d, frame = dims[0], E.frame
-        # u_(y,z) u_(x,z)* at [x, y, z]
-        m = ranks((frame[None] @ adjoints(frame)[:, None]).reshape(-1, d, d), eps)
+        d, m = dims[0], _numerical_rank(E.audit.transport, eps)  # rank of each M
         w = d if E.twist is None else ranks(E.twist.values.reshape(-1, d, d), eps)
-        got = (w * m).reshape(n, n, n)
+        got = (w * m.ravel()).reshape(n, n, n)
     got = np.where(zero[:, :, None] | zero[None], 0, got)
     return bool((got == np.where(zero, 0, full)[:, None, :]).all())
 

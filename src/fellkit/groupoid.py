@@ -51,16 +51,6 @@ class PairGroupoid:
             for z in range(n)
         ]
 
-    def composable_triples(self) -> list[tuple[Arrow, Arrow, Arrow]]:
-        n = self.n_points
-        return [
-            ((x, y), (y, z), (z, w))
-            for x in range(n)
-            for y in range(n)
-            for z in range(n)
-            for w in range(n)
-        ]
-
     def _check_arrow(self, g: Arrow):
         if not (0 <= g[0] < self.n_points and 0 <= g[1] < self.n_points):
             raise ValueError(f"arrow {g} outside point set of size {self.n_points}")

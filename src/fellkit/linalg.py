@@ -191,8 +191,3 @@ def haar_from_normals(z: np.ndarray) -> np.ndarray:
     q, r = np.linalg.qr(z[..., 0, :, :] + 1j * z[..., 1, :, :])
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[..., None, :]
-
-
-def random_matrix(shape: tuple[int, int], rng: np.random.Generator) -> np.ndarray:
-    """Complex Gaussian matrix of the given shape."""
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)

@@ -42,13 +42,14 @@ import numpy as np
 from .cocycle import Cocycle2, first_offender, make_twist
 from .fellbundle import (
     FellBundleModel,
+    FrameAudit,
     FrameError,
     build_imprimitivity_bundle,
     identity_frame,
     unitary_frame_bundle,
 )
 from .groupoid import Arrow, Bisection
-from .linalg import DEFAULT_EPS, as_matrix, as_stack, unitarity_defects
+from .linalg import DEFAULT_EPS, as_matrix, as_stack
 
 
 class ParseError(ValueError):
@@ -215,8 +216,8 @@ def model_from_json(
             raise ParseError(f'"{key}" must be a JSON object, '
                              f"got {type(doc[key]).__name__}")
     dim = dims[0]
-    frame = (frame_from_json(doc["frame"], n, dim, eps) if "frame" in doc
-             else identity_frame(n, dim))
+    audit = (frame_from_json(doc["frame"], n, dim, eps) if "frame" in doc
+             else FrameAudit(identity_frame(n, dim)))
     twist = None
     if "twist" in doc:
         values = {pair_from_key(k): twist_value_from_json(v)
@@ -224,7 +225,7 @@ def model_from_json(
         if any(max(*g, *h) >= n for g, h in values):
             raise ParseError(f"twist names a pair outside the {n} points")
         twist = make_twist(n, dim, values, eps=eps)
-    return unitary_frame_bundle(dims, frame, twist, eps), generator
+    return unitary_frame_bundle(dims, audit, twist, eps), generator
 
 
 def _numbers(v) -> np.ndarray | None:
@@ -236,10 +237,10 @@ def _numbers(v) -> np.ndarray | None:
     return a.astype(float) if a.dtype.kind in "biuf" else None
 
 
-def frame_from_json(obj: dict, n: int, dim: int, eps: float) -> np.ndarray:
-    """The (n, n, dim, dim) frame of a model's "frame" object.  ParseError for
-    a malformed key or value, else FrameError for the first arrow, row-major,
-    that is missing or not a dim×dim unitary within eps."""
+def frame_from_json(obj: dict, n: int, dim: int, eps: float) -> FrameAudit:
+    """The audit of the (n, n, dim, dim) frame of a model's "frame" object.
+    ParseError for a malformed key or value, else FrameError for the first
+    arrow, row-major, that is missing or not a dim×dim unitary within eps."""
     frame = np.zeros((n, n, dim, dim), dtype=complex)
     given, shaped = np.zeros((2, n, n), bool)
     index = {arrow_key(g): g for g in np.ndindex(n, n)}
@@ -259,18 +260,16 @@ def frame_from_json(obj: dict, n: int, dim: int, eps: float) -> np.ndarray:
             given[g] = True
             if u.shape == (dim, dim):
                 frame[g], shaped[g] = u, True
-    g = first_offender(~shaped | ~(unitarity_defects(frame) <= eps))  # row-major
-    if g is not None:
+    audit = FrameAudit(frame)
+    if (g := first_offender(~shaped | ~(audit.unitarity <= eps))) is not None:  # row-major
         raise FrameError(f"frame entry at {g} is not a {dim}×{dim} unitary"
                          if given[g] else f"frame missing arrow {g}")
-    return frame
+    return audit
 
 
 def jsonable(obj):
-    """Recursively coerce report values (numpy scalars, matrices, an extracted
-    ω) to JSON types."""
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
+    """Coerce a value JSON has no type for (numpy scalars, matrices, an
+    extracted ω, a set), and what it holds, to JSON types: json's ``default``."""
     if isinstance(obj, (list, tuple, set, frozenset)):
         items = [jsonable(v) for v in obj]
         if isinstance(obj, (set, frozenset)):
@@ -292,8 +291,9 @@ def jsonable(obj):
 
 
 def dumps_canonical(doc) -> str:
-    """Deterministic text form: sorted keys, fixed indentation, newline-terminated."""
-    return json.dumps(jsonable(doc), sort_keys=True, indent=2) + "\n"
+    """Deterministic text form: sorted keys, fixed indentation, newline-terminated.
+    One walk: ``jsonable`` gets what JSON has no type for; keys must be str."""
+    return json.dumps(doc, default=jsonable, sort_keys=True, indent=2) + "\n"
 
 
 def loads(text: str | bytes):

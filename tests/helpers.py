@@ -27,6 +27,23 @@ from fellkit.linalg import (
 )
 
 
+def random_matrix(shape: tuple[int, int], rng: np.random.Generator) -> np.ndarray:
+    """Complex Gaussian matrix of the given shape."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def random_fibre_element(E, g, rng: np.random.Generator) -> np.ndarray:
+    """A ``random_matrix`` element of E's fibre at g, or 0 at a zero fibre."""
+    if g in E.zero_fibres:
+        return np.zeros(E.fibre_shape(g), dtype=complex)
+    return random_matrix(E.fibre_shape(g), rng)
+
+
+def composable_triples(G) -> list:
+    """Every composable triple ((x,y),(y,z),(z,w)) of a pair groupoid, row-major."""
+    return [((x, y), (y, z), (z, w)) for x, y, z, w in np.ndindex((G.n_points,) * 4)]
+
+
 def dense_rank(m, eps: float = DEFAULT_EPS) -> int:
     """The rank oracle: one SVD of one dense matrix, under the package's rank
     rule (singular values above eps times the largest)."""

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from fellkit.algebra import FiniteCStarAlgebra, make_algebra
-from fellkit.linalg import operator_norm, random_matrix, span_dimension
+from fellkit.linalg import operator_norm, span_dimension
 
-from helpers import block_of
+from helpers import block_of, random_matrix
 
 
 def projections(A):

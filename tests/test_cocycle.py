@@ -17,7 +17,7 @@ from fellkit.groupoid import PairGroupoid, cycle_bisection
 from fellkit.linalg import as_matrix, haar_unitary, operator_norm, operator_norms
 from fellkit.presets import flow_frame, random_symmetric_frame
 
-from helpers import distance_from_trivial, frame_array, twist_from_phases
+from helpers import composable_triples, distance_from_trivial, frame_array, twist_from_phases
 from readoff_oracle import oracle_read_off
 
 
@@ -78,7 +78,7 @@ def loop_identity_residual(values, frame, n, dim):
         return values.get((g, h), eye)
 
     worst = 0.0
-    for g, h, k in G.composable_triples():
+    for g, h, k in composable_triples(G):
         gh = G.compose(g, h)
         hk = G.compose(h, k)
         lhs = value(g, h) @ value(gh, k)

@@ -35,7 +35,6 @@ from fellkit.linalg import (
     operator_norm,
     operator_norms,
     orthonormal_span_basis,
-    random_matrix,
     unitarity_defects,
 )
 from fellkit.presets import flow_frame, random_symmetric_frame
@@ -48,7 +47,7 @@ from fellkit.subalgebra import (
     slice_check,
 )
 
-from helpers import group_unitaries, random_spatial_automorphism
+from helpers import group_unitaries, random_matrix, random_spatial_automorphism
 
 
 def rng_for(seed):
@@ -707,8 +706,9 @@ def test_theorem_svd_and_qr_counts(monkeypatch):
     wide = {counts(build_semidirect_bundle(CStarBundle((2,) * n),
                                            frame=flow_frame(n, 2, rng_for(n))[0]))
             for n in (2, 4, 6)}
-    # one stacked SVD each: saturation ranks, unitarity defects, frame norms
-    assert wide == {(3, 0)}
+    # one stacked SVD each, of the frame's audit: saturation ranks (transport)
+    # and frame norms (values); the builder read its unitarity defects
+    assert wide == {(2, 0)}
     assert counts(THEOREM_MODELS["one point 1x3"])[1] == 0
 
 

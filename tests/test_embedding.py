@@ -33,7 +33,7 @@ from fellkit.fellbundle import (
     identity_frame,
 )
 from fellkit.groupoid import Bisection, cycle_bisection, identity_bisection
-from fellkit.linalg import haar_unitaries, operator_norm, random_matrix
+from fellkit.linalg import haar_unitaries, operator_norm
 from fellkit.presets import flow_frame, random_symmetric_frame
 from fellkit.subalgebra import classify_pair, is_normalizer
 
@@ -47,6 +47,7 @@ from helpers import (
     dense_rank,
     distance_from_trivial,
     group_unitaries,
+    random_matrix,
     traced_peak_bytes,
 )
 

@@ -33,7 +33,6 @@ from fellkit.linalg import (
     is_unitary,
     operator_norm,
     operator_norms,
-    random_matrix,
     span_dimension,
 )
 from fellkit.presets import flow_frame, random_symmetric_frame
@@ -41,7 +40,10 @@ from fellkit.serialize import model_from_json
 
 from helpers import (
     TWISTED_5,
+    composable_triples,
     probe_expectation,
+    random_fibre_element,
+    random_matrix,
     traced_peak_bytes,
     twist_from_phases,
     unchecked_cocycle,
@@ -202,8 +204,8 @@ def test_negative_control_non_cocycle_twist():
 def test_multiply_and_involution_shapes():
     E = build_imprimitivity_bundle((2, 1, 3))
     rng = rng_for(4)
-    e1 = E.random_fibre_element((0, 1), rng)
-    e2 = E.random_fibre_element((1, 2), rng)
+    e1 = random_fibre_element(E, (0, 1), rng)
+    e2 = random_fibre_element(E, (1, 2), rng)
     gh, prod = E.multiply((0, 1), e1, (1, 2), e2)
     assert gh == (0, 2)
     assert prod.shape == (2, 3)
@@ -218,12 +220,12 @@ def test_embed_block_round_trip_coefficient_form():
     frame = random_symmetric_frame(3, 2, rng_for(5))
     E = build_semidirect_bundle(CStarBundle((2, 2, 2)), frame=frame)
     rng = rng_for(6)
-    a = E.random_fibre_element((0, 2), rng)
+    a = random_fibre_element(E, (0, 2), rng)
     amb = E.embed((0, 2), a)
     # read back: the (0, 2) block times u_(0,2)*
     assert np.allclose(diagonal_algebra(E).blocks(amb)[0, 2] @ frame[0, 2].conj().T, a)
     # embedding intertwines fibre product and ambient matrix product
-    b = E.random_fibre_element((2, 1), rng)
+    b = random_fibre_element(E, (2, 1), rng)
     gh, prod = E.multiply((0, 2), a, (2, 1), b)
     assert gh == (0, 1)
     assert np.allclose(E.embed(gh, prod), E.embed((0, 2), a) @ E.embed((2, 1), b))
@@ -412,7 +414,7 @@ def sampled_fell_axioms(E, rngs, sample_count=200, eps=1e-9, exhaustive=False):
     normed at the end in one stacked SVD per shape."""
     G = E.groupoid
     pairs = G.composable_pairs()
-    triples = G.composable_triples()
+    triples = composable_triples(G)
     mats = []  # the matrices whose operator norms the residuals read
     rows = []  # (rng index, axiom index, residual as a function of the norms)
 
@@ -438,23 +440,23 @@ def sampled_fell_axioms(E, rngs, sample_count=200, eps=1e-9, exhaustive=False):
 
     for k, rng in enumerate(rngs):
         for (g, h), (t1, t2, t3) in samples(rng):
-            e1 = E.random_fibre_element(g, rng)
-            e2 = E.random_fibre_element(h, rng)
-            f1 = E.random_fibre_element(t1, rng)
-            f2 = E.random_fibre_element(t2, rng)
-            f3 = E.random_fibre_element(t3, rng)
+            e1 = random_fibre_element(E, g, rng)
+            e2 = random_fibre_element(E, h, rng)
+            f1 = random_fibre_element(E, t1, rng)
+            f2 = random_fibre_element(E, t2, rng)
+            f3 = random_fibre_element(E, t3, rng)
             lam, mu = random_matrix((1, 1), rng)[0, 0], random_matrix((1, 1), rng)[0, 0]
 
             gh, prod = E.multiply(g, e1, h, e2)
             ok = gh == G.compose(g, h) and in_fibre(gh, prod)
             bump(k, 0, lambda v, ok=ok: 0.0 if ok else 1.0)
 
-            e1b = E.random_fibre_element(g, rng)
+            e1b = random_fibre_element(E, g, rng)
             _, left = E.multiply(g, lam * e1 + mu * e1b, h, e2)
             _, la = E.multiply(g, e1, h, e2)
             _, lb = E.multiply(g, e1b, h, e2)
             bump(k, 1, lambda v, a=norm(left - (lam * la + mu * lb)): v[a])
-            e2b = E.random_fibre_element(h, rng)
+            e2b = random_fibre_element(E, h, rng)
             _, right = E.multiply(g, e1, h, lam * e2 + mu * e2b)
             _, ra = E.multiply(g, e1, h, e2)
             _, rb = E.multiply(g, e1, h, e2b)
@@ -679,7 +681,7 @@ def basis_map_residuals(E):
     G, one = E.groupoid, np.eye(E.fibre_dims[0])
     basis = E.fibre_basis((0, 0))
     assoc = antimultiplicative = 0.0
-    for t1, t2, t3 in G.composable_triples():
+    for t1, t2, t3 in composable_triples(G):
         cols = []
         for a in basis:
             _, left = E.multiply(*E.multiply(t1, a, t2, one), t3, one)
@@ -767,7 +769,6 @@ def test_fell_axioms_build_no_index_lists(monkeypatch):
         raise AssertionError("an index list or a single product was built")
 
     monkeypatch.setattr(PairGroupoid, "composable_pairs", refuse)
-    monkeypatch.setattr(PairGroupoid, "composable_triples", refuse)
     monkeypatch.setattr(FellBundleModel, "multiply", refuse)
     monkeypatch.setattr(FellBundleModel, "involution", refuse)
     for name, E in EXHAUSTIVE_MODELS.items():
@@ -779,9 +780,11 @@ def test_fell_axioms_build_no_index_lists(monkeypatch):
 def test_fell_axioms_norm_kernel_calls(monkeypatch):
     """Counted as calls of the norm kernel, each at most one stacked SVD: on
     d = 1 models the kernel norms every 1×1 stack without LAPACK, so LAPACK
-    calls alone would count nothing there.  The plain product norms
-    nothing; coefficient form takes four calls, and a twist adds one per
-    first point of the associativity triples and two more."""
+    calls alone would count nothing there.  The frame's norms are its
+    audit's, computed before counting (``tests/test_audit.py`` counts them
+    once per report).  The plain product norms nothing; coefficient form
+    takes two calls, and a twist adds one per first point of the
+    associativity triples and two more."""
     kernel = fellkit.linalg._largest_singular_values
     calls = []
 
@@ -791,10 +794,12 @@ def test_fell_axioms_norm_kernel_calls(monkeypatch):
 
     monkeypatch.setattr(fellkit.linalg, "_largest_singular_values", counted)
     for name, E in EXHAUSTIVE_MODELS.items():
+        if E.audit is not None:
+            E.audit.unitarity, E.audit.defects, E.audit.values, E.audit.transport
         calls.clear()
         check_fell_axioms(E)
-        want = (0 if not E.coefficient_form else 4 if E.twist is None
-                else E.n_points + 6)
+        want = (0 if not E.coefficient_form else 2 if E.twist is None
+                else E.n_points + 4)
         assert len(calls) == want, name
 
 

@@ -33,7 +33,6 @@ def test_pair_groupoid_structure():
 def test_composable_enumeration_counts():
     G = PairGroupoid(3)
     assert len(G.composable_pairs()) == 27
-    assert len(G.composable_triples()) == 81
 
 
 def test_groupoid_inverse_laws():

@@ -22,13 +22,12 @@ from fellkit.linalg import (
     operator_norm,
     operator_norms,
     orthonormal_span_basis,
-    random_matrix,
     ranks,
     span_dimension,
     unitarity_defects,
 )
 
-from helpers import dense_rank, dense_span_dimension
+from helpers import dense_rank, dense_span_dimension, random_matrix
 
 
 def jacobi_eigvalsh(h, sweeps=60, tol=1e-13):

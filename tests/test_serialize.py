@@ -6,7 +6,7 @@ import pytest
 
 import fellkit.fellbundle
 import fellkit.serialize
-from fellkit.cli import main
+from fellkit.cli import CHECKS, PHI, build_parser, load_model, main, pipeline, run_check, run_phi, run_report
 from fellkit.cocycle import Cocycle2, NotATwistError, make_twist
 from fellkit.fellbundle import (
     CStarBundle,
@@ -37,7 +37,7 @@ from fellkit.serialize import (
     twist_value_from_json,
 )
 
-from helpers import twist_from_phases
+from helpers import TWISTED_5, twist_from_phases
 
 
 def models_equal(m1, m2):
@@ -327,16 +327,17 @@ def test_array_writers_match_the_per_value_oracle(d):
 
 def test_omega_and_the_frame_are_checked_as_one_stack(monkeypatch):
     """Writing ω checks no value on its own, and reading a frame checks its
-    arrows' unitarity in one stacked call."""
+    arrows' unitarity in one stacked call, its audit's."""
+    frame = random_symmetric_frame(4, 2, np.random.default_rng(0))
+    doc = model_to_json(build_semidirect_bundle(CStarBundle((2,) * 4), frame=frame))
     calls = []
-    for name in ("as_matrix", "unitarity_defects"):
-        real = getattr(fellkit.serialize, name)
-        monkeypatch.setattr(fellkit.serialize, name,
+    for module, name in ((fellkit.serialize, "as_matrix"),
+                         (fellkit.fellbundle, "unitarity_defects")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
                             lambda m, real=real, name=name: calls.append(name) or real(m))
     cocycle_to_json(twist_from_phases(np.array([[0.0, 0.3], [-0.3, 0.0]])))
-    frame = random_symmetric_frame(4, 2, np.random.default_rng(0))
-    model = build_semidirect_bundle(CStarBundle((2,) * 4), frame=frame)
-    model_from_json(model_to_json(model))
+    model_from_json(doc)
     assert calls == ["unitarity_defects"]
 
 
@@ -431,8 +432,7 @@ def test_a_well_formed_frame_is_read_as_one_array(name, monkeypatch):
     text = json.dumps({"points": 3, "fibre_dims": [2, 2, 2], "frame": {
         arrow_key(g): matrix_to_json(u) for g, u in given.items()}})
     calls = []
-    for module, names in ((fellkit.serialize, ("arrow_from_key", "matrix_from_json",
-                                               "unitarity_defects")),
+    for module, names in ((fellkit.serialize, ("arrow_from_key", "matrix_from_json")),
                           (fellkit.fellbundle, ("unitarity_defects",))):
         for fn in names:
             real = getattr(module, fn)
@@ -447,3 +447,43 @@ def test_a_well_formed_frame_is_read_as_one_array(name, monkeypatch):
         with pytest.raises(FrameError, match=f"^{re.escape(str(expected.value))}$"):
             model_from_json(loads(text))
     assert calls == ["unitarity_defects"]
+
+
+def cli_documents():
+    """(name, document) of every report, check and phi entry on a few models,
+    as the CLI builds them before emission."""
+    argvs = {"flow 4x2": ["--preset", "flow", "--points", "4", "--dim", "2"],
+             "flow 8x1": ["--preset", "flow", "--points", "8", "--dim", "1"],
+             "semidirect 4x2": ["--preset", "semidirect", "--points", "4", "--dim", "2"],
+             "imprimitivity": ["--preset", "imprimitivity", "--dims", "1,2,3"],
+             "fourpoint": ["--preset", "fourpoint"]}
+    models = {name: load_model(build_parser("report").parse_args(argv), 1e-9)
+              for name, argv in argvs.items()}
+    models["twisted 5"] = model_from_json(TWISTED_5)
+    for name, (model, g) in models.items():
+        yield f"report {name}", run_report(pipeline(model, g, 1e-9), g)
+        for what in CHECKS if g is not None else ("axioms", "pair"):
+            yield f"check {what} {name}", run_check(what, pipeline(model, g, 1e-9))
+        for what in PHI if g is not None else ():
+            yield f"phi {what} {name}", run_phi(what, pipeline(model, g, 1e-9))
+
+
+def keys(doc):
+    """Every dict key in a document's dicts, lists and tuples."""
+    if isinstance(doc, dict):
+        for k, v in doc.items():
+            yield k
+            yield from keys(v)
+    elif isinstance(doc, (list, tuple)):
+        for v in doc:
+            yield from keys(v)
+
+
+def test_every_document_key_is_a_str():
+    """json sorts and writes str keys as they are, so passing ``jsonable`` as
+    the encoder's default hook, not pre-walking the document, keeps each
+    document's key order and bytes."""
+    docs = dict(cli_documents())
+    assert len(docs) == 6 + 2 + 5 * (len(CHECKS) + len(PHI))
+    for name, doc in docs.items():
+        assert all(type(k) is str for k in keys(doc)), name

@@ -15,7 +15,6 @@ from fellkit.linalg import (
     haar_unitary,
     is_in_span,
     operator_norm,
-    random_matrix,
     span_dimension,
 )
 from fellkit.subalgebra import (
@@ -27,7 +26,7 @@ from fellkit.subalgebra import (
     slice_check,
 )
 
-from helpers import random_spatial_automorphism
+from helpers import random_matrix, random_spatial_automorphism
 
 
 def kernel_basis(A):
