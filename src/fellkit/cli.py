@@ -34,11 +34,9 @@ import functools
 import gc
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
-from .cocycle import cocycle_identity_residual, twist_is_admissible
 from .dynamics import (
     a_dynamical_generation_check,
     check_unitary_normalizer_theorem,
@@ -167,13 +165,10 @@ def _holonomy(readoff) -> dict:
 
 
 def _cocycle(built: Pipeline) -> dict:
-    model, eps = built.model, built.eps
-    if model.twist is not None:
-        # the model frame supplies the conjugation of non-scalar values
-        residual = cocycle_identity_residual(replace(model.twist, frame=model.frame))
-        admissible = twist_is_admissible(model.twist, eps)
-        return {"pass": residual <= eps and admissible, "residual": residual,
-                "details": {"source": "model twist", "admissible": admissible}}
+    if built.model.twist is not None:
+        axioms = built.axioms()  # 3 is the identity; the builder refused inadmissible twists
+        return {"pass": axioms.passed[2], "residual": axioms.residuals[2],
+                "details": {"source": "model twist"}}
     # ω = δa holds the identity identically; the read-off raises iff h > eps
     readoff = built.readoff()
     return {"pass": True, **_holonomy(readoff),

@@ -1,15 +1,15 @@
-"""Groupoid 2-cocycles with values in ⊕𝕋 (scalar or diagonal-unitary).
+"""Groupoid 2-cocycles: a model's twist is 𝕋-valued, an assignment's defect ⊕𝕋.
 
-A twist assigns to each composable pair of arrows a unit-modulus scalar, or a
-diagonal unitary of the fibre dimension, measuring the defect of an assignment
-g ↦ u_g from being a representation: u_g u_h = ω(g,h) u_{gh}, so ω is the
-coboundary δu.  On the pair groupoid a twist is an (n, n, n, d, d) array and a
-frame an (n, n, d, d) one, so each identity below is a stacked product over
-them.  ``extract_cocycle`` reads δu off any assignment and checks that it is a
-twist; the read-off of Φ (``embedding.read_off_pair``) forms δu alone, since
-there the holonomy decides those checks.  The n⁴ cocycle identity
-(``cocycle_identity_residual``) is decided on model twists; on δu it holds
-identically.
+A model's twist gives each composable pair a unit scalar ω(g,h), held as
+ω(g,h)·I, as Kumjian's twists do ("On C*-diagonals", 1986): the product
+a·b = ω(g,h)·a·u_g·b·u_h u_gh* is associative only for scalar values.  On X×X
+every such cocycle is a coboundary (Renault, LNM 793).  An assignment's
+defect, u_g u_h = ω(g,h) u_{gh}, is the coboundary δu, with diagonal unitary
+values; ``extract_cocycle`` reads it off and checks it, and the read-off of Φ
+(``embedding.read_off_pair``) forms it alone, as the holonomy decides those
+checks.  Twists are (n, n, n, d, d) arrays, frames (n, n, d, d) ones.  The n⁴
+cocycle identity (``cocycle_identity_residual``) is axiom 3's twist term on a
+model twist; on δu it holds identically.
 """
 
 from __future__ import annotations
@@ -23,15 +23,15 @@ from .linalg import DEFAULT_EPS, adjoints, as_matrix, operator_norms
 
 
 class NotATwistError(ValueError):
-    """Raised when an assignment's defects leave the ⊕𝕋 codomain."""
+    """Raised when a twist value leaves 𝕋, or an assignment's defects ⊕𝕋."""
 
 
 @dataclass(frozen=True)
 class Cocycle2:
     """A twist on the pair groupoid: values[x, y, z] = ω((x,y),(y,z)).
 
-    Values are fibre_dim × fibre_dim matrices, diagonal unitaries within eps
-    (1×1 for scalar twists), kept whole so an extracted twist keeps its
+    Values are d×d matrices within eps of v·I, |v| = 1 (``make_twist``), or
+    of a diagonal unitary (``extract_cocycle``), kept whole so δu keeps its
     off-diagonal residue.  A frame (n, n, d, d) may be attached; it supplies
     the conjugation twist in the cocycle identity when values are non-scalar.
     """
@@ -72,15 +72,17 @@ def frame_defects(frame: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def first_non_twist_value(
-    values: np.ndarray, eps: float
+    values: np.ndarray, eps: float, scalar: bool = False
 ) -> tuple[tuple[int, ...], float] | None:
     """The index of the first matrix, row-major, of a (..., d, d) array that
-    is not diagonal with unit-modulus entries within eps, and its
-    off-diagonal norm (at most eps if only the modulus fails)."""
+    is not diagonal (v·I if scalar) with unit-modulus entries within eps, and
+    the norm of its part off that form (at most eps if only the modulus
+    fails)."""
     d = values.shape[-1]
-    off = values * (1 - np.eye(d))
+    diagonal = np.diagonal(values, axis1=-2, axis2=-1)[..., :1 if scalar else d]
+    off = values - diagonal[..., None] * np.eye(d)
     off_norms = operator_norms(off.reshape(-1, d, d)).reshape(values.shape[:-2])
-    modulus = np.abs(np.abs(np.diagonal(values, axis1=-2, axis2=-1)) - 1).max(axis=-1)
+    modulus = np.abs(np.abs(diagonal) - 1).max(axis=-1)
     k = first_offender((off_norms > eps) | (modulus > eps))
     return None if k is None else (k, float(off_norms[k]))
 
@@ -91,8 +93,9 @@ def make_twist(
     values: dict[tuple[Arrow, Arrow], complex | np.ndarray],
     eps: float = DEFAULT_EPS,
 ) -> Cocycle2:
-    """Build a Cocycle2 from its values on some composable pairs; the other
-    pairs take the identity, and a scalar value v becomes v·I."""
+    """Build a model's Cocycle2 from its values on some composable pairs; the
+    other pairs take the identity, and a scalar value v becomes v·I.  Each
+    value must be v·I, |v| = 1, within eps, else NotATwistError names it."""
     out = np.tile(np.eye(fibre_dim, dtype=complex), (n_points,) * 3 + (1, 1))
     for pair, v in values.items():
         (x, y), (_, z) = pair
@@ -103,13 +106,10 @@ def make_twist(
             raise ValueError(f"twist value for {pair} has shape {mat.shape}, "
                              f"expected ({fibre_dim},{fibre_dim})")
         out[x, y, z] = mat
-    bad = first_non_twist_value(out, eps)
-    if bad is not None:
+    if (bad := first_non_twist_value(out, eps, scalar=True)) is not None:
         (x, y, z), off = bad
-        pair = ((x, y), (y, z))
-        if off > eps:
-            raise NotATwistError(f"twist value for {pair} is not diagonal")
-        raise NotATwistError(f"twist value for {pair} has non-unit modulus")
+        fault = "is not scalar" if off > eps else "has non-unit modulus"
+        raise NotATwistError(f"twist value for {((x, y), (y, z))} {fault}")
     return Cocycle2(values=out)
 
 
@@ -156,37 +156,36 @@ def extract_cocycle(assignment: np.ndarray, eps: float = DEFAULT_EPS) -> Cocycle
         raise ValueError(f"assignment violates u_(g*) = u_g* at {g}")
 
     defects = coboundary(u)
-    bad = first_non_twist_value(defects, eps)
-    if bad is not None:
+    if (bad := first_non_twist_value(defects, eps)) is not None:
         (x, y, z), off = bad
-        g, h = (x, y), (y, z)
-        if off > eps:
-            raise NotATwistError(
-                f"defect at ({g},{h}) is not diagonal "
-                f"(off-diagonal norm {off:.3e}); "
-                "assignment has no ⊕𝕋-valued twist"
-            )
-        raise NotATwistError(f"defect at ({g},{h}) has non-unit modulus")
+        fault = (f"is not diagonal (off-diagonal norm {off:.3e}); assignment has "
+                 "no ⊕𝕋-valued twist" if off > eps else "has non-unit modulus")
+        raise NotATwistError(f"defect at ({(x, y)},{(y, z)}) {fault}")
     return Cocycle2(values=defects, frame=u)
 
 
-def cocycle_identity_residual(w: Cocycle2) -> float:
+def cocycle_identity_residual(w: Cocycle2, live: np.ndarray | None = None) -> float:
     """Max residual of the (possibly conjugation-twisted) cocycle identity.
 
     Over all composable triples (g,h,k) = ((x,y),(y,z),(z,t)):
         ω(g,h)·ω(gh,k)  vs  α_g(ω(h,k))·ω(g,hk)
     with α_g conjugation by u_g when a frame is attached, trivial otherwise.
-    The n³ triples of one x are formed at a time, which bounds memory.
+    Given ``live``, an (n, n) mask, only triples of live arrows count.  The
+    n³ triples of one x are formed at a time, which bounds memory.
     """
-    V, d = w.values, w.fibre_dim
+    V, n, d = w.values, w.n_points, w.fibre_dim
     conjugate = w.frame is not None and d > 1
+    live = np.ones((n, n), dtype=bool) if live is None else live
+    pairs = live[:, :, None] & live[None]  # [y, z, t]: (y,z) and (z,t) live
     worst = 0.0
-    for x in range(w.n_points):
+    for x in range(n):
         lhs = V[x][:, :, None] @ V[x][None, :, :]
         whk = V
         if conjugate:
             ug = w.frame[x][:, None, None]
             whk = (ug @ whk) @ adjoints(ug)
         rhs = whk @ V[x][:, None, :]
-        worst = max(worst, float(operator_norms((lhs - rhs).reshape(-1, d, d)).max()))
+        norms = operator_norms((lhs - rhs).reshape(-1, d, d)).reshape(lhs.shape[:3])
+        where = live[x][:, None, None] & pairs
+        worst = max(worst, float(np.max(norms, where=where, initial=0.0)))
     return worst

@@ -8,7 +8,7 @@ B = M_{Σn}.  Two constructions are provided:
   is the plain matrix product (dimensions may vary);
 * the semidirect model — constant fibre dimension, elements carried as
   coefficients a ∈ M_n relative to a frame of unitaries u_g ∈ E_g, with an
-  optional diagonal-unitary twist scaling the product.
+  optional 𝕋-valued twist scaling the product.
 
 Both are checked against the ten bundle axioms: the algebraic ones are
 decided over every arrow, composable pair and triple from the zero fibres and
@@ -31,7 +31,13 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import FiniteCStarAlgebra
-from .cocycle import Cocycle2, first_offender, frame_defects, twist_is_admissible
+from .cocycle import (
+    Cocycle2,
+    cocycle_identity_residual,
+    first_offender,
+    frame_defects,
+    twist_is_admissible,
+)
 from .groupoid import Arrow, PairGroupoid
 from .linalg import (
     DEFAULT_EPS,
@@ -39,7 +45,6 @@ from .linalg import (
     adjoints,
     as_matrix,
     operator_norms,
-    ranks,
     singular_values,
     unitarity_defects,
 )
@@ -208,8 +213,8 @@ def build_semidirect_bundle(
 
     The frame, an (n, n, d, d) array, must satisfy u_(x,x) = I and
     u_(y,x) = u_(x,y)*; every entry must be unitary.  A twist, when present,
-    must be diagonal-unitary valued and structurally admissible (see
-    cocycle.twist_is_admissible).
+    is a model twist (``cocycle.make_twist``, 𝕋-valued) and must be
+    structurally admissible (see cocycle.twist_is_admissible).
     """
     if not E0.is_locally_trivial():
         raise LocalTrivialityError(
@@ -345,31 +350,32 @@ def _coefficient_residuals(E: FellBundleModel, live: np.ndarray) -> dict[int, fl
 
     7: e** = L a L* with L = u_g u_(g*), so ‖conj(L) ⊗ L − I‖ per arrow.
 
-    3 and 8 rest on the frame contract build_semidirect_bundle enforces:
-    3 on unitary entries, 8 also on u_(g*) = u_g*.  Those defects are folded
-    into their residuals, so a directly built model that breaks the contract
-    fails them.  With it, per triple g, h, k ((x,y),(y,z),(z,w)), u_gh* u_gh = I
-    makes (ab)c = a(bc) for all a, b, c equivalent to L₁X = L₂XW for all X,
-    with L₁ = ω(gh,k)ω(g,h), L₂ = ω(g,hk) and W = ω(h,k): ‖I ⊗ L₁ − Wᵀ ⊗ L₂‖,
-    formed one first point x at a time.  Per pair, (ab)* = b*a* for all a, b
-    iff X ω(g,h)* = ω(h*,g*) X for all X: ‖conj(ω(g,h)) ⊗ I − I ⊗ ω(h*,g*)‖.
-    Both vanish identically without a twist.
+    3 and 8 rest on the frame contract build_semidirect_bundle enforces and
+    on scalar twist values: 3 on unitary entries, 8 also on u_(g*) = u_g*.
+    Those defects, and each twist value's ‖ω − ω₀₀·I‖, are folded in, so a
+    directly built model that breaks the contract fails them.  With it, per
+    triple g, h, k, u_gh* u_gh = I makes (ab)c = a(bc) for all a, b, c
+    equivalent to L₁X = L₂XW for all X, L₁ = ω(gh,k)ω(g,h), L₂ = ω(g,hk),
+    W = ω(h,k); for scalar values ‖I ⊗ L₁ − Wᵀ ⊗ L₂‖ = |l₁ − w·l₂|, the
+    cocycle identity (``cocycle_identity_residual``).  Per pair, (ab)* = b*a*
+    iff X ω(g,h)* = ω(h*,g*) X for all X: |conj ω(g,h) − ω(h*,g*)|.  Both
+    vanish identically without a twist.
 
     4: a·b = ω(g,h)·a·u_g·b·u_h u_gh*, and rank-one a and b attain
-    sup ‖a·b‖ = ‖ω(g,h)‖‖u_g‖‖u_h u_gh*‖ over ‖a‖, ‖b‖ ≤ 1: the residual is
+    sup ‖a·b‖ = |ω(g,h)|‖u_g‖‖u_h u_gh*‖ over ‖a‖, ‖b‖ ≤ 1: the residual is
     that supremum less 1, per pair.  9 and 10, per arrow (x,y): a*·a =
     W·P·a*·P*·P·a·R, with P = u_(y,x), R = u_(x,y) u_(y,y)* and
-    W = ω((y,x),(x,y)).  For unitary P, R and W it has the norm of a*a, and
-    W·P·X·R ≥ 0 for every X ≥ 0 iff W·P·R = I (X = I makes the unitary W·P·R
-    positive).  So 9 is the largest unitarity defect of u_(x,y), u_(y,x),
-    u_(y,y) and W, and 10 the larger of that and ‖W·P·R − I‖.
+    W = ω((y,x),(x,y)).  For unitary P, R and |W| = 1 it has the norm of a*a,
+    and W·P·X·R ≥ 0 for every X ≥ 0 iff W·P·R = I (X = I makes the unitary
+    W·P·R positive).  So 9 is the largest unitarity defect of u_(x,y),
+    u_(y,x), u_(y,y) and W, and 10 the larger of that and ‖W·P·R − I‖.
     """
     u, n, d, audit = E.frame, E.n_points, E.fibre_dims[0], E.audit
     eye = np.eye(d)
     pairs = live[:, :, None] & live[None]  # [x, y, z]: (x,y) and (y,z) live
 
     def worst(stack, where):
-        norms = operator_norms(stack.reshape(-1, d * d, d * d))
+        norms = operator_norms(stack.reshape(-1, *stack.shape[-2:]))
         return np.max(norms.reshape(where.shape), where=where, initial=0.0)
 
     L = u @ u.swapaxes(0, 1)  # [x, y] = u_(x,y) u_(y,x)
@@ -380,25 +386,20 @@ def _coefficient_residuals(E: FellBundleModel, live: np.ndarray) -> dict[int, fl
     # [x, y] = P·R (W·P·R once a twist is on), and the defects 9 folds
     wpr = L.swapaxes(0, 1) @ adjoints(u[range(n), range(n)])
     fold = np.maximum(np.maximum(defects, defects.T), np.diagonal(defects)[None])
-    factors = []  # ω(g,h) at [x, y, z], once a twist is on
+    wnorm = 1.0  # |ω(g,h)| at [x, y, z]
     if E.twist is not None:
-        w = E.twist.values  # [x, y, z] = ω((x,y),(y,z))
-        for x in range(n):
-            wx = w[x]
-            l1 = wx[None] @ wx[:, :, None]  # [y, z, w] = ω(gh,k) ω(g,h)
-            diff = _kron(eye, l1) - _kron(w.swapaxes(-1, -2), wx[:, None])
-            # [y, z, w]: the triple ((x,y),(y,z),(z,w)) is live
-            assoc = max(assoc, worst(diff, live[x][:, None, None] & pairs))
-        diff = _kron(w.conj(), eye) - _kron(eye, w.transpose(2, 1, 0, 3, 4))
-        antimultiplicative = max(antimultiplicative, worst(diff, pairs))
+        w = E.twist.values[..., :1, :1]  # [x, y, z] = ω((x,y),(y,z)), as a 1×1 scalar
+        scalar = worst(E.twist.values - w * eye, pairs)
+        assoc = max(assoc, scalar, cocycle_identity_residual(Cocycle2(w), live))
+        mirror = worst(w.conj() - w.transpose(2, 1, 0, 3, 4), pairs)
+        antimultiplicative = max(antimultiplicative, scalar, mirror)
         i = np.arange(n)
         W = w[i, i[:, None], i]  # [x, y] = ω((y,x),(x,y))
         fold = np.maximum(fold, unitarity_defects(W))
-        wpr = W @ wpr
-        factors.append(w)
-    norms = operator_norms(np.concatenate([f.reshape(-1, d, d) for f in [wpr - eye, *factors]]))
-    off, wnorm = norms[:n * n], norms[n * n:].reshape(-1, n, n, n).prod(axis=0)
-    # sup ‖a·b‖ at [x, y, z]: ‖u_g‖ times ‖u_h u_gh*‖, and ‖ω(g,h)‖
+        wpr = W * wpr
+        wnorm = operator_norms(w.reshape(-1, 1, 1)).reshape(n, n, n)
+    off = operator_norms((wpr - eye).reshape(-1, d, d))
+    # sup ‖a·b‖ at [x, y, z]: ‖u_g‖ times ‖u_h u_gh*‖, and |ω(g,h)|
     sup = audit.values[..., :1] * (audit.transport[..., 0] * wnorm)
     cstar = np.max(fold, where=live, initial=0.0)
     return {
@@ -416,20 +417,19 @@ def is_saturated(E: FellBundleModel, eps: float = DEFAULT_EPS) -> bool:
 
     The span dimension is read off the block structure: span{e_rs·X·e_tu} is
     all matrices for X ≠ 0, and a zero fibre spans {0}.  In coefficient form
-    ω(g,h)·a·u_g·b·M, M = u_h u_gh*, spans ω(g,h)·M_n·M (dim rank ω · rank M)
-    if u_g ≠ 0; u_(x,y) = 0 fails anyway, as M = 0 at the pair ((x,x), (x,y)).
-    Over the n³ pairs ((x,y),(y,z)) this reads the ranks of the products M
-    off the frame's audit, and takes one stacked rank of the twist values.
+    ω(g,h)·a·u_g·b·M, M = u_h u_gh*, spans M_n·M (dim d · rank M) if the
+    scalar ω(g,h) and u_g are nonzero; u_(x,y) = 0 fails anyway, as M = 0 at
+    the pair ((x,x), (x,y)).  Over the n³ pairs ((x,y),(y,z)) this reads the
+    ranks of the products M off the frame's audit, and the twist's scalars.
     """
-    n = E.n_points
     zero = _zero_fibre_mask(E)
     dims = np.array(E.fibre_dims)
     full = dims[:, None] * dims  # dim E_(x,z) unless it is a zero fibre
     got = full[:, None, :]  # [x, y, z], for the pair ((x,y),(y,z))
     if E.coefficient_form:
-        d, m = dims[0], _numerical_rank(E.audit.transport, eps)  # rank of each M
-        w = d if E.twist is None else ranks(E.twist.values.reshape(-1, d, d), eps)
-        got = (w * m.ravel()).reshape(n, n, n)
+        got = dims[0] * _numerical_rank(E.audit.transport, eps)  # d · rank of each M
+        if E.twist is not None:
+            got = np.where(E.twist.values[..., 0, 0] == 0, 0, got)
     got = np.where(zero[:, :, None] | zero[None], 0, got)
     return bool((got == np.where(zero, 0, full)[:, None, :]).all())
 

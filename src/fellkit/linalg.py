@@ -120,11 +120,6 @@ def singular_values(stack) -> np.ndarray:
     return np.linalg.svd(a, compute_uv=False)
 
 
-def ranks(stack, eps: float = DEFAULT_EPS) -> np.ndarray:
-    """The rank of each matrix of a (k, rows, cols) stack: its ``singular_values``."""
-    return _numerical_rank(singular_values(stack), eps)
-
-
 def values_rank(sv, eps: float = DEFAULT_EPS) -> int:
     """The rank rule on a family's singular values pooled in any order and shape."""
     return int(_numerical_rank(np.sort(np.ravel(sv))[::-1], eps))

@@ -15,7 +15,9 @@ Model documents look like
      "twist": {"((x,y),(y,z))": value, ...},   # omitted = trivial
      "generator": [..]}                        # optional base flow generator
 
-A document with a frame or twist parses to the coefficient (semidirect)
+A twist value is a unit scalar [re, im], or a d×d matrix v·I with |v| = 1
+(within eps); any other value is refused (``cocycle.make_twist``).  A
+document with a frame or twist parses to the coefficient (semidirect)
 model; without either it parses to the imprimitivity model.  In memory the
 frame is an (n, n, d, d) array and the twist an (n, n, n, d, d) one.  A twist
 pair left out is the identity: ``model_to_json`` writes the pairs whose value

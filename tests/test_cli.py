@@ -14,11 +14,12 @@ import pytest
 import fellkit
 import fellkit.algebra
 import fellkit.cli
+import fellkit.cocycle
 import fellkit.dynamics
 import fellkit.embedding
 import fellkit.fellbundle
 from fellkit.cli import main, pipeline, run_phi
-from fellkit.cocycle import make_twist
+from fellkit.cocycle import NotATwistError, make_twist
 from fellkit.dynamics import covariance_group_from_frame
 from fellkit.embedding import bridge_round_trip
 from fellkit.fellbundle import CStarBundle, build_semidirect_bundle, check_fell_axioms
@@ -26,6 +27,7 @@ from fellkit.groupoid import cycle_bisection
 from fellkit.presets import flow_frame, random_symmetric_frame
 from fellkit.serialize import model_from_json, model_to_json, loads
 
+from helpers import TWISTED_5, twist_from_phases
 from test_parse_bytes import CASES as PARSE_CASES
 
 
@@ -97,30 +99,35 @@ def test_semidirect_report_survives_failed_cocycle_extraction(tmp_path):
 
 
 def test_cocycle_check_conjugates_by_the_model_frame(tmp_path):
-    """A non-scalar diagonal coboundary twist is a plain cocycle, but under a
-    random frame α_g = Ad u_g moves its values off the diagonal: the twisted
-    identity fails, as axioms 3 and 8 do."""
+    """A model twist is scalar, so α_g = Ad u_g fixes its values under any
+    frame: on a scalar coboundary and on a phase on one pair and its mirror,
+    `check cocycle` passes or fails with axiom 3, and its residual is axiom
+    3's.  A diagonal coboundary that is not scalar, which conjugation would
+    move off the diagonal, is no model twist."""
     rng = np.random.default_rng(3)
+    theta = rng.uniform(-1, 1, size=(3, 3))
+    coboundary = twist_from_phases(theta - theta.T, fibre_dim=2)
+    phase = make_twist(3, 2, {((0, 1), (1, 2)): np.exp(0.9j) * np.eye(2),
+                              ((2, 1), (1, 0)): np.exp(-0.9j) * np.eye(2)})
+    frame = random_symmetric_frame(3, 2, rng)
+    for twist, passes in ((coboundary, True), (phase, False)):
+        model = build_semidirect_bundle(CStarBundle((2, 2, 2)), frame=frame, twist=twist)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model_to_json(model, cycle_bisection(3))))
+        code, out = run(tmp_path, "check", "cocycle", "--input", str(path))
+        cocycle = json.loads(out.read_text())
+        code, out = run(tmp_path, "check", "axioms", "--input", str(path))
+        axiom_3 = json.loads(out.read_text())["details"]["axioms"][2]
+        assert cocycle["pass"] == axiom_3["pass"] == passes
+        assert cocycle["residual"] == axiom_3["residual"]
+        assert cocycle["details"] == {"source": "model twist"}
     t1, t2 = (rng.uniform(-1, 1, size=(3, 3)) for _ in range(2))
     t1, t2 = t1 - t1.T, t2 - t2.T
-    values = {
-        ((x, y), (y, z)): np.diag(np.exp(1j * np.array([
-            t[x, y] + t[y, z] - t[x, z] for t in (t1, t2)])))
-        for x in range(3) for y in range(3) for z in range(3)
-    }
-    model = build_semidirect_bundle(
-        CStarBundle((2, 2, 2)), frame=random_symmetric_frame(3, 2, rng),
-        twist=make_twist(3, 2, values))
-    path = tmp_path / "model.json"
-    path.write_text(json.dumps(model_to_json(model, cycle_bisection(3))))
-    code, out = run(tmp_path, "check", "cocycle", "--input", str(path))
-    doc = json.loads(out.read_text())
-    assert code == 1
-    assert doc["details"]["admissible"] and doc["residual"] > 0.1
-    code, out = run(tmp_path, "check", "axioms", "--input", str(path))
-    failed = [a["index"] for a in json.loads(out.read_text())["details"]["axioms"]
-              if not a["pass"]]
-    assert code == 1 and failed == [3, 8]
+    values = {((x, y), (y, z)): np.diag(np.exp(1j * np.array([
+        t[x, y] + t[y, z] - t[x, z] for t in (t1, t2)])))
+        for x in range(3) for y in range(3) for z in range(3)}
+    with pytest.raises(NotATwistError, match="is not scalar"):
+        make_twist(3, 2, values)
 
 
 def test_report_runs_the_axiom_suite_once(tmp_path, monkeypatch):
@@ -142,6 +149,24 @@ def test_report_runs_the_axiom_suite_once(tmp_path, monkeypatch):
     assert len(calls) == 2
     checks = json.loads(report.read_text())["checks"]
     assert checks[1] == json.loads(pair.read_text())
+    # on a model twist the cocycle entry reads axiom 3's residual: the one
+    # n⁴ identity loop runs once, in the axiom suite
+    identity, identities = fellkit.cocycle.cocycle_identity_residual, []
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fellkit") and getattr(module, "cocycle_identity_residual",
+                                                  None) is identity:
+            monkeypatch.setattr(module, "cocycle_identity_residual",
+                                lambda *args: identities.append(args) or identity(*args))
+    path = tmp_path / "twisted.json"
+    path.write_text(json.dumps(TWISTED_5))
+    calls.clear()
+    code, report = run(tmp_path, "report", "--input", str(path), name="twisted.out")
+    assert code == 1
+    assert len(calls) == len(identities) == 1
+    assert len(identities[0]) == 2  # (the twist's scalars, live): the suite's call
+    cocycle = next(c for c in json.loads(report.read_text())["checks"]
+                   if c["check"] == "cocycle")
+    assert not cocycle["pass"] and cocycle["residual"] == 0.6857956149109027
 
 
 @pytest.mark.parametrize("model", [
@@ -547,7 +572,7 @@ def test_fourpoint_phi_build_supports(tmp_path):
     assert doc["generator_squared_support"] == [[1, 3], [2, 4], [3, 1], [4, 2]]
 
 
-def test_exit_code_on_math_failure(tmp_path):
+def test_exit_code_on_math_failure(tmp_path, capsys):
     # identity generator: phi pipeline fails with the missing-pair diagnostic
     model = {
         "points": 3,
@@ -566,6 +591,17 @@ def test_exit_code_on_math_failure(tmp_path):
     code, _ = run(tmp_path, "check", "generation", "--input", str(path),
                   name="gen.json")
     assert code == 1
+    # a twist value that is not scalar is refused at load: exit 1, no report
+    model["twist"] = {"((1,2),(2,3))": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]}
+    model["fibre_dims"] = [2, 2, 2]
+    del model["frame"]
+    path.write_text(json.dumps(model))
+    capsys.readouterr()
+    code, out = run(tmp_path, "report", "--input", str(path), name="twisted.json")
+    assert code == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        "check failed: twist value for ((0, 1), (1, 2)) is not scalar\n")
 
 
 def test_exit_code_on_usage_errors(tmp_path, capsys):

@@ -17,7 +17,13 @@ from fellkit.groupoid import PairGroupoid, cycle_bisection
 from fellkit.linalg import as_matrix, haar_unitary, operator_norm, operator_norms
 from fellkit.presets import flow_frame, random_symmetric_frame
 
-from helpers import composable_triples, distance_from_trivial, frame_array, twist_from_phases
+from helpers import (
+    composable_triples,
+    distance_from_trivial,
+    frame_array,
+    twist_from_phases,
+    unchecked_cocycle,
+)
 from readoff_oracle import oracle_read_off
 
 
@@ -139,7 +145,9 @@ def test_stacked_extraction_matches_pair_loop(n, dim):
 
 def twisted_cases():
     """(name, n, dim, values, frame): twists with and without a frame, and
-    twists that break the cocycle identity or admissibility."""
+    twists that break the cocycle identity or admissibility.  The identity
+    takes any d×d values, so one case has ⊕𝕋 values, which no model twist
+    may have (``make_twist``)."""
     rng = np.random.default_rng(17)
     theta = rng.uniform(-1, 1, size=(4, 4))
     phases = twist_from_phases(theta - theta.T)
@@ -168,7 +176,7 @@ TWISTED_CASES = {name: case for name, *case in twisted_cases()}
 @pytest.mark.parametrize("name", TWISTED_CASES)
 def test_stacked_twist_checks_match_triple_loop(name):
     n, dim, values, frame = TWISTED_CASES[name]
-    twist = make_twist(n, dim, values)
+    twist = unchecked_cocycle(n, dim, values)
     if frame is not None:
         twist = Cocycle2(values=twist.values, frame=frame)
     as_matrices = {pair: twist.value(*pair) for pair in values}
@@ -244,14 +252,25 @@ def test_trivial_twist_defaults():
 
 
 def test_make_twist_validation():
+    """A model's twist value is v·I with |v| = 1: a diagonal unitary that is
+    not scalar is refused as not scalar."""
     with pytest.raises(NotATwistError, match="non-unit modulus"):
         make_twist(2, 1, {((0, 1), (1, 0)): 2.0})
-    with pytest.raises(NotATwistError, match=r"\(\(0, 1\), \(1, 0\)\) is not diagonal"):
+    with pytest.raises(NotATwistError, match="non-unit modulus"):
+        make_twist(2, 2, {((0, 1), (1, 0)): 2.0 * np.eye(2)})
+    with pytest.raises(NotATwistError, match=r"\(\(0, 1\), \(1, 0\)\) is not scalar"):
         make_twist(2, 2, {((0, 1), (1, 0)): np.array([[0, 1], [1, 0]])})
+    with pytest.raises(NotATwistError, match=r"\(\(0, 1\), \(1, 0\)\) is not scalar"):
+        make_twist(2, 2, {((0, 1), (1, 0)): np.diag([1.0, -1.0])})
     with pytest.raises(ValueError):
         make_twist(2, 2, {((0, 1), (1, 0)): np.eye(3)})
-    w = make_twist(2, 2, {((0, 1), (1, 0)): np.diag([1.0, -1.0]).astype(complex)})
-    assert np.allclose(w.value((0, 1), (1, 0)), np.diag([1, -1]))
+    w = make_twist(2, 2, {((0, 1), (1, 0)): -np.eye(2), ((1, 0), (0, 1)): 1j})
+    assert np.array_equal(w.value((0, 1), (1, 0)), -np.eye(2))
+    assert np.array_equal(w.value((1, 0), (0, 1)), 1j * np.eye(2))
+    # within eps of v·I passes; the value is kept as given
+    near = np.eye(2) + 1e-10 * np.array([[0, 1], [1, 0]])
+    w = make_twist(2, 2, {((0, 1), (1, 0)): near})
+    assert np.array_equal(w.value((0, 1), (1, 0)), near)
 
 
 def test_twist_from_phases_is_admissible_cocycle():

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 import fellkit.linalg
 from fellkit.algebra import make_algebra
 from fellkit.linalg import (
+    DEFAULT_EPS,
+    _numerical_rank,
     adjoints,
     as_matrix,
     haar_unitaries,
@@ -22,7 +24,7 @@ from fellkit.linalg import (
     operator_norm,
     operator_norms,
     orthonormal_span_basis,
-    ranks,
+    singular_values,
     span_dimension,
     unitarity_defects,
 )
@@ -65,6 +67,12 @@ def jacobi_operator_norm(m):
     a = as_matrix(m)
     ev = jacobi_eigvalsh(a.conj().T @ a)
     return float(np.sqrt(max(ev[-1], 0.0)))
+
+
+def ranks(stack, eps=DEFAULT_EPS):
+    """The rank rule on each stacked matrix's ``singular_values``, as the
+    package's stacked rank readers apply it."""
+    return _numerical_rank(singular_values(stack), eps)
 
 
 def rng_for(seed):

@@ -124,8 +124,8 @@ def test_scalar_twist_round_trip():
 
 def test_model_writes_the_non_identity_twist_pairs():
     # one pair and its mirror: the rest of the twist is the identity
-    twist = make_twist(3, 2, {((0, 1), (1, 2)): np.diag([1j, -1.0]),
-                              ((2, 1), (1, 0)): np.diag([-1j, -1.0])})
+    twist = make_twist(3, 2, {((0, 1), (1, 2)): 1j * np.eye(2),
+                              ((2, 1), (1, 0)): -1j * np.eye(2)})
     m = build_semidirect_bundle(CStarBundle((2, 2, 2)), twist=twist)
     doc = loads(dumps_canonical(model_to_json(m)))
     assert set(doc["twist"]) == {"((1,2),(2,3))", "((3,2),(2,1))"}
@@ -170,6 +170,12 @@ def test_model_parse_errors():
     del frame["(1,2)"]
     with pytest.raises(FrameError, match=r"frame missing arrow \(0, 1\)"):
         model_from_json({"points": 2, "fibre_dims": [1, 1], "frame": frame})
+    # a twist value must be v·I: make_twist refuses a diagonal unitary that
+    # is not scalar, the builder's error, not ParseError
+    with pytest.raises(NotATwistError, match=r"^twist value for \(\(0, 1\), \(1, 0\)\) "
+                                             r"is not scalar$"):
+        model_from_json({"points": 2, "fibre_dims": [2, 2], "twist": {
+            "((1,2),(2,1))": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]}})
     with pytest.raises(ParseError):
         loads("{not json")
     # counts are JSON integers, and points and fibre dims at least 1: a bool
@@ -310,9 +316,9 @@ def test_array_writers_match_the_per_value_oracle(d):
     assert str(matrix_to_json(np.array([[-0.0]]))) == "[[[-0.0, 0.0]]]"
     # a model writes its frame and its non-identity twist values the same way
     frame = random_symmetric_frame(3, d, rng)
-    phases = np.exp(1j * (np.arange(d) + 0.5))
-    twist = make_twist(3, d, {((0, 1), (1, 2)): np.diag(phases),
-                              ((2, 1), (1, 0)): np.diag(phases.conj())})
+    phase = np.exp(0.5j + 1j * d)
+    twist = make_twist(3, d, {((0, 1), (1, 2)): phase * np.eye(d),
+                              ((2, 1), (1, 0)): phase.conjugate() * np.eye(d)})
     doc = model_to_json(build_semidirect_bundle(CStarBundle((d,) * 3), frame=frame,
                                                 twist=twist))
     assert doc["frame"] == {arrow_key(g): matrix_to_json_per_entry(frame[g])
@@ -349,8 +355,8 @@ def test_identity_frame_is_built_only_for_a_twist_without_a_frame(monkeypatch):
     monkeypatch.setattr(fellkit.serialize, "identity_frame",
                         lambda n, d: calls.append((n, d)) or real(n, d))
     frame = random_symmetric_frame(3, 2, np.random.default_rng(0))
-    twist = make_twist(3, 2, {((0, 1), (1, 2)): np.diag([1j, -1.0]),
-                              ((2, 1), (1, 0)): np.diag([-1j, -1.0])})
+    twist = make_twist(3, 2, {((0, 1), (1, 2)): 1j * np.eye(2),
+                              ((2, 1), (1, 0)): -1j * np.eye(2)})
     doc = model_to_json(build_semidirect_bundle(CStarBundle((2,) * 3), frame=frame,
                                                 twist=twist))
     m, _ = model_from_json(doc)
