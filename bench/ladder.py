@@ -8,7 +8,13 @@ this checkout's ``src``).  It records the wall seconds of each whole process
 (interpreter start included) as ``wall_runs`` and their median as
 ``wall_s``, the median peak RSS (``ru_maxrss`` from ``wait4``), the report's
 sha256 and its verdicts, and writes them to ``BENCH_<label>.json`` next to
-this script with ``src_lines``, the line count of ``<src>/fellkit/*.py``.
+this script with ``src_lines``, the line count of ``<src>/fellkit/*.py``,
+and ``cli_import_ms``, the median over REPEATS fresh
+``python -X importtime -c "import fellkit; import fellkit.cli"`` runs of the
+cumulative time on the ``fellkit.cli`` line: the CLI's own import past
+``import fellkit``, which a process's wall time includes but no config
+isolates.  (Alone, ``import fellkit.cli`` counts the package, numpy
+included, on that line.)
 The exit status is 1 if a report fails to run, or if a configuration's runs
 differ in exit code or sha256.  Two ladders of the same configurations are
 compared by their digests: equal digests are byte-identical reports.
@@ -78,6 +84,22 @@ def run(src: Path, args: list[str], out: Path) -> dict:
     }
 
 
+def cli_import_ms(src: Path) -> float:
+    """The median cumulative milliseconds ``-X importtime`` reports for
+    ``fellkit.cli``, after ``fellkit``, over REPEATS fresh interpreters."""
+    env = {**os.environ, **ONE_THREAD, "PYTHONPATH": str(src)}
+    cmd = [sys.executable, "-X", "importtime", "-c", "import fellkit; import fellkit.cli"]
+    runs = []
+    for _ in range(REPEATS):
+        err = subprocess.run(cmd, env=env, capture_output=True, text=True,
+                             check=True).stderr
+        # "import time: <self us> | <cumulative us> | <indented module name>"
+        rows = (line.split("|") for line in err.splitlines())
+        runs.append(next(int(row[1]) for row in rows
+                         if len(row) == 3 and row[2].strip() == "fellkit.cli") / 1000)
+    return statistics.median(runs)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="names BENCH_<label>.json")
@@ -108,6 +130,7 @@ def main(argv=None) -> int:
         "configs": rows,
         "src_lines": sum(path.read_bytes().count(b"\n")
                          for path in (args.src / "fellkit").glob("*.py")),
+        "cli_import_ms": cli_import_ms(args.src.resolve()),
     }
     (HERE / f"BENCH_{args.label}.json").write_text(
         json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")

@@ -13,10 +13,18 @@ Each ``check`` and ``phi`` subcommand is one suite function in ``CHECKS`` or
 ``run_check`` / ``run_phi`` name the entry.  The parser's choices are the
 tables' keys, so a new check is one table entry.
 
-A command parses with its own parser, ``build_parser(command)``; only
-top-level help, a missing or unknown command and stray arguments reach the
-full parser, whose usage and messages they print.  The first command in a
-process calls ``gc.freeze()`` once, so no collection walks the start-up heap.
+Every option is one entry of ``OPTIONS``.  ``read_argv`` reads a command
+in the documented form ``COMMAND [SUITE] (--name VALUE)…`` from that table
+alone, into the namespace argparse would give, and builds no parser; argparse
+is imported only for any other argv.  Then the command's own parser,
+``build_parser(command)``, reads abbreviations, ``--name=value``, repeated
+options and a suite after the options, and prints the command's help and
+errors; top-level help, a missing or unknown command and stray arguments
+reach the full parser, whose usage and messages they print.  So argparse is
+the one source of help and error text, and both parsers are built from
+``OPTIONS``: a new option is one entry.
+The first command in a process calls ``gc.freeze()`` once, so no collection
+walks the start-up heap.
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 usage or
 parse error (a model file that is not UTF-8 JSON is a parse error).  A suite
@@ -29,11 +37,12 @@ else 1e-9.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import gc
 import os
 import sys
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -68,6 +77,9 @@ from .serialize import (
     model_from_json,
     model_to_json,
 )
+
+if TYPE_CHECKING:
+    import argparse
 
 PRESETS = ("fourpoint", "diag-masa", "imprimitivity", "semidirect", "flow")
 
@@ -306,25 +318,76 @@ COMMANDS = {"generate": "write a model JSON", "check": "run one verification sui
             "phi": "embedding-invariant pipeline", "report": "run every applicable suite"}
 
 
+class Option(NamedTuple):
+    """One ``--name VALUE`` option, as ``add_argument``'s keywords: ``type``
+    converts the value, which must lie in ``choices`` when they are given."""
+    type: type = str
+    choices: tuple | None = None
+    default: object = None
+    metavar: str | None = None
+    help: str | None = None
+
+
+# a command names exactly one of the model's sources
+SOURCES = ("preset", "input")
+OPTIONS = {
+    "preset": Option(choices=PRESETS),
+    "input": Option(metavar="MODEL_JSON"),
+    "n": Option(int, default=4, help="diag-masa point count"),
+    "dims": Option(default="2,1,3", help="imprimitivity block dims"),
+    "points": Option(int, default=4, help="semidirect/flow point count"),
+    "dim": Option(int, default=2, help="semidirect/flow fibre dim"),
+    "eps": Option(float, help="tolerance (overrides FELLKIT_EPS)"),
+    "seed": Option(int, default=0,
+                   help="seed of the semidirect and flow preset frames"),
+    "out": Option(help="output path (default stdout)"),
+    "format": Option(choices=("text", "json"), default="json"),
+}
+SUITES = {"check": CHECKS, "phi": PHI}
+
+
+def read_argv(argv) -> SimpleNamespace | None:
+    """The namespace argparse gives ``COMMAND [SUITE] (--name VALUE)…``: each
+    name exact and at most once, no value starting with "-", each converted
+    by its type and inside its choices, the suite first, exactly one source.
+    None for any other argv, which argparse then reads."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    command, rest = argv[0], argv[1:]
+    fields = {"command": command}
+    if command in SUITES:
+        if not rest or rest[0] not in SUITES[command]:
+            return None
+        fields["what"], rest = rest[0], rest[1:]
+    if len(rest) % 2:
+        return None
+    given = {}
+    for flag, text in zip(rest[::2], rest[1::2]):
+        name = flag[2:]
+        if (flag[:2] != "--" or name not in OPTIONS or name in given
+                or text.startswith("-")):
+            return None
+        option = OPTIONS[name]
+        try:
+            given[name] = value = option.type(text)
+        except ValueError:
+            return None
+        if option.choices is not None and value not in option.choices:
+            return None
+    if sum(name in given for name in SOURCES) != 1:
+        return None
+    defaults = {name: option.default for name, option in OPTIONS.items()}
+    return SimpleNamespace(**fields, **(defaults | given))
+
+
 def add_command_args(p: argparse.ArgumentParser, command: str) -> None:
-    """A command's arguments: its suite, the model's source and sizes, the options."""
-    suites = {"check": CHECKS, "phi": PHI}
-    if command in suites:
-        p.add_argument("what", choices=tuple(suites[command]))
+    """A command's arguments: its suite, then ``OPTIONS``, the sources as a
+    required mutually exclusive group."""
+    if command in SUITES:
+        p.add_argument("what", choices=tuple(SUITES[command]))
     src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--preset", choices=PRESETS)
-    src.add_argument("--input", metavar="MODEL_JSON")
-    p.add_argument("--n", type=int, default=4, help="diag-masa point count")
-    p.add_argument("--dims", default="2,1,3", help="imprimitivity block dims")
-    p.add_argument("--points", type=int, default=4,
-                   help="semidirect/flow point count")
-    p.add_argument("--dim", type=int, default=2, help="semidirect/flow fibre dim")
-    p.add_argument("--eps", type=float, default=None,
-                   help="tolerance (overrides FELLKIT_EPS)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed of the semidirect and flow preset frames")
-    p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--format", choices=("text", "json"), default="json")
+    for name, option in OPTIONS.items():
+        (src if name in SOURCES else p).add_argument("--" + name, **option._asdict())
 
 
 @functools.cache
@@ -332,6 +395,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of ``command`` alone, else the full parser with one
     subparser per command; each is built on first use and kept for the
     process.  A command's parser prints what its subparser would."""
+    import argparse
+
     if command is not None:
         parser = argparse.ArgumentParser(prog="fellkit " + command)
         add_command_args(parser, command)
@@ -350,18 +415,19 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 @functools.cache
 def freeze_start_up_heap() -> None:
-    """Keep what is alive at the first command (interpreter, numpy, argparse,
-    fellkit) out of every later collection; it lives until exit anyway."""
+    """Keep what is alive at the first command (interpreter, numpy, fellkit)
+    out of every later collection; it lives until exit anyway."""
     gc.freeze()
 
 
 def main(argv=None) -> int:
     freeze_start_up_heap()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args, stray = None, ()
-    if argv and argv[0] in COMMANDS:
+    args = read_argv(argv)
+    if args is None and argv and argv[0] in COMMANDS:
         args, stray = build_parser(argv[0]).parse_known_args(argv[1:])
-    if args is None or stray:
+        args = None if stray else args
+    if args is None:
         # top-level help, a missing or unknown command, stray arguments:
         # the full parser prints its usage and exits
         args = build_parser().parse_args(argv)

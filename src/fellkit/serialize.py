@@ -6,6 +6,9 @@ Conventions, shared by every artifact:
 * matrices are row-major nested arrays of complex scalars;
 * points are 1-indexed on disk (0-indexed in memory), so the arrow from
   y = 2 to x = 1 is keyed "(1,2)" and a composable pair "((1,2),(2,3))";
+  that is each one's only key (no leading zero, no other digits), and a
+  key given twice in one object is a parse error, so no file names an
+  arrow or pair twice;
 * permutations are one-line arrays, 1-indexed: [2,3,4,1] is the 4-cycle.
 
 Model documents look like
@@ -96,7 +99,10 @@ def arrow_from_key(key: str) -> Arrow:
     x, y = int(m.group(1)), int(m.group(2))
     if x < 1 or y < 1:
         raise ParseError(f"arrow key {key!r} must be 1-indexed")
-    return (x - 1, y - 1)
+    g = (x - 1, y - 1)
+    if key != arrow_key(g):  # a leading zero, "\n" after "$", a non-ASCII digit
+        raise ParseError(f"arrow key {key!r} is not canonical, expected {arrow_key(g)!r}")
+    return g
 
 
 def pair_key(g: Arrow, h: Arrow) -> str:
@@ -113,6 +119,9 @@ def pair_from_key(key: str) -> tuple[Arrow, Arrow]:
     x, y, z = (int(m.group(i)) - 1 for i in range(1, 4))
     if min(x, y, z) < 0:
         raise ParseError(f"pair key {key!r} must be 1-indexed")
+    if key != pair_key((x, y), (y, z)):
+        raise ParseError(f"pair key {key!r} is not canonical, "
+                         f"expected {pair_key((x, y), (y, z))!r}")
     return (x, y), (y, z)
 
 
@@ -298,10 +307,24 @@ def dumps_canonical(doc) -> str:
     return json.dumps(doc, default=jsonable, sort_keys=True, indent=2) + "\n"
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object whose every key is given once; json's ``object_pairs_hook``."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ParseError(f"key {key!r} appears twice in one object")
+            seen.add(key)
+    return obj
+
+
 def loads(text: str | bytes):
     """A JSON document from text or UTF-8 bytes.  Bytes that are not UTF-8,
-    and nesting deeper than json's recursion limit, are parse errors."""
+    nesting deeper than json's recursion limit, and a key repeated in one
+    object (json would keep its last value) are parse errors."""
     try:
-        return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+        return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text,
+                          object_pairs_hook=_unique_keys)
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc

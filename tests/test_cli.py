@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -7,9 +9,12 @@ import sys
 import textwrap
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fellkit
 import fellkit.algebra
@@ -18,7 +23,20 @@ import fellkit.cocycle
 import fellkit.dynamics
 import fellkit.embedding
 import fellkit.fellbundle
-from fellkit.cli import main, pipeline, run_phi
+from fellkit.cli import (
+    CHECKS,
+    COMMANDS,
+    OPTIONS,
+    PHI,
+    PRESETS,
+    SOURCES,
+    SUITES,
+    build_parser,
+    main,
+    pipeline,
+    read_argv,
+    run_phi,
+)
 from fellkit.cocycle import NotATwistError, make_twist
 from fellkit.dynamics import covariance_group_from_frame
 from fellkit.embedding import bridge_round_trip
@@ -248,16 +266,19 @@ def test_parser_is_built_once_and_not_at_import(tmp_path):
     assert fresh_python("import fellkit, fellkit.cli\n"
                         "print(fellkit.cli.build_parser.cache_info().currsize)") == ["0"]
     fellkit.cli.build_parser.cache_clear()
-    for _ in range(2):
+    for _ in range(2):  # the option table reads the documented form
         assert run(tmp_path, "check", "axioms", "--preset", "fourpoint")[0] == 0
+    assert fellkit.cli.build_parser.cache_info().misses == 0
+    for _ in range(2):  # an abbreviation is argparse's
+        assert run(tmp_path, "check", "axioms", "--prese", "fourpoint")[0] == 0
     assert fellkit.cli.build_parser.cache_info().misses == 1
 
 
 def test_first_command_builds_its_own_parser_and_freezes_once(tmp_path):
     """Importing the CLI builds and freezes nothing.  The first command
-    freezes the start-up heap and builds its own parser only; a second
-    command freezes nothing more, and top-level help builds the full
-    parser."""
+    freezes the start-up heap and, in the documented form, builds no parser;
+    a command's own parser, once built, is kept, a second command freezes
+    nothing more, and top-level help builds the full parser."""
     out = str(tmp_path / "out.json")
     script = textwrap.dedent(f"""\
         import contextlib, gc, io
@@ -265,7 +286,7 @@ def test_first_command_builds_its_own_parser_and_freezes_once(tmp_path):
         cache = cli.build_parser.cache_info
         print(gc.get_freeze_count(), cache().currsize)
         argv = ["report", "--preset", "fourpoint", "--out", {out!r}]
-        print(cli.main(argv))
+        print(cli.main(argv), cache().currsize)
         frozen = gc.get_freeze_count()
         cli.build_parser("report")
         print(frozen > 0, cache().currsize, cache().misses)
@@ -276,8 +297,127 @@ def test_first_command_builds_its_own_parser_and_freezes_once(tmp_path):
         cli.build_parser()
         print(cache().currsize, cache().misses)
         """)
-    assert fresh_python(script) == ["0", "0", "0", "True", "1", "1", "0", "True",
+    assert fresh_python(script) == ["0", "0", "0", "0", "True", "1", "1", "0", "True",
                                     "2", "2"]
+
+
+def test_a_report_on_a_model_file_never_loads_argparse(tmp_path):
+    """``report --input MODEL`` is read from the option table: the process
+    builds no parser and never imports argparse, gettext or locale."""
+    model = tmp_path / "model.json"
+    assert run(tmp_path, "generate", "--preset", "flow", name=model.name)[0] == 0
+    argv = ["report", "--input", str(model), "--out", str(tmp_path / "report.json")]
+    script = textwrap.dedent(f"""\
+        import sys
+        import fellkit.cli as cli
+        print(cli.main({argv!r}), cli.build_parser.cache_info().misses)
+        print(*(name in sys.modules for name in ("argparse", "gettext", "locale")))
+        """)
+    assert fresh_python(script) == ["0", "0", "False", "False", "False"]
+
+
+def argparse_reads(argv: list[str]) -> dict | None:
+    """``vars`` of what the command's parser (the full parser for any other
+    first word) returns for ``argv``, or None where it exits."""
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(build_parser(command).parse_args(
+                argv if command is None else argv[1:]))
+        except SystemExit:
+            return None
+
+
+def same_fields(read: SimpleNamespace, parsed: dict) -> bool:
+    """Equal field by field, a NaN --eps included."""
+    return repr(sorted(vars(read).items())) == repr(sorted(parsed.items()))
+
+
+VALUES = st.one_of(
+    st.sampled_from(["0", "7", "-1", "1.5", "-1e-3", "1e-3", "nan", "inf", "",
+                     "x", "-", "--", "-h", "--preset", " 3", "1_0", "2,1,3",
+                     "bogus", *PRESETS, *OPTIONS["format"].choices]),
+    st.integers().map(str), st.floats().map(repr), st.text(max_size=3))
+SUITE_NAMES = sorted({*CHECKS, *PHI})
+TOKENS = st.one_of(
+    # what a reader that reads too much would take: a "-" value, a second
+    # source, a value outside the choices
+    st.sampled_from(["-1", "-1e-3", "-x", "--", "-h", "--preset", "--input", "bogus"]),
+    VALUES,
+    st.sampled_from([f"--{name}" for name in OPTIONS]),
+    st.sampled_from([f"--{name[:k]}" for name in OPTIONS for k in range(1, len(name))]),
+    st.tuples(st.sampled_from(list(OPTIONS)), VALUES).map(lambda nv: "--{}={}".format(*nv)),
+    st.sampled_from(["-h", "--help", "--", "bogus", *COMMANDS, *SUITE_NAMES]))
+
+
+def option_values(name: str):
+    """Values of ``--name`` in the documented form: none starts with "-"."""
+    option = OPTIONS[name]
+    if option.choices is not None:
+        return st.sampled_from(option.choices)
+    if option.type is int:
+        return st.integers(min_value=0).map(str)
+    if option.type is float:
+        return st.floats(min_value=0).map(repr) | st.just("nan")
+    return st.text(max_size=6).filter(lambda text: not text.startswith("-"))
+
+
+@st.composite
+def documented_argv(draw) -> list[str]:
+    """``COMMAND [SUITE] (--name VALUE)…`` with exactly one model source."""
+    command = draw(st.sampled_from(list(COMMANDS)))
+    argv = [command]
+    if command in SUITES:
+        argv.append(draw(st.sampled_from(list(SUITES[command]))))
+    names = draw(st.lists(st.sampled_from([n for n in OPTIONS if n not in SOURCES]),
+                          unique=True))
+    for name in draw(st.permutations([*names, draw(st.sampled_from(SOURCES))])):
+        argv += [f"--{name}", draw(option_values(name))]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=documented_argv())
+def test_the_option_table_reads_every_documented_command(argv):
+    read = read_argv(argv)
+    assert read is not None and same_fields(read, argparse_reads(argv))
+
+
+@st.composite
+def edited_argv(draw) -> list[str]:
+    """A documented command with up to three edits, each up to two drawn
+    tokens, or one documented option, in place of up to two tokens: of one
+    option's value, name or whole pair, or anywhere.  Near the form is where
+    a reader that reads too much goes wrong."""
+    argv = draw(documented_argv())
+    option = st.sampled_from(list(OPTIONS)).flatmap(
+        lambda name: st.tuples(st.just(f"--{name}"), option_values(name)).map(list))
+    for _ in range(draw(st.integers(0, 3))):
+        at, size = draw(st.integers(0, len(argv))), draw(st.integers(0, 2))
+        # an option's value (in twos from the end), or its name, while an
+        # earlier edit has left two tokens to aim at
+        if len(argv) >= 2 and draw(st.booleans()):
+            at = len(argv) - 1 - 2 * draw(st.integers(0, (len(argv) - 2) // 2))
+            at -= draw(st.integers(0, 1))
+        argv[at:at + size] = draw(st.lists(TOKENS, max_size=2) | option)
+    return argv
+
+
+@settings(max_examples=500, deadline=None)
+@given(argv=edited_argv())
+def test_the_option_table_reads_what_argparse_reads_or_hands_it_over(argv):
+    read = read_argv(argv)
+    if read is not None:
+        parsed = argparse_reads(argv)
+        assert parsed is not None and same_fields(read, parsed), argv
+
+
+@pytest.mark.parametrize("name", PARSE_CASES)
+def test_the_option_table_hands_every_pinned_parse_case_to_argparse(name):
+    """Help, errors, abbreviations, ``--name=value``, a repeated option, a
+    suite after the options and "-" values are argparse's to read."""
+    assert read_argv(PARSE_CASES[name][0]) is None
 
 
 def test_console_path_reads_sys_argv(tmp_path):

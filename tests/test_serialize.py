@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +40,8 @@ from fellkit.serialize import (
 
 from helpers import TWISTED_5, twist_from_phases
 
+CONTROLS = Path(__file__).parent / "controls"
+
 
 def models_equal(m1, m2):
     if m1.fibre_dims != m2.fibre_dims or m1.zero_fibres != m2.zero_fibres:
@@ -76,6 +79,21 @@ def test_keys_are_one_indexed():
         arrow_from_key("1,2")
     with pytest.raises(ParseError):
         pair_from_key("((1,2))")
+
+
+@pytest.mark.parametrize("key", ["(01,2)", "(1,02)", "(1,2)\n", "(\u0661,2)", "(1,\uff12)"])
+def test_an_arrow_has_one_key(key):
+    """A leading zero, a trailing newline (``$`` matches before it) or a
+    non-ASCII digit (``\\d`` reads it) spells an arrow that has its own key."""
+    with pytest.raises(ParseError, match="is not canonical, expected '\\(1,2\\)'"):
+        arrow_from_key(key)
+
+
+@pytest.mark.parametrize("key", ["((01,2),(2,3))", "((1,02),(02,3))", "((1,2),(2,3))\n",
+                                 "((1,2),(2,\u0663))"])
+def test_a_pair_has_one_key(key):
+    with pytest.raises(ParseError, match="is not canonical"):
+        pair_from_key(key)
 
 
 def test_permutation_serialization():
@@ -178,6 +196,18 @@ def test_model_parse_errors():
             "((1,2),(2,1))": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]}})
     with pytest.raises(ParseError):
         loads("{not json")
+    # one arrow or pair named twice, in a second spelling of its key or in
+    # the same key again: the last value used to replace the first silently
+    for name, key in (("frame-key-twice", "arrow key '(01,2)'"),
+                      ("twist-key-twice", "pair key '((01,2),(2,3))'")):
+        text = (CONTROLS / f"{name}.json").read_bytes()
+        with pytest.raises(ParseError, match=f"^{re.escape(key)} is not canonical"):
+            model_from_json(loads(text))
+    with pytest.raises(ParseError, match=r"^key '\(1,1\)' appears twice in one object$"):
+        loads('{"points": 1, "fibre_dims": [1], "frame": {"(1,1)": [[[7.0, 0.0]]], '
+              '"(1,1)": [[[1.0, 0.0]]]}}')
+    with pytest.raises(ParseError, match="^key 'points' appears twice"):
+        loads('{"points": 1, "fibre_dims": [1], "points": 2}')
     # counts are JSON integers, and points and fibre dims at least 1: a bool
     # or a float is no count (1.7, true and [2.5, 2.9] used to load)
     for doc in (
