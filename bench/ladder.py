@@ -14,7 +14,11 @@ and ``cli_import_ms``, the median over REPEATS fresh
 cumulative time on the ``fellkit.cli`` line: the CLI's own import past
 ``import fellkit``, which a process's wall time includes but no config
 isolates.  (Alone, ``import fellkit.cli`` counts the package, numpy
-included, on that line.)
+included, on that line.)  It records ``bytecode``, the state the runs start
+in: whether ``PYTHONDONTWRITEBYTECODE`` was set, and whether ``<src>/fellkit``
+held a current ``.pyc`` for every module.  A run without one compiles that
+module first, and its ``wall_s`` and ``cli_import_ms`` include the compile, so
+only ladders recorded in the same bytecode state compare.
 The exit status is 1 if a report fails to run, or if a configuration's runs
 differ in exit code or sha256.  Two ladders of the same configurations are
 compared by their digests: equal digests are byte-identical reports.
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import os
 import platform
@@ -100,12 +105,31 @@ def cli_import_ms(src: Path) -> float:
     return statistics.median(runs)
 
 
+def has_current_pyc(path: Path) -> bool:
+    """True iff this interpreter's ``.pyc`` of the module at ``path`` exists
+    and matches its source's mtime and size (a hash-based ``.pyc`` counts
+    as not current)."""
+    try:
+        head = Path(importlib.util.cache_from_source(path)).read_bytes()[:16]
+    except OSError:
+        return False
+    st = path.stat()
+    return head == (importlib.util.MAGIC_NUMBER + bytes(4)
+                    + (int(st.st_mtime) & 0xFFFFFFFF).to_bytes(4, "little")
+                    + (st.st_size & 0xFFFFFFFF).to_bytes(4, "little"))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="names BENCH_<label>.json")
     parser.add_argument("--src", type=Path, default=HERE.parent / "src",
                         help="the directory that holds the fellkit package")
     args = parser.parse_args(argv)
+    bytecode = {
+        "dont_write": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
+        "current_pyc_for_every_module": all(
+            has_current_pyc(path) for path in (args.src / "fellkit").glob("*.py")),
+    }
     rows, unsteady = [], []
     with tempfile.TemporaryDirectory() as tmp:
         for name, (dim, preset) in CONFIGS.items():
@@ -127,6 +151,7 @@ def main(argv=None) -> int:
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
                  "python": platform.python_version(), "numpy": numpy.__version__,
                  "blas_threads": 1},
+        "bytecode": bytecode,
         "configs": rows,
         "src_lines": sum(path.read_bytes().count(b"\n")
                          for path in (args.src / "fellkit").glob("*.py")),

@@ -452,6 +452,65 @@ def test_every_ragged_order_generates_and_reports(tmp_path, dims):
     assert run(tmp_path, "report", "--input", str(model))[0] == 0
 
 
+FRAMELESS_OR_SCALAR = [
+    *(["--preset", "imprimitivity", "--dims", ",".join(map(str, p))]
+      for p in itertools.permutations((1, 2, 3, 4))),
+    ["--preset", "fourpoint"],
+    ["--preset", "diag-masa", "--n", "6"],
+    ["--preset", "flow", "--points", "8", "--dim", "1"],
+    ["--preset", "semidirect", "--points", "4", "--dim", "1"],
+]
+
+
+def test_a_report_without_a_wide_frame_calls_no_lapack(tmp_path, monkeypatch):
+    """On a model with no frame or with d = 1 every norm is of a zero or
+    1×1 matrix and the expectation's Choi spectrum is read off the block
+    dims, so a report on its model file calls nothing in numpy.linalg, nor
+    any of its LAPACK gufuncs, and writes the same bytes as with them.  (The
+    flow and semidirect presets draw their frames by QR, so each model is
+    generated first.)  Each exits 0 but semidirect, whose random frame has
+    holonomy round the 4-cycle: cocycle and the round trip fail, exit 1."""
+    models, want = [], []
+    for k, preset in enumerate(FRAMELESS_OR_SCALAR):
+        assert run(tmp_path, "generate", *preset, name=f"model-{k}.json")[0] == 0
+        models.append(str(tmp_path / f"model-{k}.json"))
+        code, out = run(tmp_path, "report", "--input", models[k], name=f"want-{k}.json")
+        want.append((code, out.read_bytes()))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a report called numpy.linalg")
+
+    for module in (np.linalg, np.linalg._umath_linalg):
+        for name in dir(module):
+            value = getattr(module, name)
+            if callable(value) and not isinstance(value, type):  # not LinAlgError
+                monkeypatch.setattr(module, name, refuse)
+    with pytest.raises(AssertionError, match="numpy.linalg"):
+        np.linalg.eigvalsh(np.eye(2))
+    for k, preset in enumerate(FRAMELESS_OR_SCALAR):
+        code, out = run(tmp_path, "report", "--input", models[k], name=f"got-{k}.json")
+        assert (code, out.read_bytes()) == want[k], preset
+        assert code == ("semidirect" in preset), preset
+
+
+@pytest.mark.parametrize("dims", ["2,1,3", ",".join(map(str, range(1, 10))),
+                                  ",".join(map(str, range(1, 14)))])
+def test_an_eps_below_eigvalsh_rounding_passes_the_exact_expectation(tmp_path, dims):
+    """At --eps 1e-16 eigvalsh's rounding of the Choi spectrum (5.6e-16 to
+    1.9e-15 on these) failed positive, contractive and faithful, and so the
+    pair entry, though the compression has each property exactly.  Read off
+    the block dims, every residual is exact and the report passes."""
+    code, out = run(tmp_path, "report", "--preset", "imprimitivity", "--dims", dims,
+                    "--eps", "1e-16")
+    assert code == 0
+    doc = json.loads(out.read_text())
+    assert all(c["pass"] for c in doc["checks"])
+    expectation = doc["checks"][1]["details"]["expectation"]
+    assert expectation["positive"] == expectation["contractive"] == {
+        "pass": True, "residual": 0.0}
+    assert expectation["faithful"] == {"pass": True, "residual": 1.0}
+
+
 def test_report_builds_one_covariance_group(tmp_path, monkeypatch):
     """The cocycle, generation and phi-roundtrip stages share the report's
     group, and the round trip recovers none.  Φ is held as its blocks, so

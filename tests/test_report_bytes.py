@@ -33,6 +33,10 @@ The twisted-5 `report` digest was re-recorded when model twists became
 𝕋-valued and the cocycle entry on a model twist came to read axiom 3's
 residual: its details lost `"admissible": true`, which the builder had
 already made certain; nothing else in it moved.
+The imprimitivity 3,1,4,2 `report` digest was re-recorded when the
+expectation's Choi spectrum came to be read off the block dims: the pair
+entry's `positive` residual went from eigvalsh's 5.660001591138239e-16 to
+an exact 0.0; nothing else in it moved.
 The reports print residuals, and ω's digest pins the twist, to the last
 bit, so a changed product order or summation order shows here.  A numpy or BLAS
 build that rounds differently can move these digests without any change to
@@ -72,7 +76,7 @@ CASES = {
         "eea3da948158fe5afc4e7217dfc44febe569e7af1c335d33f76f521c6cb451b8"),
     "report-imprimitivity-3,1,4,2": (
         ["report", "--preset", "imprimitivity", "--dims", "3,1,4,2"], 0,
-        "78ebf8e722e1bdc3656c04f10e1ec75a3017d7589d01b2d9a204dfea022ccb9f"),
+        "30000c89b9a6e4a775ee458f4a9b795d8f8a9eccf2da3dcf53826f01c13eeb23"),
     "report-twisted-5": (
         ["report", "--input", "TWISTED_5"], 1,
         "2e9aee18def3c9eed35595116234fe1d2761aa12f38dce6e4867cc7df9468274"),
