@@ -1,4 +1,4 @@
-"""The report size ladder: `fellkit report` on presets up to ambient dim 96.
+"""The report size ladder: `fellkit report` on presets up to ambient dim 820.
 
 Usage: python3 bench/ladder.py --label LABEL [--src DIR]
 
@@ -50,6 +50,8 @@ CONFIGS = {
                                 "--dims", ",".join(str(k) for k in range(1, 10))]),
     "imprimitivity-1..13": (91, ["--preset", "imprimitivity",
                                  "--dims", ",".join(str(k) for k in range(1, 14))]),
+    "imprimitivity-1..40": (820, ["--preset", "imprimitivity",
+                                  "--dims", ",".join(str(k) for k in range(1, 41))]),
     "diag-masa-48": (48, ["--preset", "diag-masa", "--n", "48"]),
     "diag-masa-96": (96, ["--preset", "diag-masa", "--n", "96"]),
     "semidirect-24x2": (48, ["--preset", "semidirect", "--points", "24", "--dim", "2"]),

@@ -38,7 +38,7 @@ from .cocycle import (
     frame_defects,
     twist_is_admissible,
 )
-from .groupoid import Arrow, PairGroupoid
+from .groupoid import Arrow, PairGroupoid, arrow_key
 from .linalg import (
     DEFAULT_EPS,
     _numerical_rank,
@@ -228,7 +228,7 @@ def build_semidirect_bundle(
         raise FrameError(f"frame has shape {frame.shape}, expected {(n, n, dim, dim)}")
     audit = FrameAudit(frame)
     if (g := first_offender(audit.unitarity > eps)) is not None:
-        raise FrameError(f"frame entry at {g} is not a {dim}×{dim} unitary")
+        raise FrameError(f"frame entry at {arrow_key(g)} is not a {dim}×{dim} unitary")
     return unitary_frame_bundle(E0.fibre_dims, audit, twist, eps)
 
 
@@ -241,9 +241,9 @@ def unitary_frame_bundle(
     frame, (units, involution) = audit.frame, audit.defects
     n, dim = frame.shape[0], frame.shape[-1]
     if (x := first_offender(units > eps)) is not None:
-        raise FrameError(f"frame unit at ({x[0]},{x[0]}) is not the identity")
+        raise FrameError(f"frame unit at {arrow_key((x[0], x[0]))} is not the identity")
     if (g := first_offender(involution > eps)) is not None:
-        raise FrameError(f"frame violates u_(y,x) = u_(x,y)* at {g}")
+        raise FrameError(f"frame violates u_(y,x) = u_(x,y)* at {arrow_key(g)}")
     if twist is not None:
         if twist.fibre_dim != dim or twist.n_points != n:
             raise LocalTrivialityError(
@@ -312,14 +312,15 @@ def check_fell_axioms(E: FellBundleModel, eps: float = DEFAULT_EPS) -> AxiomRepo
     of ‖a·b‖ over the unit balls, less 1; 9 and 10 fold the unitarity
     defects of the values they rest on.  Failures are reported, never raised.
     """
-    zero = _zero_fibre_mask(E)
-    # [x, y, z]: E_(x,y) and E_(y,z) nonzero, their product fibre E_(x,z) zero
-    into_zero = (~zero[:, :, None] & ~zero[None] & zero[:, None, :]).any()
     res = dict.fromkeys(range(1, 11), 0.0)
-    res[1] = 1.0 if into_zero else 0.0
-    res[5] = 1.0 if (~zero & zero.T).any() else 0.0
+    if E.zero_fibres:  # else nothing lands in a zero fibre, and 1 and 5 hold
+        zero = _zero_fibre_mask(E)
+        # [x, y, z]: E_(x,y) and E_(y,z) nonzero, their product fibre E_(x,z) zero
+        into_zero = (~zero[:, :, None] & ~zero[None] & zero[:, None, :]).any()
+        res[1] = 1.0 if into_zero else 0.0
+        res[5] = 1.0 if (~zero & zero.T).any() else 0.0
     if E.coefficient_form:
-        res.update(_coefficient_residuals(E, ~zero))
+        res.update(_coefficient_residuals(E, ~_zero_fibre_mask(E)))
     return AxiomReport(passed=[bool(r <= eps) for r in res.values()],
                        residuals=[float(r) for r in res.values()])
 
@@ -457,59 +458,42 @@ class ConditionalExpectation:
 
     def verify(self, eps: float = DEFAULT_EPS) -> dict:
         """Decide the contract of the compression P onto ``range_algebra``,
-        and faithfulness, from A's block mask m: P(E_rs) = m_rs·E_rs on the
-        N² matrix units (P is linear).  This compression is the only P that
-        fellkit builds; another map must be checked on its images of the
-        units, as the tests' probe does.
+        and faithfulness, in closed form from its block dims n_1, …, n_k.
+        This compression is the only P that fellkit builds; another map must
+        be checked on its images of the N² matrix units, as the tests' probe
+        does (``probe_expectation``, this method's oracle).
 
-        * fixes_range: max |m_rs − 1| over the units of A; idempotent:
-          max |m_rs² − m_rs|.
+        On the units P(E_rs) = m_rs·E_rs, m = ⊕ J_{n_k} the 0/1 mask of A's
+        blocks (P is linear), so each residual is the norm of an exact array:
+
+        * fixes_range: max |m_rs − 1| over the units of A, where m_rs = 1:
+          0.0.  idempotent: max |m_rs² − m_rs|, m_rs ∈ {0, 1}: 0.0.
         * bimodule: by Schur's lemma the A-bimodule maps are x ↦ Σ c_kl p_k x p_l;
-          P(E_rs) − c_rs E_rs vanishes for c = m, so the residual is the
-          spread of m from the corner of each block rectangle.
+          P is one, with c = m constant on each block rectangle: 0.0.
         * positive means completely positive (Choi): the Choi matrix
           C[(r,i),(s,j)] = P(E_rs)_ij is m on its rows (r,r) and zero
           elsewhere, with residual max(‖C − C*‖, −λ_min).  An expectation is
-          completely positive (Tomiyama), so the contract is the same.  The
-          spectrum is exact (``choi_spectrum``), so the residual is 0.0.
+          completely positive (Tomiyama), so the contract is the same.  m is
+          real symmetric, and the all-ones J_n has the eigenvalues n and 0,
+          so C's spectrum is the n_k and zeros (n_1 = 1 alone at N = 1): 0.0.
+          −P is completely positive iff λ_max = max n_k ≤ eps.
         * contractive: for ±P completely positive, ‖P‖ = ‖P(1)‖ (Russo–Dye),
-          the top eigenvalue of ±P(1) = ±diag(m_rr).
-        * faithful: then tr P(x) = tr(x·P*(1)), P*(1) = diag(m_rr), so
-          P(b*b) = 0 forces b = 0 iff P*(1) is invertible: the residual is
-          λ_min(±P*(1)), and must exceed eps.
+          and ±P(1) = ±diag(m_rr) = ±I: max(0, ±1 − 1).
+        * faithful: then tr P(x) = tr(x·P*(1)), P*(1) = diag(m_rr) = I, so
+          P(b*b) = 0 forces b = 0: the residual is λ_min(±P*(1)) = ±1, and
+          must exceed eps.
 
-        If neither P nor −P is completely positive, those two fail closed,
-        with the positive residual and 0.0.
+        If neither P nor −P is completely positive (eps < 0), those two fail
+        closed, with the positive residual and 0.0.
         """
-        in_A = self.range_algebra._block_mask
-        corner = in_A.argmax(axis=1)  # the first index of each block
-        m = in_A.astype(complex)  # C on its rows (r,r)
-        fix = np.max(np.abs(m - 1.0), where=in_A, initial=0.0)
-        idem = np.abs(m * m - m).max()
-        bimod = np.abs(m - m[corner][:, corner]).max()
-        defect = operator_norms((m - adjoints(m))[None])[0]
-        spectrum = self.choi_spectrum()
-        positive = max(defect, -spectrum.min())
-        sign = (1.0 if positive <= eps
-                else -1.0 if max(defect, spectrum.max()) <= eps else 0.0)
-        contract, faithful = positive, 0.0
-        if sign:
-            ends = sign * m.diagonal().real  # the spectrum of ±P(1) = ±P*(1)
-            contract, faithful = max(0.0, ends.max() - 1.0), ends.min()
-        report = {key: (bool(r <= eps), float(r)) for key, r in (
-            ("fixes_range", fix), ("bimodule", bimod), ("positive", positive),
-            ("idempotent", idem), ("contractive", contract))}
-        report["faithful"] = (bool(faithful > eps), float(faithful))
+        positive, top = 0.0, float(max(self.range_algebra.block_dims))
+        sign = 1.0 if positive <= eps else -1.0 if top <= eps else 0.0
+        contract, faithful = (max(0.0, sign - 1.0), sign) if sign else (positive, 0.0)
+        report = {key: (bool(r <= eps), r) for key, r in (
+            ("fixes_range", 0.0), ("bimodule", 0.0), ("positive", positive),
+            ("idempotent", 0.0), ("contractive", contract))}
+        report["faithful"] = (bool(faithful > eps), faithful)
         return {**report, "uniqueness": "assumed"}
-
-    def choi_spectrum(self) -> np.ndarray:
-        """The spectrum of the Choi matrix C, read off the block dims: on its
-        rows (r,r), C is A's block mask ⊕ J_{n_k}, and the all-ones J_n has
-        the eigenvalue n once and 0 n − 1 times.  One more 0.0 stands for
-        C's zero rows (N > 1).  The tests check it against eigvalsh."""
-        dims = self.range_algebra.block_dims
-        zeros = sum(dims) - len(dims) + (sum(dims) > 1)
-        return np.array(dims + (0,) * zeros, dtype=float)
 
 
 def restriction_expectation(E: FellBundleModel) -> ConditionalExpectation:

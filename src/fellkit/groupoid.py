@@ -16,6 +16,11 @@ Arrow = tuple[int, int]
 ENUMERATION_CAP = 8
 
 
+def arrow_key(g: Arrow) -> str:
+    """The arrow as a model file keys it, 1-indexed: (0, 1) is "(1,2)"."""
+    return f"({g[0] + 1},{g[1] + 1})"
+
+
 @dataclass(frozen=True)
 class PairGroupoid:
     """The groupoid X×X over a finite set of points."""

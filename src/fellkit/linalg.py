@@ -121,8 +121,11 @@ def singular_values(stack) -> np.ndarray:
 
 
 def values_rank(sv, eps: float = DEFAULT_EPS) -> int:
-    """The rank rule on a family's singular values pooled in any order and shape."""
-    return int(_numerical_rank(np.sort(np.ravel(sv))[::-1], eps))
+    """The rank rule on a family's singular values pooled in any order and
+    shape: the count of values above eps times the largest, unsorted."""
+    v = np.ravel(sv)
+    top = v.max(initial=0.0)
+    return int(np.count_nonzero((v > eps * top) & (top > 0)))
 
 
 def span_dimension(mats: Sequence[np.ndarray], eps: float = DEFAULT_EPS,

@@ -53,7 +53,7 @@ from .fellbundle import (
     identity_frame,
     unitary_frame_bundle,
 )
-from .groupoid import Arrow, Bisection
+from .groupoid import Arrow, Bisection, arrow_key
 from .linalg import DEFAULT_EPS, as_matrix, as_stack
 
 
@@ -85,9 +85,6 @@ def matrix_from_json(v) -> np.ndarray:
     except (TypeError, ParseError) as exc:
         raise ParseError(f"bad matrix entry: {exc}") from exc
 
-
-def arrow_key(g: Arrow) -> str:
-    return f"({g[0] + 1},{g[1] + 1})"
 
 _ARROW_RE = re.compile(r"^\((\d+),(\d+)\)$")
 
@@ -273,8 +270,8 @@ def frame_from_json(obj: dict, n: int, dim: int, eps: float) -> FrameAudit:
                 frame[g], shaped[g] = u, True
     audit = FrameAudit(frame)
     if (g := first_offender(~shaped | ~(audit.unitarity <= eps))) is not None:  # row-major
-        raise FrameError(f"frame entry at {g} is not a {dim}×{dim} unitary"
-                         if given[g] else f"frame missing arrow {g}")
+        raise FrameError(f"frame entry at {arrow_key(g)} is not a {dim}×{dim} unitary"
+                         if given[g] else f"frame missing arrow {arrow_key(g)}")
     return audit
 
 

@@ -117,7 +117,9 @@ def classify_pair(
     bundle's own family, off its structure) by the same rule, A's units as 1.0s.
     """
     A, n = pair.A, pair.A.n_blocks
-    unit_in_A = A.contains(pair.B.unit(), eps)
+    # PairCandidate makes B one block of A's ambient dim N, so B's unit I_N
+    # lies in A: ‖I − P(I)‖ is the norm of an exact zero
+    unit_in_A = 0.0 <= eps
     if isinstance(normalizer_sample, SpanValues):
         sv = normalizer_sample.values
         regular_dim = values_rank(np.concatenate([sv, np.ones(A.dim())]), eps)

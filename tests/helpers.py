@@ -77,7 +77,7 @@ def probe_expectation(P, eps: float = DEFAULT_EPS) -> dict:
     """The expectation oracle: ``ConditionalExpectation.verify``'s contract
     decided from the images T_rs = P(E_rs) of the N² matrix units, for any
     linear map P(b) on (k, N, N) stacks over ``P.range_algebra`` (``verify``
-    reads the same residuals off the block mask of the compression).
+    is the closed form of the same residuals for the compression).
 
     * fixes_range: max ‖T_rs − E_rs‖ over the units of A; idempotent:
       max ‖P(T_rs) − T_rs‖.
@@ -140,6 +140,16 @@ def probe_expectation(P, eps: float = DEFAULT_EPS) -> dict:
         ("idempotent", idem), ("contractive", contract))}
     report["faithful"] = (bool(faithful > eps), float(faithful))
     return {**report, "uniqueness": "assumed"}
+
+
+def choi_spectrum(dims) -> np.ndarray:
+    """The spectrum that ``ConditionalExpectation.verify``'s closed form
+    rests on: that of the Choi matrix C of the compression onto ⊕ M_{n_k},
+    read off the block dims.  On its rows (r,r), C is A's block mask
+    ⊕ J_{n_k}, and the all-ones J_n has the eigenvalue n once and 0 n − 1
+    times.  One more 0.0 stands for C's zero rows (N > 1)."""
+    zeros = sum(dims) - len(dims) + (sum(dims) > 1)
+    return np.array(tuple(dims) + (0,) * zeros, dtype=float)
 
 
 def twist_from_phases(theta: np.ndarray, fibre_dim: int = 1) -> Cocycle2:

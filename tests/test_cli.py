@@ -40,10 +40,16 @@ from fellkit.cli import (
 from fellkit.cocycle import NotATwistError, make_twist
 from fellkit.dynamics import covariance_group_from_frame
 from fellkit.embedding import bridge_round_trip
-from fellkit.fellbundle import CStarBundle, build_semidirect_bundle, check_fell_axioms
+from fellkit.fellbundle import (
+    ConditionalExpectation,
+    CStarBundle,
+    build_semidirect_bundle,
+    check_fell_axioms,
+)
 from fellkit.groupoid import cycle_bisection
 from fellkit.presets import flow_frame, random_symmetric_frame
 from fellkit.serialize import model_from_json, model_to_json, loads
+from fellkit.subalgebra import PairCandidate, SpanValues, classify_pair
 
 from helpers import TWISTED_5, twist_from_phases
 from test_parse_bytes import CASES as PARSE_CASES
@@ -491,6 +497,56 @@ def test_a_report_without_a_wide_frame_calls_no_lapack(tmp_path, monkeypatch):
         code, out = run(tmp_path, "report", "--input", models[k], name=f"got-{k}.json")
         assert (code, out.read_bytes()) == want[k], preset
         assert code == ("semidirect" in preset), preset
+
+
+NO_DENSE_UNIT = [
+    *(["--preset", "imprimitivity", "--dims", ",".join(map(str, p))]
+      for p in itertools.permutations((1, 2, 3, 4))),
+    ["--preset", "imprimitivity", "--dims", ",".join(map(str, range(1, 14)))],
+    ["--preset", "fourpoint"],
+    ["--preset", "flow", "--points", "8", "--dim", "1"],
+]
+
+
+def test_a_report_forms_no_unit_and_compresses_nothing(tmp_path, monkeypatch):
+    """The pair entry reads unit_in_A off ``PairCandidate``'s invariant and
+    the expectation off the block dims, so a report forms no I_N, applies
+    the compression to no matrix and asks no containment, and writes the
+    same bytes as with them."""
+    want = [run(tmp_path, "report", *preset, name=f"want-{k}.json")
+            for k, preset in enumerate(NO_DENSE_UNIT)]
+    want = [(code, out.read_bytes()) for code, out in want]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a report formed I_N, compressed or asked containment")
+
+    for name in ("unit", "compress", "contains"):
+        monkeypatch.setattr(fellkit.algebra.FiniteCStarAlgebra, name, refuse)
+    with pytest.raises(AssertionError, match="formed I_N"):
+        fellkit.algebra.FiniteCStarAlgebra((2,)).unit()
+    for k, preset in enumerate(NO_DENSE_UNIT):
+        code, out = run(tmp_path, "report", *preset, name=f"got-{k}.json")
+        assert (code, out.read_bytes()) == want[k], preset
+        assert code == 0, preset
+
+
+@settings(max_examples=200, deadline=None)
+@given(dims=st.lists(st.integers(1, 6), min_size=1, max_size=6))
+def test_every_pair_candidate_has_its_unit_in_a(dims):
+    """The invariant classify_pair reads unit_in_A off: a PairCandidate that
+    can be built has B one block of A's ambient dim, so B's unit lies in A,
+    with an exact-zero residual, at every eps ≥ 0 (the dense containment is
+    the oracle)."""
+    A = fellkit.algebra.make_algebra(dims)
+    for B in (fellkit.algebra.make_algebra([A.ambient_dim]), A,
+              fellkit.algebra.make_algebra([A.ambient_dim + 1])):
+        try:
+            pair = PairCandidate(A, B, ConditionalExpectation(A))
+        except ValueError:
+            assert B != fellkit.algebra.make_algebra([A.ambient_dim])
+            continue
+        assert pair.A.contains(pair.B.unit(), 0.0)
+        assert classify_pair(pair, SpanValues(np.ones(0)), 0.0).evidence["unit_in_A"]
 
 
 @pytest.mark.parametrize("dims", ["2,1,3", ",".join(map(str, range(1, 10))),

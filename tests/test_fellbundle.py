@@ -41,6 +41,7 @@ from fellkit.serialize import model_from_json
 
 from helpers import (
     TWISTED_5,
+    choi_spectrum,
     composable_triples,
     probe_expectation,
     random_fibre_element,
@@ -129,19 +130,20 @@ def test_inadmissible_twist_error_names_the_checked_rule():
 
 def loop_frame_error(frame, n, dim, eps=1e-9):
     """The FrameError text of the per-arrow frame checks that the stacked
-    ones replaced, or None for a valid frame."""
+    ones replaced, or None for a valid frame.  It names the arrow (x, y) as
+    a model file keys it, 1-indexed: "(x+1,y+1)"."""
     G = PairGroupoid(n)
-    for g in G.arrows():
-        u = frame[g]
+    for x, y in G.arrows():
+        u = frame[x, y]
         if u.shape != (dim, dim) or not is_unitary(u, eps):
-            return f"frame entry at {g} is not a {dim}×{dim} unitary"
+            return f"frame entry at ({x + 1},{y + 1}) is not a {dim}×{dim} unitary"
     eye = np.eye(dim)
     for x in range(n):
         if operator_norm(frame[(x, x)] - eye) > eps:
-            return f"frame unit at ({x},{x}) is not the identity"
-    for g in G.arrows():
-        if operator_norm(frame[G.inverse(g)] - frame[g].conj().T) > eps:
-            return f"frame violates u_(y,x) = u_(x,y)* at {g}"
+            return f"frame unit at ({x + 1},{x + 1}) is not the identity"
+    for x, y in G.arrows():
+        if operator_norm(frame[y, x] - frame[x, y].conj().T) > eps:
+            return f"frame violates u_(y,x) = u_(x,y)* at ({x + 1},{y + 1})"
     return None
 
 
@@ -918,7 +920,7 @@ def choi_bound(n):
 @pytest.mark.parametrize("eps", [1e-9, 0.5])
 @pytest.mark.parametrize("dims", PROBED_DIMS, ids=str)
 def test_expectation_verify_equals_the_probe(dims, eps):
-    """The verdicts read off the block mask are the probe's on the N² unit
+    """The verdicts read off the block dims are the probe's on the N² unit
     images, and every residual but positive is too, bit for bit: an exact
     zero, or 1.0 for faithful.  verify's positive residual is an exact 0.0,
     from the closed-form Choi spectrum; the probe's is eigvalsh's rounding
@@ -941,10 +943,9 @@ def test_choi_spectrum_is_eigvalsh_of_the_block_mask(dims):
     """The closed-form spectrum (the block dims, then N − k zeros, and one
     0.0 for C's zero rows) equals the sorted eigvalsh of the complex block
     mask, with that 0.0 appended, within choi_bound."""
-    P = ConditionalExpectation(make_algebra(dims))
-    m = P.range_algebra._block_mask.astype(complex)
+    m = make_algebra(dims)._block_mask.astype(complex)
     want = np.append(np.linalg.eigvalsh(m), [0.0] * (len(m) > 1))
-    got = P.choi_spectrum()
+    got = choi_spectrum(dims)
     assert got.dtype == float and got.shape == want.shape
     assert np.abs(np.sort(got) - np.sort(want)).max() <= choi_bound(len(m))
 
@@ -967,7 +968,7 @@ def test_verdicts_below_eigvalsh_rounding_are_the_exact_ones(dims, eps):
 
 
 def test_expectation_verify_never_compresses(monkeypatch):
-    """verify reads the block mask and applies P to no matrix."""
+    """verify reads the block dims and applies P to no matrix."""
     def refuse(*args, **kwargs):
         raise AssertionError("verify applied the compression")
 
@@ -1038,9 +1039,8 @@ def test_expectation_verify_decides_complete_positivity(name):
 
 
 def test_expectation_verify_draws_nothing_and_calls_no_svd(monkeypatch):
-    """‖C − C*‖ is the norm of an exact zero matrix, so the norm kernel skips
-    LAPACK; the Choi spectrum is read off the block dims, so no eigensolver
-    runs, and no random numbers are drawn."""
+    """verify is the closed form of the block dims: it norms no matrix, runs
+    no eigensolver and draws no random number."""
     want = {dims: ConditionalExpectation(make_algebra(dims)).verify()
             for dims in [(2, 1, 3), (8,) * 6, (1,) * 24]}
 
@@ -1056,9 +1056,10 @@ def test_expectation_verify_draws_nothing_and_calls_no_svd(monkeypatch):
 
 
 def test_sampled_suites_hold_bounded_stacks():
-    """verify holds a few N×N arrays of the block mask (9 kB each at
-    N = 24).  The axiom suite on imprimitivity (1,2,3,4) holds only its
-    (n, n) and (n, n, n) masks (2 kB)."""
+    """verify is the closed form of the block dims, and the axiom suite on a
+    bundle with no zero fibre and no frame forms no mask: each holds only
+    its report, about 1.1 kB (a complex 24×24 block mask was 9 kB, the
+    (n, n, n) mask of (1,2,3,4) 64 bytes)."""
     E = build_imprimitivity_bundle((1, 2, 3, 4))
 
     def both_suites():
@@ -1068,21 +1069,38 @@ def test_sampled_suites_hold_bounded_stacks():
     def single_block():
         ConditionalExpectation(make_algebra([24])).verify()
 
-    assert traced_peak_bytes(both_suites) < 1.2e6
-    assert traced_peak_bytes(single_block) < 1.2e6
+    assert traced_peak_bytes(both_suites) < 2e3
+    assert traced_peak_bytes(single_block) < 2e3
 
 
 @pytest.mark.parametrize("dims", [(8,) * 6, (1,) * 48])
 def test_expectation_verify_peak_at_n_48(dims):
-    """verify forms no unit image, only N×N arrays of the block mask (the
-    probe passes 2304 images of 2304 entries through P seven at a time)."""
+    """verify forms no unit image and no N×N array: its peak is below the
+    2,304 bytes of one boolean 48×48 mask (the probe passes 2304 images of
+    2304 entries through P seven at a time)."""
     P = ConditionalExpectation(make_algebra(dims))
-    assert traced_peak_bytes(P.verify) <= 4.1e6
+    assert traced_peak_bytes(P.verify) < 48 * 48
 
 
 @pytest.mark.parametrize("dims", [(8,) * 6, (1,) * 48])
 def test_expectation_verify_peaks_under_0_2_mb(dims):
-    """At N = 48 verify peaks at about 0.15 MB, a few complex 48×48 arrays;
-    the unit images peaked at about 1.0 MB."""
+    """At N = 48 verify peaks at about 0.5 kB, its report's dict and tuples,
+    whatever the block dims; the block mask's complex 48×48 arrays peaked at
+    about 0.15 MB, and the unit images at about 1.0 MB."""
     P = ConditionalExpectation(make_algebra(dims))
-    assert traced_peak_bytes(P.verify) < 2e5
+    assert traced_peak_bytes(P.verify) < 1e3
+
+
+def test_axioms_without_zero_fibres_form_no_mask():
+    """With no zero fibre, nothing lands in one, so axioms 1 and 5 hold and
+    the suite forms no zero-fibre mask: on imprimitivity (1,)*96 it peaks
+    at about 1 kB, below one (n, n) boolean mask, where its (n, n, n)
+    product mask alone was 0.9 MB.  A zero fibre still fails 1 and 5."""
+    n = 96
+    E = build_imprimitivity_bundle((1,) * n)
+    assert traced_peak_bytes(lambda: check_fell_axioms(E)) < n * n
+    assert check_fell_axioms(E).all_passed
+    zeroed = FellBundleModel((1,) * n, zero_fibres=frozenset({(0, n - 1)}))
+    report = check_fell_axioms(zeroed)
+    assert report.failed_axioms() == [1, 5]
+    assert report.residuals[0] == report.residuals[4] == 1.0

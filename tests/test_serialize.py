@@ -186,7 +186,7 @@ def test_model_parse_errors():
     # a frame arrow missing from the document is the builder's FrameError too
     frame = {f"({x},{y})": [[[1.0, 0.0]]] for x in (1, 2) for y in (1, 2)}
     del frame["(1,2)"]
-    with pytest.raises(FrameError, match=r"frame missing arrow \(0, 1\)"):
+    with pytest.raises(FrameError, match=r"^frame missing arrow \(1,2\)$"):
         model_from_json({"points": 2, "fibre_dims": [1, 1], "frame": frame})
     # a twist value must be v·I: make_twist refuses a diagonal unitary that
     # is not scalar, the builder's error, not ParseError
@@ -251,7 +251,7 @@ def test_first_fault_is_named_in_row_major_order():
     # a non-unitary (1,1) comes before the missing (2,2), as arrow by arrow
     frame = {**IDENTITY_FRAME_2, "(1,1)": [[[2.0, 0.0]]]}
     del frame["(2,2)"]
-    with pytest.raises(FrameError, match=r"^frame entry at \(0, 0\) is not a 1×1 unitary$"):
+    with pytest.raises(FrameError, match=r"^frame entry at \(1,1\) is not a 1×1 unitary$"):
         model_from_json({"points": 2, "fibre_dims": [1, 1], "frame": frame})
     # twist values are checked in (x, y, z) order, not in document order
     twist = {"((2,1),(1,2))": [2.0, 0.0], "((1,1),(1,2))": [3.0, 0.0]}
@@ -317,9 +317,9 @@ def frame_per_arrow(given, n, dim, eps=1e-9):
     frame = np.empty((n, n, dim, dim), dtype=complex)
     for g in np.ndindex(n, n):
         if g not in given:
-            raise FrameError(f"frame missing arrow {g}")
+            raise FrameError(f"frame missing arrow {arrow_key(g)}")
         if given[g].shape != (dim, dim) or not is_unitary(given[g], eps):
-            raise FrameError(f"frame entry at {g} is not a {dim}×{dim} unitary")
+            raise FrameError(f"frame entry at {arrow_key(g)} is not a {dim}×{dim} unitary")
         frame[g] = given[g]
     return frame
 
