@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groupoid import Arrow
+from .groupoid import Arrow, arrow_key, pair_key
 from .linalg import DEFAULT_EPS, adjoints, as_matrix, operator_norms
 
 
@@ -103,13 +103,13 @@ def make_twist(
             v = as_matrix([[v]]) * np.eye(fibre_dim, dtype=complex)
         mat = as_matrix(v)
         if mat.shape != (fibre_dim, fibre_dim):
-            raise ValueError(f"twist value for {pair} has shape {mat.shape}, "
+            raise ValueError(f"twist value for {pair_key(*pair)} has shape {mat.shape}, "
                              f"expected ({fibre_dim},{fibre_dim})")
         out[x, y, z] = mat
     if (bad := first_non_twist_value(out, eps, scalar=True)) is not None:
         (x, y, z), off = bad
         fault = "is not scalar" if off > eps else "has non-unit modulus"
-        raise NotATwistError(f"twist value for {((x, y), (y, z))} {fault}")
+        raise NotATwistError(f"twist value for {pair_key((x, y), (y, z))} {fault}")
     return Cocycle2(values=out)
 
 
@@ -151,16 +151,16 @@ def extract_cocycle(assignment: np.ndarray, eps: float = DEFAULT_EPS) -> Cocycle
         raise ValueError("assignment must be an (n, n, d, d) array of unitaries")
     units, involution = frame_defects(u)
     if (x := first_offender(units > eps)) is not None:
-        raise ValueError(f"unit arrow ({x[0]},{x[0]}) is not assigned the identity")
+        raise ValueError(f"unit arrow {arrow_key((x[0], x[0]))} is not assigned the identity")
     if (g := first_offender(involution > eps)) is not None:
-        raise ValueError(f"assignment violates u_(g*) = u_g* at {g}")
+        raise ValueError(f"assignment violates u_(g*) = u_g* at {arrow_key(g)}")
 
     defects = coboundary(u)
     if (bad := first_non_twist_value(defects, eps)) is not None:
         (x, y, z), off = bad
         fault = (f"is not diagonal (off-diagonal norm {off:.3e}); assignment has "
                  "no ⊕𝕋-valued twist" if off > eps else "has non-unit modulus")
-        raise NotATwistError(f"defect at ({(x, y)},{(y, z)}) {fault}")
+        raise NotATwistError(f"defect at {pair_key((x, y), (y, z))} {fault}")
     return Cocycle2(values=defects, frame=u)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .algebra import FiniteCStarAlgebra
 from .cocycle import first_offender
 from .fellbundle import FellBundleModel, FrameAudit, identity_frame, is_saturated
-from .groupoid import Bisection, CyclicFlow, cyclic_flow, is_minimal_flow
+from .groupoid import Bisection, CyclicFlow, arrow_key, cyclic_flow, is_minimal_flow
 from .linalg import (
     DEFAULT_EPS,
     as_matrix,
@@ -183,7 +183,7 @@ def check_unitary_normalizer_theorem(
     n, d = E.n_points, E.fibre_dims[0]
     audit = E.audit or FrameAudit(identity_frame(n, d))
     if (bad := first_offender(audit.unitarity > eps)) is not None:
-        raise CovarianceError(f"fibre map at {bad} is not a unitary of the right shape")
+        raise CovarianceError(f"fibre map at {arrow_key(bad)} is not a unitary of the right shape")
     live = audit.values[..., 0] > eps  # ‖w_x‖ at arrow (c^k x, x)
     k, x = np.arange(n)[:, None], np.arange(n)  # power k, column x
     forward = live[(x + k) % n, x].all(axis=1)

@@ -14,13 +14,12 @@ Both are checked against the ten bundle axioms: the algebraic ones are
 decided over every arrow, composable pair and triple from the zero fibres and
 the frame and twist arrays; nothing is sampled.
 
-A model's frame is normed once, by its ``FrameAudit``: eps-free arrays, each
-computed on first use and kept, each the LAPACK call a stage made before, so
-every residual is unchanged.  ``unitarity``, u's defects: load, axioms 3, 8,
-9, theorem 3.13, σ's maps.  ``defects``, ‖u_(x,x) − I‖ and ‖u_(y,x) −
-u_(x,y)*‖: the builder, axiom 8.  ``values``, u's singular values: ‖u_g‖ in
-axiom 4, theorem 3.13, the pair stage.  ``transport``, those of u_(y,z)
-u_(x,z)*: ‖u_h u_gh*‖ in axiom 4, ``is_saturated``'s ranks.
+A model's frame is normed once, by its ``FrameAudit``: three eps-free n²
+arrays, each computed on first use and kept, each the LAPACK call a stage
+made before, so every residual is unchanged.  ``unitarity``, u's defects:
+load, axioms 3, 8, 9, theorem 3.13, σ's maps.  ``defects``, ‖u_(x,x) − I‖
+and ‖u_(y,x) − u_(x,y)*‖: the builder, axiom 8.  ``values``, u's singular
+values: ‖u_g‖ in axiom 4, ``is_saturated``, theorem 3.13, the pair stage.
 """
 
 from __future__ import annotations
@@ -94,12 +93,6 @@ class FrameAudit:
     def values(self) -> np.ndarray:  # (n, n, d)
         u = self.frame
         return singular_values(u.reshape(-1, *u.shape[2:])).reshape(u.shape[:3])
-
-    @cached_property
-    def transport(self) -> np.ndarray:  # (n, n, n, d)
-        u = self.frame
-        m = u[None] @ adjoints(u)[:, None]  # u_(y,z) u_(x,z)* at [x, y, z]
-        return singular_values(m.reshape(-1, *u.shape[2:])).reshape(m.shape[:4])
 
 
 @dataclass(frozen=True)
@@ -313,14 +306,14 @@ def check_fell_axioms(E: FellBundleModel, eps: float = DEFAULT_EPS) -> AxiomRepo
     defects of the values they rest on.  Failures are reported, never raised.
     """
     res = dict.fromkeys(range(1, 11), 0.0)
+    live = np.broadcast_to(True, (E.n_points,) * 2)  # a view: every fibre nonzero
     if E.zero_fibres:  # else nothing lands in a zero fibre, and 1 and 5 hold
-        zero = _zero_fibre_mask(E)
+        live = ~_zero_fibre_mask(E)
         # [x, y, z]: E_(x,y) and E_(y,z) nonzero, their product fibre E_(x,z) zero
-        into_zero = (~zero[:, :, None] & ~zero[None] & zero[:, None, :]).any()
-        res[1] = 1.0 if into_zero else 0.0
-        res[5] = 1.0 if (~zero & zero.T).any() else 0.0
+        res[1] = float((live[:, :, None] & live[None] & ~live[:, None, :]).any())
+        res[5] = float((live & ~live.T).any())
     if E.coefficient_form:
-        res.update(_coefficient_residuals(E, ~_zero_fibre_mask(E)))
+        res.update(_coefficient_residuals(E, live))
     return AxiomReport(passed=[bool(r <= eps) for r in res.values()],
                        residuals=[float(r) for r in res.values()])
 
@@ -400,8 +393,9 @@ def _coefficient_residuals(E: FellBundleModel, live: np.ndarray) -> dict[int, fl
         wpr = W * wpr
         wnorm = operator_norms(w.reshape(-1, 1, 1)).reshape(n, n, n)
     off = operator_norms((wpr - eye).reshape(-1, d, d))
-    # sup ‖a·b‖ at [x, y, z]: ‖u_g‖ times ‖u_h u_gh*‖, and |ω(g,h)|
-    sup = audit.values[..., :1] * (audit.transport[..., 0] * wnorm)
+    # sup ‖a·b‖ at [x, y, z]: ‖u_g‖ times ‖u_h u_gh*‖ = ‖u_(y,z) u_(x,z)*‖, and |ω(g,h)|
+    tail = operator_norms((u[None] @ adjoints(u)[:, None]).reshape(-1, d, d))
+    sup = audit.values[..., :1] * (tail.reshape(n, n, n) * wnorm)
     cstar = np.max(fold, where=live, initial=0.0)
     return {
         3: float(assoc),
@@ -414,25 +408,26 @@ def _coefficient_residuals(E: FellBundleModel, live: np.ndarray) -> dict[int, fl
 
 
 def is_saturated(E: FellBundleModel, eps: float = DEFAULT_EPS) -> bool:
-    """E_{g₁g₂} = span(E_{g₁}·E_{g₂}) for every composable pair.
+    """E_{g₁g₂} = span(E_{g₁}·E_{g₂}) for every composable pair, from n² data.
 
-    The span dimension is read off the block structure: span{e_rs·X·e_tu} is
-    all matrices for X ≠ 0, and a zero fibre spans {0}.  In coefficient form
-    ω(g,h)·a·u_g·b·M, M = u_h u_gh*, spans M_n·M (dim d · rank M) if the
-    scalar ω(g,h) and u_g are nonzero; u_(x,y) = 0 fails anyway, as M = 0 at
-    the pair ((x,x), (x,y)).  Over the n³ pairs ((x,y),(y,z)) this reads the
-    ranks of the products M off the frame's audit, and the twist's scalars.
+    span{e_rs·X·e_tu} is all matrices for X ≠ 0, and a zero fibre spans {0}.
+    So zero fibres are all or nothing: E_(x,y) = 0 empties ((x,y),(y,x)), so
+    E_(x,x) = 0, then each ((x,x),(x,z)), so row x, then each ((w,x),(x,z)).
+    Nonzero fibres of the plain product span.  In coefficient form the pair
+    spans M_d·M, M = u_(y,z) u_(x,z)*, if ω(g,h) ≠ 0 (and u_g, as M = u_g u_g*
+    at ((x,x),(x,y))).  ``_numerical_rank`` gives every M full rank iff it
+    gives every entry u full rank on σ_i(u)², uu*'s singular values: at x = y
+    M = uu*; for eps ≥ 0, σ_d(M)/σ_1(M) ≥ r(y,z)·r(x,z), r = σ_d/σ_1, as
+    σ_d(AB*) ≥ σ_d(A)σ_d(B) and σ_1(AB*) ≤ σ_1(A)σ_1(B).  At eps < 0 it asks
+    only M ≠ 0, which nonzero singular A, B can break; this reads u ≠ 0.
     """
-    zero = _zero_fibre_mask(E)
-    dims = np.array(E.fibre_dims)
-    full = dims[:, None] * dims  # dim E_(x,z) unless it is a zero fibre
-    got = full[:, None, :]  # [x, y, z], for the pair ((x,y),(y,z))
-    if E.coefficient_form:
-        got = dims[0] * _numerical_rank(E.audit.transport, eps)  # d · rank of each M
-        if E.twist is not None:
-            got = np.where(E.twist.values[..., 0, 0] == 0, 0, got)
-    got = np.where(zero[:, :, None] | zero[None], 0, got)
-    return bool((got == np.where(zero, 0, full)[:, None, :]).all())
+    if E.zero_fibres:
+        return bool(_zero_fibre_mask(E).all())
+    if not E.coefficient_form:
+        return True
+    if E.twist is not None and not E.twist.values[..., 0, 0].all():
+        return False
+    return bool((_numerical_rank(E.audit.values ** 2, eps) == E.fibre_dims[0]).all())
 
 
 def enveloping_algebra(E: FellBundleModel) -> FiniteCStarAlgebra:

@@ -21,6 +21,11 @@ def arrow_key(g: Arrow) -> str:
     return f"({g[0] + 1},{g[1] + 1})"
 
 
+def pair_key(g: Arrow, h: Arrow) -> str:
+    """The composable pair as a model file keys it: ((0,1),(1,2)) is "((1,2),(2,3))"."""
+    return f"({arrow_key(g)},{arrow_key(h)})"
+
+
 @dataclass(frozen=True)
 class PairGroupoid:
     """The groupoid X×X over a finite set of points."""

@@ -53,7 +53,7 @@ from .fellbundle import (
     identity_frame,
     unitary_frame_bundle,
 )
-from .groupoid import Arrow, Bisection, arrow_key
+from .groupoid import Arrow, Bisection, arrow_key, pair_key
 from .linalg import DEFAULT_EPS, as_matrix, as_stack
 
 
@@ -101,9 +101,6 @@ def arrow_from_key(key: str) -> Arrow:
         raise ParseError(f"arrow key {key!r} is not canonical, expected {arrow_key(g)!r}")
     return g
 
-
-def pair_key(g: Arrow, h: Arrow) -> str:
-    return f"({arrow_key(g)},{arrow_key(h)})"
 
 _PAIR_RE = re.compile(r"^\(\((\d+),(\d+)\),\(\2,(\d+)\)\)$")
 

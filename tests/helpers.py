@@ -24,6 +24,7 @@ from fellkit.linalg import (
     as_matrix,
     haar_unitary,
     operator_norms,
+    singular_values,
 )
 
 
@@ -54,6 +55,28 @@ def dense_span_dimension(mats, eps: float = DEFAULT_EPS) -> int:
     """The span oracle: ``dense_rank`` of the family vectorised as one
     (members, entries) matrix."""
     return dense_rank(np.reshape(mats, (len(mats), -1)), eps) if len(mats) else 0
+
+
+def rank_saturated(E, eps: float = DEFAULT_EPS) -> bool:
+    """The n³ form of ``is_saturated``, its oracle: over every composable
+    pair ((x,y),(y,z)), the span dimension d · rank M of M = u_(y,z) u_(x,z)*
+    (zero where the twist scalar is 0) in coefficient form, n_x·n_z for the
+    plain product, and 0 where a factor is a zero fibre, must be dim E_(x,z)."""
+    n = E.n_points
+    zero = np.zeros((n, n), dtype=bool)
+    for g in E.zero_fibres:
+        zero[g] = True
+    dims = np.array(E.fibre_dims)
+    full = dims[:, None] * dims  # dim E_(x,z) unless it is a zero fibre
+    got = full[:, None, :]  # [x, y, z], for the pair ((x,y),(y,z))
+    if E.coefficient_form:
+        u, d = E.frame, E.fibre_dims[0]
+        m = (u[None] @ adjoints(u)[:, None]).reshape(-1, d, d)  # at [x, y, z]
+        got = d * _numerical_rank(singular_values(m).reshape(n, n, n, d), eps)
+        if E.twist is not None:
+            got = np.where(E.twist.values[..., 0, 0] == 0, 0, got)
+    got = np.where(zero[:, :, None] | zero[None], 0, got)
+    return bool((got == np.where(zero, 0, full)[:, None, :]).all())
 
 
 def block_of(A, b, i: int, j: int) -> np.ndarray:

@@ -8,15 +8,15 @@ from functools import cached_property
 import numpy as np
 import pytest
 
-from fellkit.cli import main
+from fellkit.cli import main, pipeline, run_report
 from fellkit.cocycle import frame_defects
 from fellkit.fellbundle import CStarBundle, FrameAudit, build_semidirect_bundle, identity_frame
-from fellkit.linalg import adjoints, operator_norms, singular_values, unitarity_defects
+from fellkit.linalg import operator_norms, singular_values, unitarity_defects
 from fellkit.presets import flow_frame, random_symmetric_frame
 
 from helpers import random_matrix
 
-ARRAYS = ("unitarity", "defects", "values", "transport")
+ARRAYS = ("unitarity", "defects", "values")
 
 # the stacked np.linalg.svd calls of one report on the model file, as
 # counted when each audit array came to be computed once: on flow 8×1 the
@@ -58,6 +58,20 @@ def test_a_report_computes_each_audit_array_once(name, tmp_path, computed):
     assert computed["svd"] == REPORT_SVD_CALLS[name]
 
 
+def test_a_report_leaves_the_audit_no_array_over_n2_d_entries():
+    """After a whole report on flow 24×2, each array the model's audit has
+    computed and keeps, its frame aside, has at most n²·d entries: the
+    audit holds n² arrays, and no stage leaves an n³ one in it."""
+    n, d = 24, 2
+    frame, generator = flow_frame(n, d, np.random.default_rng(0))
+    E = build_semidirect_bundle(CStarBundle((d,) * n), frame=frame)
+    assert run_report(pipeline(E, generator, 1e-9), generator)["pass"]
+    kept = {name: value for name, value in vars(E.audit).items() if name != "frame"}
+    assert set(kept) == set(ARRAYS)
+    arrays = [a for v in kept.values() for a in (v if isinstance(v, tuple) else (v,))]
+    assert max(a.size for a in arrays) <= n * n * d
+
+
 def audit_frames():
     """(name, frame): unitary frames, perturbed ones and ones with zero fibres."""
     rng = np.random.default_rng(5)
@@ -87,16 +101,13 @@ def test_audit_arrays_are_the_direct_calls(name):
     singular values are the norms the axioms and theorem 3.13 took."""
     u = AUDIT_FRAMES[name]
     n, d = u.shape[0], u.shape[-1]
-    m = (u[None] @ adjoints(u)[:, None]).reshape(-1, d, d)  # u_(y,z) u_(x,z)*
     audit = FrameAudit(u)
     pairs = {
         "unitarity": (audit.unitarity, unitarity_defects(u)),
         "units": (audit.defects[0], frame_defects(u)[0]),
         "involution": (audit.defects[1], frame_defects(u)[1]),
         "values": (audit.values, singular_values(u.reshape(-1, d, d)).reshape(n, n, d)),
-        "transport": (audit.transport, singular_values(m).reshape(n, n, n, d)),
         "norms": (audit.values[..., 0], operator_norms(u.reshape(-1, d, d)).reshape(n, n)),
-        "transport norms": (audit.transport[..., 0], operator_norms(m).reshape(n, n, n)),
     }
     for key, (got, want) in pairs.items():
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), key

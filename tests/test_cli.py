@@ -856,7 +856,7 @@ def test_exit_code_on_math_failure(tmp_path, capsys):
     assert code == 1
     assert not out.exists()
     assert capsys.readouterr().err == (
-        "check failed: twist value for ((0, 1), (1, 2)) is not scalar\n")
+        "check failed: twist value for ((1,2),(2,3)) is not scalar\n")
 
 
 def test_exit_code_on_usage_errors(tmp_path, capsys):

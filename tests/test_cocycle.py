@@ -41,6 +41,13 @@ def phase_assignment(n, rng):
 # --- the per-pair and per-triple loops the stacked code replaced: oracles ---
 
 
+def key(*arrows):
+    """Arrows and pairs as model files key them, 1-indexed: key((0, 1)) is
+    "(1,2)", key((0, 1), (1, 2)) is "((1,2),(2,3))"."""
+    keys = [f"({x + 1},{y + 1})" for x, y in arrows]
+    return keys[0] if len(keys) == 1 else f"({','.join(keys)})"
+
+
 def loop_extract_cocycle(assignment, eps=1e-9):
     """ω as a dict over composable pairs, read off a per-arrow assignment one
     pair at a time; raises what extract_cocycle raises, with the same text."""
@@ -51,11 +58,11 @@ def loop_extract_cocycle(assignment, eps=1e-9):
     eye = np.eye(dim)
     for x in range(n):
         if operator_norm(as_matrix(assignment[(x, x)]) - eye) > eps:
-            raise ValueError(f"unit arrow ({x},{x}) is not assigned the identity")
+            raise ValueError(f"unit arrow {key((x, x))} is not assigned the identity")
     for g in G.arrows():
         u = assignment[g]
         if operator_norm(as_matrix(assignment[G.inverse(g)]) - u.conj().T) > eps:
-            raise ValueError(f"assignment violates u_(g*) = u_g* at {g}")
+            raise ValueError(f"assignment violates u_(g*) = u_g* at {key(g)}")
     values = {}
     for g, h in G.composable_pairs():
         gh = G.compose(g, h)
@@ -64,12 +71,12 @@ def loop_extract_cocycle(assignment, eps=1e-9):
         off = defect - np.diag(np.diagonal(defect))
         if operator_norm(off) > eps:
             raise NotATwistError(
-                f"defect at ({g},{h}) is not diagonal "
+                f"defect at {key(g, h)} is not diagonal "
                 f"(off-diagonal norm {operator_norm(off):.3e}); "
                 "assignment has no ⊕𝕋-valued twist"
             )
         if np.max(np.abs(np.abs(np.diagonal(defect)) - 1.0)) > eps:
-            raise NotATwistError(f"defect at ({g},{h}) has non-unit modulus")
+            raise NotATwistError(f"defect at {key(g, h)} has non-unit modulus")
         values[(g, h)] = defect
     return values
 
@@ -235,7 +242,7 @@ def test_semidirect_control_error_matches_pair_loop():
                  for i in range(4) for j in range(4)}
     stacked = error_text(lambda: oracle_read_off(phi))
     assert stacked == error_text(lambda: loop_extract_cocycle(per_arrow))
-    assert stacked[1] == "assignment violates u_(g*) = u_g* at (0, 1)"
+    assert stacked[1] == "assignment violates u_(g*) = u_g* at (1,2)"
     involution = frame_defects(frame_array(per_arrow, 4))[1].max()
     h = operator_norms(blocks[range(4), range(4)] - np.eye(2)).max()
     assert involution == pytest.approx(h, rel=1e-12)
@@ -258,11 +265,17 @@ def test_make_twist_validation():
         make_twist(2, 1, {((0, 1), (1, 0)): 2.0})
     with pytest.raises(NotATwistError, match="non-unit modulus"):
         make_twist(2, 2, {((0, 1), (1, 0)): 2.0 * np.eye(2)})
-    with pytest.raises(NotATwistError, match=r"\(\(0, 1\), \(1, 0\)\) is not scalar"):
+    with pytest.raises(NotATwistError, match=r"^twist value for \(\(1,2\),\(2,1\)\) "
+                                             r"is not scalar$"):
         make_twist(2, 2, {((0, 1), (1, 0)): np.array([[0, 1], [1, 0]])})
-    with pytest.raises(NotATwistError, match=r"\(\(0, 1\), \(1, 0\)\) is not scalar"):
+    with pytest.raises(NotATwistError, match=r"^twist value for \(\(1,2\),\(2,1\)\) "
+                                             r"is not scalar$"):
         make_twist(2, 2, {((0, 1), (1, 0)): np.diag([1.0, -1.0])})
-    with pytest.raises(ValueError):
+    with pytest.raises(NotATwistError, match=r"^twist value for \(\(1,2\),\(2,1\)\) "
+                                             r"has non-unit modulus$"):
+        make_twist(2, 1, {((0, 1), (1, 0)): 2.0})
+    with pytest.raises(ValueError, match=r"^twist value for \(\(1,2\),\(2,1\)\) has "
+                                         r"shape \(3, 3\), expected \(2,2\)$"):
         make_twist(2, 2, {((0, 1), (1, 0)): np.eye(3)})
     w = make_twist(2, 2, {((0, 1), (1, 0)): -np.eye(2), ((1, 0), (0, 1)): 1j})
     assert np.array_equal(w.value((0, 1), (1, 0)), -np.eye(2))
@@ -356,11 +369,11 @@ def test_extract_precondition_errors():
         extract_cocycle(assignment[:, :2])
     broken = assignment.copy()
     broken[(0, 0)] = np.array([[1j]])
-    with pytest.raises(ValueError, match=r"unit arrow \(0,0\)"):
+    with pytest.raises(ValueError, match=r"^unit arrow \(1,1\) is not assigned the identity$"):
         extract_cocycle(broken)
     broken = assignment.copy()
     broken[(1, 0)] = np.array([[1.0]])  # breaks u_(g*) = u_g*
-    with pytest.raises(ValueError, match=r"u_g\* at \(0, 1\)"):
+    with pytest.raises(ValueError, match=r"u_g\* at \(1,2\)$"):
         extract_cocycle(broken)
 
 

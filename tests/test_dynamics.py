@@ -672,13 +672,14 @@ def test_theorem_needs_a_saturated_bundle():
 
 def test_theorem_rejects_a_non_unitary_fibre_map():
     """A frame doubled at (1, 3) and (3, 1), built without validation, is
-    still saturated; the error names the first arrow in row-major order."""
+    still saturated; the error names the first arrow in row-major order, as
+    a model file keys it."""
     frame, _ = flow_frame(4, 2, rng_for(4))
     frame[1, 3] *= 2
     frame[3, 1] *= 2
     E = FellBundleModel(fibre_dims=(2,) * 4, frame=frame)
     with pytest.raises(CovarianceError,
-                       match=r"fibre map at \(1, 3\) is not a unitary"):
+                       match=r"^fibre map at \(2,4\) is not a unitary of the right shape$"):
         check_unitary_normalizer_theorem(E)
 
 
@@ -706,9 +707,10 @@ def test_theorem_svd_and_qr_counts(monkeypatch):
     wide = {counts(build_semidirect_bundle(CStarBundle((2,) * n),
                                            frame=flow_frame(n, 2, rng_for(n))[0]))
             for n in (2, 4, 6)}
-    # one stacked SVD each, of the frame's audit: saturation ranks (transport)
-    # and frame norms (values); the builder read its unitarity defects
-    assert wide == {(2, 0)}
+    # one stacked SVD each, of the frame's audit: its singular values, which
+    # decide saturation and give the frame norms; the builder read its
+    # unitarity defects
+    assert wide == {(1, 0)}
     assert counts(THEOREM_MODELS["one point 1x3"])[1] == 0
 
 

@@ -190,7 +190,7 @@ def test_model_parse_errors():
         model_from_json({"points": 2, "fibre_dims": [1, 1], "frame": frame})
     # a twist value must be v·I: make_twist refuses a diagonal unitary that
     # is not scalar, the builder's error, not ParseError
-    with pytest.raises(NotATwistError, match=r"^twist value for \(\(0, 1\), \(1, 0\)\) "
+    with pytest.raises(NotATwistError, match=r"^twist value for \(\(1,2\),\(2,1\)\) "
                                              r"is not scalar$"):
         model_from_json({"points": 2, "fibre_dims": [2, 2], "twist": {
             "((1,2),(2,1))": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]}})
@@ -255,7 +255,7 @@ def test_first_fault_is_named_in_row_major_order():
         model_from_json({"points": 2, "fibre_dims": [1, 1], "frame": frame})
     # twist values are checked in (x, y, z) order, not in document order
     twist = {"((2,1),(1,2))": [2.0, 0.0], "((1,1),(1,2))": [3.0, 0.0]}
-    with pytest.raises(NotATwistError, match=r"\(\(0, 0\), \(0, 1\)\) has non-unit"):
+    with pytest.raises(NotATwistError, match=r"\(\(1,1\),\(1,2\)\) has non-unit"):
         model_from_json({"points": 2, "fibre_dims": [1, 1], "twist": twist})
 
 
